@@ -12,21 +12,20 @@ two-member balance solution in the straddling case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     COVERING,
     RATIONAL,
     SUPPORTING,
     ArithmeticMode,
+    Field,
     Histogram,
     HistogramSet,
     Weight,
     distinct_rows,
-    require_arithmetic,
 )
 from .errors import DegeneratePair, NotBinary, WrongCase
-from .game import DualWeight, GameSolution, make_solution
+from .game import DualWeight, GameSolution, _extreme_mass, _spread_over_members, make_solution
 
 ZERO_DOMINANT = "zero_dominant"
 ONE_DOMINANT = "one_dominant"
@@ -70,20 +69,14 @@ def classify_binary(histograms: HistogramSet) -> BinaryCase:
     return BinaryCase(MIXED, (Histogram(alphabet, heavy_one), Histogram(alphabet, heavy_zero)))
 
 
-def _canonical_distribution(histograms, component, pick_min, arithmetic) -> DualWeight:
+def _canonical_distribution(histograms, component, pick_min, field) -> DualWeight:
     """Uniform mass over the distinct members attaining the extreme count in
     one component, placed on first occurrences."""
     unique, origins = distinct_rows(histograms.count_rows())
-    counts = [row[component] for row in unique]
-    target = min(counts) if pick_min else max(counts)
-    achievers = [origins[u] for u, v in enumerate(counts) if v == target]
-    exact = arithmetic == RATIONAL
-    share = Fraction(1, len(achievers)) if exact else 1.0 / len(achievers)
-    zero = Fraction(0) if exact else 0.0
-    values = [zero] * len(histograms.members)
-    for i in achievers:
-        values[i] = share
-    return DualWeight(tuple(values), arithmetic)
+    _, mass = _extreme_mass(unique, component, pick_min, field)
+    return DualWeight(
+        _spread_over_members(mass, origins, len(histograms.members), field), field.mode
+    )
 
 
 def binary_dual_case1(
@@ -96,11 +89,11 @@ def binary_dual_case1(
     the covering problem's dual concentrates on members attaining the maximal
     second count.
     """
-    require_arithmetic(arithmetic)
+    field = Field.for_mode(arithmetic)
     if classify_binary(histograms).tag != ZERO_DOMINANT:
         raise WrongCase("first component does not dominate in every member")
-    supporting = _canonical_distribution(histograms, 0, pick_min=True, arithmetic=arithmetic)
-    covering = _canonical_distribution(histograms, 1, pick_min=False, arithmetic=arithmetic)
+    supporting = _canonical_distribution(histograms, 0, pick_min=True, field=field)
+    covering = _canonical_distribution(histograms, 1, pick_min=False, field=field)
     return supporting, covering
 
 
@@ -115,15 +108,13 @@ def binary_dual_case2(
     sums equal half the sample length. A coincident pair must be balanced and
     takes all the mass.
     """
-    require_arithmetic(arithmetic)
+    field = Field.for_mode(arithmetic)
     _require_binary(histograms)
     prime, second = witnesses
     if prime.counts[1] < prime.counts[0] or second.counts[1] > second.counts[0]:
         raise WrongCase("witnesses do not straddle the middle")
     rows = histograms.count_rows()
-    exact = arithmetic == RATIONAL
-    zero = Fraction(0) if exact else 0.0
-    values = [zero] * len(rows)
+    values = [field.zero] * len(rows)
 
     def first_index(counts) -> int:
         try:
@@ -132,21 +123,15 @@ def binary_dual_case2(
             raise WrongCase("witness is not a member of the set") from None
 
     if prime.counts == second.counts:
-        values[first_index(prime.counts)] = Fraction(1) if exact else 1.0
+        values[first_index(prime.counts)] = field.one
         return DualWeight(tuple(values), arithmetic)
 
-    half = Fraction(histograms.sample_length, 2) if exact else histograms.sample_length / 2.0
+    half = field.of(histograms.sample_length) / 2
     denominator = second.counts[0] - prime.counts[0]
     if denominator == 0:
         raise DegeneratePair("witnesses share their first count")
-    if exact:
-        mass_prime = Fraction(second.counts[0] - half, denominator)
-        mass_second = Fraction(half - prime.counts[0], denominator)
-    else:
-        mass_prime = (second.counts[0] - half) / denominator
-        mass_second = (half - prime.counts[0]) / denominator
-    values[first_index(prime.counts)] = mass_prime
-    values[first_index(second.counts)] = mass_second
+    values[first_index(prime.counts)] = (second.counts[0] - half) / denominator
+    values[first_index(second.counts)] = (half - prime.counts[0]) / denominator
     return DualWeight(tuple(values), arithmetic)
 
 
@@ -161,38 +146,29 @@ def solve_binary(
     strict straddle directions occur, and one balance distribution certifies
     both values.
     """
-    require_arithmetic(arithmetic)
+    field = Field.for_mode(arithmetic)
     _require_binary(histograms)
     case = classify_binary(histograms)
     alphabet = histograms.alphabet
     rows = histograms.count_rows()
-    exact = arithmetic == RATIONAL
-
-    def number(v):
-        return Fraction(v) if exact else float(v)
 
     if case.tag == ZERO_DOMINANT:
-        sup_alpha = number(min(row[0] for row in rows))
-        cov_alpha = number(max(row[1] for row in rows))
+        sup_alpha = field.of(min(row[0] for row in rows))
+        cov_alpha = field.of(max(row[1] for row in rows))
         sup_weight = Weight.point_mass(alphabet, 0, arithmetic)
         cov_weight = Weight.point_mass(alphabet, 1, arithmetic)
         sup_dual, cov_dual = binary_dual_case1(histograms, arithmetic)
         sup_alt = cov_alt = False
     elif case.tag == ONE_DOMINANT:
-        sup_alpha = number(min(row[1] for row in rows))
-        cov_alpha = number(max(row[0] for row in rows))
+        sup_alpha = field.of(min(row[1] for row in rows))
+        cov_alpha = field.of(max(row[0] for row in rows))
         sup_weight = Weight.point_mass(alphabet, 1, arithmetic)
         cov_weight = Weight.point_mass(alphabet, 0, arithmetic)
-        sup_dual = _canonical_distribution(histograms, 1, pick_min=True, arithmetic=arithmetic)
-        cov_dual = _canonical_distribution(histograms, 0, pick_min=False, arithmetic=arithmetic)
+        sup_dual = _canonical_distribution(histograms, 1, pick_min=True, field=field)
+        cov_dual = _canonical_distribution(histograms, 0, pick_min=False, field=field)
         sup_alt = cov_alt = False
     else:
-        half = (
-            Fraction(histograms.sample_length, 2)
-            if exact
-            else histograms.sample_length / 2.0
-        )
-        sup_alpha = cov_alpha = half
+        sup_alpha = cov_alpha = field.of(histograms.sample_length) / 2
         sup_weight = cov_weight = Weight.uniform(alphabet, arithmetic)
         dual = binary_dual_case2(histograms, case.witnesses, arithmetic)
         sup_dual = cov_dual = dual

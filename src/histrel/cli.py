@@ -76,8 +76,7 @@ def _exit_code_for(exc: HistrelError) -> int:
 
 
 def _default_mode() -> str:
-    mode = os.environ.get("HISTREL_MODE", RATIONAL)
-    return mode if mode in (RATIONAL, FLOAT) else RATIONAL
+    return os.environ.get("HISTREL_MODE", RATIONAL)
 
 
 def _parse_alphabet(spec: str | None) -> Alphabet | None:
@@ -190,6 +189,10 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse checks choices only on given flags, so an invalid default can
+    # only come from the environment
+    if getattr(args, "mode", RATIONAL) not in (RATIONAL, FLOAT):
+        parser.error(f"invalid HISTREL_MODE {args.mode!r} (choose from {RATIONAL!r}, {FLOAT!r})")
     try:
         return args.func(args)
     except HistrelError as exc:

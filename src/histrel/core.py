@@ -2,7 +2,9 @@
 
 Everything here is immutable and pure. Rational mode keeps exact
 ``fractions.Fraction`` values; float mode keeps IEEE doubles and tolerates
-``FLOAT_EPS`` of slack in every normalization and comparison check.
+``FLOAT_EPS`` of slack in every normalization and comparison check. The
+internal ``Field`` carries that one decision: rational mode is the float rule
+with a tolerance of exactly zero.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence, Union
 
-from .errors import AlphabetMismatch, EmptySet, UnknownSymbol, ValidationError
+from .errors import AlphabetMismatch, EmptySet, ParseError, UnknownSymbol, ValidationError
 
 ArithmeticMode = Literal["rational", "float"]
 ProblemMode = Literal["supporting", "covering"]
@@ -38,6 +40,70 @@ def require_problem_mode(problem: str) -> None:
 def require_arithmetic(arithmetic: str) -> None:
     if arithmetic not in (RATIONAL, FLOAT):
         raise ValidationError(f"unknown arithmetic mode {arithmetic!r}")
+
+
+@dataclass(frozen=True)
+class Field:
+    """The numbers of one arithmetic mode and the comparisons made on them.
+
+    ``tol`` is exactly zero in rational mode, so ``close`` and ``positive``
+    are the exact tests there and the tolerant ones in float mode.
+    """
+
+    mode: ArithmeticMode
+    of: type
+    zero: Number
+    one: Number
+    tol: Number
+
+    @staticmethod
+    def for_mode(arithmetic: str, tol: float = FLOAT_EPS) -> "Field":
+        require_arithmetic(arithmetic)
+        if arithmetic == RATIONAL:
+            return _RATIONAL_FIELD
+        return Field(FLOAT, float, 0.0, 1.0, tol)
+
+    @property
+    def exact(self) -> bool:
+        return self.of is Fraction
+
+    def share(self, k: int) -> Number:
+        return self.one / k
+
+    def close(self, a, b) -> bool:
+        return abs(a - b) <= self.tol
+
+    def positive(self, v) -> bool:
+        return v > self.tol
+
+    def encode(self, value):
+        """JSON form: exact ``p/q`` strings, or shortest round-trip floats."""
+        value = self.of(value)
+        return str(value) if self.exact else value
+
+    def decode(self, value) -> Number:
+        if isinstance(value, bool):
+            raise ParseError(None, f"expected a number, got {value!r}")
+        if self.exact and isinstance(value, float):
+            raise ParseError(None, f"rational file contains a float value {value!r}")
+        try:
+            return self.of(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ParseError(None, f"not a {self.mode} number: {value!r}") from None
+
+
+_RATIONAL_FIELD = Field(RATIONAL, Fraction, Fraction(0), Fraction(1), Fraction(0))
+
+
+def _on_simplex(values, field: Field, what: str) -> tuple:
+    """Convert to the field and check nonnegativity and unit total."""
+    values = tuple(field.of(v) for v in values)
+    floor = -field.tol
+    if any(v < floor for v in values):
+        raise ValidationError(f"{what} components must be nonnegative")
+    if not field.close(sum(values), field.one):
+        raise ValidationError(f"{what} components sum to {sum(values)}, expected 1")
+    return values
 
 
 @dataclass(frozen=True)
@@ -105,7 +171,7 @@ class Histogram:
                 f"histogram has {len(self.counts)} counts for {len(self.alphabet)} symbols"
             )
         for c in self.counts:
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:  # exact type: bool is an int subclass
                 raise ValidationError(f"histogram counts must be nonnegative integers, got {c!r}")
         if sum(self.counts) < 1:
             raise ValidationError("histogram total must be at least 1")
@@ -130,8 +196,10 @@ class HistogramSet:
         object.__setattr__(self, "members", _as_tuple(self.members))
         if not self.members:
             raise EmptySet("histogram set has no members")
-        if self.sample_length < 1:
-            raise ValidationError("sample length must be at least 1")
+        if type(self.sample_length) is not int or self.sample_length < 1:
+            raise ValidationError(
+                f"sample length must be an integer of at least 1, got {self.sample_length!r}"
+            )
         for i, member in enumerate(self.members):
             if member.alphabet != self.alphabet:
                 raise AlphabetMismatch(f"member {i} is defined on a different alphabet")
@@ -190,38 +258,24 @@ class Weight:
     mode: ArithmeticMode = RATIONAL
 
     def __post_init__(self):
-        require_arithmetic(self.mode)
+        field = Field.for_mode(self.mode)
         values = tuple(self.values)
         if len(values) != len(self.alphabet):
             raise ValidationError(
                 f"weight has {len(values)} components for {len(self.alphabet)} symbols"
             )
-        if self.mode == RATIONAL:
-            values = tuple(Fraction(v) for v in values)
-            if any(v < 0 for v in values):
-                raise ValidationError("weight components must be nonnegative")
-            if sum(values) != 1:
-                raise ValidationError(f"weight components sum to {sum(values)}, expected 1")
-        else:
-            values = tuple(float(v) for v in values)
-            if any(v < -FLOAT_EPS for v in values):
-                raise ValidationError("weight components must be nonnegative")
-            if abs(sum(values) - 1.0) > FLOAT_EPS:
-                raise ValidationError(f"weight components sum to {sum(values)}, expected 1")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _on_simplex(values, field, "weight"))
 
     @classmethod
     def uniform(cls, alphabet: Alphabet, mode: ArithmeticMode = RATIONAL) -> "Weight":
         n = len(alphabet)
-        if mode == RATIONAL:
-            return cls(alphabet, (Fraction(1, n),) * n, mode)
-        return cls(alphabet, (1.0 / n,) * n, mode)
+        return cls(alphabet, (Field.for_mode(mode).share(n),) * n, mode)
 
     @classmethod
     def point_mass(cls, alphabet: Alphabet, position: int, mode: ArithmeticMode = RATIONAL) -> "Weight":
-        one, zero = (Fraction(1), Fraction(0)) if mode == RATIONAL else (1.0, 0.0)
-        values = [zero] * len(alphabet)
-        values[position] = one
+        field = Field.for_mode(mode)
+        values = [field.zero] * len(alphabet)
+        values[position] = field.one
         return cls(alphabet, tuple(values), mode)
 
     def value(self, label: str) -> Number:

@@ -11,7 +11,6 @@ complementary slackness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
@@ -20,13 +19,14 @@ from .core import (
     RATIONAL,
     SUPPORTING,
     ArithmeticMode,
+    Field,
     HistogramSet,
     Number,
     ProblemMode,
     Weight,
+    _on_simplex,
     distinct_rows,
     pairing,
-    require_arithmetic,
     require_problem_mode,
 )
 from .errors import EmptySet, ValidationError
@@ -42,23 +42,11 @@ class DualWeight:
     mode: ArithmeticMode = RATIONAL
 
     def __post_init__(self):
-        require_arithmetic(self.mode)
+        field = Field.for_mode(self.mode)
         values = tuple(self.values)
         if not values:
             raise ValidationError("dual weight needs at least one component")
-        if self.mode == RATIONAL:
-            values = tuple(Fraction(v) for v in values)
-            if any(v < 0 for v in values):
-                raise ValidationError("dual components must be nonnegative")
-            if sum(values) != 1:
-                raise ValidationError(f"dual components sum to {sum(values)}, expected 1")
-        else:
-            values = tuple(float(v) for v in values)
-            if any(v < -FLOAT_EPS for v in values):
-                raise ValidationError("dual components must be nonnegative")
-            if abs(sum(values) - 1.0) > FLOAT_EPS:
-                raise ValidationError(f"dual components sum to {sum(values)}, expected 1")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _on_simplex(values, field, "dual"))
 
 
 @dataclass(frozen=True)
@@ -100,10 +88,6 @@ class CertificateReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _close(a, b, exact: bool, tol: float) -> bool:
-    return a == b if exact else abs(a - b) <= tol
-
-
 def supporting_lp(
     rows: Sequence[Sequence[int]], arithmetic: ArithmeticMode = RATIONAL
 ) -> tuple[StandardFormLP, tuple[int, ...]]:
@@ -113,19 +97,9 @@ def supporting_lp(
     member row. The starting basis holds every surplus plus ``x_0``, which is
     feasible because the member counts are nonnegative.
     """
-    convert = Fraction if arithmetic == RATIONAL else float
     k, n = len(rows), len(rows[0])
-    zero, one = convert(0), convert(1)
-    lp_rows = []
-    for i, row in enumerate(rows):
-        surplus = [zero] * k
-        surplus[i] = -one
-        lp_rows.append(tuple(convert(v) for v in row) + (-one,) + tuple(surplus))
-    lp_rows.append((one,) * n + (zero,) * (k + 1))
-    objective = (zero,) * n + (one,) + (zero,) * k
-    rhs = (zero,) * k + (one,)
     basis = tuple(n + 1 + i for i in range(k)) + (0,)
-    return StandardFormLP(objective, tuple(lp_rows), rhs), basis
+    return _game_lp(rows, Field.for_mode(arithmetic), 1), basis
 
 
 def covering_lp(
@@ -138,20 +112,27 @@ def covering_lp(
     one for a row maximizing the first component, which keeps all surpluses
     nonnegative at the start.
     """
-    convert = Fraction if arithmetic == RATIONAL else float
     k, n = len(rows), len(rows[0])
-    zero, one = convert(0), convert(1)
+    anchor = max(range(k), key=lambda i: (rows[i][0], -i))
+    basis = (n, 0) + tuple(n + 1 + i for i in range(k) if i != anchor)
+    return _game_lp(rows, Field.for_mode(arithmetic), -1), basis
+
+
+def _game_lp(rows, field: Field, sign: int) -> StandardFormLP:
+    """Maximize ``sign * value`` subject to ``sign * (row . x - value) == s_i``
+    per member row and ``sum(x) == 1``; ``sign`` is 1 for supporting and -1
+    for covering."""
+    k, n = len(rows), len(rows[0])
+    zero, one = field.zero, field.one
     lp_rows = []
     for i, row in enumerate(rows):
         surplus = [zero] * k
         surplus[i] = -one
-        lp_rows.append(tuple(-convert(v) for v in row) + (one,) + tuple(surplus))
+        lp_rows.append(tuple(sign * field.of(v) for v in row) + (-sign * one,) + tuple(surplus))
     lp_rows.append((one,) * n + (zero,) * (k + 1))
-    objective = (zero,) * n + (-one,) + (zero,) * k
+    objective = (zero,) * n + (sign * one,) + (zero,) * k
     rhs = (zero,) * k + (one,)
-    anchor = max(range(k), key=lambda i: (rows[i][0], -i))
-    basis = (n, 0) + tuple(n + 1 + i for i in range(k) if i != anchor)
-    return StandardFormLP(objective, tuple(lp_rows), rhs), basis
+    return StandardFormLP(objective, tuple(lp_rows), rhs)
 
 
 def extract_dual(
@@ -170,27 +151,21 @@ def extract_dual(
     tight rows, which certifies the same value.
     """
     require_problem_mode(problem)
-    exact = arithmetic == RATIONAL
-    k = len(rows)
-    raw = [-y for y in result.row_duals[:k]]
-    if not exact:
-        raw = [0.0 if abs(v) <= tol else v for v in raw]
+    field = Field.for_mode(arithmetic, tol)
+    raw = [-y for y in result.row_duals[: len(rows)]]
+    raw = [field.zero if field.close(v, field.zero) else v for v in raw]
     total = sum(raw)
-    if (exact and total > 0) or (not exact and total > tol):
+    if field.positive(total):
         values = [v / total for v in raw]
     else:
         n = len(rows[0])
         xs = result.solution[:n]
         alpha = result.solution[n]
-        tight = [
-            i
-            for i, row in enumerate(rows)
-            if _close(sum(x * v for x, v in zip(xs, row)), alpha, exact, tol)
-        ]
-        if not tight:
+        tight = [field.close(sum(x * v for x, v in zip(xs, row)), alpha) for row in rows]
+        if not any(tight):
             raise ValidationError("no tight member row to anchor the dual")
-        share = Fraction(1, len(tight)) if exact else 1.0 / len(tight)
-        values = [share if i in set(tight) else (Fraction(0) if exact else 0.0) for i in range(k)]
+        share = field.share(sum(tight))
+        values = [share if t else field.zero for t in tight]
     return DualWeight(tuple(values), arithmetic)
 
 
@@ -209,14 +184,13 @@ def make_solution(
     require_problem_mode(problem)
     if trace is None:
         trace = empty_trace(histograms.alphabet.symbols)
-    exact = weight.mode == RATIONAL
+    field = Field.for_mode(weight.mode, tol)
     tight_members = tuple(
         i
         for i, member in enumerate(histograms.members)
-        if _close(pairing(weight, member), alpha, exact, tol)
+        if field.close(pairing(weight, member), alpha)
     )
-    positive = (lambda v: v > 0) if exact else (lambda v: v > tol)
-    tight_symbols = tuple(j for j, v in enumerate(weight.values) if positive(v))
+    tight_symbols = tuple(j for j, v in enumerate(weight.values) if field.positive(v))
     return GameSolution(
         alpha=alpha,
         weight=weight,
@@ -261,7 +235,7 @@ def solve_covering(
 
 def _solve_game(histograms, problem, arithmetic, tol, use_reduction) -> GameSolution:
     require_problem_mode(problem)
-    require_arithmetic(arithmetic)
+    field = Field.for_mode(arithmetic, tol)
     if not histograms.members:
         raise EmptySet("cannot solve an empty histogram set")
     alphabet = histograms.alphabet
@@ -271,25 +245,28 @@ def _solve_game(histograms, problem, arithmetic, tol, use_reduction) -> GameSolu
         restricted, trace = histograms.count_rows(), empty_trace(alphabet.symbols)
     surviving = [alphabet.index(s) for s in trace.surviving]
     unique_rows, origins = distinct_rows(restricted)
-    exact = arithmetic == RATIONAL
 
     if len(surviving) == 1:
-        alpha, weight, dual_unique, alternate = _single_symbol_solution(
-            unique_rows, surviving[0], alphabet, problem, arithmetic
-        )
+        best, dual_unique = _extreme_mass(unique_rows, 0, problem == SUPPORTING, field)
+        # The simplex is a point: the value is the extreme count there, and
+        # every optimal weight of the original problem is the point mass.
+        alpha = field.of(best)
+        weight = Weight.point_mass(alphabet, surviving[0], arithmetic)
+        alternate = False
     else:
         build = supporting_lp if problem == SUPPORTING else covering_lp
         lp, basis = build(unique_rows, arithmetic)
         result = simplex_optimize(lp, arithmetic, tol=tol, basis=basis)
         n = len(unique_rows[0])
         alpha = result.solution[n]
-        weight = _padded_weight(result.solution[:n], surviving, alphabet, arithmetic)
+        weight = _padded_weight(result.solution[:n], surviving, alphabet, field)
         dual_unique = extract_dual(result, unique_rows, problem, arithmetic, tol=tol).values
         basic = set(result.basis)
-        flat = (lambda v: v == 0) if exact else (lambda v: abs(v) <= tol)
-        alternate = any(j not in basic and flat(result.reduced_costs[j]) for j in range(n))
+        alternate = any(
+            j not in basic and field.close(result.reduced_costs[j], field.zero) for j in range(n)
+        )
 
-    dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), exact)
+    dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), field)
     dual = DualWeight(dual_values, arithmetic)
     return make_solution(
         alpha,
@@ -303,35 +280,26 @@ def _solve_game(histograms, problem, arithmetic, tol, use_reduction) -> GameSolu
     )
 
 
-def _single_symbol_solution(unique_rows, symbol_index, alphabet, problem, arithmetic):
-    """Once reduction leaves one symbol the simplex is a point: the value is
-    the extreme count there, and every optimal weight of the original problem
-    is the zero-extended point mass."""
-    exact = arithmetic == RATIONAL
-    counts = [row[0] for row in unique_rows]
-    best = min(counts) if problem == SUPPORTING else max(counts)
-    achievers = [u for u, v in enumerate(counts) if v == best]
-    share = Fraction(1, len(achievers)) if exact else 1.0 / len(achievers)
-    zero = Fraction(0) if exact else 0.0
-    dual_unique = tuple(share if u in set(achievers) else zero for u in range(len(counts)))
-    alpha = Fraction(best) if exact else float(best)
-    weight = Weight.point_mass(alphabet, symbol_index, arithmetic)
-    return alpha, weight, dual_unique, False
+def _extreme_mass(unique_rows, column: int, pick_min: bool, field: Field):
+    """Uniform mass on the distinct rows attaining the extreme count in one
+    column; returns that count and the mass per distinct row."""
+    counts = [row[column] for row in unique_rows]
+    best = min(counts) if pick_min else max(counts)
+    share = field.share(counts.count(best))
+    return best, tuple(share if v == best else field.zero for v in counts)
 
 
-def _padded_weight(values, surviving, alphabet, arithmetic):
-    zero = Fraction(0) if arithmetic == RATIONAL else 0.0
-    full = [zero] * len(alphabet)
+def _padded_weight(values, surviving, alphabet, field):
+    full = [field.zero] * len(alphabet)
     for pos, j in enumerate(surviving):
         full[j] = values[pos]
-    return Weight(alphabet, tuple(full), arithmetic)
+    return Weight(alphabet, tuple(full), field.mode)
 
 
-def _spread_over_members(dual_unique, origins, member_count, exact):
+def _spread_over_members(dual_unique, origins, member_count, field):
     """Duplicates were collapsed before solving; their mass sits on the first
     occurrence and the copies keep zero."""
-    zero = Fraction(0) if exact else 0.0
-    values = [zero] * member_count
+    values = [field.zero] * member_count
     for u, origin in enumerate(origins):
         values[origin] = dual_unique[u]
     return tuple(values)
@@ -347,16 +315,15 @@ def certify(
     positive weight have dual column sums equal to the value, and the primal
     and dual values both equal the claimed value.
     """
-    exact = solution.weight.mode == RATIONAL
+    field = Field.for_mode(solution.weight.mode, tol)
     checks: list[CertificateCheck] = []
 
     def add(clause: str, violation, detail: str = "") -> None:
-        magnitude = float(violation)
         checks.append(
             CertificateCheck(
                 clause=clause,
-                passed=magnitude <= (0.0 if exact else tol),
-                violation=max(0.0, magnitude),
+                passed=violation <= field.tol,
+                violation=max(0.0, float(violation)),
                 detail=detail,
             )
         )
@@ -398,14 +365,13 @@ def certify(
     add("dual-feasibility", max(dual_violation, 0))
     add("value-equality-dual", abs(dual_value - alpha))
 
-    positive = (lambda v: v > 0) if exact else (lambda v: v > tol)
     slack_members = max(
-        (abs(pairings[i] - alpha) for i, d in enumerate(dual.values) if positive(d)),
+        (abs(pairings[i] - alpha) for i, d in enumerate(dual.values) if field.positive(d)),
         default=0,
     )
     add("slackness-members", slack_members, "positive dual mass on a non-tight member")
     slack_symbols = max(
-        (abs(columns[v] - alpha) for v, w in enumerate(weight.values) if positive(w)),
+        (abs(columns[v] - alpha) for v, w in enumerate(weight.values) if field.positive(w)),
         default=0,
     )
     add("slackness-symbols", slack_symbols, "positive weight on a slack dual column")

@@ -24,6 +24,7 @@ from .core import (
     SUPPORTING,
     Alphabet,
     ArithmeticMode,
+    Field,
     HistogramSet,
     Number,
     Sample,
@@ -74,20 +75,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def encode_number(value: Number, mode: ArithmeticMode):
-    if mode == RATIONAL:
-        return str(Fraction(value))
-    return float(value)
-
-
-def decode_number(value, mode: ArithmeticMode) -> Number:
-    if mode == RATIONAL:
-        if isinstance(value, float):
-            raise ParseError(None, f"rational file contains a float value {value!r}")
-        return Fraction(value) if isinstance(value, str) else Fraction(int(value))
-    return float(value)
-
-
 # ---------------------------------------------------------------------------
 # histogram sets
 # ---------------------------------------------------------------------------
@@ -101,15 +88,24 @@ def histogram_set_to_json(histograms: HistogramSet) -> dict:
     }
 
 
-def histogram_set_from_json(obj: dict) -> HistogramSet:
-    for key in ("alphabet", "sample_length", "histograms"):
+_HISTOGRAM_KEYS = ("alphabet", "sample_length", "histograms")
+
+
+def _require_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(None, f"{what} is not a JSON object")
+    for key in keys:
         if key not in obj:
-            raise ParseError(None, f"histogram file is missing the {key!r} key")
+            raise ParseError(None, f"{what} is missing the {key!r} key")
+
+
+def histogram_set_from_json(obj: dict) -> HistogramSet:
+    _require_keys(obj, _HISTOGRAM_KEYS, "histogram file")
     alphabet = Alphabet(tuple(str(s) for s in obj["alphabet"]))
-    rows = [tuple(int(c) for c in row) for row in obj["histograms"]]
+    rows = [tuple(row) for row in obj["histograms"]]
     if not rows:
         raise EmptySet("histogram file lists no histograms")
-    return HistogramSet.from_counts(alphabet, rows, int(obj["sample_length"]))
+    return HistogramSet.from_counts(alphabet, rows, obj["sample_length"])
 
 
 def dumps_histogram_set(histograms: HistogramSet) -> str:
@@ -243,19 +239,18 @@ def _check_profile(profile: WeightProfile, tol: float) -> None:
             clauses = ", ".join(c.clause for c in report.failures())
             raise CertificationFailure(f"{solution.mode} solution fails: {clauses}")
     baseline = Fraction(profile.sample_length, len(profile.alphabet))
-    exact = profile.mode == RATIONAL
+    slack = Field.for_mode(profile.mode, tol).tol
     low = profile.supporting.alpha - baseline
     high = baseline - profile.covering.alpha
-    slack = 0 if exact else tol
     if low < -slack or high < -slack:
         raise CertificationFailure("values violate the uniform-weight bounds")
 
 
-def _solution_to_json(solution: GameSolution, mode: ArithmeticMode) -> dict:
+def _solution_to_json(solution: GameSolution, field: Field) -> dict:
     return {
-        "alpha": encode_number(solution.alpha, mode),
-        "weight": [encode_number(v, mode) for v in solution.weight.values],
-        "dual": [encode_number(v, mode) for v in solution.dual.values],
+        "alpha": field.encode(solution.alpha),
+        "weight": [field.encode(v) for v in solution.weight.values],
+        "dual": [field.encode(v) for v in solution.dual.values],
         "tight_members": list(solution.tight_members),
         "tight_symbols": list(solution.tight_symbols),
         "alternate_optima": solution.alternate_optima,
@@ -266,18 +261,12 @@ def _solution_to_json(solution: GameSolution, mode: ArithmeticMode) -> dict:
     }
 
 
-def _solution_from_json(
-    obj: dict,
-    problem,
-    histograms: HistogramSet,
-    mode: ArithmeticMode,
-    tol: float,
-) -> GameSolution:
-    alpha = decode_number(obj["alpha"], mode)
-    weight = Weight(
-        histograms.alphabet, tuple(decode_number(v, mode) for v in obj["weight"]), mode
-    )
-    dual = DualWeight(tuple(decode_number(v, mode) for v in obj["dual"]), mode)
+def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) -> GameSolution:
+    keys = ("alpha", "weight", "dual", "tight_members", "tight_symbols")
+    _require_keys(obj, keys, f"{problem} solution")
+    alpha = field.decode(obj["alpha"])
+    weight = Weight(histograms.alphabet, tuple(field.decode(v) for v in obj["weight"]), field.mode)
+    dual = DualWeight(tuple(field.decode(v) for v in obj["dual"]), field.mode)
     reduction = obj.get("reduction", {})
     steps = tuple(
         ReductionStep(symbol=str(sym), mode=problem, pass_index=int(idx))
@@ -292,7 +281,7 @@ def _solution_from_json(
         problem,
         trace,
         alternate_optima=bool(obj.get("alternate_optima", False)),
-        tol=tol,
+        tol=field.tol,
     )
     if list(solution.tight_members) != list(obj["tight_members"]) or list(
         solution.tight_symbols
@@ -302,6 +291,7 @@ def _solution_from_json(
 
 
 def profile_to_json(profile: WeightProfile) -> dict:
+    field = Field.for_mode(profile.mode)
     return {
         "format": PROFILE_FORMAT,
         "mode": profile.mode,
@@ -309,28 +299,27 @@ def profile_to_json(profile: WeightProfile) -> dict:
         "sample_length": profile.sample_length,
         "histograms": [list(row) for row in profile.members],
         "provenance": {"input_sha256": profile.input_digest},
-        "supporting": _solution_to_json(profile.supporting, profile.mode),
-        "covering": _solution_to_json(profile.covering, profile.mode),
+        "supporting": _solution_to_json(profile.supporting, field),
+        "covering": _solution_to_json(profile.covering, field),
     }
 
 
 def profile_from_json(obj: dict, *, tol: float = FLOAT_EPS) -> WeightProfile:
-    if obj.get("format") != PROFILE_FORMAT:
-        raise ParseError(None, f"not a weight profile (format {obj.get('format')!r})")
-    mode = obj.get("mode")
-    require_arithmetic(mode)
-    alphabet = Alphabet(tuple(str(s) for s in obj["alphabet"]))
-    members = tuple(tuple(int(c) for c in row) for row in obj["histograms"])
-    histograms = HistogramSet.from_counts(alphabet, members, int(obj["sample_length"]))
-    supporting = _solution_from_json(obj["supporting"], SUPPORTING, histograms, mode, tol)
-    covering = _solution_from_json(obj["covering"], COVERING, histograms, mode, tol)
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != PROFILE_FORMAT:
+        raise ParseError(None, f"not a weight profile (format {fmt!r})")
+    _require_keys(obj, _HISTOGRAM_KEYS + ("mode", "supporting", "covering"), "profile")
+    field = Field.for_mode(obj["mode"], tol)
+    histograms = histogram_set_from_json(obj)
+    supporting = _solution_from_json(obj["supporting"], SUPPORTING, histograms, field)
+    covering = _solution_from_json(obj["covering"], COVERING, histograms, field)
     profile = WeightProfile(
-        alphabet=alphabet,
+        alphabet=histograms.alphabet,
         sample_length=histograms.sample_length,
-        members=members,
+        members=histograms.count_rows(),
         supporting=supporting,
         covering=covering,
-        mode=mode,
+        mode=field.mode,
         input_digest=str(obj.get("provenance", {}).get("input_sha256", "")),
     )
     _check_profile(profile, tol)
@@ -419,25 +408,25 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
 
 
 def score_report_to_json(report: ScoreReport) -> dict:
-    mode = report.mode
+    field = Field.for_mode(report.mode)
 
     def opt(value):
-        return None if value is None else encode_number(value, mode)
+        return None if value is None else field.encode(value)
 
     return {
         "format": SCORES_FORMAT,
-        "mode": mode,
+        "mode": report.mode,
         "alphabet": list(report.alphabet.symbols),
         "sample_length": report.sample_length,
-        "alpha_supporting": encode_number(report.alpha_supporting, mode),
-        "alpha_covering": encode_number(report.alpha_covering, mode),
+        "alpha_supporting": field.encode(report.alpha_supporting),
+        "alpha_covering": field.encode(report.alpha_covering),
         "flags_note": FLAGS_NOTE,
         "samples": [
             {
                 "index": row.index,
                 "histogram": list(row.histogram),
-                "relevance": encode_number(row.relevance, mode),
-                "irrelevance": encode_number(row.irrelevance, mode),
+                "relevance": field.encode(row.relevance),
+                "irrelevance": field.encode(row.irrelevance),
                 "relevance_ratio": opt(row.relevance_ratio),
                 "irrelevance_ratio": opt(row.irrelevance_ratio),
                 "meets_support": row.meets_support,

@@ -10,13 +10,12 @@ optimal weights (zero-extended) as the original.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    RATIONAL,
     SUPPORTING,
+    Field,
     HistogramSet,
     ProblemMode,
     Weight,
@@ -153,12 +152,7 @@ def redistribute_weight(weight: Weight, position: int) -> Weight:
         raise ValidationError("redistribution needs at least two symbols")
     if not 0 <= position < n:
         raise ValidationError(f"position {position} outside alphabet of size {n}")
-    if weight.mode == RATIONAL:
-        share = Fraction(weight.values[position], n - 1)
-        zero = Fraction(0)
-    else:
-        share = weight.values[position] / (n - 1)
-        zero = 0.0
+    share = weight.values[position] / (n - 1)
     values = [v + share for v in weight.values]
-    values[position] = zero
+    values[position] = Field.for_mode(weight.mode).zero
     return Weight(weight.alphabet, tuple(values), weight.mode)

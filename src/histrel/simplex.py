@@ -8,18 +8,18 @@ same rule with an absolute tolerance and an iteration cap; if the cap is hit
 (degenerate stalling) the solve is retried once on a slightly perturbed
 right-hand side and the resulting basis is mapped back to the original data.
 
-Row duals are recovered from the optimal basis by solving ``B^T y = c_B``
-against the original columns, so complementary-slackness checks downstream
-never have to re-derive tableau state.
+Every solve starts from a feasible basis the caller supplies; there is no
+phase one. Row duals are recovered from the optimal basis by solving
+``B^T y = c_B`` against the original columns, so complementary-slackness
+checks downstream never have to re-derive tableau state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .core import FLOAT, FLOAT_EPS, RATIONAL, ArithmeticMode, require_arithmetic
+from .core import FLOAT_EPS, RATIONAL, ArithmeticMode, Field
 from .errors import IterationCapExceeded, ValidationError
 
 DEFAULT_FLOAT_ITERATION_CAP = 10_000
@@ -63,25 +63,24 @@ def simplex_optimize(
     arithmetic: ArithmeticMode = RATIONAL,
     *,
     tol: float = FLOAT_EPS,
-    basis: Sequence[int] | None = None,
+    basis: Sequence[int],
     max_iterations: int | None = None,
 ) -> SimplexResult:
     """Solve a standard-form program to a basic optimal solution.
 
-    The program must be feasible and bounded. When ``basis`` names a feasible
-    starting basis phase one is skipped; otherwise artificial variables are
-    introduced and driven out first. Identical inputs always produce the
-    identical result.
+    ``basis`` must name a feasible starting basis, one column per row; there
+    is no phase one. The program must be bounded. Identical inputs always
+    produce the identical result.
     """
-    require_arithmetic(arithmetic)
-    if arithmetic == RATIONAL:
-        return _solve(lp, basis, RATIONAL, Fraction(0), max_iterations)
+    field = Field.for_mode(arithmetic, tol)
+    if field.exact:  # exact Bland pivoting cannot stall: no default cap, no perturbed retry
+        return _solve(lp, basis, field, max_iterations)
     cap = DEFAULT_FLOAT_ITERATION_CAP if max_iterations is None else max_iterations
     try:
-        return _solve(lp, basis, FLOAT, tol, cap)
+        return _solve(lp, basis, field, cap)
     except IterationCapExceeded:
-        result = _solve(_perturbed(lp), basis, FLOAT, tol, cap)
-        return _rebuild_from_basis(lp, result.basis, tol)
+        result = _solve(_perturbed(lp), basis, field, cap)
+        return _rebuild_from_basis(lp, result.basis, field)
 
 
 def _perturbed(lp: StandardFormLP) -> StandardFormLP:
@@ -90,60 +89,26 @@ def _perturbed(lp: StandardFormLP) -> StandardFormLP:
     return StandardFormLP(lp.objective, lp.rows, rhs)
 
 
-def _solve(lp, basis, numeric, tol, cap) -> SimplexResult:
-    convert = Fraction if numeric == RATIONAL else float
-    A = [[convert(v) for v in row] for row in lp.rows]
-    b = [convert(v) for v in lp.rhs]
-    c = [convert(v) for v in lp.objective]
-    m, n = len(A), len(c)
-    iterations = 0
-
-    if basis is None:
-        basis_list, phase1_iters = _phase_one(A, b, n, convert, tol, cap)
-        iterations += phase1_iters
-        costs = c + [convert(0)] * m  # artificial columns carry zero cost
-    else:
-        basis_list = list(basis)
-        if len(basis_list) != m or len(set(basis_list)) != m:
-            raise ValidationError("starting basis must name one distinct column per row")
-        if any(j < 0 or j >= n for j in basis_list):
-            raise ValidationError("starting basis names a column outside the program")
-        _canonicalize(A, b, basis_list, tol)
-        if min(b) < -tol:
-            raise ValidationError("starting basis is infeasible")
-        costs = c
-
-    iterations += _pivot_to_optimum(A, b, costs, basis_list, n, tol, cap)
-    return _finalize(lp, A, b, costs, basis_list, n, convert, iterations)
+def _solve(lp, basis, field, cap) -> SimplexResult:
+    A, b, basis_list = _start(lp, basis, field)
+    if min(b) < -field.tol:
+        raise ValidationError("starting basis is infeasible")
+    costs = [field.of(v) for v in lp.objective]
+    iterations = _pivot_to_optimum(A, b, costs, basis_list, field.tol, cap)
+    return _finalize(lp, A, b, costs, basis_list, field, iterations)
 
 
-def _phase_one(A, b, n, convert, tol, cap):
-    m = len(A)
-    one, zero = convert(1), convert(0)
-    for i in range(m):
-        if b[i] < zero:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    for i in range(m):
-        for r in range(m):
-            A[r].append(one if r == i else zero)
-    phase_costs = [zero] * n + [convert(-1)] * m
-    basis_list = list(range(n, n + m))
-    iterations = _pivot_to_optimum(A, b, phase_costs, basis_list, n + m, tol, cap)
-    infeasibility = -sum(phase_costs[basis_list[r]] * b[r] for r in range(m))
-    if infeasibility > tol:
-        raise ValidationError("program is infeasible")
-    # Clear leftover artificials from the basis where a real column can take
-    # over; rows that cannot be cleared are redundant and keep a zero-valued
-    # artificial, which forces the corresponding dual multiplier to zero.
-    for r in range(m):
-        if basis_list[r] >= n:
-            for j in range(n):
-                if abs(A[r][j]) > tol:
-                    _apply_pivot(A, b, r, j)
-                    basis_list[r] = j
-                    break
-    return basis_list, iterations
+def _start(lp, basis, field):
+    """Tableau of the program row-reduced onto the given basis."""
+    A = [[field.of(v) for v in row] for row in lp.rows]
+    b = [field.of(v) for v in lp.rhs]
+    basis_list = list(basis)
+    if len(basis_list) != len(A) or len(set(basis_list)) != len(A):
+        raise ValidationError("starting basis must name one distinct column per row")
+    if any(j < 0 or j >= len(lp.objective) for j in basis_list):
+        raise ValidationError("starting basis names a column outside the program")
+    _canonicalize(A, b, basis_list, field.tol)
+    return A, b, basis_list
 
 
 def _canonicalize(A, b, basis_list, tol):
@@ -158,7 +123,7 @@ def _canonicalize(A, b, basis_list, tol):
             mag = abs(A[r][var])
             if mag > 0 and (best_mag is None or mag > best_mag):
                 best_row, best_mag = r, mag
-        if best_row is None or (isinstance(best_mag, float) and best_mag <= tol):
+        if best_row is None or best_mag <= tol:
             raise ValidationError("starting basis is singular")
         _apply_pivot(A, b, best_row, var)
         row_for[best_row] = var
@@ -169,7 +134,7 @@ def _canonicalize(A, b, basis_list, tol):
 def _apply_pivot(A, b, prow, pcol):
     pivot = A[prow][pcol]
     if pivot != 1:
-        inv = 1 / pivot if isinstance(pivot, Fraction) else 1.0 / pivot
+        inv = 1 / pivot
         A[prow] = [v * inv for v in A[prow]]
         b[prow] = b[prow] * inv
     row = A[prow]
@@ -184,7 +149,7 @@ def _apply_pivot(A, b, prow, pcol):
         b[r] = b[r] - factor * b[prow]
 
 
-def _pivot_to_optimum(A, b, costs, basis_list, enterable, tol, cap) -> int:
+def _pivot_to_optimum(A, b, costs, basis_list, tol, cap) -> int:
     """Bland's rule: smallest improving column enters, smallest basis index
     leaves among the minimum-ratio rows."""
     m = len(A)
@@ -192,8 +157,8 @@ def _pivot_to_optimum(A, b, costs, basis_list, enterable, tol, cap) -> int:
     iterations = 0
     while True:
         enter = None
-        for j in range(enterable):
-            if reduced[j] > tol:
+        for j, v in enumerate(reduced):
+            if v > tol:
                 enter = j
                 break
         if enter is None:
@@ -222,64 +187,42 @@ def _pivot_to_optimum(A, b, costs, basis_list, enterable, tol, cap) -> int:
 
 
 def _reduced_costs(A, costs, basis_list):
-    m = len(A)
-    width = len(A[0])
-    reduced = list(costs[:width])
-    for r in range(m):
+    reduced = list(costs)
+    for r, row in enumerate(A):
         cb = costs[basis_list[r]]
         if cb == 0:
             continue
-        row = A[r]
-        for j in range(width):
+        for j in range(len(reduced)):
             reduced[j] = reduced[j] - cb * row[j]
     return reduced
 
 
-def _finalize(lp, A, b, costs, basis_list, n, convert, iterations) -> SimplexResult:
-    m = len(A)
-    zero = convert(0)
-    solution = [zero] * n
-    for r in range(m):
-        if basis_list[r] < n:
-            solution[basis_list[r]] = b[r]
+def _finalize(lp, A, b, costs, basis_list, field, iterations) -> SimplexResult:
+    solution = [field.zero] * len(costs)
+    for r, var in enumerate(basis_list):
+        solution[var] = b[r]
     objective_value = sum(
-        (convert(cj) * zj for cj, zj in zip(lp.objective, solution) if zj != 0),
-        start=zero,
+        (cj * zj for cj, zj in zip(costs, solution) if zj != 0),
+        start=field.zero,
     )
-    duals = _row_duals(lp, basis_list, convert)
-    reduced = _reduced_costs(A, costs, basis_list)[:n]
     return SimplexResult(
         objective_value=objective_value,
         solution=tuple(solution),
         basis=tuple(basis_list),
-        row_duals=duals,
-        reduced_costs=tuple(reduced),
+        row_duals=_row_duals(lp, basis_list, field),
+        reduced_costs=tuple(_reduced_costs(A, costs, basis_list)),
         iterations=iterations,
     )
 
 
-def _row_duals(lp, basis_list, convert) -> tuple:
-    """Solve ``B^T y = c_B`` over the original columns; artificial columns
-    (indices past the program width) act as unit columns with zero cost."""
-    m = len(lp.rows)
-    n = len(lp.objective)
-    zero = convert(0)
-    system = []
-    rhs = []
-    for var in basis_list:
-        if var < n:
-            system.append([convert(lp.rows[r][var]) for r in range(m)])
-            rhs.append(convert(lp.objective[var]))
-        else:
-            unit = [zero] * m
-            unit[var - n] = convert(1)
-            system.append(unit)
-            rhs.append(zero)
-    y = _solve_square(system, rhs, convert)
-    return tuple(y)
+def _row_duals(lp, basis_list, field) -> tuple:
+    """Solve ``B^T y = c_B`` over the original columns."""
+    system = [[field.of(row[var]) for row in lp.rows] for var in basis_list]
+    rhs = [field.of(lp.objective[var]) for var in basis_list]
+    return tuple(_solve_square(system, rhs))
 
 
-def _solve_square(matrix, rhs, convert):
+def _solve_square(matrix, rhs):
     size = len(matrix)
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(size):
@@ -296,18 +239,13 @@ def _solve_square(matrix, rhs, convert):
     return [aug[r][size] for r in range(size)]
 
 
-def _rebuild_from_basis(lp: StandardFormLP, basis: Sequence[int], tol: float) -> SimplexResult:
+def _rebuild_from_basis(lp: StandardFormLP, basis: Sequence[int], field: Field) -> SimplexResult:
     """Re-derive the basic solution for the original right-hand side from a
     basis found on perturbed data."""
-    A = [[float(v) for v in row] for row in lp.rows]
-    b = [float(v) for v in lp.rhs]
-    basis_list = list(basis)
-    _canonicalize(A, b, basis_list, tol)
-    if min(b) < -tol:
+    A, b, basis_list = _start(lp, basis, field)
+    if min(b) < -field.tol:
         raise IterationCapExceeded("perturbed basis is infeasible for the original data")
-    costs = [float(v) for v in lp.objective]
-    n = len(costs)
-    reduced = _reduced_costs(A, costs, basis_list)
-    if any(v > tol for v in reduced[:n]):
+    costs = [field.of(v) for v in lp.objective]
+    if any(v > field.tol for v in _reduced_costs(A, costs, basis_list)):
         raise IterationCapExceeded("perturbed basis is not optimal for the original data")
-    return _finalize(lp, A, b, costs, basis_list, n, float, 0)
+    return _finalize(lp, A, b, costs, basis_list, field, 0)

@@ -22,7 +22,6 @@ from histrel import (
     HistogramSet,
     certify,
     classify_binary,
-    corollary_threshold_check,
     load_histogram_set,
     load_profile,
     oracle_solve,
@@ -37,6 +36,7 @@ from histrel import (
 )
 from histrel.cli import main as cli_main
 from histrel.io import dumps_score_report
+from histrel.reduce import corollary_threshold_check
 from histrel.verify import random_histogram_set
 
 from conftest import make_set

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -138,6 +139,14 @@ class TestCertify:
         assert not report.passed
         clauses = [c.clause for c in report.failures()]
         assert "slackness-members" in clauses
+
+    def test_violation_below_the_float_range_still_fails(self, e1):
+        # float(1/10**400) underflows to 0.0; the exact check must not
+        solution = solve_supporting(e1)
+        nudged = dataclasses.replace(solution, alpha=solution.alpha + Fraction(1, 10**400))
+        report = certify(nudged, e1)
+        assert not report.passed
+        assert "primal-feasibility" in [c.clause for c in report.failures()]
 
 
 class TestSolverProperties:

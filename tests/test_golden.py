@@ -1,0 +1,92 @@
+"""Byte-level pins of the serialized profile and score report.
+
+Each set is solved in both modes and scores its own members. A digest that
+stops matching means the written output changed; update it only for an
+intended change of format or of the returned vertex.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from histrel import score_profile, solve_profile
+from histrel.io import dumps_profile, dumps_score_report
+from histrel.verify import TARGETED, fixture_set, random_histogram_set
+
+SETS = {name: fixture_set(spec) for name, spec, _, _ in TARGETED}
+for _seed in (9, 10):
+    SETS[f"random-{_seed}"] = random_histogram_set(
+        random.Random(_seed), max_symbols=6, max_members=8, max_length=30
+    )
+
+# (set, mode) -> (sha256 of dumps_profile, sha256 of dumps_score_report)
+GOLDEN = {
+    ("E1", "rational"): (
+        "c79c444459635df0fce252c066e1b8468698492ef879039edf0515e1a2b3bf29",
+        "39b124b851c2a5d575b350a9b63a12458e2ba59ed5a16064bb8b7b92bf205420",
+    ),
+    ("E1", "float"): (
+        "a4d85fab6cfacd15d82b82c561e452637597446d6c1bee90def57abfff3a586c",
+        "7de9eba5eb46725cf086d32868272119ec77798e1e54206da32e2adad6f9bac7",
+    ),
+    ("E2", "rational"): (
+        "f58e1028d72a7ba01e9d28eb6a597d1226e751976960f9c145ebc889305b7a31",
+        "0bb404a701d0b1626ad4f4e81c61477c0419cd4a57d8af32f90c50e3391976ac",
+    ),
+    ("E2", "float"): (
+        "6825ea2eb64a758f458778bc158bcecdb8296fb0cad059b849134674b890e090",
+        "278d17f479b0b4597d822b196e779badabb3a4411aabdb62cad4e23af35ad089",
+    ),
+    ("E3", "rational"): (
+        "d6ec409ceb3102e0cd0f87135a7d8b4a2d45c99ab2d28772f01cb6e2cceb096c",
+        "239c32925440592efd9aeab66945c783f3f782befef94e263dd1e6b8634b6a32",
+    ),
+    ("E3", "float"): (
+        "4a3fc6b7cb7416d2ad2e0098ebacd6a2b98c5acb2eb0ba401daf9759c9040e60",
+        "8be8b129b8440b3c09c0b266646bb31cbccee911aaaad30ba6e2e97ef41aa34d",
+    ),
+    ("E4", "rational"): (
+        "d0acc4a91ef5279e44cf7d816403b1075bdb570ca1b91f202519ed4eded6607a",
+        "8d84776d3e12ab5922b8b0727e9ab43a38fa8c78935c124dc148c01c987ac576",
+    ),
+    ("E4", "float"): (
+        "a35bf42b1c7613f1b293d66cc3068347481e7ab94fb65aa363338083e0c33a26",
+        "d14a5e96cac2856158ecd4f07c0271c61a26935e73e7e2a9f88d7ca62a796f41",
+    ),
+    ("random-9", "rational"): (
+        "1c28a1820b23502283f7c8a77d7c1a4e083213d6efadf5cb3beee5fd328c808e",
+        "906c141eb618a8c13424c615ac3cca49459ab6745f1eec52b0e25cae4439bfc5",
+    ),
+    ("random-9", "float"): (
+        "9a032f42efc1539d7cb3a75d928e6cb6f346ad5dcce488149b6c11b49106d768",
+        "a30195851e08724f84434363ed212c7b63cc45282440245e3e5b02a6cb091d6a",
+    ),
+    ("random-10", "rational"): (
+        "3563ed3cbd7fb0f6a8924705fccf0c27f22d46c3e1a79000e5134a3816cfa1e9",
+        "19902ac9a6a02315cc2b1d5b017ee2dad5ced62405cce92e2e98237595a48d2b",
+    ),
+    ("random-10", "float"): (
+        "73e3e73a950b2e85472ada08e42ff322f69ffcef7bfccbe21169880d92ff59f7",
+        "b4cc054bdc406c42e081d122ea370354a1b2f6c8b167876a9ec7ceb2c9b0c32a",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_random_sets_leave_the_binary_path():
+    assert all(len(SETS[f"random-{seed}"].alphabet) >= 3 for seed in (9, 10))
+
+
+@pytest.mark.parametrize("name, mode", list(GOLDEN))
+def test_profile_and_score_bytes_are_pinned(name, mode):
+    histograms = SETS[name]
+    profile = solve_profile(histograms, mode)
+    report = score_profile(profile, histograms)
+    digests = (_sha256(dumps_profile(profile)), _sha256(dumps_score_report(report)))
+    assert digests == GOLDEN[name, mode]

@@ -221,3 +221,61 @@ class TestCli:
         save_histogram_set(e4, str(hs_path))
         assert self.run("verify", str(hs_path)) == 0
         assert "alpha-match-supporting" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mode, damage",
+        [
+            ("rational", lambda p: p.pop("alphabet")),
+            ("rational", lambda p: p["supporting"].pop("tight_members")),
+            ("rational", lambda p: p["covering"].update(alpha="abc")),
+            ("float", lambda p: p["supporting"].update(alpha="nan?")),
+            ("rational", lambda p: p.update(covering=5)),
+        ],
+        ids=["no-alphabet", "no-tight-members", "rational-alpha", "float-alpha", "not-an-object"],
+    )
+    def test_malformed_profile_is_a_parse_error(self, tmp_path, e1, mode, damage):
+        path = tmp_path / "p.json"
+        data = json.loads(dumps_profile(solve_profile(e1, mode)))
+        damage(data)
+        path.write_text(json.dumps(data))
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
+
+    def test_profile_that_is_not_an_object_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("[1, 2]")
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
+
+    @pytest.mark.parametrize(
+        "counts, length",
+        [([[1.9, 1.1, 0]], 2), ([[True, 0]], 1), ([[1, 1]], 2.0)],
+        ids=["fractional", "boolean", "float-length"],
+    )
+    def test_non_integer_counts_are_rejected(self, tmp_path, counts, length):
+        path = tmp_path / "hs.json"
+        alphabet = list("abc"[: len(counts[0])])
+        path.write_text(
+            json.dumps({"alphabet": alphabet, "sample_length": length, "histograms": counts})
+        )
+        assert self.run("solve", str(path)) == EXIT_CODES["validation"]
+
+    def test_non_integer_profile_counts_are_rejected(self, tmp_path, e4):
+        path = tmp_path / "p.json"
+        data = json.loads(dumps_profile(solve_profile(e4)))
+        data["histograms"][0] = [4.9, 1, 1]
+        path.write_text(json.dumps(data))
+        samples = tmp_path / "e4.csv"
+        samples.write_text(E4_CSV)
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["validation"]
+
+    def test_invalid_environment_mode_is_a_usage_error(self, tmp_path, monkeypatch, capsys, e1):
+        hs_path = tmp_path / "hs.json"
+        save_histogram_set(e1, str(hs_path))
+        monkeypatch.setenv("HISTREL_MODE", "flaot")
+        with pytest.raises(SystemExit) as exc:
+            self.run("solve", str(hs_path))
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "HISTREL_MODE" in capsys.readouterr().err

@@ -10,13 +10,12 @@ from histrel import (
     SUPPORTING,
     ValidationError,
     Weight,
-    corollary_threshold_check,
     oracle_solve,
     pairing,
-    redistribute_weight,
     reduce_fixpoint,
     reducible_symbols,
 )
+from histrel.reduce import corollary_threshold_check, redistribute_weight
 from conftest import histogram_sets, make_set
 
 

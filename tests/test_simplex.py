@@ -38,13 +38,6 @@ def test_supporting_program_constant_rows():
     assert result.objective_value == 2
 
 
-def test_phase_one_reaches_the_same_optimum():
-    lp, basis = supporting_lp(E1_ROWS)
-    warm = simplex_optimize(lp, basis=basis)
-    cold = simplex_optimize(lp)  # no starting basis: two-phase path
-    assert cold.objective_value == warm.objective_value == 6
-
-
 def test_deterministic_bit_for_bit():
     lp, basis = supporting_lp(((3, 2, 1), (1, 2, 3)))
     first = simplex_optimize(lp, basis=basis)
@@ -77,17 +70,17 @@ def test_iteration_cap_raises_after_perturbation_retry():
 
 
 def test_infeasible_program_is_reported():
-    # x == 1 and x == 2 cannot both hold
-    lp = StandardFormLP(objective=(1,), rows=((1,), (1,)), rhs=(1, 2))
-    with pytest.raises(ValidationError):
-        simplex_optimize(lp)
+    # x + y == -1 has no nonnegative solution, so the basis {x} starts at x == -1
+    lp = StandardFormLP(objective=(1, 0), rows=((1, 1),), rhs=(-1,))
+    with pytest.raises(ValidationError, match="infeasible"):
+        simplex_optimize(lp, basis=(0,))
 
 
 def test_unbounded_program_is_reported():
     # maximize x with only x - s == 0: x can grow forever
     lp = StandardFormLP(objective=(1, 0), rows=((1, -1),), rhs=(0,))
-    with pytest.raises(ValidationError):
-        simplex_optimize(lp)
+    with pytest.raises(ValidationError, match="unbounded"):
+        simplex_optimize(lp, basis=(0,))
 
 
 def test_bad_starting_basis_is_rejected():
