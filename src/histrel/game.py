@@ -6,6 +6,14 @@ equality-form programs on the reduced alphabet, the returned weight is
 zero-padded back to the full alphabet, and the row duals of the optimal
 basis normalize to a distribution over members that certifies the value by
 complementary slackness.
+
+The program is built on the shorter side of the distinct count matrix: with
+more distinct members than symbols, the transposed matrix is solved for the
+opposite problem (the minimax theorem makes the values equal), and weight
+and member distribution swap roles. The value never depends on that choice;
+on instances with several optimal weights the returned vertex can.
+``alternate_optima`` is a warning read off the final basis: ``False`` does
+not prove the weight unique.
 """
 
 from __future__ import annotations
@@ -254,17 +262,8 @@ def _solve_game(histograms, problem, arithmetic, tol, use_reduction) -> GameSolu
         weight = Weight.point_mass(alphabet, surviving[0], arithmetic)
         alternate = False
     else:
-        build = supporting_lp if problem == SUPPORTING else covering_lp
-        lp, basis = build(unique_rows, arithmetic)
-        result = simplex_optimize(lp, arithmetic, tol=tol, basis=basis)
-        n = len(unique_rows[0])
-        alpha = result.solution[n]
-        weight = _padded_weight(result.solution[:n], surviving, alphabet, field)
-        dual_unique = extract_dual(result, unique_rows, problem, arithmetic, tol=tol).values
-        basic = set(result.basis)
-        alternate = any(
-            j not in basic and field.close(result.reduced_costs[j], field.zero) for j in range(n)
-        )
+        alpha, weight_values, dual_unique, alternate = _solve_lp(unique_rows, problem, field)
+        weight = _padded_weight(weight_values, surviving, alphabet, field)
 
     dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), field)
     dual = DualWeight(dual_values, arithmetic)
@@ -278,6 +277,43 @@ def _solve_game(histograms, problem, arithmetic, tol, use_reduction) -> GameSolu
         alternate_optima=alternate,
         tol=tol,
     )
+
+
+def _solve_lp(unique_rows, problem, field: Field):
+    """Solve the game on the shorter side of the ``k x n`` count matrix.
+
+    With more distinct members than symbols, the transposed matrix is solved
+    for the opposite problem (minimax: supporting on ``M`` is covering on
+    ``M^T`` and vice versa), so the program has ``n + 1`` rows instead of
+    ``k + 1``. There the primal is the member distribution and the row duals
+    are the weight. Returns ``(alpha, weight, member distribution,
+    alternate_optima)``; ``alternate_optima`` flags a symbol that could enter
+    the weight at no cost: a nonbasic weight column with zero reduced cost,
+    or, transposed, a symbol row whose surplus is basic at zero.
+    """
+    k, n = len(unique_rows), len(unique_rows[0])
+    flipped = k > n
+    if flipped:
+        rows = tuple(zip(*unique_rows))
+        lp_problem = COVERING if problem == SUPPORTING else SUPPORTING
+    else:
+        rows, lp_problem = unique_rows, problem
+    build = supporting_lp if lp_problem == SUPPORTING else covering_lp
+    lp, basis = build(rows, field.mode)
+    result = simplex_optimize(lp, field.mode, tol=field.tol, basis=basis)
+    width = len(rows[0])
+    alpha = result.solution[width]
+    primal = result.solution[:width]
+    row_dual = extract_dual(result, rows, lp_problem, field.mode, tol=field.tol).values
+    basic = set(result.basis)
+    if flipped:
+        surplus = range(k + 1, k + 1 + n)
+        alternate = any(s in basic and field.close(result.solution[s], field.zero) for s in surplus)
+        return alpha, row_dual, primal, alternate
+    alternate = any(
+        j not in basic and field.close(result.reduced_costs[j], field.zero) for j in range(n)
+    )
+    return alpha, primal, row_dual, alternate
 
 
 def _extreme_mass(unique_rows, column: int, pick_min: bool, field: Field):

@@ -91,9 +91,15 @@ def histogram_set_to_json(histograms: HistogramSet) -> dict:
 _HISTOGRAM_KEYS = ("alphabet", "sample_length", "histograms")
 
 
+def _require_type(value, kind: type, what: str):
+    """Return ``value`` if it is a JSON ``list`` or ``dict`` as ``kind`` asks."""
+    if not isinstance(value, kind):
+        raise ParseError(None, f"{what} is not a JSON {'list' if kind is list else 'object'}")
+    return value
+
+
 def _require_keys(obj, keys, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError(None, f"{what} is not a JSON object")
+    _require_type(obj, dict, what)
     for key in keys:
         if key not in obj:
             raise ParseError(None, f"{what} is missing the {key!r} key")
@@ -101,8 +107,11 @@ def _require_keys(obj, keys, what: str) -> None:
 
 def histogram_set_from_json(obj: dict) -> HistogramSet:
     _require_keys(obj, _HISTOGRAM_KEYS, "histogram file")
-    alphabet = Alphabet(tuple(str(s) for s in obj["alphabet"]))
-    rows = [tuple(row) for row in obj["histograms"]]
+    alphabet = Alphabet(tuple(str(s) for s in _require_type(obj["alphabet"], list, "'alphabet'")))
+    rows = [
+        tuple(_require_type(row, list, f"'histograms' row {i}"))
+        for i, row in enumerate(_require_type(obj["histograms"], list, "'histograms'"), start=1)
+    ]
     if not rows:
         raise EmptySet("histogram file lists no histograms")
     return HistogramSet.from_counts(alphabet, rows, obj["sample_length"])
@@ -264,15 +273,23 @@ def _solution_to_json(solution: GameSolution, field: Field) -> dict:
 def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) -> GameSolution:
     keys = ("alpha", "weight", "dual", "tight_members", "tight_symbols")
     _require_keys(obj, keys, f"{problem} solution")
+
+    def numbers(key):
+        return tuple(field.decode(v) for v in _require_type(obj[key], list, f"'{problem}.{key}'"))
+
     alpha = field.decode(obj["alpha"])
-    weight = Weight(histograms.alphabet, tuple(field.decode(v) for v in obj["weight"]), field.mode)
-    dual = DualWeight(tuple(field.decode(v) for v in obj["dual"]), field.mode)
-    reduction = obj.get("reduction", {})
-    steps = tuple(
-        ReductionStep(symbol=str(sym), mode=problem, pass_index=int(idx))
-        for sym, idx in reduction.get("steps", [])
+    weight = Weight(histograms.alphabet, numbers("weight"), field.mode)
+    dual = DualWeight(numbers("dual"), field.mode)
+    reduction = _require_type(obj.get("reduction", {}), dict, f"'{problem}.reduction'")
+    steps = []
+    for step in _require_type(reduction.get("steps", []), list, f"'{problem}.reduction.steps'"):
+        if not (isinstance(step, list) and len(step) == 2 and type(step[1]) is int):
+            raise ParseError(None, f"'{problem}.reduction.steps' entry {step!r} is not [symbol, pass]")
+        steps.append(ReductionStep(symbol=str(step[0]), mode=problem, pass_index=step[1]))
+    surviving = reduction.get("surviving", list(histograms.alphabet.symbols))
+    trace = ReductionTrace(
+        tuple(steps), tuple(_require_type(surviving, list, f"'{problem}.reduction.surviving'"))
     )
-    trace = ReductionTrace(steps, tuple(reduction.get("surviving", histograms.alphabet.symbols)))
     solution = make_solution(
         alpha,
         weight,
@@ -283,9 +300,11 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
         alternate_optima=bool(obj.get("alternate_optima", False)),
         tol=field.tol,
     )
-    if list(solution.tight_members) != list(obj["tight_members"]) or list(
-        solution.tight_symbols
-    ) != list(obj["tight_symbols"]):
+    stored = [
+        _require_type(obj[key], list, f"'{problem}.{key}'")
+        for key in ("tight_members", "tight_symbols")
+    ]
+    if stored != [list(solution.tight_members), list(solution.tight_symbols)]:
         raise CertificationFailure(f"stored tight sets for {problem} do not match the data")
     return solution
 
@@ -311,6 +330,7 @@ def profile_from_json(obj: dict, *, tol: float = FLOAT_EPS) -> WeightProfile:
     _require_keys(obj, _HISTOGRAM_KEYS + ("mode", "supporting", "covering"), "profile")
     field = Field.for_mode(obj["mode"], tol)
     histograms = histogram_set_from_json(obj)
+    provenance = _require_type(obj.get("provenance", {}), dict, "'provenance'")
     supporting = _solution_from_json(obj["supporting"], SUPPORTING, histograms, field)
     covering = _solution_from_json(obj["covering"], COVERING, histograms, field)
     profile = WeightProfile(
@@ -320,7 +340,7 @@ def profile_from_json(obj: dict, *, tol: float = FLOAT_EPS) -> WeightProfile:
         supporting=supporting,
         covering=covering,
         mode=field.mode,
-        input_digest=str(obj.get("provenance", {}).get("input_sha256", "")),
+        input_digest=str(provenance.get("input_sha256", "")),
     )
     _check_profile(profile, tol)
     return profile
@@ -371,12 +391,15 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
 
     Relevance pairs against the supporting weight, irrelevance against the
     covering weight; ratios divide by the respective value (omitted when the
-    covering value is zero). Flags compare directly, with no tolerance.
+    covering value is zero). Flags compare with the profile's tolerance, the
+    one its certificates were checked at (exactly zero in rational mode), so
+    every member of the solved set meets both.
     """
     if samples.alphabet != profile.alphabet:
         raise AlphabetMismatch("sample alphabet differs from the profile alphabet")
     if samples.sample_length != profile.sample_length:
         raise LengthMismatch(expected=profile.sample_length, actual=samples.sample_length)
+    field = Field.for_mode(profile.mode)
     sup = profile.supporting
     cov = profile.covering
     rows = []
@@ -393,8 +416,8 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
                 irrelevance=irrelevance,
                 relevance_ratio=rel_ratio,
                 irrelevance_ratio=irr_ratio,
-                meets_support=relevance >= sup.alpha,
-                within_cover=irrelevance <= cov.alpha,
+                meets_support=not field.positive(sup.alpha - relevance),
+                within_cover=not field.positive(irrelevance - cov.alpha),
             )
         )
     return ScoreReport(

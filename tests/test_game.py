@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 
+import histrel.game
 from histrel import (
     COVERING,
     SUPPORTING,
@@ -18,7 +21,11 @@ from histrel import (
     solve_covering,
     solve_supporting,
 )
-from histrel.reduce import empty_trace
+from histrel.core import distinct_rows
+from histrel.game import covering_lp, supporting_lp
+from histrel.reduce import empty_trace, reduce_fixpoint
+from histrel.simplex import simplex_optimize
+from histrel.verify import random_histogram_set
 from conftest import histogram_sets, make_set
 
 
@@ -197,3 +204,79 @@ class TestSolverProperties:
         for member in hs.members:
             assert pairing(supporting.weight, member) >= supporting.alpha
             assert pairing(covering.weight, member) <= covering.alpha
+
+
+def _seeded_sets(count=40):
+    for seed in range(count):
+        yield random_histogram_set(random.Random(seed), max_symbols=6, max_members=8, max_length=30)
+
+
+def _lp_shape(histograms, problem):
+    """(distinct member rows, surviving symbols) of the matrix the LP sees."""
+    rows, trace = reduce_fixpoint(histograms, problem)
+    return len(distinct_rows(rows)[0]), len(trace.surviving)
+
+
+def _member_row_value(histograms, problem, mode):
+    """The value of the untransposed program: one row per distinct member."""
+    rows = distinct_rows(histograms.count_rows())[0]
+    build = supporting_lp if problem == SUPPORTING else covering_lp
+    lp, basis = build(rows, mode)
+    return simplex_optimize(lp, mode, basis=basis).solution[len(rows[0])]
+
+
+SOLVERS = ((SUPPORTING, solve_supporting), (COVERING, solve_covering))
+
+
+class TestShortSide:
+    """With more distinct members than symbols the game is solved on the
+    transposed matrix; values must not notice."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_values_match_the_member_row_program(self, mode):
+        sides = set()
+        for hs in _seeded_sets():
+            for problem, solve in SOLVERS:
+                k, n = _lp_shape(hs, problem)
+                if n < 2:
+                    continue
+                sides.add(k > n)
+                expected = _member_row_value(hs, problem, mode)
+                alpha = solve(hs, mode).alpha
+                if mode == "rational":
+                    assert alpha == expected
+                else:
+                    assert abs(alpha - expected) <= 1e-9
+        assert sides == {True, False}
+
+    def test_the_program_has_the_shorter_side_as_rows(self, monkeypatch):
+        heights = []
+
+        def recording(lp, *args, **kwargs):
+            heights.append(len(lp.rows))
+            return simplex_optimize(lp, *args, **kwargs)
+
+        monkeypatch.setattr(histrel.game, "simplex_optimize", recording)
+        for hs in _seeded_sets():
+            for problem, solve in SOLVERS:
+                k, n = _lp_shape(hs, problem)
+                if n < 2:
+                    continue
+                heights.clear()
+                solve(hs)
+                assert heights == [min(k, n) + 1]
+
+    def test_transposed_solve_flags_alternate_optima(self):
+        # four distinct members over three symbols; both the returned weight
+        # and the uniform weight attain 14/3 in both problems
+        hs = make_set("abc", [(0, 8, 6), (6, 8, 0), (2, 6, 6), (6, 4, 4)])
+        uniform = Weight.uniform(hs.alphabet)
+        for problem, solve in SOLVERS:
+            assert _lp_shape(hs, problem) == (4, 3)
+            solution = solve(hs)
+            assert solution.alpha == Fraction(14, 3)
+            assert solution.weight != uniform
+            extreme = min if problem == SUPPORTING else max
+            assert extreme(pairing(uniform, m) for m in hs.members) == solution.alpha
+            assert solution.alternate_optima
+            assert certify(solution, hs).passed

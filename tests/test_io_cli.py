@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from histrel import (
 )
 from histrel.cli import EXIT_CODES, main
 from histrel.io import dumps_histogram_set, dumps_profile, dumps_score_report
+from histrel.verify import random_histogram_set
 from conftest import make_set
 
 E1_CSV = "a,a,a,a,a,a,a,b,b,b\na,a,a,a,a,a,b,b,b,b\n"
@@ -160,6 +162,15 @@ class TestScoring:
         assert report.rows[0].irrelevance_ratio is None
         assert dumps_score_report(report)  # serializes despite the null
 
+    def test_float_profiles_flag_every_own_member(self):
+        # float values carry rounding error; the flags accept what certify accepts
+        for seed in range(20):
+            hs = random_histogram_set(
+                random.Random(seed), max_symbols=6, max_members=8, max_length=30
+            )
+            report = score_profile(solve_profile(hs, "float"), hs)
+            assert all(row.meets_support and row.within_cover for row in report.rows), seed
+
 
 class TestCli:
     def run(self, *argv) -> int:
@@ -279,3 +290,30 @@ class TestCli:
             self.run("solve", str(hs_path))
         assert exc.value.code == EXIT_CODES["usage"]
         assert "HISTREL_MODE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("supporting.reduction", lambda p: p["supporting"].update(reduction=5)),
+            ("supporting.reduction.steps", lambda p: p["supporting"]["reduction"].update(steps=7)),
+            (
+                "supporting.reduction.steps",
+                lambda p: p["supporting"]["reduction"].update(steps=[["a", "x"]]),
+            ),
+            ("provenance", lambda p: p.update(provenance=[])),
+            ("alphabet", lambda p: p.update(alphabet=5)),
+            ("'histograms' row 1", lambda p: p["histograms"].__setitem__(0, 5)),
+            ("supporting.tight_members", lambda p: p["supporting"].update(tight_members=3)),
+            ("supporting.weight", lambda p: p["supporting"].update(weight="1/3")),
+        ],
+        ids=["reduction", "steps", "step-entry", "provenance", "alphabet", "row", "tight-members", "weight"],
+    )
+    def test_wrong_typed_profile_field_is_a_parse_error(self, tmp_path, capsys, e4, field, damage):
+        path = tmp_path / "p.json"
+        data = json.loads(dumps_profile(solve_profile(e4)))
+        damage(data)
+        path.write_text(json.dumps(data))
+        samples = tmp_path / "e4.csv"
+        samples.write_text(E4_CSV)
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
+        assert field in capsys.readouterr().err
