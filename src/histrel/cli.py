@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .core import FLOAT, FLOAT_EPS, RATIONAL, Alphabet
+from .core import FLOAT, RATIONAL, Alphabet
 from .errors import (
     AlphabetMismatch,
     CapExceeded,
@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("input", help="histogram-set JSON (or CSV samples)")
     solve.add_argument("-o", "--output", help="output path (default: stdout)")
     solve.add_argument("--mode", choices=(RATIONAL, FLOAT), default=_default_mode())
-    solve.add_argument("--tol", type=float, default=FLOAT_EPS, help="float-mode tolerance")
     solve.add_argument("--alphabet", help="alphabet override for CSV input")
     solve.set_defaults(func=cmd_solve)
 
@@ -153,7 +152,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_solve(args) -> int:
     histograms = ingest_samples(args.input, _parse_alphabet(args.alphabet))
-    profile = solve_profile(histograms, args.mode, tol=args.tol)
+    profile = solve_profile(histograms, args.mode)
     _emit(dumps_profile(profile), args.output, lambda path: save_profile(profile, path))
     return EXIT_CODES["ok"]
 
@@ -169,6 +168,8 @@ def cmd_score(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_v > 6 or args.max_m > 8:
         raise CapExceeded("verification respects the oracle caps: --max-v <= 6, --max-m <= 8")
+    if args.max_v < 2 or args.max_m < 1 or args.max_t < 1:
+        raise ValidationError("verification needs --max-v >= 2, --max-m >= 1, --max-t >= 1")
     instance = ingest_samples(args.input) if args.input else None
     report = run_verification(
         trials=args.trials,

@@ -46,26 +46,28 @@ def require_arithmetic(arithmetic: str) -> None:
 class Field:
     """The numbers of one arithmetic mode and the comparisons made on them.
 
-    ``tol`` is exactly zero in rational mode, so ``close`` and ``positive``
-    are the exact tests there and the tolerant ones in float mode.
+    ``tol`` is the fixed ``FLOAT_EPS`` in float mode and exactly zero in
+    rational mode, so ``close`` and ``positive`` are the exact tests there
+    and the tolerant ones in float mode.
     """
 
     mode: ArithmeticMode
     of: type
     zero: Number
     one: Number
-    tol: Number
 
     @staticmethod
-    def for_mode(arithmetic: str, tol: float = FLOAT_EPS) -> "Field":
+    def for_mode(arithmetic: str) -> "Field":
         require_arithmetic(arithmetic)
-        if arithmetic == RATIONAL:
-            return _RATIONAL_FIELD
-        return Field(FLOAT, float, 0.0, 1.0, tol)
+        return _RATIONAL_FIELD if arithmetic == RATIONAL else _FLOAT_FIELD
 
     @property
     def exact(self) -> bool:
         return self.of is Fraction
+
+    @property
+    def tol(self) -> Number:
+        return self.zero if self.exact else FLOAT_EPS
 
     def share(self, k: int) -> Number:
         return self.one / k
@@ -92,7 +94,8 @@ class Field:
             raise ParseError(None, f"not a {self.mode} number: {value!r}") from None
 
 
-_RATIONAL_FIELD = Field(RATIONAL, Fraction, Fraction(0), Fraction(1), Fraction(0))
+_RATIONAL_FIELD = Field(RATIONAL, Fraction, Fraction(0), Fraction(1))
+_FLOAT_FIELD = Field(FLOAT, float, 0.0, 1.0)
 
 
 def _on_simplex(values, field: Field, what: str) -> tuple:

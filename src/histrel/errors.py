@@ -81,7 +81,7 @@ class NumericalFailure(HistrelError):
 
 
 class IterationCapExceeded(NumericalFailure):
-    """The pivot loop hit its iteration cap, even after perturbation."""
+    """Float pivoting hit its iteration cap without reaching an optimum."""
 
 
 class CertificationFailure(HistrelError):

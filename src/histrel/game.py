@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .core import (
     COVERING,
-    FLOAT_EPS,
     RATIONAL,
     SUPPORTING,
     ArithmeticMode,
@@ -148,8 +147,6 @@ def extract_dual(
     rows: Sequence[Sequence[int]],
     problem: ProblemMode,
     arithmetic: ArithmeticMode = RATIONAL,
-    *,
-    tol: float = FLOAT_EPS,
 ) -> DualWeight:
     """Dual distribution over member rows from an optimal basis.
 
@@ -159,7 +156,7 @@ def extract_dual(
     tight rows, which certifies the same value.
     """
     require_problem_mode(problem)
-    field = Field.for_mode(arithmetic, tol)
+    field = Field.for_mode(arithmetic)
     raw = [-y for y in result.row_duals[: len(rows)]]
     raw = [field.zero if field.close(v, field.zero) else v for v in raw]
     total = sum(raw)
@@ -186,13 +183,12 @@ def make_solution(
     trace: ReductionTrace | None = None,
     *,
     alternate_optima: bool = False,
-    tol: float = FLOAT_EPS,
 ) -> GameSolution:
     """Assemble a solution, computing the tight sets from the data."""
     require_problem_mode(problem)
     if trace is None:
         trace = empty_trace(histograms.alphabet.symbols)
-    field = Field.for_mode(weight.mode, tol)
+    field = Field.for_mode(weight.mode)
     tight_members = tuple(
         i
         for i, member in enumerate(histograms.members)
@@ -215,7 +211,6 @@ def solve_supporting(
     histograms: HistogramSet,
     arithmetic: ArithmeticMode = RATIONAL,
     *,
-    tol: float = FLOAT_EPS,
     use_reduction: bool = True,
 ) -> GameSolution:
     """Maximize the worst-case pairing over the weight simplex.
@@ -224,26 +219,25 @@ def solve_supporting(
     threshold reduction eliminated), and a certifying member distribution.
     The value never falls below ``|T| / |V|``.
     """
-    return _solve_game(histograms, SUPPORTING, arithmetic, tol, use_reduction)
+    return _solve_game(histograms, SUPPORTING, arithmetic, use_reduction)
 
 
 def solve_covering(
     histograms: HistogramSet,
     arithmetic: ArithmeticMode = RATIONAL,
     *,
-    tol: float = FLOAT_EPS,
     use_reduction: bool = True,
 ) -> GameSolution:
     """Minimize the best-case pairing over the weight simplex.
 
     The value never exceeds ``|T| / |V|``.
     """
-    return _solve_game(histograms, COVERING, arithmetic, tol, use_reduction)
+    return _solve_game(histograms, COVERING, arithmetic, use_reduction)
 
 
-def _solve_game(histograms, problem, arithmetic, tol, use_reduction) -> GameSolution:
+def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
     require_problem_mode(problem)
-    field = Field.for_mode(arithmetic, tol)
+    field = Field.for_mode(arithmetic)
     if not histograms.members:
         raise EmptySet("cannot solve an empty histogram set")
     alphabet = histograms.alphabet
@@ -268,14 +262,7 @@ def _solve_game(histograms, problem, arithmetic, tol, use_reduction) -> GameSolu
     dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), field)
     dual = DualWeight(dual_values, arithmetic)
     return make_solution(
-        alpha,
-        weight,
-        dual,
-        histograms,
-        problem,
-        trace,
-        alternate_optima=alternate,
-        tol=tol,
+        alpha, weight, dual, histograms, problem, trace, alternate_optima=alternate
     )
 
 
@@ -300,11 +287,11 @@ def _solve_lp(unique_rows, problem, field: Field):
         rows, lp_problem = unique_rows, problem
     build = supporting_lp if lp_problem == SUPPORTING else covering_lp
     lp, basis = build(rows, field.mode)
-    result = simplex_optimize(lp, field.mode, tol=field.tol, basis=basis)
+    result = simplex_optimize(lp, field.mode, basis=basis)
     width = len(rows[0])
     alpha = result.solution[width]
     primal = result.solution[:width]
-    row_dual = extract_dual(result, rows, lp_problem, field.mode, tol=field.tol).values
+    row_dual = extract_dual(result, rows, lp_problem, field.mode).values
     basic = set(result.basis)
     if flipped:
         surplus = range(k + 1, k + 1 + n)
@@ -341,9 +328,7 @@ def _spread_over_members(dual_unique, origins, member_count, field):
     return tuple(values)
 
 
-def certify(
-    solution: GameSolution, histograms: HistogramSet, *, tol: float = FLOAT_EPS
-) -> CertificateReport:
+def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateReport:
     """Check a solution against its set; failures are reported, never raised.
 
     Clauses: weight and dual lie on their simplices, the weight is feasible
@@ -351,7 +336,7 @@ def certify(
     positive weight have dual column sums equal to the value, and the primal
     and dual values both equal the claimed value.
     """
-    field = Field.for_mode(solution.weight.mode, tol)
+    field = Field.for_mode(solution.weight.mode)
     checks: list[CertificateCheck] = []
 
     def add(clause: str, violation, detail: str = "") -> None:

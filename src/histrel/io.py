@@ -19,7 +19,6 @@ from fractions import Fraction
 from .binary import solve_binary
 from .core import (
     COVERING,
-    FLOAT_EPS,
     RATIONAL,
     SUPPORTING,
     Alphabet,
@@ -89,12 +88,13 @@ def histogram_set_to_json(histograms: HistogramSet) -> dict:
 
 
 _HISTOGRAM_KEYS = ("alphabet", "sample_length", "histograms")
+_JSON_TYPE_NAMES = {list: "list", dict: "object", bool: "boolean"}
 
 
 def _require_type(value, kind: type, what: str):
-    """Return ``value`` if it is a JSON ``list`` or ``dict`` as ``kind`` asks."""
+    """Return ``value`` if it is the JSON list, object or boolean ``kind`` asks for."""
     if not isinstance(value, kind):
-        raise ParseError(None, f"{what} is not a JSON {'list' if kind is list else 'object'}")
+        raise ParseError(None, f"{what} is not a JSON {_JSON_TYPE_NAMES[kind]}")
     return value
 
 
@@ -210,12 +210,7 @@ class WeightProfile:
         return HistogramSet.from_counts(self.alphabet, self.members, self.sample_length)
 
 
-def solve_profile(
-    histograms: HistogramSet,
-    arithmetic: ArithmeticMode = RATIONAL,
-    *,
-    tol: float = FLOAT_EPS,
-) -> WeightProfile:
+def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL) -> WeightProfile:
     """Solve both problems and bundle the results.
 
     Two-symbol alphabets take the closed-form path; everything else reduces
@@ -225,8 +220,8 @@ def solve_profile(
     if len(histograms.alphabet) == 2:
         supporting, covering = solve_binary(histograms, arithmetic)
     else:
-        supporting = solve_supporting(histograms, arithmetic, tol=tol)
-        covering = solve_covering(histograms, arithmetic, tol=tol)
+        supporting = solve_supporting(histograms, arithmetic)
+        covering = solve_covering(histograms, arithmetic)
     profile = WeightProfile(
         alphabet=histograms.alphabet,
         sample_length=histograms.sample_length,
@@ -236,19 +231,19 @@ def solve_profile(
         mode=arithmetic,
         input_digest=digest_histogram_set(histograms),
     )
-    _check_profile(profile, tol)
+    _check_profile(profile)
     return profile
 
 
-def _check_profile(profile: WeightProfile, tol: float) -> None:
+def _check_profile(profile: WeightProfile) -> None:
     histograms = profile.histogram_set()
     for solution in (profile.supporting, profile.covering):
-        report = certify(solution, histograms, tol=tol)
+        report = certify(solution, histograms)
         if not report.passed:
             clauses = ", ".join(c.clause for c in report.failures())
             raise CertificationFailure(f"{solution.mode} solution fails: {clauses}")
     baseline = Fraction(profile.sample_length, len(profile.alphabet))
-    slack = Field.for_mode(profile.mode, tol).tol
+    slack = Field.for_mode(profile.mode).tol
     low = profile.supporting.alpha - baseline
     high = baseline - profile.covering.alpha
     if low < -slack or high < -slack:
@@ -297,8 +292,9 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
         histograms,
         problem,
         trace,
-        alternate_optima=bool(obj.get("alternate_optima", False)),
-        tol=field.tol,
+        alternate_optima=_require_type(
+            obj.get("alternate_optima", False), bool, f"'{problem}.alternate_optima'"
+        ),
     )
     stored = [
         _require_type(obj[key], list, f"'{problem}.{key}'")
@@ -323,12 +319,12 @@ def profile_to_json(profile: WeightProfile) -> dict:
     }
 
 
-def profile_from_json(obj: dict, *, tol: float = FLOAT_EPS) -> WeightProfile:
+def profile_from_json(obj: dict) -> WeightProfile:
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != PROFILE_FORMAT:
         raise ParseError(None, f"not a weight profile (format {fmt!r})")
     _require_keys(obj, _HISTOGRAM_KEYS + ("mode", "supporting", "covering"), "profile")
-    field = Field.for_mode(obj["mode"], tol)
+    field = Field.for_mode(obj["mode"])
     histograms = histogram_set_from_json(obj)
     provenance = _require_type(obj.get("provenance", {}), dict, "'provenance'")
     supporting = _solution_from_json(obj["supporting"], SUPPORTING, histograms, field)
@@ -342,7 +338,7 @@ def profile_from_json(obj: dict, *, tol: float = FLOAT_EPS) -> WeightProfile:
         mode=field.mode,
         input_digest=str(provenance.get("input_sha256", "")),
     )
-    _check_profile(profile, tol)
+    _check_profile(profile)
     return profile
 
 
@@ -354,9 +350,9 @@ def save_profile(profile: WeightProfile, path: str) -> None:
     atomic_write_text(path, dumps_profile(profile))
 
 
-def load_profile(path: str, *, tol: float = FLOAT_EPS) -> WeightProfile:
+def load_profile(path: str) -> WeightProfile:
     with open(path, "r", encoding="utf-8") as handle:
-        return profile_from_json(_parse_json_text(handle.read()), tol=tol)
+        return profile_from_json(_parse_json_text(handle.read()))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Programs are stated as: maximize ``objective . z`` subject to
 ``rows . z == rhs`` with ``z >= 0``. Rational mode pivots over exact
 fractions with Bland's smallest-index rule, which terminates without any
 tolerance machinery and is bit-for-bit deterministic. Float mode runs the
-same rule with an absolute tolerance and an iteration cap; if the cap is hit
-(degenerate stalling) the solve is retried once on a slightly perturbed
-right-hand side and the resulting basis is mapped back to the original data.
+same rule with the fixed absolute tolerance ``FLOAT_EPS``. Bland's rule
+terminates only in exact arithmetic, so float mode also caps the pivots at
+``DEFAULT_FLOAT_ITERATION_CAP`` and raises ``IterationCapExceeded`` when a
+solve stalls. The tolerance is absolute on raw counts, so very large sample
+lengths can still defeat it.
 
 Every solve starts from a feasible basis the caller supplies; there is no
 phase one. Row duals are recovered from the optimal basis by solving
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FLOAT_EPS, RATIONAL, ArithmeticMode, Field
+from .core import RATIONAL, ArithmeticMode, Field
 from .errors import IterationCapExceeded, ValidationError
 
 DEFAULT_FLOAT_ITERATION_CAP = 10_000
@@ -62,9 +64,7 @@ def simplex_optimize(
     lp: StandardFormLP,
     arithmetic: ArithmeticMode = RATIONAL,
     *,
-    tol: float = FLOAT_EPS,
     basis: Sequence[int],
-    max_iterations: int | None = None,
 ) -> SimplexResult:
     """Solve a standard-form program to a basic optimal solution.
 
@@ -72,34 +72,13 @@ def simplex_optimize(
     is no phase one. The program must be bounded. Identical inputs always
     produce the identical result.
     """
-    field = Field.for_mode(arithmetic, tol)
-    if field.exact:  # exact Bland pivoting cannot stall: no default cap, no perturbed retry
-        return _solve(lp, basis, field, max_iterations)
-    cap = DEFAULT_FLOAT_ITERATION_CAP if max_iterations is None else max_iterations
-    try:
-        return _solve(lp, basis, field, cap)
-    except IterationCapExceeded:
-        result = _solve(_perturbed(lp), basis, field, cap)
-        return _rebuild_from_basis(lp, result.basis, field)
-
-
-def _perturbed(lp: StandardFormLP) -> StandardFormLP:
-    scale = max(1.0, max(abs(float(v)) for v in lp.rhs))
-    rhs = tuple(float(v) + (i + 1) * 1e-9 * scale for i, v in enumerate(lp.rhs))
-    return StandardFormLP(lp.objective, lp.rows, rhs)
+    field = Field.for_mode(arithmetic)
+    # exact Bland pivoting cannot stall; float pivoting can, and the cap detects it
+    cap = None if field.exact else DEFAULT_FLOAT_ITERATION_CAP
+    return _solve(lp, basis, field, cap)
 
 
 def _solve(lp, basis, field, cap) -> SimplexResult:
-    A, b, basis_list = _start(lp, basis, field)
-    if min(b) < -field.tol:
-        raise ValidationError("starting basis is infeasible")
-    costs = [field.of(v) for v in lp.objective]
-    iterations = _pivot_to_optimum(A, b, costs, basis_list, field.tol, cap)
-    return _finalize(lp, A, b, costs, basis_list, field, iterations)
-
-
-def _start(lp, basis, field):
-    """Tableau of the program row-reduced onto the given basis."""
     A = [[field.of(v) for v in row] for row in lp.rows]
     b = [field.of(v) for v in lp.rhs]
     basis_list = list(basis)
@@ -107,11 +86,16 @@ def _start(lp, basis, field):
         raise ValidationError("starting basis must name one distinct column per row")
     if any(j < 0 or j >= len(lp.objective) for j in basis_list):
         raise ValidationError("starting basis names a column outside the program")
-    _canonicalize(A, b, basis_list, field.tol)
-    return A, b, basis_list
+    eps = field.tol
+    _canonicalize(A, b, basis_list, eps)
+    if min(b) < -eps:
+        raise ValidationError("starting basis is infeasible")
+    costs = [field.of(v) for v in lp.objective]
+    iterations = _pivot_to_optimum(A, b, costs, basis_list, eps, cap)
+    return _finalize(lp, A, b, costs, basis_list, field, iterations)
 
 
-def _canonicalize(A, b, basis_list, tol):
+def _canonicalize(A, b, basis_list, eps):
     """Row-reduce so the basis columns form an identity, assigning each basis
     column to the row where it pivots best."""
     m = len(A)
@@ -123,7 +107,7 @@ def _canonicalize(A, b, basis_list, tol):
             mag = abs(A[r][var])
             if mag > 0 and (best_mag is None or mag > best_mag):
                 best_row, best_mag = r, mag
-        if best_row is None or best_mag <= tol:
+        if best_row is None or best_mag <= eps:
             raise ValidationError("starting basis is singular")
         _apply_pivot(A, b, best_row, var)
         row_for[best_row] = var
@@ -149,7 +133,7 @@ def _apply_pivot(A, b, prow, pcol):
         b[r] = b[r] - factor * b[prow]
 
 
-def _pivot_to_optimum(A, b, costs, basis_list, tol, cap) -> int:
+def _pivot_to_optimum(A, b, costs, basis_list, eps, cap) -> int:
     """Bland's rule: smallest improving column enters, smallest basis index
     leaves among the minimum-ratio rows."""
     m = len(A)
@@ -158,7 +142,7 @@ def _pivot_to_optimum(A, b, costs, basis_list, tol, cap) -> int:
     while True:
         enter = None
         for j, v in enumerate(reduced):
-            if v > tol:
+            if v > eps:
                 enter = j
                 break
         if enter is None:
@@ -166,7 +150,7 @@ def _pivot_to_optimum(A, b, costs, basis_list, tol, cap) -> int:
         leave_row, best_ratio = None, None
         for r in range(m):
             coeff = A[r][enter]
-            if coeff > tol:
+            if coeff > eps:
                 ratio = b[r] / coeff
                 if (
                     best_ratio is None
@@ -237,15 +221,3 @@ def _solve_square(matrix, rhs):
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [aug[r][size] for r in range(size)]
-
-
-def _rebuild_from_basis(lp: StandardFormLP, basis: Sequence[int], field: Field) -> SimplexResult:
-    """Re-derive the basic solution for the original right-hand side from a
-    basis found on perturbed data."""
-    A, b, basis_list = _start(lp, basis, field)
-    if min(b) < -field.tol:
-        raise IterationCapExceeded("perturbed basis is infeasible for the original data")
-    costs = [field.of(v) for v in lp.objective]
-    if any(v > field.tol for v in _reduced_costs(A, costs, basis_list)):
-        raise IterationCapExceeded("perturbed basis is not optimal for the original data")
-    return _finalize(lp, A, b, costs, basis_list, field, 0)

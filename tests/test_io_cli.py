@@ -227,6 +227,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "verification: PASS" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [
+            ("--max-v", "7", "cap-exceeded"),
+            ("--max-m", "9", "cap-exceeded"),
+            ("--max-v", "1", "validation"),
+            ("--max-m", "0", "validation"),
+            ("--max-t", "0", "validation"),
+        ],
+    )
+    def test_verify_bounds_are_checked(self, flag, value, code):
+        status = self.run("verify", "--trials", "1", "--no-binary-sweep", flag, value)
+        assert status == EXIT_CODES[code]
+
+    def test_tolerance_flag_is_gone(self, tmp_path, e1):
+        hs_path = tmp_path / "hs.json"
+        save_histogram_set(e1, str(hs_path))
+        with pytest.raises(SystemExit) as exc:
+            self.run("solve", str(hs_path), "--mode", "float", "--tol", "0.1")
+        assert exc.value.code == EXIT_CODES["usage"]
+
     def test_verify_on_a_single_instance(self, tmp_path, capsys, e4):
         hs_path = tmp_path / "hs.json"
         save_histogram_set(e4, str(hs_path))
@@ -305,8 +326,22 @@ class TestCli:
             ("'histograms' row 1", lambda p: p["histograms"].__setitem__(0, 5)),
             ("supporting.tight_members", lambda p: p["supporting"].update(tight_members=3)),
             ("supporting.weight", lambda p: p["supporting"].update(weight="1/3")),
+            (
+                "covering.alternate_optima",
+                lambda p: p["covering"].update(alternate_optima="false"),
+            ),
         ],
-        ids=["reduction", "steps", "step-entry", "provenance", "alphabet", "row", "tight-members", "weight"],
+        ids=[
+            "reduction",
+            "steps",
+            "step-entry",
+            "provenance",
+            "alphabet",
+            "row",
+            "tight-members",
+            "weight",
+            "alternate-optima",
+        ],
     )
     def test_wrong_typed_profile_field_is_a_parse_error(self, tmp_path, capsys, e4, field, damage):
         path = tmp_path / "p.json"

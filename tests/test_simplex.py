@@ -63,10 +63,13 @@ def test_float_mode_matches_rational_mode():
         assert abs(float(exact.objective_value) - approx.objective_value) <= 1e-9
 
 
-def test_iteration_cap_raises_after_perturbation_retry():
-    lp, basis = supporting_lp(((4, 6), (7, 3)))
-    with pytest.raises(IterationCapExceeded):
-        simplex_optimize(lp, arithmetic="float", basis=basis, max_iterations=0)
+def test_float_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr("histrel.simplex.DEFAULT_FLOAT_ITERATION_CAP", 0)
+    # the second program has a member after the first with a zero first count
+    for rows in (((4, 6), (7, 3)), ((2, 1, 1), (0, 3, 1))):
+        lp, basis = supporting_lp(rows)
+        with pytest.raises(IterationCapExceeded):
+            simplex_optimize(lp, arithmetic="float", basis=basis)
 
 
 def test_infeasible_program_is_reported():
