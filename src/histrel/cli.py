@@ -168,8 +168,10 @@ def cmd_score(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_v > 6 or args.max_m > 8:
         raise CapExceeded("verification respects the oracle caps: --max-v <= 6, --max-m <= 8")
-    if args.max_v < 2 or args.max_m < 1 or args.max_t < 1:
-        raise ValidationError("verification needs --max-v >= 2, --max-m >= 1, --max-t >= 1")
+    if args.trials < 0 or args.max_v < 2 or args.max_m < 1 or args.max_t < 1:
+        raise ValidationError(
+            "verification needs --trials >= 0, --max-v >= 2, --max-m >= 1, --max-t >= 1"
+        )
     instance = ingest_samples(args.input) if args.input else None
     report = run_verification(
         trials=args.trials,

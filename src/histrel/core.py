@@ -9,8 +9,10 @@ with a tolerance of exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Literal, Sequence, Union
 
 from .errors import AlphabetMismatch, EmptySet, ParseError, UnknownSymbol, ValidationError
@@ -77,6 +79,20 @@ class Field:
 
     def positive(self, v) -> bool:
         return v > self.tol
+
+    def pairings(self, values, rows) -> list:
+        """Pair one vector with every row: ``[pairing(values, row) for row in rows]``.
+
+        Rational mode scales ``values`` once to integer numerators over the
+        lcm of their denominators, so each row costs one integer dot product
+        and a single ``Fraction``. Float mode sums the products left to right,
+        exactly as ``pairing`` does.
+        """
+        if not self.exact:
+            return [sum(a * b for a, b in zip(values, row)) for row in rows]
+        denominator = math.lcm(*(v.denominator for v in values))
+        numerators = [v.numerator * (denominator // v.denominator) for v in values]
+        return [Fraction(sum(map(mul, numerators, row)), denominator) for row in rows]
 
     def encode(self, value):
         """JSON form: exact ``p/q`` strings, or shortest round-trip floats."""

@@ -33,10 +33,9 @@ from .core import (
     Weight,
     _on_simplex,
     distinct_rows,
-    pairing,
     require_problem_mode,
 )
-from .errors import EmptySet, ValidationError
+from .errors import AlphabetMismatch, EmptySet, ValidationError
 from .reduce import ReductionTrace, empty_trace, reduce_fixpoint
 from .simplex import SimplexResult, StandardFormLP, simplex_optimize
 
@@ -166,7 +165,7 @@ def extract_dual(
         n = len(rows[0])
         xs = result.solution[:n]
         alpha = result.solution[n]
-        tight = [field.close(sum(x * v for x, v in zip(xs, row)), alpha) for row in rows]
+        tight = [field.close(p, alpha) for p in field.pairings(xs, rows)]
         if not any(tight):
             raise ValidationError("no tight member row to anchor the dual")
         share = field.share(sum(tight))
@@ -188,12 +187,11 @@ def make_solution(
     require_problem_mode(problem)
     if trace is None:
         trace = empty_trace(histograms.alphabet.symbols)
+    if weight.alphabet != histograms.alphabet:
+        raise AlphabetMismatch("weight and histogram set use different alphabets")
     field = Field.for_mode(weight.mode)
-    tight_members = tuple(
-        i
-        for i, member in enumerate(histograms.members)
-        if field.close(pairing(weight, member), alpha)
-    )
+    pairings = field.pairings(weight.values, histograms.count_rows())
+    tight_members = tuple(i for i, p in enumerate(pairings) if field.close(p, alpha))
     tight_symbols = tuple(j for j, v in enumerate(weight.values) if field.positive(v))
     return GameSolution(
         alpha=alpha,
@@ -363,7 +361,8 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
     add("weight-simplex", max(abs(sum(weight.values) - 1), -min(weight.values), 0))
     add("dual-simplex", max(abs(sum(dual.values) - 1), -min(dual.values), 0))
 
-    pairings = [pairing(weight, m) for m in histograms.members]
+    rows = histograms.count_rows()
+    pairings = field.pairings(weight.values, rows)
     if solution.mode == SUPPORTING:
         primal_violation = max((alpha - p for p in pairings), default=0)
         primal_value = min(pairings)
@@ -373,10 +372,7 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
     add("primal-feasibility", max(primal_violation, 0))
     add("value-equality-primal", abs(primal_value - alpha))
 
-    columns = [
-        sum(d * m.counts[v] for d, m in zip(dual.values, histograms.members))
-        for v in range(len(histograms.alphabet))
-    ]
+    columns = field.pairings(dual.values, zip(*rows))
     if solution.mode == SUPPORTING:
         dual_violation = max((col - alpha for col in columns), default=0)
         dual_value = max(columns)

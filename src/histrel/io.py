@@ -29,8 +29,6 @@ from .core import (
     Sample,
     Weight,
     build_histogram,
-    irrelevance_score,
-    relevance_score,
     require_arithmetic,
 )
 from .errors import (
@@ -398,16 +396,19 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     field = Field.for_mode(profile.mode)
     sup = profile.supporting
     cov = profile.covering
+    counts = samples.count_rows()
+    relevances = field.pairings(sup.weight.values, counts)
+    irrelevances = field.pairings(cov.weight.values, counts)
     rows = []
-    for i, member in enumerate(samples.members, start=1):
-        relevance = relevance_score(member, sup.weight)
-        irrelevance = irrelevance_score(member, cov.weight)
+    for i, (histogram, relevance, irrelevance) in enumerate(
+        zip(counts, relevances, irrelevances), start=1
+    ):
         rel_ratio = relevance / sup.alpha if sup.alpha != 0 else None
         irr_ratio = irrelevance / cov.alpha if cov.alpha != 0 else None
         rows.append(
             ScoreRow(
                 index=i,
-                histogram=member.counts,
+                histogram=histogram,
                 relevance=relevance,
                 irrelevance=irrelevance,
                 relevance_ratio=rel_ratio,

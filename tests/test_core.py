@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from histrel import (
+    SUPPORTING,
     Alphabet,
     AlphabetMismatch,
+    DualWeight,
     EmptySet,
     Histogram,
     HistogramSet,
@@ -19,9 +22,11 @@ from histrel import (
     build_histogram,
     distinct_rows,
     irrelevance_score,
+    make_solution,
     pairing,
     relevance_score,
 )
+from histrel.core import Field
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -145,6 +150,46 @@ class TestPairing:
         w = (Fraction(1, 4), Fraction(3, 4))
         summed = tuple(a + b for a, b in zip(m1, m2))
         assert pairing(w, summed) == pairing(w, m1) + pairing(w, m2)
+
+
+class TestFieldPairings:
+    RATIONAL = Field.for_mode("rational")
+    FLOAT = Field.for_mode("float")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rational_matches_pairing_exactly(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        choices = (
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            lambda: Fraction(0),
+            lambda: rng.randint(-3, 3),
+        )
+        values = [rng.choice(choices)() for _ in range(n)]
+        rows = [tuple(rng.randint(0, 30) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        rows.append((0,) * n)
+        assert self.RATIONAL.pairings(values, rows) == [pairing(values, row) for row in rows]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_float_is_bit_identical_to_the_plain_sum(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        values = [rng.random() / n for _ in range(n)]
+        rows = [tuple(rng.randint(0, 10**6) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        expected = [sum(a * b for a, b in zip(values, row)) for row in rows]
+        assert self.FLOAT.pairings(values, rows) == expected
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_no_rows_give_no_pairings(self, mode):
+        assert Field.for_mode(mode).pairings(Weight.uniform(ABC, mode).values, []) == []
+
+    def test_make_solution_rejects_a_weight_on_another_alphabet(self):
+        histograms = HistogramSet.from_counts(ABC, [(3, 2, 1), (1, 2, 3)])
+        with pytest.raises(AlphabetMismatch):
+            make_solution(
+                Fraction(1), Weight.uniform(AB), DualWeight((Fraction(1), Fraction(0))),
+                histograms, SUPPORTING,
+            )
 
 
 class TestScores:

@@ -235,6 +235,7 @@ class TestCli:
             ("--max-v", "1", "validation"),
             ("--max-m", "0", "validation"),
             ("--max-t", "0", "validation"),
+            ("--trials", "-3", "validation"),
         ],
     )
     def test_verify_bounds_are_checked(self, flag, value, code):
