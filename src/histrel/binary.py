@@ -69,11 +69,11 @@ def classify_binary(histograms: HistogramSet) -> BinaryCase:
     return BinaryCase(MIXED, (Histogram(alphabet, heavy_one), Histogram(alphabet, heavy_zero)))
 
 
-def _canonical_distribution(histograms, component, pick_min, field) -> DualWeight:
-    """Uniform mass over the distinct members attaining the extreme count in
-    one component, placed on first occurrences."""
+def _canonical_distribution(histograms, component, extreme, field) -> DualWeight:
+    """Uniform mass over the distinct members attaining the ``extreme``
+    (``min`` or ``max``) count in one component, placed on first occurrences."""
     unique, origins = distinct_rows(histograms.count_rows())
-    _, mass = _extreme_mass(unique, component, pick_min, field)
+    _, mass = _extreme_mass(unique, component, extreme, field)
     return DualWeight(
         _spread_over_members(mass, origins, len(histograms.members), field), field.mode
     )
@@ -92,9 +92,10 @@ def binary_dual_case1(
     field = Field.for_mode(arithmetic)
     if classify_binary(histograms).tag != ZERO_DOMINANT:
         raise WrongCase("first component does not dominate in every member")
-    supporting = _canonical_distribution(histograms, 0, pick_min=True, field=field)
-    covering = _canonical_distribution(histograms, 1, pick_min=False, field=field)
-    return supporting, covering
+    return (
+        _canonical_distribution(histograms, 0, min, field),
+        _canonical_distribution(histograms, 1, max, field),
+    )
 
 
 def binary_dual_case2(
@@ -140,11 +141,11 @@ def solve_binary(
 ) -> tuple[GameSolution, GameSolution]:
     """Both game solutions for a two-symbol set, without touching the LP.
 
-    The dominant-second-symbol case relabels the symbols, applies the
-    dominant-first forms, and swaps back. In the straddling case the even
-    weight solves both problems, it is the unique optimum exactly when both
-    strict straddle directions occur, and one balance distribution certifies
-    both values.
+    In a dominant case the supporting weight sits on the dominant symbol
+    ``d`` and the covering weight on the other one. In the straddling case
+    the even weight solves both problems, it is the unique optimum exactly
+    when both strict straddle directions occur, and one balance distribution
+    certifies both values.
     """
     field = Field.for_mode(arithmetic)
     _require_binary(histograms)
@@ -152,28 +153,21 @@ def solve_binary(
     alphabet = histograms.alphabet
     rows = histograms.count_rows()
 
-    if case.tag == ZERO_DOMINANT:
-        sup_alpha = field.of(min(row[0] for row in rows))
-        cov_alpha = field.of(max(row[1] for row in rows))
-        sup_weight = Weight.point_mass(alphabet, 0, arithmetic)
-        cov_weight = Weight.point_mass(alphabet, 1, arithmetic)
-        sup_dual, cov_dual = binary_dual_case1(histograms, arithmetic)
-        sup_alt = cov_alt = False
-    elif case.tag == ONE_DOMINANT:
-        sup_alpha = field.of(min(row[1] for row in rows))
-        cov_alpha = field.of(max(row[0] for row in rows))
-        sup_weight = Weight.point_mass(alphabet, 1, arithmetic)
-        cov_weight = Weight.point_mass(alphabet, 0, arithmetic)
-        sup_dual = _canonical_distribution(histograms, 1, pick_min=True, field=field)
-        cov_dual = _canonical_distribution(histograms, 0, pick_min=False, field=field)
-        sup_alt = cov_alt = False
-    else:
+    if case.tag == MIXED:
         sup_alpha = cov_alpha = field.of(histograms.sample_length) / 2
         sup_weight = cov_weight = Weight.uniform(alphabet, arithmetic)
-        dual = binary_dual_case2(histograms, case.witnesses, arithmetic)
-        sup_dual = cov_dual = dual
+        sup_dual = cov_dual = binary_dual_case2(histograms, case.witnesses, arithmetic)
         forced = any(row[1] > row[0] for row in rows) and any(row[0] > row[1] for row in rows)
         sup_alt = cov_alt = not forced
+    else:
+        d = 0 if case.tag == ZERO_DOMINANT else 1
+        sup_alpha = field.of(min(row[d] for row in rows))
+        cov_alpha = field.of(max(row[1 - d] for row in rows))
+        sup_weight = Weight.point_mass(alphabet, d, arithmetic)
+        cov_weight = Weight.point_mass(alphabet, 1 - d, arithmetic)
+        sup_dual = _canonical_distribution(histograms, d, min, field)
+        cov_dual = _canonical_distribution(histograms, 1 - d, max, field)
+        sup_alt = cov_alt = False
 
     supporting = make_solution(
         sup_alpha, sup_weight, sup_dual, histograms, SUPPORTING, alternate_optima=sup_alt

@@ -94,9 +94,7 @@ class CertificateReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def supporting_lp(
-    rows: Sequence[Sequence[int]], arithmetic: ArithmeticMode = RATIONAL
-) -> tuple[StandardFormLP, tuple[int, ...]]:
+def supporting_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, tuple[int, ...]]:
     """Equality-form program for the supporting value.
 
     Variables are ``x`` (one per symbol), the value, then one surplus per
@@ -105,12 +103,10 @@ def supporting_lp(
     """
     k, n = len(rows), len(rows[0])
     basis = tuple(n + 1 + i for i in range(k)) + (0,)
-    return _game_lp(rows, Field.for_mode(arithmetic), 1), basis
+    return _game_lp(rows, 1), basis
 
 
-def covering_lp(
-    rows: Sequence[Sequence[int]], arithmetic: ArithmeticMode = RATIONAL
-) -> tuple[StandardFormLP, tuple[int, ...]]:
+def covering_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, tuple[int, ...]]:
     """Equality-form program for the covering value (the value is minimized,
     so the objective carries a negated value variable).
 
@@ -121,31 +117,27 @@ def covering_lp(
     k, n = len(rows), len(rows[0])
     anchor = max(range(k), key=lambda i: (rows[i][0], -i))
     basis = (n, 0) + tuple(n + 1 + i for i in range(k) if i != anchor)
-    return _game_lp(rows, Field.for_mode(arithmetic), -1), basis
+    return _game_lp(rows, -1), basis
 
 
-def _game_lp(rows, field: Field, sign: int) -> StandardFormLP:
+def _game_lp(rows, sign: int) -> StandardFormLP:
     """Maximize ``sign * value`` subject to ``sign * (row . x - value) == s_i``
     per member row and ``sum(x) == 1``; ``sign`` is 1 for supporting and -1
-    for covering."""
+    for covering. Every entry is a plain integer."""
     k, n = len(rows), len(rows[0])
-    zero, one = field.zero, field.one
     lp_rows = []
     for i, row in enumerate(rows):
-        surplus = [zero] * k
-        surplus[i] = -one
-        lp_rows.append(tuple(sign * field.of(v) for v in row) + (-sign * one,) + tuple(surplus))
-    lp_rows.append((one,) * n + (zero,) * (k + 1))
-    objective = (zero,) * n + (sign * one,) + (zero,) * k
-    rhs = (zero,) * k + (one,)
+        surplus = [0] * k
+        surplus[i] = -1
+        lp_rows.append(tuple(sign * v for v in row) + (-sign,) + tuple(surplus))
+    lp_rows.append((1,) * n + (0,) * (k + 1))
+    objective = (0,) * n + (sign,) + (0,) * k
+    rhs = (0,) * k + (1,)
     return StandardFormLP(objective, tuple(lp_rows), rhs)
 
 
 def extract_dual(
-    result: SimplexResult,
-    rows: Sequence[Sequence[int]],
-    problem: ProblemMode,
-    arithmetic: ArithmeticMode = RATIONAL,
+    result: SimplexResult, rows: Sequence[Sequence[int]], arithmetic: ArithmeticMode = RATIONAL
 ) -> DualWeight:
     """Dual distribution over member rows from an optimal basis.
 
@@ -154,7 +146,6 @@ def extract_dual(
     the covering value is zero; the fallback then places uniform mass on the
     tight rows, which certifies the same value.
     """
-    require_problem_mode(problem)
     field = Field.for_mode(arithmetic)
     raw = [-y for y in result.row_duals[: len(rows)]]
     raw = [field.zero if field.close(v, field.zero) else v for v in raw]
@@ -247,7 +238,8 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
     unique_rows, origins = distinct_rows(restricted)
 
     if len(surviving) == 1:
-        best, dual_unique = _extreme_mass(unique_rows, 0, problem == SUPPORTING, field)
+        extreme = min if problem == SUPPORTING else max
+        best, dual_unique = _extreme_mass(unique_rows, 0, extreme, field)
         # The simplex is a point: the value is the extreme count there, and
         # every optimal weight of the original problem is the point mass.
         alpha = field.of(best)
@@ -284,12 +276,12 @@ def _solve_lp(unique_rows, problem, field: Field):
     else:
         rows, lp_problem = unique_rows, problem
     build = supporting_lp if lp_problem == SUPPORTING else covering_lp
-    lp, basis = build(rows, field.mode)
+    lp, basis = build(rows)
     result = simplex_optimize(lp, field.mode, basis=basis)
     width = len(rows[0])
     alpha = result.solution[width]
     primal = result.solution[:width]
-    row_dual = extract_dual(result, rows, lp_problem, field.mode).values
+    row_dual = extract_dual(result, rows, field.mode).values
     basic = set(result.basis)
     if flipped:
         surplus = range(k + 1, k + 1 + n)
@@ -301,11 +293,12 @@ def _solve_lp(unique_rows, problem, field: Field):
     return alpha, primal, row_dual, alternate
 
 
-def _extreme_mass(unique_rows, column: int, pick_min: bool, field: Field):
-    """Uniform mass on the distinct rows attaining the extreme count in one
-    column; returns that count and the mass per distinct row."""
+def _extreme_mass(unique_rows, column: int, extreme, field: Field):
+    """Uniform mass on the distinct rows attaining the ``extreme`` (``min`` or
+    ``max``) count in one column; returns that count and the mass per
+    distinct row."""
     counts = [row[column] for row in unique_rows]
-    best = min(counts) if pick_min else max(counts)
+    best = extreme(counts)
     share = field.share(counts.count(best))
     return best, tuple(share if v == best else field.zero for v in counts)
 

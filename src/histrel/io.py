@@ -86,14 +86,22 @@ def histogram_set_to_json(histograms: HistogramSet) -> dict:
 
 
 _HISTOGRAM_KEYS = ("alphabet", "sample_length", "histograms")
-_JSON_TYPE_NAMES = {list: "list", dict: "object", bool: "boolean"}
+_JSON_TYPE_NAMES = {list: "list", dict: "object", bool: "boolean", str: "string"}
 
 
 def _require_type(value, kind: type, what: str):
-    """Return ``value`` if it is the JSON list, object or boolean ``kind`` asks for."""
+    """Return ``value`` if it is the JSON list, object, boolean or string ``kind`` asks for."""
     if not isinstance(value, kind):
         raise ParseError(None, f"{what} is not a JSON {_JSON_TYPE_NAMES[kind]}")
     return value
+
+
+def _require_strings(value, what: str) -> tuple[str, ...]:
+    """Return a JSON list of strings as a tuple; labels are never coerced."""
+    items = tuple(_require_type(value, list, what))
+    for item in items:
+        _require_type(item, str, f"{what} entry {item!r}")
+    return items
 
 
 def _require_keys(obj, keys, what: str) -> None:
@@ -105,7 +113,7 @@ def _require_keys(obj, keys, what: str) -> None:
 
 def histogram_set_from_json(obj: dict) -> HistogramSet:
     _require_keys(obj, _HISTOGRAM_KEYS, "histogram file")
-    alphabet = Alphabet(tuple(str(s) for s in _require_type(obj["alphabet"], list, "'alphabet'")))
+    alphabet = Alphabet(_require_strings(obj["alphabet"], "'alphabet'"))
     rows = [
         tuple(_require_type(row, list, f"'histograms' row {i}"))
         for i, row in enumerate(_require_type(obj["histograms"], list, "'histograms'"), start=1)
@@ -276,12 +284,17 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
     reduction = _require_type(obj.get("reduction", {}), dict, f"'{problem}.reduction'")
     steps = []
     for step in _require_type(reduction.get("steps", []), list, f"'{problem}.reduction.steps'"):
-        if not (isinstance(step, list) and len(step) == 2 and type(step[1]) is int):
+        if not (
+            isinstance(step, list)
+            and len(step) == 2
+            and isinstance(step[0], str)
+            and type(step[1]) is int
+        ):
             raise ParseError(None, f"'{problem}.reduction.steps' entry {step!r} is not [symbol, pass]")
-        steps.append(ReductionStep(symbol=str(step[0]), mode=problem, pass_index=step[1]))
+        steps.append(ReductionStep(symbol=step[0], mode=problem, pass_index=step[1]))
     surviving = reduction.get("surviving", list(histograms.alphabet.symbols))
     trace = ReductionTrace(
-        tuple(steps), tuple(_require_type(surviving, list, f"'{problem}.reduction.surviving'"))
+        tuple(steps), _require_strings(surviving, f"'{problem}.reduction.surviving'")
     )
     solution = make_solution(
         alpha,
@@ -334,7 +347,9 @@ def profile_from_json(obj: dict) -> WeightProfile:
         supporting=supporting,
         covering=covering,
         mode=field.mode,
-        input_digest=str(provenance.get("input_sha256", "")),
+        input_digest=_require_type(
+            provenance.get("input_sha256", ""), str, "'provenance.input_sha256'"
+        ),
     )
     _check_profile(profile)
     return profile

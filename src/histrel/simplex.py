@@ -10,10 +10,15 @@ terminates only in exact arithmetic, so float mode also caps the pivots at
 solve stalls. The tolerance is absolute on raw counts, so very large sample
 lengths can still defeat it.
 
-Every solve starts from a feasible basis the caller supplies; there is no
-phase one. Row duals are recovered from the optimal basis by solving
-``B^T y = c_B`` against the original columns, so complementary-slackness
-checks downstream never have to re-derive tableau state.
+Programs may hold plain integers: ``simplex_optimize`` is the one place
+that converts their entries into the arithmetic of the solve. The tableau
+carries the objective as its last row, with right-hand side 0, and reduces
+it with the constraint rows, so at the optimum that row holds the reduced
+costs and its right-hand side is minus the objective value. Every solve
+starts from a feasible basis the caller supplies; there is no phase one.
+Row duals are recovered from the optimal basis by solving ``B^T y = c_B``
+against the original columns, so complementary-slackness checks downstream
+never have to re-derive tableau state.
 """
 
 from __future__ import annotations
@@ -50,7 +55,12 @@ class StandardFormLP:
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """An optimal basic solution together with its basis certificates."""
+    """An optimal basic solution together with its basis certificates.
+
+    ``objective_value`` and ``reduced_costs`` are read off the objective row
+    of the final tableau; ``row_duals`` solve ``B^T y = c_B``, so
+    ``reduced_costs == objective - y . rows`` column by column.
+    """
 
     objective_value: object
     solution: tuple
@@ -73,32 +83,40 @@ def simplex_optimize(
     produce the identical result.
     """
     field = Field.for_mode(arithmetic)
-    # exact Bland pivoting cannot stall; float pivoting can, and the cap detects it
-    cap = None if field.exact else DEFAULT_FLOAT_ITERATION_CAP
-    return _solve(lp, basis, field, cap)
-
-
-def _solve(lp, basis, field, cap) -> SimplexResult:
-    A = [[field.of(v) for v in row] for row in lp.rows]
-    b = [field.of(v) for v in lp.rhs]
+    m = len(lp.rows)
     basis_list = list(basis)
-    if len(basis_list) != len(A) or len(set(basis_list)) != len(A):
+    if len(basis_list) != m or len(set(basis_list)) != m:
         raise ValidationError("starting basis must name one distinct column per row")
     if any(j < 0 or j >= len(lp.objective) for j in basis_list):
         raise ValidationError("starting basis names a column outside the program")
+    # the objective is the last row; reduced with the others it holds the
+    # reduced costs, and its right-hand side minus the objective value
+    A = [[field.of(v) for v in row] for row in (*lp.rows, lp.objective)]
+    b = [field.of(v) for v in lp.rhs] + [field.zero]
     eps = field.tol
     _canonicalize(A, b, basis_list, eps)
-    if min(b) < -eps:
+    if min(b[:m]) < -eps:
         raise ValidationError("starting basis is infeasible")
-    costs = [field.of(v) for v in lp.objective]
-    iterations = _pivot_to_optimum(A, b, costs, basis_list, eps, cap)
-    return _finalize(lp, A, b, costs, basis_list, field, iterations)
+    # exact Bland pivoting cannot stall; float pivoting can, and the cap detects it
+    cap = None if field.exact else DEFAULT_FLOAT_ITERATION_CAP
+    iterations = _pivot_to_optimum(A, b, basis_list, eps, cap)
+    solution = [field.zero] * len(lp.objective)
+    for r, var in enumerate(basis_list):
+        solution[var] = b[r]
+    return SimplexResult(
+        objective_value=0 - b[m],  # not -b[m]: a zero value stays +0.0 in float mode
+        solution=tuple(solution),
+        basis=tuple(basis_list),
+        row_duals=_row_duals(lp, basis_list, field),
+        reduced_costs=tuple(A[m]),
+        iterations=iterations,
+    )
 
 
 def _canonicalize(A, b, basis_list, eps):
     """Row-reduce so the basis columns form an identity, assigning each basis
-    column to the row where it pivots best."""
-    m = len(A)
+    column to the constraint row where it pivots best."""
+    m = len(basis_list)
     remaining = list(range(m))
     row_for: list[int | None] = [None] * m
     for var in basis_list:
@@ -133,15 +151,14 @@ def _apply_pivot(A, b, prow, pcol):
         b[r] = b[r] - factor * b[prow]
 
 
-def _pivot_to_optimum(A, b, costs, basis_list, eps, cap) -> int:
+def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
     """Bland's rule: smallest improving column enters, smallest basis index
     leaves among the minimum-ratio rows."""
-    m = len(A)
-    reduced = _reduced_costs(A, costs, basis_list)
+    m = len(basis_list)
     iterations = 0
     while True:
         enter = None
-        for j, v in enumerate(reduced):
+        for j, v in enumerate(A[m]):
             if v > eps:
                 enter = j
                 break
@@ -164,39 +181,7 @@ def _pivot_to_optimum(A, b, costs, basis_list, eps, cap) -> int:
         if cap is not None and iterations > cap:
             raise IterationCapExceeded(f"no optimum after {cap} pivots")
         _apply_pivot(A, b, leave_row, enter)
-        factor = reduced[enter]
-        reduced = [v - factor * w for v, w in zip(reduced, A[leave_row])]
-        reduced[enter] = 0 * factor
         basis_list[leave_row] = enter
-
-
-def _reduced_costs(A, costs, basis_list):
-    reduced = list(costs)
-    for r, row in enumerate(A):
-        cb = costs[basis_list[r]]
-        if cb == 0:
-            continue
-        for j in range(len(reduced)):
-            reduced[j] = reduced[j] - cb * row[j]
-    return reduced
-
-
-def _finalize(lp, A, b, costs, basis_list, field, iterations) -> SimplexResult:
-    solution = [field.zero] * len(costs)
-    for r, var in enumerate(basis_list):
-        solution[var] = b[r]
-    objective_value = sum(
-        (cj * zj for cj, zj in zip(costs, solution) if zj != 0),
-        start=field.zero,
-    )
-    return SimplexResult(
-        objective_value=objective_value,
-        solution=tuple(solution),
-        basis=tuple(basis_list),
-        row_duals=_row_duals(lp, basis_list, field),
-        reduced_costs=tuple(_reduced_costs(A, costs, basis_list)),
-        iterations=iterations,
-    )
 
 
 def _row_duals(lp, basis_list, field) -> tuple:

@@ -155,11 +155,12 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
             oracle_report.passed, violation=oracle_report.max_violation, note=label
         )
 
-        screen_general = reducible_symbols(histograms.count_rows(), problem)
-        screen_corollary = corollary_threshold_check(histograms, problem)
-        _stat(stats, f"screen-equivalence-{problem}").record(
-            screen_general == screen_corollary, note=label
-        )
+        if n >= 2:  # the threshold screens need two symbols, as in the solver
+            screen_general = reducible_symbols(histograms.count_rows(), problem)
+            screen_corollary = corollary_threshold_check(histograms, problem)
+            _stat(stats, f"screen-equivalence-{problem}").record(
+                screen_general == screen_corollary, note=label
+            )
 
         unreduced = solve(histograms, use_reduction=False)
         _stat(stats, f"reduction-alpha-{problem}").record(

@@ -104,7 +104,7 @@ class TestDuals:
         rows = ((4, 6), (7, 3))
         lp, basis = supporting_lp(rows)
         result = simplex_optimize(lp, basis=basis)
-        dual = extract_dual(result, rows, SUPPORTING)
+        dual = extract_dual(result, rows)
         assert dual.values == (Fraction(2, 3), Fraction(1, 3))
 
 
@@ -221,7 +221,7 @@ def _member_row_value(histograms, problem, mode):
     """The value of the untransposed program: one row per distinct member."""
     rows = distinct_rows(histograms.count_rows())[0]
     build = supporting_lp if problem == SUPPORTING else covering_lp
-    lp, basis = build(rows, mode)
+    lp, basis = build(rows)
     return simplex_optimize(lp, mode, basis=basis).solution[len(rows[0])]
 
 

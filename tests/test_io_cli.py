@@ -249,6 +249,18 @@ class TestCli:
             self.run("solve", str(hs_path), "--mode", "float", "--tol", "0.1")
         assert exc.value.code == EXIT_CODES["usage"]
 
+    def test_verify_on_a_one_symbol_set(self, tmp_path, capsys):
+        path = tmp_path / "hs.json"
+        path.write_text('{"alphabet": ["a"], "sample_length": 3, "histograms": [[3], [3]]}')
+        assert self.run("verify", str(path)) == 0
+        assert "verification: PASS" in capsys.readouterr().out
+
+    def test_number_labels_in_a_histogram_file_are_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "hs.json"
+        path.write_text('{"alphabet": ["a", 1], "sample_length": 2, "histograms": [[1, 1]]}')
+        assert self.run("solve", str(path)) == EXIT_CODES["parse"]
+        assert "'alphabet' entry 1" in capsys.readouterr().err
+
     def test_verify_on_a_single_instance(self, tmp_path, capsys, e4):
         hs_path = tmp_path / "hs.json"
         save_histogram_set(e4, str(hs_path))
@@ -324,6 +336,16 @@ class TestCli:
             ),
             ("provenance", lambda p: p.update(provenance=[])),
             ("alphabet", lambda p: p.update(alphabet=5)),
+            ("'alphabet' entry 3", lambda p: p.update(alphabet=["a", "b", 3])),
+            (
+                "supporting.reduction.steps",
+                lambda p: p["supporting"]["reduction"].update(steps=[[1, 1]]),
+            ),
+            (
+                "covering.reduction.surviving",
+                lambda p: p["covering"]["reduction"].update(surviving=["a", 2]),
+            ),
+            ("provenance.input_sha256", lambda p: p["provenance"].update(input_sha256=5)),
             ("'histograms' row 1", lambda p: p["histograms"].__setitem__(0, 5)),
             ("supporting.tight_members", lambda p: p["supporting"].update(tight_members=3)),
             ("supporting.weight", lambda p: p["supporting"].update(weight="1/3")),
@@ -338,6 +360,10 @@ class TestCli:
             "step-entry",
             "provenance",
             "alphabet",
+            "alphabet-entry",
+            "step-symbol",
+            "surviving-entry",
+            "input-digest",
             "row",
             "tight-members",
             "weight",

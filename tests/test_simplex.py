@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from histrel import (
     StandardFormLP,
     ValidationError,
     covering_lp,
+    distinct_rows,
     simplex_optimize,
     supporting_lp,
 )
+from histrel.verify import random_histogram_set
 
 E1_ROWS = ((7, 3), (6, 4))
 
@@ -54,12 +57,32 @@ def test_row_duals_solve_the_transposed_system():
         assert sum(y * c for y, c in zip(result.row_duals, column)) == lp.objective[var]
 
 
+def test_objective_row_agrees_with_the_basis_solve():
+    # game programs of both builders, on the member rows and on the transpose
+    rng = random.Random(6)
+    for _ in range(60):
+        hs = random_histogram_set(rng, max_symbols=6, max_members=8, max_length=30)
+        counts = distinct_rows(hs.count_rows())[0]
+        for rows in (counts, tuple(zip(*counts))):
+            for build in (supporting_lp, covering_lp):
+                lp, basis = build(rows)
+                entries = [*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row)]
+                assert all(type(v) is int for v in entries)
+                result = simplex_optimize(lp, basis=basis)
+                z = result.solution
+                for j, cost in enumerate(lp.objective):
+                    priced = sum(y * row[j] for y, row in zip(result.row_duals, lp.rows))
+                    assert result.reduced_costs[j] == cost - priced
+                assert result.objective_value == sum(c * v for c, v in zip(lp.objective, z))
+                for row, b in zip(lp.rows, lp.rhs):
+                    assert sum(a * v for a, v in zip(row, z)) == b
+
+
 def test_float_mode_matches_rational_mode():
     for rows in (E1_ROWS, ((4, 6), (7, 3)), ((3, 2, 1), (1, 2, 3))):
-        lp_r, basis = supporting_lp(rows)
-        lp_f, _ = supporting_lp(rows, arithmetic="float")
-        exact = simplex_optimize(lp_r, basis=basis)
-        approx = simplex_optimize(lp_f, arithmetic="float", basis=basis)
+        lp, basis = supporting_lp(rows)
+        exact = simplex_optimize(lp, basis=basis)
+        approx = simplex_optimize(lp, arithmetic="float", basis=basis)
         assert abs(float(exact.objective_value) - approx.objective_value) <= 1e-9
 
 
