@@ -129,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-v", type=int, default=4, help="largest alphabet (2..6)")
     verify.add_argument("--max-m", type=int, default=5, help="largest member count (1..8)")
     verify.add_argument("--max-t", type=int, default=12, help="largest sample length")
-    verify.add_argument(
-        "--binary-sweep",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="include the exhaustive two-member binary sweep",
-    )
     verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -159,7 +153,7 @@ def cmd_solve(args) -> int:
 
 def cmd_score(args) -> int:
     profile = load_profile(args.profile)
-    samples = ingest_samples(args.samples, profile.alphabet)
+    samples = ingest_samples(args.samples, profile.histograms.alphabet)
     report = score_profile(profile, samples)
     _emit(dumps_score_report(report), args.output, lambda path: save_score_report(report, path))
     return EXIT_CODES["ok"]
@@ -179,8 +173,6 @@ def cmd_verify(args) -> int:
         max_symbols=args.max_v,
         max_members=args.max_m,
         max_length=args.max_t,
-        include_binary_sweep=args.binary_sweep and instance is None,
-        include_targeted=instance is None,
         instance=instance,
     )
     for line in report.lines():

@@ -85,4 +85,5 @@ class IterationCapExceeded(NumericalFailure):
 
 
 class CertificationFailure(HistrelError):
-    """A persisted solution no longer certifies against its data."""
+    """A solution fails its certificate against the set it claims to solve,
+    whether it was just solved or read back from a profile."""

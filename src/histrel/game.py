@@ -5,7 +5,10 @@ simplex; the covering problem minimizes the best case. Both are solved as
 equality-form programs on the reduced alphabet, the returned weight is
 zero-padded back to the full alphabet, and the row duals of the optimal
 basis normalize to a distribution over members that certifies the value by
-complementary slackness.
+complementary slackness. ``make_solution`` is where every solution is
+certified: one pairing of the weight with every member gives the tight sets
+and the certificate, and a solution that fails it raises
+``CertificationFailure`` instead of being returned.
 
 The program is built on the shorter side of the distinct count matrix: with
 more distinct members than symbols, the transposed matrix is solved for the
@@ -35,7 +38,7 @@ from .core import (
     distinct_rows,
     require_problem_mode,
 )
-from .errors import AlphabetMismatch, EmptySet, ValidationError
+from .errors import AlphabetMismatch, CertificationFailure, EmptySet, ValidationError
 from .reduce import ReductionTrace, empty_trace, reduce_fixpoint
 from .simplex import SimplexResult, StandardFormLP, simplex_optimize
 
@@ -57,7 +60,8 @@ class DualWeight:
 
 @dataclass(frozen=True)
 class GameSolution:
-    """One solved variational problem.
+    """One solved variational problem; the solvers and ``make_solution``
+    return only solutions that passed ``certify``'s clauses.
 
     ``tight_members`` are the members whose pairing equals the value;
     ``tight_symbols`` carry positive weight. ``alternate_optima`` warns that
@@ -174,7 +178,12 @@ def make_solution(
     *,
     alternate_optima: bool = False,
 ) -> GameSolution:
-    """Assemble a solution, computing the tight sets from the data."""
+    """Assemble a solution and certify it against ``histograms``.
+
+    One pairing of the weight with every member gives both the tight sets
+    and the certificate. Raises ``CertificationFailure`` naming the failed
+    clauses, so every solution this returns is certified.
+    """
     require_problem_mode(problem)
     if trace is None:
         trace = empty_trace(histograms.alphabet.symbols)
@@ -182,18 +191,21 @@ def make_solution(
         raise AlphabetMismatch("weight and histogram set use different alphabets")
     field = Field.for_mode(weight.mode)
     pairings = field.pairings(weight.values, histograms.count_rows())
-    tight_members = tuple(i for i, p in enumerate(pairings) if field.close(p, alpha))
-    tight_symbols = tuple(j for j, v in enumerate(weight.values) if field.positive(v))
-    return GameSolution(
+    solution = GameSolution(
         alpha=alpha,
         weight=weight,
         dual=dual,
-        tight_members=tight_members,
-        tight_symbols=tight_symbols,
+        tight_members=tuple(i for i, p in enumerate(pairings) if field.close(p, alpha)),
+        tight_symbols=tuple(j for j, v in enumerate(weight.values) if field.positive(v)),
         mode=problem,
         reduction_trace=trace,
         alternate_optima=alternate_optima,
     )
+    report = _certificate(solution, histograms, pairings, field)
+    if not report.passed:
+        clauses = ", ".join(c.clause for c in report.failures())
+        raise CertificationFailure(f"{problem} solution fails: {clauses}")
+    return solution
 
 
 def solve_supporting(
@@ -324,10 +336,24 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
 
     Clauses: weight and dual lie on their simplices, the weight is feasible
     for the value, members with positive dual mass are tight, symbols with
-    positive weight have dual column sums equal to the value, and the primal
-    and dual values both equal the claimed value.
+    positive weight have dual column sums equal to the value, the primal
+    and dual values both equal the claimed value, and the value lies on the
+    right side of the uniform weight's ``|T| / |V|``.
     """
+    if solution.weight.alphabet != histograms.alphabet:
+        return _structure_failure(solution.mode, "alphabet differs")
     field = Field.for_mode(solution.weight.mode)
+    pairings = field.pairings(solution.weight.values, histograms.count_rows())
+    return _certificate(solution, histograms, pairings, field)
+
+
+def _structure_failure(problem: ProblemMode, detail: str) -> CertificateReport:
+    check = CertificateCheck("structure", False, float("inf"), detail)
+    return CertificateReport(problem, False, (check,), float("inf"))
+
+
+def _certificate(solution, histograms, pairings, field: Field) -> CertificateReport:
+    """The certificate clauses, given the weight's pairing with every member."""
     checks: list[CertificateCheck] = []
 
     def add(clause: str, violation, detail: str = "") -> None:
@@ -340,39 +366,21 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
             )
         )
 
-    weight = solution.weight
-    dual = solution.dual
-    alpha = solution.alpha
-
-    if weight.alphabet != histograms.alphabet:
-        checks.append(CertificateCheck("structure", False, float("inf"), "alphabet differs"))
-        return CertificateReport(solution.mode, False, tuple(checks), float("inf"))
+    weight, dual, alpha = solution.weight, solution.dual, solution.alpha
     if len(dual.values) != len(histograms.members):
-        checks.append(CertificateCheck("structure", False, float("inf"), "dual length differs"))
-        return CertificateReport(solution.mode, False, tuple(checks), float("inf"))
+        return _structure_failure(solution.mode, "dual length differs")
 
     add("weight-simplex", max(abs(sum(weight.values) - 1), -min(weight.values), 0))
     add("dual-simplex", max(abs(sum(dual.values) - 1), -min(dual.values), 0))
 
-    rows = histograms.count_rows()
-    pairings = field.pairings(weight.values, rows)
-    if solution.mode == SUPPORTING:
-        primal_violation = max((alpha - p for p in pairings), default=0)
-        primal_value = min(pairings)
-    else:
-        primal_violation = max((p - alpha for p in pairings), default=0)
-        primal_value = max(pairings)
-    add("primal-feasibility", max(primal_violation, 0))
+    # the supporting claims flip for covering: min/max swap and so do the signs
+    sign = 1 if solution.mode == SUPPORTING else -1
+    first, last = (min, max) if sign == 1 else (max, min)
+    columns = field.pairings(dual.values, zip(*histograms.count_rows()))
+    primal_value, dual_value = first(pairings), last(columns)
+    add("primal-feasibility", max(sign * (alpha - primal_value), 0))
     add("value-equality-primal", abs(primal_value - alpha))
-
-    columns = field.pairings(dual.values, zip(*rows))
-    if solution.mode == SUPPORTING:
-        dual_violation = max((col - alpha for col in columns), default=0)
-        dual_value = max(columns)
-    else:
-        dual_violation = max((alpha - col for col in columns), default=0)
-        dual_value = min(columns)
-    add("dual-feasibility", max(dual_violation, 0))
+    add("dual-feasibility", max(sign * (dual_value - alpha), 0))
     add("value-equality-dual", abs(dual_value - alpha))
 
     slack_members = max(
@@ -385,6 +393,8 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
         default=0,
     )
     add("slackness-symbols", slack_symbols, "positive weight on a slack dual column")
+    baseline = field.of(histograms.sample_length) / len(histograms.alphabet)
+    add("uniform-bound", max(sign * (baseline - alpha), 0), "value beyond |T| / |V|")
 
     passed = all(c.passed for c in checks)
     max_violation = max((c.violation for c in checks), default=0.0)

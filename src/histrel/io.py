@@ -14,7 +14,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .binary import solve_binary
 from .core import (
@@ -39,6 +38,7 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
+# io no longer calls certify; perfbench/spans.py wraps io.certify and io.make_solution
 from .game import (
     DualWeight,
     GameSolution,
@@ -111,9 +111,18 @@ def _require_keys(obj, keys, what: str) -> None:
             raise ParseError(None, f"{what} is missing the {key!r} key")
 
 
+def _require_csv_labels(value) -> tuple[str, ...]:
+    """Alphabet labels, each one a token that ``_ingest_csv`` can read back."""
+    labels = _require_strings(value, "'alphabet'")
+    for label in labels:
+        if "," in label or label.strip() != label or label.splitlines() != [label]:
+            raise ParseError(None, f"'alphabet' entry {label!r} is not a CSV symbol token")
+    return labels
+
+
 def histogram_set_from_json(obj: dict) -> HistogramSet:
     _require_keys(obj, _HISTOGRAM_KEYS, "histogram file")
-    alphabet = Alphabet(_require_strings(obj["alphabet"], "'alphabet'"))
+    alphabet = Alphabet(_require_csv_labels(obj["alphabet"]))
     rows = [
         tuple(_require_type(row, list, f"'histograms' row {i}"))
         for i, row in enumerate(_require_type(obj["histograms"], list, "'histograms'"), start=1)
@@ -202,25 +211,24 @@ def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Both solved problems for one histogram set, as a persistable unit."""
+    """Both solved problems for one histogram set, as a persistable unit.
 
-    alphabet: Alphabet
-    sample_length: int
-    members: tuple[tuple[int, ...], ...]
+    Both solutions were certified against ``histograms`` when they were made.
+    """
+
+    histograms: HistogramSet
     supporting: GameSolution
     covering: GameSolution
     mode: ArithmeticMode
     input_digest: str
-
-    def histogram_set(self) -> HistogramSet:
-        return HistogramSet.from_counts(self.alphabet, self.members, self.sample_length)
 
 
 def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL) -> WeightProfile:
     """Solve both problems and bundle the results.
 
     Two-symbol alphabets take the closed-form path; everything else reduces
-    and then pivots. Both solutions must certify before the profile exists.
+    and then pivots. Either path raises ``CertificationFailure`` rather than
+    return a solution that fails its certificate.
     """
     require_arithmetic(arithmetic)
     if len(histograms.alphabet) == 2:
@@ -228,32 +236,13 @@ def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONA
     else:
         supporting = solve_supporting(histograms, arithmetic)
         covering = solve_covering(histograms, arithmetic)
-    profile = WeightProfile(
-        alphabet=histograms.alphabet,
-        sample_length=histograms.sample_length,
-        members=histograms.count_rows(),
+    return WeightProfile(
+        histograms=histograms,
         supporting=supporting,
         covering=covering,
         mode=arithmetic,
         input_digest=digest_histogram_set(histograms),
     )
-    _check_profile(profile)
-    return profile
-
-
-def _check_profile(profile: WeightProfile) -> None:
-    histograms = profile.histogram_set()
-    for solution in (profile.supporting, profile.covering):
-        report = certify(solution, histograms)
-        if not report.passed:
-            clauses = ", ".join(c.clause for c in report.failures())
-            raise CertificationFailure(f"{solution.mode} solution fails: {clauses}")
-    baseline = Fraction(profile.sample_length, len(profile.alphabet))
-    slack = Field.for_mode(profile.mode).tol
-    low = profile.supporting.alpha - baseline
-    high = baseline - profile.covering.alpha
-    if low < -slack or high < -slack:
-        raise CertificationFailure("values violate the uniform-weight bounds")
 
 
 def _solution_to_json(solution: GameSolution, field: Field) -> dict:
@@ -296,21 +285,17 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
     trace = ReductionTrace(
         tuple(steps), _require_strings(surviving, f"'{problem}.reduction.surviving'")
     )
-    solution = make_solution(
-        alpha,
-        weight,
-        dual,
-        histograms,
-        problem,
-        trace,
-        alternate_optima=_require_type(
-            obj.get("alternate_optima", False), bool, f"'{problem}.alternate_optima'"
-        ),
+    # read every field before certifying: a wrong-typed one is a parse error either way
+    alternate = _require_type(
+        obj.get("alternate_optima", False), bool, f"'{problem}.alternate_optima'"
     )
     stored = [
         _require_type(obj[key], list, f"'{problem}.{key}'")
         for key in ("tight_members", "tight_symbols")
     ]
+    solution = make_solution(
+        alpha, weight, dual, histograms, problem, trace, alternate_optima=alternate
+    )
     if stored != [list(solution.tight_members), list(solution.tight_symbols)]:
         raise CertificationFailure(f"stored tight sets for {problem} do not match the data")
     return solution
@@ -321,9 +306,7 @@ def profile_to_json(profile: WeightProfile) -> dict:
     return {
         "format": PROFILE_FORMAT,
         "mode": profile.mode,
-        "alphabet": list(profile.alphabet.symbols),
-        "sample_length": profile.sample_length,
-        "histograms": [list(row) for row in profile.members],
+        **histogram_set_to_json(profile.histograms),
         "provenance": {"input_sha256": profile.input_digest},
         "supporting": _solution_to_json(profile.supporting, field),
         "covering": _solution_to_json(profile.covering, field),
@@ -338,21 +321,15 @@ def profile_from_json(obj: dict) -> WeightProfile:
     field = Field.for_mode(obj["mode"])
     histograms = histogram_set_from_json(obj)
     provenance = _require_type(obj.get("provenance", {}), dict, "'provenance'")
-    supporting = _solution_from_json(obj["supporting"], SUPPORTING, histograms, field)
-    covering = _solution_from_json(obj["covering"], COVERING, histograms, field)
-    profile = WeightProfile(
-        alphabet=histograms.alphabet,
-        sample_length=histograms.sample_length,
-        members=histograms.count_rows(),
-        supporting=supporting,
-        covering=covering,
+    return WeightProfile(
+        histograms=histograms,
+        supporting=_solution_from_json(obj["supporting"], SUPPORTING, histograms, field),
+        covering=_solution_from_json(obj["covering"], COVERING, histograms, field),
         mode=field.mode,
         input_digest=_require_type(
             provenance.get("input_sha256", ""), str, "'provenance.input_sha256'"
         ),
     )
-    _check_profile(profile)
-    return profile
 
 
 def dumps_profile(profile: WeightProfile) -> str:
@@ -404,10 +381,11 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     one its certificates were checked at (exactly zero in rational mode), so
     every member of the solved set meets both.
     """
-    if samples.alphabet != profile.alphabet:
+    solved = profile.histograms
+    if samples.alphabet != solved.alphabet:
         raise AlphabetMismatch("sample alphabet differs from the profile alphabet")
-    if samples.sample_length != profile.sample_length:
-        raise LengthMismatch(expected=profile.sample_length, actual=samples.sample_length)
+    if samples.sample_length != solved.sample_length:
+        raise LengthMismatch(expected=solved.sample_length, actual=samples.sample_length)
     field = Field.for_mode(profile.mode)
     sup = profile.supporting
     cov = profile.covering
@@ -433,8 +411,8 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
             )
         )
     return ScoreReport(
-        alphabet=profile.alphabet,
-        sample_length=profile.sample_length,
+        alphabet=solved.alphabet,
+        sample_length=solved.sample_length,
         mode=profile.mode,
         alpha_supporting=sup.alpha,
         alpha_covering=cov.alpha,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .core import (
     HistogramSet,
     pairing,
 )
+from .errors import CertificationFailure
 from .game import certify, make_solution, solve_covering, solve_supporting
 from .oracle import oracle_solve
 from .reduce import corollary_threshold_check, reduce_fixpoint, reducible_symbols
@@ -115,6 +117,16 @@ def _stat(stats: dict[str, PropertyStat], name: str) -> PropertyStat:
     if name not in stats:
         stats[name] = PropertyStat(name)
     return stats[name]
+
+
+@contextmanager
+def _certified(stats: dict[str, PropertyStat], label: str):
+    """The solvers raise on a solution that fails its certificate; count that
+    as a failed trial and go on with the next instance."""
+    try:
+        yield
+    except CertificationFailure as exc:
+        _stat(stats, "certified-solutions").record(False, note=f"{label}: {exc}")
 
 
 def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], label: str) -> None:
@@ -238,7 +250,9 @@ def binary_sweep(stats: dict[str, PropertyStat], sample_length: int = 10) -> Non
         for b in range(sample_length + 1):
             rows = ((a, sample_length - a), (b, sample_length - b))
             histograms = HistogramSet.from_counts(alphabet, rows, sample_length)
-            _check_binary_agreement(histograms, stats, f"sweep ({a},{b})")
+            label = f"sweep ({a},{b})"
+            with _certified(stats, label):
+                _check_binary_agreement(histograms, stats, label)
 
 
 def run_verification(
@@ -248,19 +262,19 @@ def run_verification(
     max_symbols: int = 4,
     max_members: int = 5,
     max_length: int = 12,
-    include_targeted: bool = True,
-    include_binary_sweep: bool = True,
     instance: HistogramSet | None = None,
 ) -> VerificationReport:
-    """Deterministic verification sweep; same seed, same report."""
+    """Deterministic verification sweep; same seed, same report. With an
+    ``instance``, only that set is checked."""
     stats: dict[str, PropertyStat] = {}
     if instance is not None:
-        check_instance(instance, stats, "input instance")
+        with _certified(stats, "input instance"):
+            check_instance(instance, stats, "input instance")
         return VerificationReport(seed=seed, trials=0, properties=stats)
 
-    if include_targeted:
-        for name, spec, expect_sup, expect_cov in TARGETED:
-            histograms = fixture_set(spec)
+    for name, spec, expect_sup, expect_cov in TARGETED:
+        histograms = fixture_set(spec)
+        with _certified(stats, name):
             check_instance(histograms, stats, name)
             sup = solve_supporting(histograms)
             cov = solve_covering(histograms)
@@ -272,9 +286,8 @@ def run_verification(
     rng = random.Random(seed)
     for trial in range(trials):
         histograms = random_histogram_set(rng, max_symbols, max_members, max_length)
-        check_instance(histograms, stats, f"trial {trial}")
+        with _certified(stats, f"trial {trial}"):
+            check_instance(histograms, stats, f"trial {trial}")
 
-    if include_binary_sweep:
-        binary_sweep(stats)
-
+    binary_sweep(stats)
     return VerificationReport(seed=seed, trials=trials, properties=stats)

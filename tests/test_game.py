@@ -11,6 +11,7 @@ import histrel.game
 from histrel import (
     COVERING,
     SUPPORTING,
+    CertificationFailure,
     DualWeight,
     GameSolution,
     Weight,
@@ -154,6 +155,22 @@ class TestCertify:
         report = certify(nudged, e1)
         assert not report.passed
         assert "primal-feasibility" in [c.clause for c in report.failures()]
+
+    def test_make_solution_raises_on_a_non_optimal_claim(self, e1):
+        # (0, 1) pairs to 3 and 4, so 3 is its true floor, but (1, 0) reaches 6
+        weight = Weight(e1.alphabet, (0, 1))
+        with pytest.raises(CertificationFailure) as err:
+            make_solution(Fraction(3), weight, DualWeight((1, 0)), e1, SUPPORTING)
+        assert str(err.value) == (
+            "supporting solution fails: dual-feasibility, value-equality-dual, uniform-bound"
+        )
+
+    def test_supporting_value_below_the_uniform_weight_fails(self, e3):
+        # the uniform weight pairs to |T| / |V| = 2 with every member
+        solution = solve_supporting(e3)
+        assert "uniform-bound" in [c.clause for c in certify(solution, e3).checks]
+        low = dataclasses.replace(solution, alpha=Fraction(3, 2))
+        assert "uniform-bound" in [c.clause for c in certify(low, e3).failures()]
 
 
 class TestSolverProperties:

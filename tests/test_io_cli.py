@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+import histrel.verify
 from histrel import (
     Alphabet,
     AlphabetMismatch,
     CertificationFailure,
     EmptySet,
+    HistogramSet,
     LengthMismatch,
     ParseError,
     UnknownSymbol,
+    Weight,
     ingest_samples,
     load_histogram_set,
     load_profile,
@@ -23,6 +26,7 @@ from histrel import (
     solve_profile,
 )
 from histrel.cli import EXIT_CODES, main
+from histrel.core import Field
 from histrel.io import dumps_histogram_set, dumps_profile, dumps_score_report
 from histrel.verify import random_histogram_set
 from conftest import make_set
@@ -118,6 +122,26 @@ class TestProfiles:
         path.write_text(json.dumps(data))
         with pytest.raises(CertificationFailure):
             load_profile(str(path))
+
+    @pytest.mark.parametrize("name", ["e3", "e4"])
+    def test_solve_and_load_pair_once_per_problem(self, tmp_path, monkeypatch, request, name):
+        histograms = request.getfixturevalue(name)
+        calls = []
+        pairings = Field.pairings
+
+        def counted(field, values, rows):
+            calls.append(values)
+            return pairings(field, values, rows)
+
+        monkeypatch.setattr(Field, "pairings", counted)
+        path = tmp_path / "p.json"
+        profile = solve_profile(histograms)
+        # per problem: the weight with every member, the dual with every symbol
+        assert len(calls) == 4
+        save_profile(profile, str(path))
+        calls.clear()
+        load_profile(str(path))
+        assert len(calls) == 4
 
     def test_float_profile_round_trips(self, tmp_path, e4):
         profile = solve_profile(e4, "float")
@@ -223,7 +247,7 @@ class TestCli:
         assert json.loads(out.read_text())["mode"] == "float"
 
     def test_verify_subcommand_smoke(self, capsys):
-        assert self.run("verify", "--trials", "3", "--seed", "5", "--no-binary-sweep") == 0
+        assert self.run("verify", "--trials", "3", "--seed", "5") == 0
         out = capsys.readouterr().out
         assert "verification: PASS" in out
 
@@ -239,7 +263,7 @@ class TestCli:
         ],
     )
     def test_verify_bounds_are_checked(self, flag, value, code):
-        status = self.run("verify", "--trials", "1", "--no-binary-sweep", flag, value)
+        status = self.run("verify", "--trials", "1", flag, value)
         assert status == EXIT_CODES[code]
 
     def test_tolerance_flag_is_gone(self, tmp_path, e1):
@@ -260,6 +284,42 @@ class TestCli:
         path.write_text('{"alphabet": ["a", 1], "sample_length": 2, "histograms": [[1, 1]]}')
         assert self.run("solve", str(path)) == EXIT_CODES["parse"]
         assert "'alphabet' entry 1" in capsys.readouterr().err
+
+    def test_verify_counts_an_uncertified_solution_as_a_failure(self, monkeypatch, capsys):
+        solve = histrel.verify.oracle_solve
+
+        def uniform_weight(histograms, problem):
+            alpha, _, dual = solve(histograms, problem)
+            return alpha, Weight.uniform(histograms.alphabet), dual
+
+        monkeypatch.setattr(histrel.verify, "oracle_solve", uniform_weight)
+        assert self.run("verify", "--trials", "1") == EXIT_CODES["verification-failed"]
+        captured = capsys.readouterr()
+        assert "FAIL certified-solutions" in captured.out
+        assert "E1: supporting solution fails" in captured.out
+        assert "verification: FAIL" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "label",
+        ["", " a", "a ", "a\n", "a\rb", "a\u2028b", "a,b"],
+        ids=["empty", "leading", "trailing", "newline", "return", "line-separator", "comma"],
+    )
+    def test_labels_no_sample_csv_can_carry_are_a_parse_error(self, tmp_path, capsys, label):
+        path = tmp_path / "hs.json"
+        data = {"alphabet": [label, "c"], "sample_length": 2, "histograms": [[1, 1]]}
+        path.write_text(json.dumps(data))
+        assert self.run("solve", str(path)) == EXIT_CODES["parse"]
+        assert f"'alphabet' entry {label!r}" in capsys.readouterr().err
+
+    def test_profile_with_an_empty_label_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        histograms = HistogramSet.from_counts(Alphabet(("", "b")), [(1, 1)])
+        save_profile(solve_profile(histograms), str(path))
+        samples = tmp_path / "s.csv"
+        samples.write_text("b,b\n")
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
+        assert "'alphabet' entry ''" in capsys.readouterr().err
 
     def test_verify_on_a_single_instance(self, tmp_path, capsys, e4):
         hs_path = tmp_path / "hs.json"
