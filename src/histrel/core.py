@@ -4,7 +4,8 @@ Everything here is immutable and pure. Rational mode keeps exact
 ``fractions.Fraction`` values; float mode keeps IEEE doubles and tolerates
 ``FLOAT_EPS`` of slack in every normalization and comparison check. The
 internal ``Field`` carries that one decision: rational mode is the float rule
-with a tolerance of exactly zero.
+with a tolerance of exactly zero. The internal ``_solve_integer`` is the one
+exact linear solve, shared by the simplex and the oracle.
 """
 
 from __future__ import annotations
@@ -123,6 +124,43 @@ def _on_simplex(values, field: Field, what: str) -> tuple:
     if not field.close(sum(values), field.one):
         raise ValidationError(f"{what} components sum to {sum(values)}, expected 1")
     return values
+
+
+def _solve_integer(matrix, rhs) -> tuple[int, list[int]] | None:
+    """Solve ``matrix . x == rhs`` for a square integer system without fractions.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every intermediate
+    entry is a minor of the augmented matrix, so each division by the
+    previous pivot is exact. Returns ``(det, numerators)`` with ``det`` the
+    positive ``|det(matrix)|`` and ``x[i] == numerators[i] / det``, or None
+    when the matrix is singular.
+    """
+    size = len(matrix)
+    aug = [[*row, value] for row, value in zip(matrix, rhs)]
+    previous = 1
+    for k in range(size):
+        pivot_row = next((r for r in range(k, size) if aug[r][k]), None)
+        if pivot_row is None:
+            return None
+        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        pivot_tail = aug[k][k:]
+        pivot = pivot_tail[0]
+        # columns left of k are settled: zero off the diagonal, never read again
+        for r in range(size):
+            if r == k:
+                continue
+            row = aug[r]
+            factor = row[k]
+            if factor:
+                tail = zip(row[k:], pivot_tail)
+                row[k:] = [(pivot * v - factor * w) // previous for v, w in tail]
+            elif pivot != previous:
+                row[k:] = [pivot * v // previous for v in row[k:]]
+        previous = pivot
+    numerators = [row[size] for row in aug]
+    if previous < 0:
+        return -previous, [-v for v in numerators]
+    return previous, numerators
 
 
 @dataclass(frozen=True)

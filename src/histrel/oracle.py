@@ -1,8 +1,8 @@
 """Brute-force certification solvers for desk-scale instances.
 
-These exist to check the main solvers, not to be fast: everything runs over
-exact fractions, instances are hard-capped, and the algorithms share nothing
-with the pivoting code they certify.
+These exist to check the main solvers, not to be fast: everything is exact,
+instances are hard-capped, and the algorithms share the integer linear solve
+with the main path but never its pivoting.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .core import (
     HistogramSet,
     ProblemMode,
     Weight,
+    _solve_integer,
     require_problem_mode,
 )
 from .errors import CapExceeded, NumericalFailure, ValidationError
@@ -27,24 +28,6 @@ ORACLE_MAX_MEMBERS = 8
 GRID_MAX_SYMBOLS = 4
 
 
-def _solve_exact_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over fractions; None when singular."""
-    size = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
 def _equalize(vectors: Sequence[Sequence[int]]) -> tuple[list[Fraction], Fraction] | None:
     """Distribution over positions making every vector's weighted sum equal.
 
@@ -53,17 +36,15 @@ def _equalize(vectors: Sequence[Sequence[int]]) -> tuple[list[Fraction], Fractio
     is singular. Nonnegativity is NOT checked here.
     """
     r = len(vectors[0])
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for vec in vectors:
-        matrix.append([Fraction(v) for v in vec] + [Fraction(-1)])
-        rhs.append(Fraction(0))
-    matrix.append([Fraction(1)] * r + [Fraction(0)])
-    rhs.append(Fraction(1))
-    solved = _solve_exact_system(matrix, rhs)
+    matrix = [[*vec, -1] for vec in vectors]
+    matrix.append([1] * r + [0])
+    rhs = [0] * len(vectors) + [1]
+    solved = _solve_integer(matrix, rhs)
     if solved is None:
         return None
-    return solved[:r], solved[r]
+    det, numerators = solved
+    values = [Fraction(v, det) for v in numerators]
+    return values[:r], values[r]
 
 
 def oracle_solve(

@@ -1,32 +1,43 @@
 """Dense simplex for small equality-form programs.
 
 Programs are stated as: maximize ``objective . z`` subject to
-``rows . z == rhs`` with ``z >= 0``. Rational mode pivots over exact
-fractions with Bland's smallest-index rule, which terminates without any
-tolerance machinery and is bit-for-bit deterministic. Float mode runs the
-same rule with the fixed absolute tolerance ``FLOAT_EPS``. Bland's rule
-terminates only in exact arithmetic, so float mode also caps the pivots at
-``DEFAULT_FLOAT_ITERATION_CAP`` and raises ``IterationCapExceeded`` when a
-solve stalls. The tolerance is absolute on raw counts, so very large sample
-lengths can still defeat it.
+``rows . z == rhs`` with ``z >= 0``. Both modes pivot with Bland's
+smallest-index rule from a feasible basis the caller supplies; there is no
+phase one. The tableau carries the objective as its last row, with
+right-hand side 0, and reduces it with the constraint rows, so at the
+optimum that row holds the reduced costs and its right-hand side is minus
+the objective value.
 
-Programs may hold plain integers: ``simplex_optimize`` is the one place
-that converts their entries into the arithmetic of the solve. The tableau
-carries the objective as its last row, with right-hand side 0, and reduces
-it with the constraint rows, so at the optimum that row holds the reduced
-costs and its right-hand side is minus the objective value. Every solve
-starts from a feasible basis the caller supplies; there is no phase one.
-Row duals are recovered from the optimal basis by solving ``B^T y = c_B``
-against the original columns, so complementary-slackness checks downstream
-never have to re-derive tableau state.
+Float mode pivots in doubles with the fixed absolute tolerance
+``FLOAT_EPS``: entries within it count as zero, and in the ratio test
+ratios within it count as tied, so the smaller basis index leaves as it
+would in exact arithmetic. Bland's rule terminates only in exact
+arithmetic, so float mode caps the pivots at ``DEFAULT_FLOAT_ITERATION_CAP``
+and raises ``IterationCapExceeded`` when a solve stalls. The tolerance is
+absolute on raw counts, so very large sample lengths can still defeat it.
+Row duals solve ``B^T y = c_B`` against the original columns.
+
+Rational mode takes integer programs only and is exact. Float pivoting
+guides it to a basis, which is then checked in integers: ``B x_B = b`` and
+``B^T y = c_B`` are solved by fraction-free elimination over the common
+denominator ``|det B|``, and the basis is accepted when ``x_B >= 0`` and
+every reduced cost ``c_j det - y . A_j`` is at most zero; ``Fraction``
+values are built only for the result. A guided basis that is feasible but
+not optimal is repaired by exact Bland pivots from it. When the guide fails
+(a singular, infeasible or unbounded report, the pivot cap, or a basis that
+is not exactly feasible), exact Bland pivoting runs from the caller's basis,
+so every error a rational solve raises is the exact one. Either way the
+result is bit-for-bit deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .core import RATIONAL, ArithmeticMode, Field
+from .core import FLOAT, RATIONAL, ArithmeticMode, Field, _solve_integer
 from .errors import IterationCapExceeded, ValidationError
 
 DEFAULT_FLOAT_ITERATION_CAP = 10_000
@@ -57,9 +68,13 @@ class StandardFormLP:
 class SimplexResult:
     """An optimal basic solution together with its basis certificates.
 
-    ``objective_value`` and ``reduced_costs`` are read off the objective row
-    of the final tableau; ``row_duals`` solve ``B^T y = c_B``, so
-    ``reduced_costs == objective - y . rows`` column by column.
+    ``row_duals`` solve ``B^T y = c_B`` and ``reduced_costs ==
+    objective - y . rows`` column by column. Float mode reads
+    ``objective_value`` and ``reduced_costs`` off the objective row of the
+    final tableau; rational mode computes every field exactly from the final
+    basis. ``iterations`` counts the pivots: in rational mode, those of the
+    float guide plus any exact repair pivots, or only the exact pivots when
+    the guide failed and exact pivoting ran from the caller's basis.
     """
 
     objective_value: object
@@ -79,8 +94,9 @@ def simplex_optimize(
     """Solve a standard-form program to a basic optimal solution.
 
     ``basis`` must name a feasible starting basis, one column per row; there
-    is no phase one. The program must be bounded. Identical inputs always
-    produce the identical result.
+    is no phase one. The program must be bounded, and in rational mode every
+    objective, row and right-hand-side entry must be an ``int``. Identical
+    inputs always produce the identical result.
     """
     field = Field.for_mode(arithmetic)
     m = len(lp.rows)
@@ -89,6 +105,27 @@ def simplex_optimize(
         raise ValidationError("starting basis must name one distinct column per row")
     if any(j < 0 or j >= len(lp.objective) for j in basis_list):
         raise ValidationError("starting basis names a column outside the program")
+    if field.exact:
+        return _solve_rational(lp, basis_list)
+    A, b, iterations = _optimal_tableau(lp, basis_list, field)
+    solution = [field.zero] * len(lp.objective)
+    for r, var in enumerate(basis_list):
+        solution[var] = b[r]
+    return SimplexResult(
+        objective_value=0 - b[m],  # not -b[m]: a zero value stays +0.0
+        solution=tuple(solution),
+        basis=tuple(basis_list),
+        row_duals=_float_row_duals(lp, basis_list),
+        reduced_costs=tuple(A[m]),
+        iterations=iterations,
+    )
+
+
+def _optimal_tableau(lp, basis_list, field):
+    """Pivot in ``field`` from the feasible ``basis_list`` to an optimal
+    basis, which ``basis_list`` then holds; returns the final tableau and the
+    pivot count."""
+    m = len(basis_list)
     # the objective is the last row; reduced with the others it holds the
     # reduced costs, and its right-hand side minus the objective value
     A = [[field.of(v) for v in row] for row in (*lp.rows, lp.objective)]
@@ -99,16 +136,59 @@ def simplex_optimize(
         raise ValidationError("starting basis is infeasible")
     # exact Bland pivoting cannot stall; float pivoting can, and the cap detects it
     cap = None if field.exact else DEFAULT_FLOAT_ITERATION_CAP
-    iterations = _pivot_to_optimum(A, b, basis_list, eps, cap)
-    solution = [field.zero] * len(lp.objective)
-    for r, var in enumerate(basis_list):
-        solution[var] = b[r]
+    return A, b, _pivot_to_optimum(A, b, basis_list, eps, cap)
+
+
+def _solve_rational(lp, basis_list) -> SimplexResult:
+    """Exact optimum of an integer program, guided by float pivoting."""
+    entries = (*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row))
+    bad = next((v for v in entries if type(v) is not int), None)  # exact type: bool is an int
+    if bad is not None:
+        raise ValidationError(f"rational programs take integer entries, got {bad!r}")
+    guided = list(basis_list)
+    try:
+        pivots = _optimal_tableau(lp, guided, Field.for_mode(FLOAT))[2]
+    except (ValidationError, IterationCapExceeded, OverflowError):
+        solved = None
+    else:
+        solved = _solve_basis(lp, guided)
+    if solved is None:
+        # the guide failed: pivot exactly from the caller's basis, whose errors are authoritative
+        guided, pivots = basis_list, 0
+    elif max(solved[-1]) <= 0:  # no reduced cost is positive: the guided basis is optimal
+        return _exact_result(lp, guided, solved, pivots)
+    pivots += _optimal_tableau(lp, guided, Field.for_mode(RATIONAL))[2]
+    return _exact_result(lp, guided, _solve_basis(lp, guided), pivots)
+
+
+def _solve_basis(lp, basis_list):
+    """Integer certificate of one basis: ``(det, x_B, y, reduced)``, each a
+    numerator over ``det = |det B|``, or None when ``B`` is singular or
+    ``x_B`` has a negative entry."""
+    columns = tuple(zip(*lp.rows))
+    basic = [columns[var] for var in basis_list]
+    primal = _solve_integer(tuple(zip(*basic)), lp.rhs)
+    if primal is None or min(primal[1]) < 0:
+        return None
+    det, x = primal
+    # B^T has the same |det|, so both solves share the denominator
+    y = _solve_integer(basic, [lp.objective[var] for var in basis_list])[1]
+    reduced = [c * det - sum(map(mul, y, col)) for c, col in zip(lp.objective, columns)]
+    return det, x, y, reduced
+
+
+def _exact_result(lp, basis_list, solved, iterations) -> SimplexResult:
+    det, x, y, reduced = solved
+    solution = [Fraction(0)] * len(lp.objective)
+    for var, v in zip(basis_list, x):
+        solution[var] = Fraction(v, det)
+    value = sum(lp.objective[var] * v for var, v in zip(basis_list, x))
     return SimplexResult(
-        objective_value=0 - b[m],  # not -b[m]: a zero value stays +0.0 in float mode
+        objective_value=Fraction(value, det),
         solution=tuple(solution),
         basis=tuple(basis_list),
-        row_duals=_row_duals(lp, basis_list, field),
-        reduced_costs=tuple(A[m]),
+        row_duals=tuple(Fraction(v, det) for v in y),
+        reduced_costs=tuple(Fraction(v, det) for v in reduced),
         iterations=iterations,
     )
 
@@ -153,7 +233,7 @@ def _apply_pivot(A, b, prow, pcol):
 
 def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
     """Bland's rule: smallest improving column enters, smallest basis index
-    leaves among the minimum-ratio rows."""
+    leaves among the minimum-ratio rows; ratios within ``eps`` are ties."""
     m = len(basis_list)
     iterations = 0
     while True:
@@ -171,8 +251,8 @@ def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
                 ratio = b[r] / coeff
                 if (
                     best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis_list[r] < basis_list[leave_row])
+                    or ratio < best_ratio - eps
+                    or (ratio <= best_ratio + eps and basis_list[r] < basis_list[leave_row])
                 ):
                     leave_row, best_ratio = r, ratio
         if leave_row is None:
@@ -184,10 +264,10 @@ def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
         basis_list[leave_row] = enter
 
 
-def _row_duals(lp, basis_list, field) -> tuple:
-    """Solve ``B^T y = c_B`` over the original columns."""
-    system = [[field.of(row[var]) for row in lp.rows] for var in basis_list]
-    rhs = [field.of(lp.objective[var]) for var in basis_list]
+def _float_row_duals(lp, basis_list) -> tuple:
+    """Solve ``B^T y = c_B`` over the original columns in float."""
+    system = [[float(row[var]) for row in lp.rows] for var in basis_list]
+    rhs = [float(lp.objective[var]) for var in basis_list]
     return tuple(_solve_square(system, rhs))
 
 

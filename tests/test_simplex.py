@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import histrel.game
 from histrel import (
     IterationCapExceeded,
     StandardFormLP,
@@ -12,11 +13,72 @@ from histrel import (
     covering_lp,
     distinct_rows,
     simplex_optimize,
+    solve_covering,
+    solve_supporting,
     supporting_lp,
 )
+from histrel.core import _solve_integer
+from histrel.simplex import _canonicalize, _pivot_to_optimum
 from histrel.verify import random_histogram_set
 
 E1_ROWS = ((7, 3), (6, 4))
+
+
+def _game_programs(seed: int, count: int):
+    """Programs of both builders, on the member rows and on the transpose."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        hs = random_histogram_set(rng, max_symbols=6, max_members=8, max_length=30)
+        counts = distinct_rows(hs.count_rows())[0]
+        for rows in (counts, tuple(zip(*counts))):
+            for build in (supporting_lp, covering_lp):
+                yield build(rows)
+
+
+def _fraction_solve(matrix, rhs):
+    """Gaussian elimination over fractions; None when singular."""
+    size = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [row[size] for row in aug]
+
+
+def _exact_bland(lp, basis):
+    """Reference: Bland pivoting over fractions from the caller's basis."""
+    basis_list = list(basis)
+    m = len(basis_list)
+    A = [[Fraction(v) for v in row] for row in (*lp.rows, lp.objective)]
+    b = [Fraction(v) for v in lp.rhs] + [Fraction(0)]
+    _canonicalize(A, b, basis_list, 0)
+    iterations = _pivot_to_optimum(A, b, basis_list, 0, None)
+    solution = [Fraction(0)] * len(lp.objective)
+    for r, var in enumerate(basis_list):
+        solution[var] = b[r]
+    duals = _fraction_solve(
+        [[row[var] for row in lp.rows] for var in basis_list],
+        [lp.objective[var] for var in basis_list],
+    )
+    return (tuple(solution), tuple(duals), tuple(A[m]), -b[m], set(basis_list), iterations)
+
+
+def _compared(result):
+    return (
+        result.solution,
+        result.row_duals,
+        result.reduced_costs,
+        result.objective_value,
+        set(result.basis),
+        result.iterations,
+    )
 
 
 def test_supporting_program_for_e1():
@@ -58,24 +120,138 @@ def test_row_duals_solve_the_transposed_system():
 
 
 def test_objective_row_agrees_with_the_basis_solve():
-    # game programs of both builders, on the member rows and on the transpose
-    rng = random.Random(6)
-    for _ in range(60):
-        hs = random_histogram_set(rng, max_symbols=6, max_members=8, max_length=30)
-        counts = distinct_rows(hs.count_rows())[0]
-        for rows in (counts, tuple(zip(*counts))):
-            for build in (supporting_lp, covering_lp):
-                lp, basis = build(rows)
-                entries = [*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row)]
-                assert all(type(v) is int for v in entries)
-                result = simplex_optimize(lp, basis=basis)
-                z = result.solution
-                for j, cost in enumerate(lp.objective):
-                    priced = sum(y * row[j] for y, row in zip(result.row_duals, lp.rows))
-                    assert result.reduced_costs[j] == cost - priced
-                assert result.objective_value == sum(c * v for c, v in zip(lp.objective, z))
-                for row, b in zip(lp.rows, lp.rhs):
-                    assert sum(a * v for a, v in zip(row, z)) == b
+    for lp, basis in _game_programs(6, 60):
+        entries = [*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row)]
+        assert all(type(v) is int for v in entries)
+        for mode, tol in (("rational", 0), ("float", 1e-9)):
+            result = simplex_optimize(lp, mode, basis=basis)
+            z = result.solution
+            for j, cost in enumerate(lp.objective):
+                priced = sum(y * row[j] for y, row in zip(result.row_duals, lp.rows))
+                assert abs(result.reduced_costs[j] - (cost - priced)) <= tol
+            assert abs(result.objective_value - sum(c * v for c, v in zip(lp.objective, z))) <= tol
+            for row, b in zip(lp.rows, lp.rhs):
+                assert abs(sum(a * v for a, v in zip(row, z)) - b) <= tol
+
+
+def test_guided_rational_solve_equals_exact_bland():
+    for lp, basis in _game_programs(6, 60):
+        result = simplex_optimize(lp, basis=basis)
+        assert _compared(result) == _exact_bland(lp, basis)
+        exact = (result.objective_value, *result.solution, *result.row_duals, *result.reduced_costs)
+        assert all(type(v) is Fraction for v in exact)
+
+
+def test_rational_falls_back_to_exact_pivoting_when_the_guide_stalls(monkeypatch):
+    monkeypatch.setattr("histrel.simplex.DEFAULT_FLOAT_ITERATION_CAP", 0)
+    programs = list(_game_programs(7, 20))
+    expected = [_exact_bland(lp, basis) for lp, basis in programs]
+    assert sum(e[-1] > 0 for e in expected) > len(programs) // 2  # most need a pivot
+    for (lp, basis), reference in zip(programs, expected):
+        assert _compared(simplex_optimize(lp, basis=basis)) == reference
+
+
+@pytest.mark.parametrize("guide_pivots", [0, 1])
+def test_exact_repair_continues_from_a_non_optimal_guided_basis(monkeypatch, guide_pivots):
+    real = _pivot_to_optimum
+    repairs = []
+
+    def guide_stops_early(A, b, basis_list, eps, cap):
+        if not eps:
+            repairs.append(basis_list[:])
+            return real(A, b, basis_list, eps, cap)
+        try:  # the float guide: at most guide_pivots Bland pivots
+            return real(A, b, basis_list, eps, guide_pivots)
+        except IterationCapExceeded:
+            return guide_pivots
+
+    monkeypatch.setattr("histrel.simplex._pivot_to_optimum", guide_stops_early)
+    for lp, basis in _game_programs(8, 20):
+        reference = _exact_bland(lp, basis)
+        repairs.clear()
+        # iterations count the guide's pivots plus the repair's
+        assert _compared(simplex_optimize(lp, basis=basis)) == reference
+        assert len(repairs) == (reference[-1] > guide_pivots)
+        if guide_pivots == 0:
+            assert all(set(start) == set(basis) for start in repairs)
+
+
+def test_exact_answers_where_the_float_guide_misjudges_the_basis():
+    # x == -1e-10 passes float feasibility within FLOAT_EPS but is infeasible
+    lp = StandardFormLP(objective=(0, 0), rows=((10**10, -1),), rhs=(-1,))
+    assert simplex_optimize(lp, "float", basis=(0,)).solution[0] < 0
+    with pytest.raises(ValidationError, match="infeasible"):
+        simplex_optimize(lp, basis=(0,))
+    # float pivoting sees a pivot of 1e-10 and calls the basis singular; det B == -1
+    lp = StandardFormLP(objective=(0, 0), rows=((10**10, 1), (1, 0)), rhs=(1, 0))
+    with pytest.raises(ValidationError, match="singular"):
+        simplex_optimize(lp, "float", basis=(0, 1))
+    assert simplex_optimize(lp, basis=(0, 1)).solution == (0, 1)
+    # an entry beyond the float range stops the guide before its first pivot
+    lp = StandardFormLP(objective=(1, 0), rows=((10**400, 1),), rhs=(10**400,))
+    assert simplex_optimize(lp, basis=(0,)).objective_value == 1
+
+
+def test_integer_solver_matches_fraction_elimination():
+    rng = random.Random(12)
+    singular = 0
+    for _ in range(300):
+        size = rng.randint(1, 7)
+        entries = (0, 0, 1, -1, rng.randint(-40, 40))
+        matrix = [[rng.choice(entries) for _ in range(size)] for _ in range(size)]
+        rhs = [rng.randint(-20, 20) for _ in range(size)]
+        expected = _fraction_solve(matrix, rhs)
+        solved = _solve_integer(matrix, rhs)
+        if expected is None:
+            singular += 1
+            assert solved is None
+            continue
+        det, numerators = solved
+        assert det > 0 and all(type(v) is int for v in numerators)
+        assert [Fraction(v, det) for v in numerators] == expected
+        # the same |det B| for the transpose, so primal and dual solves share it
+        assert _solve_integer([list(col) for col in zip(*matrix)], rhs)[0] == det
+    assert singular > 10
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]], [[0, 3], [0, 5]]],
+)
+def test_integer_solver_reports_a_singular_matrix(matrix):
+    assert _solve_integer(matrix, [1] * len(matrix)) is None
+
+
+def test_float_and_rational_end_at_the_same_basis(monkeypatch):
+    # every game program of the random sets, with float ratio ties broken as exact ones
+    programs = []
+
+    def record(lp, arithmetic, *, basis):
+        programs.append((lp, basis))
+        return simplex_optimize(lp, arithmetic, basis=basis)
+
+    monkeypatch.setattr(histrel.game, "simplex_optimize", record)
+    for seed in range(300):
+        hs = random_histogram_set(random.Random(seed), 6, 8, 30)
+        solve_supporting(hs)
+        solve_covering(hs)
+    assert len(programs) > 500
+    for lp, basis in programs:
+        exact = simplex_optimize(lp, basis=basis)
+        approx = simplex_optimize(lp, "float", basis=basis)
+        assert set(exact.basis) == set(approx.basis)
+
+
+@pytest.mark.parametrize("where", ["objective", "rows", "rhs"])
+@pytest.mark.parametrize("entry", [Fraction(1), 1.0, True])
+def test_rational_programs_take_integer_entries(where, entry):
+    parts = {"objective": (1, 0), "rows": ((1, 1),), "rhs": (1,)}
+    parts[where] = {"objective": (entry, 0), "rows": ((entry, 1),), "rhs": (entry,)}[where]
+    lp = StandardFormLP(**parts)
+    with pytest.raises(ValidationError, match="integer entries"):
+        simplex_optimize(lp, basis=(0,))
+    # float mode converts any real entry
+    assert simplex_optimize(lp, "float", basis=(0,)).objective_value == 1.0
 
 
 def test_float_mode_matches_rational_mode():
