@@ -149,6 +149,7 @@ def solve_binary(
     """
     field = Field.for_mode(arithmetic)
     _require_binary(histograms)
+    field.require_counts_fit(histograms.sample_length)
     case = classify_binary(histograms)
     alphabet = histograms.alphabet
     rows = histograms.count_rows()

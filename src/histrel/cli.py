@@ -9,6 +9,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -86,14 +87,17 @@ def _parse_alphabet(spec: str | None) -> Alphabet | None:
     return Alphabet(tuple(labels))
 
 
-def _emit(text: str, output: str | None, writer) -> None:
+def _emit(artifact, output: str | None, dumps, save) -> None:
+    """Write ``dumps(artifact)`` to stdout, or ``save`` it to the output path."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(artifact))
     else:
-        writer(output)
+        save(artifact, output)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="histrel",
         description="Supporting/covering weights for histogram sets and relevance scoring.",
@@ -112,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve both problems and emit a weight profile")
     solve.add_argument("input", help="histogram-set JSON (or CSV samples)")
     solve.add_argument("-o", "--output", help="output path (default: stdout)")
-    solve.add_argument("--mode", choices=(RATIONAL, FLOAT), default=_default_mode())
+    # no default: main reads HISTREL_MODE on every call
+    solve.add_argument("--mode", choices=(RATIONAL, FLOAT))
     solve.add_argument("--alphabet", help="alphabet override for CSV input")
     solve.set_defaults(func=cmd_solve)
 
@@ -136,18 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ingest(args) -> int:
     histograms = ingest_samples(args.samples, _parse_alphabet(args.alphabet))
-    _emit(
-        dumps_histogram_set(histograms),
-        args.output,
-        lambda path: save_histogram_set(histograms, path),
-    )
+    _emit(histograms, args.output, dumps_histogram_set, save_histogram_set)
     return EXIT_CODES["ok"]
 
 
 def cmd_solve(args) -> int:
     histograms = ingest_samples(args.input, _parse_alphabet(args.alphabet))
     profile = solve_profile(histograms, args.mode)
-    _emit(dumps_profile(profile), args.output, lambda path: save_profile(profile, path))
+    _emit(profile, args.output, dumps_profile, save_profile)
     return EXIT_CODES["ok"]
 
 
@@ -155,7 +156,7 @@ def cmd_score(args) -> int:
     profile = load_profile(args.profile)
     samples = ingest_samples(args.samples, profile.histograms.alphabet)
     report = score_profile(profile, samples)
-    _emit(dumps_score_report(report), args.output, lambda path: save_score_report(report, path))
+    _emit(report, args.output, dumps_score_report, save_score_report)
     return EXIT_CODES["ok"]
 
 
@@ -184,10 +185,12 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # argparse checks choices only on given flags, so an invalid default can
-    # only come from the environment
-    if getattr(args, "mode", RATIONAL) not in (RATIONAL, FLOAT):
-        parser.error(f"invalid HISTREL_MODE {args.mode!r} (choose from {RATIONAL!r}, {FLOAT!r})")
+    if getattr(args, "mode", RATIONAL) is None:
+        args.mode = _default_mode()
+        # argparse checks choices only on given flags
+        if args.mode not in (RATIONAL, FLOAT):
+            choices = f"choose from {RATIONAL!r}, {FLOAT!r}"
+            parser.error(f"invalid HISTREL_MODE {args.mode!r} ({choices})")
     try:
         return args.func(args)
     except HistrelError as exc:

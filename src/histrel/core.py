@@ -11,12 +11,22 @@ exact linear solve, shared by the simplex and the oracle.
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Literal, Sequence, Union
 
-from .errors import AlphabetMismatch, EmptySet, ParseError, UnknownSymbol, ValidationError
+from .errors import (
+    AlphabetMismatch,
+    EmptySet,
+    NumericalFailure,
+    ParseError,
+    UnknownSymbol,
+    ValidationError,
+)
 
 ArithmeticMode = Literal["rational", "float"]
 ProblemMode = Literal["supporting", "covering"]
@@ -80,6 +90,12 @@ class Field:
 
     def positive(self, v) -> bool:
         return v > self.tol
+
+    def require_counts_fit(self, sample_length: int) -> None:
+        """Float mode converts counts to doubles; every count of a set is at
+        most its sample length, so that one bound decides whether they fit."""
+        if not self.exact and sample_length > sys.float_info.max:
+            raise NumericalFailure("counts exceed the float range; use rational mode")
 
     def pairings(self, values, rows) -> list:
         """Pair one vector with every row: ``[pairing(values, row) for row in rows]``.
@@ -191,9 +207,6 @@ class Alphabet:
             return self.symbols.index(label)
         except ValueError:
             raise UnknownSymbol(label) from None
-
-    def position_map(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.symbols)}
 
 
 @dataclass(frozen=True)
@@ -387,11 +400,9 @@ def build_histogram(sample: Sample, alphabet: Alphabet) -> Histogram:
     Raises ``UnknownSymbol`` with the 1-based position of the first entry
     outside the alphabet.
     """
-    positions = alphabet.position_map()
-    counts = [0] * len(alphabet)
-    for pos, label in enumerate(sample.entries, start=1):
-        j = positions.get(label)
-        if j is None:
-            raise UnknownSymbol(label, position=pos)
-        counts[j] += 1
-    return Histogram(alphabet, tuple(counts))
+    tally = Counter(sample.entries)
+    counts = tuple(map(tally.pop, alphabet.symbols, repeat(0)))
+    if tally:  # labels outside the alphabet are left, in order of first occurrence
+        label = next(iter(tally))
+        raise UnknownSymbol(label, position=sample.entries.index(label) + 1)
+    return Histogram(alphabet, counts)

@@ -77,7 +77,8 @@ class CapExceeded(HistrelError):
 
 
 class NumericalFailure(HistrelError):
-    """Float-mode pivoting failed to make progress."""
+    """Float-mode arithmetic failed: pivoting made no progress, or the
+    counts do not fit in a double."""
 
 
 class IterationCapExceeded(NumericalFailure):

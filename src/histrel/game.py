@@ -241,6 +241,7 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
     field = Field.for_mode(arithmetic)
     if not histograms.members:
         raise EmptySet("cannot solve an empty histogram set")
+    field.require_counts_fit(histograms.sample_length)
     alphabet = histograms.alphabet
     if use_reduction and len(alphabet) >= 2:
         restricted, trace = reduce_fixpoint(histograms, problem)

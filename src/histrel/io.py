@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -70,6 +71,61 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+_escape = json.encoder.encode_basestring_ascii  # json.dumps' string writer (ensure_ascii)
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)  # NaN, Infinity
+
+
+# each scalar type's JSON text as json.dumps writes it; for these exact
+# types repr is int.__repr__ and float.__repr__
+_SCALAR_TEXT = {
+    str: _escape,
+    int: repr,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for the trees the ``*_to_json``
+    functions build: dicts with string keys, lists, and JSON scalars.
+
+    ``indent`` turns off json's C encoder, so this writer dispatches on type
+    instead, and a list holding one scalar type is written by one ``join``
+    over ``map``, without Python work per element.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        texts = _item_texts(value.values(), inner)
+        items = [_escape(key) + ": " + text for key, text in zip(value, texts)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(_item_texts(value, inner)) + newline + "]"
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return scalar(value)
+
+
+def _item_texts(values, newline: str):
+    """The JSON texts of a container's items, each written at ``newline``."""
+    kinds = set(map(type, values))
+    scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is not None:
+        return map(scalar, values)
+    text_of = _SCALAR_TEXT.get
+    return [text(v) if (text := text_of(type(v))) else _json_text(v, newline) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +189,7 @@ def histogram_set_from_json(obj: dict) -> HistogramSet:
 
 
 def dumps_histogram_set(histograms: HistogramSet) -> str:
-    return json.dumps(histogram_set_to_json(histograms), indent=2) + "\n"
+    return _json_text(histogram_set_to_json(histograms)) + "\n"
 
 
 def digest_histogram_set(histograms: HistogramSet) -> str:
@@ -178,13 +234,13 @@ def ingest_samples(path: str, alphabet: Alphabet | None = None) -> HistogramSet:
 
 
 def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
-    rows: list[tuple[int, list[str]]] = []
+    rows: list[tuple[int, tuple[str, ...]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        tokens = [tok.strip() for tok in line.split(",")]
-        if any(not tok for tok in tokens):
+        tokens = tuple(map(str.strip, line.split(",")))
+        if "" in tokens:
             raise ParseError(lineno, "empty symbol token")
         rows.append((lineno, tokens))
     if not rows:
@@ -194,11 +250,11 @@ def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
         if len(tokens) != expected:
             raise LengthMismatch(line=lineno, expected=expected, actual=len(tokens))
     if alphabet is None:
-        alphabet = Alphabet(tuple(sorted({tok for _, tokens in rows for tok in tokens})))
+        alphabet = Alphabet(tuple(sorted(set().union(*(tokens for _, tokens in rows)))))
     members = []
     for lineno, tokens in rows:
         try:
-            members.append(build_histogram(Sample(tuple(tokens)), alphabet))
+            members.append(build_histogram(Sample(tokens), alphabet))
         except UnknownSymbol as exc:
             raise UnknownSymbol(exc.label, position=exc.position, line=lineno) from None
     return HistogramSet(alphabet, expected, tuple(members))
@@ -320,6 +376,7 @@ def profile_from_json(obj: dict) -> WeightProfile:
     _require_keys(obj, _HISTOGRAM_KEYS + ("mode", "supporting", "covering"), "profile")
     field = Field.for_mode(obj["mode"])
     histograms = histogram_set_from_json(obj)
+    field.require_counts_fit(histograms.sample_length)
     provenance = _require_type(obj.get("provenance", {}), dict, "'provenance'")
     return WeightProfile(
         histograms=histograms,
@@ -333,7 +390,7 @@ def profile_from_json(obj: dict) -> WeightProfile:
 
 
 def dumps_profile(profile: WeightProfile) -> str:
-    return json.dumps(profile_to_json(profile), indent=2) + "\n"
+    return _json_text(profile_to_json(profile)) + "\n"
 
 
 def save_profile(profile: WeightProfile, path: str) -> None:
@@ -451,7 +508,7 @@ def score_report_to_json(report: ScoreReport) -> dict:
 
 
 def dumps_score_report(report: ScoreReport) -> str:
-    return json.dumps(score_report_to_json(report), indent=2) + "\n"
+    return _json_text(score_report_to_json(report)) + "\n"
 
 
 def save_score_report(report: ScoreReport, path: str) -> None:

@@ -69,6 +69,23 @@ class TestBuildHistogram:
         hist = build_histogram(Sample(tuple(entries)), ABC)
         assert hist.total == len(entries)
 
+    def test_matches_a_per_entry_count(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            entries = rng.choices("abcxy", weights=(30, 20, 10, 1, 1), k=rng.randint(1, 60))
+            counts, stray = [0, 0, 0], None
+            for pos, label in enumerate(entries, start=1):
+                if label not in ABC:
+                    stray = (label, pos)
+                    break
+                counts[ABC.index(label)] += 1
+            if stray is None:
+                assert build_histogram(Sample(entries), ABC).counts == tuple(counts)
+            else:
+                with pytest.raises(UnknownSymbol) as err:
+                    build_histogram(Sample(entries), ABC)
+                assert (err.value.label, err.value.position) == stray
+
 
 class TestHistogramSet:
     def test_empty_members_rejected(self):

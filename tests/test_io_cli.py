@@ -27,12 +27,21 @@ from histrel import (
 )
 from histrel.cli import EXIT_CODES, main
 from histrel.core import Field
-from histrel.io import dumps_histogram_set, dumps_profile, dumps_score_report
+from histrel.io import (
+    _json_text,
+    dumps_histogram_set,
+    dumps_profile,
+    dumps_score_report,
+    histogram_set_to_json,
+    profile_to_json,
+    score_report_to_json,
+)
 from histrel.verify import random_histogram_set
 from conftest import make_set
 
 E1_CSV = "a,a,a,a,a,a,a,b,b,b\na,a,a,a,a,a,b,b,b,b\n"
 E4_CSV = "a,a,a,a,b,c\na,a,a,b,b,c\n"
+BIG = 10**400  # beyond the float range
 
 
 class TestIngest:
@@ -41,6 +50,13 @@ class TestIngest:
         path.write_text("a,a,b\na,b,b\n")
         hs = ingest_samples(str(path))
         assert hs.sample_length == 3
+        assert hs.count_rows() == ((2, 1), (1, 2))
+
+    def test_padded_tokens_count_as_their_labels(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(" a, a ,b\n\ta,b\t, b \n")
+        hs = ingest_samples(str(path))
+        assert hs.alphabet.symbols == ("a", "b")
         assert hs.count_rows() == ((2, 1), (1, 2))
 
     def test_length_mismatch_reports_the_line(self, tmp_path):
@@ -74,6 +90,21 @@ class TestIngest:
             ingest_samples(str(path), Alphabet(("a", "b")))
         assert err.value.line == 1 and err.value.position == 2
 
+    @pytest.mark.parametrize(
+        "text, label, line, position",
+        [
+            ("a,b,a,b\na,y,x,y\n", "y", 2, 2),  # the first stray repeats
+            ("b,a,b,a\nz,x,a,z\n", "z", 2, 1),  # strays before known labels
+        ],
+        ids=["repeated", "leading"],
+    )
+    def test_first_of_several_strays_is_reported(self, tmp_path, text, label, line, position):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(UnknownSymbol) as err:
+            ingest_samples(str(path), Alphabet(("a", "b")))
+        assert (err.value.label, err.value.line, err.value.position) == (label, line, position)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("\n\n")
@@ -90,6 +121,47 @@ class TestIngest:
         path = tmp_path / "s.csv"
         path.write_bytes(b"a,b\r\nb,a\r\n")
         assert ingest_samples(str(path)).count_rows() == ((1, 1), (1, 1))
+
+
+def artifact_trees(histograms, mode) -> list:
+    """The JSON trees of a set, its profile, and the report scoring its own members."""
+    profile = solve_profile(histograms, mode)
+    report = score_profile(profile, histograms)
+    return [histogram_set_to_json(histograms), profile_to_json(profile), score_report_to_json(report)]
+
+
+class TestWriter:
+    """The artifact writer is ``json.dumps(tree, indent=2)``, byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_fixture_and_random_sets(self, mode, e1, e2, e3, e4):
+        sets = [e1, e2, e3, e4] + [random_histogram_set(random.Random(seed)) for seed in range(300)]
+        for histograms in sets:
+            for tree in artifact_trees(histograms, mode):
+                assert _json_text(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_escaped_labels(self, mode):
+        alphabet = Alphabet(('q"uote', "back\\slash", "in\tner", "é", "字"))
+        histograms = HistogramSet.from_counts(alphabet, [(3, 1, 0, 2, 1), (0, 2, 2, 1, 2)])
+        for tree in artifact_trees(histograms, mode):
+            assert _json_text(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_null_ratios_at_a_zero_covering_value(self, mode):
+        trees = artifact_trees(make_set("ab", [(6, 0)]), mode)
+        assert trees[2]["samples"][0]["irrelevance_ratio"] is None
+        for tree in trees:
+            assert _json_text(tree) == json.dumps(tree, indent=2)
+
+    def test_scalars_and_empty_containers(self):
+        tree = {
+            "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 0.1],
+            "mixed": [True, False, None, 7, -3, "s", 2.5, [], {}, (1, "t")],
+            "empty": {},
+            "nested": [[[]], {"k": [{}]}],
+        }
+        assert _json_text(tree) == json.dumps(tree, indent=2)
 
 
 class TestProfiles:
@@ -242,9 +314,17 @@ class TestCli:
         assert self.run("solve", str(hs_path), "--mode", "float", "-o", str(out)) == 0
         assert json.loads(out.read_text())["mode"] == "float"
 
+        # the parser is built once per process; the variable is read on every call
         monkeypatch.setenv("HISTREL_MODE", "float")
         assert self.run("solve", str(hs_path), "-o", str(out)) == 0
         assert json.loads(out.read_text())["mode"] == "float"
+        monkeypatch.delenv("HISTREL_MODE")
+        assert self.run("solve", str(hs_path), "-o", str(out)) == 0
+        assert json.loads(out.read_text())["mode"] == "rational"
+        monkeypatch.setenv("HISTREL_MODE", "flaot")
+        with pytest.raises(SystemExit) as exc:
+            self.run("solve", str(hs_path), "-o", str(out))
+        assert exc.value.code == EXIT_CODES["usage"]
 
     def test_verify_subcommand_smoke(self, capsys):
         assert self.run("verify", "--trials", "3", "--seed", "5") == 0
@@ -375,6 +455,33 @@ class TestCli:
         samples = tmp_path / "e4.csv"
         samples.write_text(E4_CSV)
         assert self.run("score", str(path), str(samples)) == EXIT_CODES["validation"]
+
+    @pytest.mark.parametrize(
+        "labels, rows",
+        [
+            ("abc", [[BIG, BIG, 1], [BIG + 1, BIG - 1, 1]]),
+            ("abc", [[2 * BIG, 0, 1], [2 * BIG - 1, 1, 1]]),
+            ("ab", [[BIG, BIG + 1], [BIG + 1, BIG]]),
+        ],
+        ids=["lp", "single-survivor", "binary"],
+    )
+    def test_counts_beyond_the_float_range(self, tmp_path, capsys, labels, rows):
+        path = tmp_path / "big.json"
+        hs = {"alphabet": list(labels), "sample_length": sum(rows[0]), "histograms": rows}
+        path.write_text(json.dumps(hs))
+        assert self.run("solve", str(path), "--mode", "float") == EXIT_CODES["numerical-failure"]
+        assert "rational" in capsys.readouterr().err
+        assert self.run("solve", str(path)) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "rational"
+
+    def test_float_profile_with_counts_beyond_the_float_range(self, tmp_path, capsys, e4):
+        data = json.loads(dumps_profile(solve_profile(e4, "float")))
+        data.update(sample_length=6 * BIG, histograms=[[4 * BIG, BIG, BIG], [3 * BIG, 2 * BIG, BIG]])
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        # a profile file is also a histogram file of its own members
+        assert self.run("score", str(path), str(path)) == EXIT_CODES["numerical-failure"]
+        assert "rational" in capsys.readouterr().err
 
     def test_invalid_environment_mode_is_a_usage_error(self, tmp_path, monkeypatch, capsys, e1):
         hs_path = tmp_path / "hs.json"
