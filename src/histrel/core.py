@@ -112,8 +112,13 @@ class Field:
         return [Fraction(sum(map(mul, numerators, row)), denominator) for row in rows]
 
     def encode(self, value):
-        """JSON form: exact ``p/q`` strings, or shortest round-trip floats."""
-        value = self.of(value)
+        """JSON form: exact ``p/q`` strings, or shortest round-trip floats.
+
+        Only values not already of the field's exact type are converted, so
+        ints become floats in float mode and a bool never prints as ``True``.
+        """
+        if type(value) is not self.of:
+            value = self.of(value)
         return str(value) if self.exact else value
 
     def decode(self, value) -> Number:

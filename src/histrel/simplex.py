@@ -1,17 +1,20 @@
 """Dense simplex for small equality-form programs.
 
 Programs are stated as: maximize ``objective . z`` subject to
-``rows . z == rhs`` with ``z >= 0``. Both modes pivot with Bland's
-smallest-index rule from a feasible basis the caller supplies; there is no
-phase one. The tableau carries the objective as its last row, with
-right-hand side 0, and reduces it with the constraint rows, so at the
-optimum that row holds the reduced costs and its right-hand side is minus
-the objective value.
+``rows . z == rhs`` with ``z >= 0``. Both modes pivot from a feasible
+basis the caller supplies; there is no phase one. The column with the
+largest reduced cost enters (Dantzig's rule), and the smallest basis index
+leaves among the minimum-ratio rows. After as many consecutive degenerate
+pivots as there are rows, Bland's smallest-index rule enters columns until
+a pivot moves the objective, so exact pivoting cannot cycle. The tableau
+carries the objective as its last row, with right-hand side 0, and reduces
+it with the constraint rows, so at the optimum that row holds the reduced
+costs and its right-hand side is minus the objective value.
 
 Float mode pivots in doubles with the fixed absolute tolerance
 ``FLOAT_EPS``: entries within it count as zero, and in the ratio test
 ratios within it count as tied, so the smaller basis index leaves as it
-would in exact arithmetic. Bland's rule terminates only in exact
+would in exact arithmetic. The pivot rule is finite only in exact
 arithmetic, so float mode caps the pivots at ``DEFAULT_FLOAT_ITERATION_CAP``
 and raises ``IterationCapExceeded`` when a solve stalls. The tolerance is
 absolute on raw counts, so very large sample lengths can still defeat it.
@@ -23,11 +26,11 @@ guides it to a basis, which is then checked in integers: ``B x_B = b`` and
 denominator ``|det B|``, and the basis is accepted when ``x_B >= 0`` and
 every reduced cost ``c_j det - y . A_j`` is at most zero; ``Fraction``
 values are built only for the result. A guided basis that is feasible but
-not optimal is repaired by exact Bland pivots from it. When the guide fails
-(a singular, infeasible or unbounded report, the pivot cap, or a basis that
-is not exactly feasible), exact Bland pivoting runs from the caller's basis,
-so every error a rational solve raises is the exact one. Either way the
-result is bit-for-bit deterministic.
+not optimal is repaired by exact pivots from it. When the guide fails (a
+singular, infeasible or unbounded report, the pivot cap, or a basis that is
+not exactly feasible), exact pivoting runs from the caller's basis, so
+every error a rational solve raises is the exact one. Either way the result
+is bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -72,9 +75,10 @@ class SimplexResult:
     objective - y . rows`` column by column. Float mode reads
     ``objective_value`` and ``reduced_costs`` off the objective row of the
     final tableau; rational mode computes every field exactly from the final
-    basis. ``iterations`` counts the pivots: in rational mode, those of the
-    float guide plus any exact repair pivots, or only the exact pivots when
-    the guide failed and exact pivoting ran from the caller's basis.
+    basis. ``iterations`` counts the pivots of the largest-coefficient rule
+    with its Bland fallback: in rational mode, those of the float guide plus
+    any exact repair pivots, or only the exact pivots when the guide failed
+    and exact pivoting ran from the caller's basis.
     """
 
     objective_value: object
@@ -134,7 +138,8 @@ def _optimal_tableau(lp, basis_list, field):
     _canonicalize(A, b, basis_list, eps)
     if min(b[:m]) < -eps:
         raise ValidationError("starting basis is infeasible")
-    # exact Bland pivoting cannot stall; float pivoting can, and the cap detects it
+    # exact pivoting cannot stall: the Bland fallback ends every degenerate run;
+    # float pivoting can, and the cap detects it
     cap = None if field.exact else DEFAULT_FLOAT_ITERATION_CAP
     return A, b, _pivot_to_optimum(A, b, basis_list, eps, cap)
 
@@ -232,18 +237,27 @@ def _apply_pivot(A, b, prow, pcol):
 
 
 def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
-    """Bland's rule: smallest improving column enters, smallest basis index
-    leaves among the minimum-ratio rows; ratios within ``eps`` are ties."""
+    """Largest-coefficient pivoting with a Bland fallback; returns the pivots.
+
+    The column with the largest reduced cost enters, and reduced costs within
+    ``eps`` of the largest tie to the smallest column. The smallest basis
+    index leaves among the minimum-ratio rows; ratios within ``eps`` are ties.
+    After ``m`` consecutive degenerate pivots (minimum ratio at most ``eps``),
+    Bland's smallest improving column enters until a pivot moves the
+    objective. Exact pivoting therefore ends: a nondegenerate pivot strictly
+    raises the objective, and a run of Bland pivots cannot cycle.
+    """
     m = len(basis_list)
-    iterations = 0
+    iterations = degenerate = 0
     while True:
-        enter = None
-        for j, v in enumerate(A[m]):
-            if v > eps:
-                enter = j
-                break
-        if enter is None:
+        costs = A[m]
+        top = max(costs)
+        if top <= eps:
             return iterations
+        if degenerate < m:
+            enter = next(j for j, v in enumerate(costs) if v >= top - eps and v > eps)
+        else:
+            enter = next(j for j, v in enumerate(costs) if v > eps)
         leave_row, best_ratio = None, None
         for r in range(m):
             coeff = A[r][enter]
@@ -257,6 +271,7 @@ def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
                     leave_row, best_ratio = r, ratio
         if leave_row is None:
             raise ValidationError("program is unbounded")
+        degenerate = degenerate + 1 if best_ratio <= eps else 0
         iterations += 1
         if cap is not None and iterations > cap:
             raise IterationCapExceeded(f"no optimum after {cap} pivots")

@@ -200,6 +200,22 @@ class TestFieldPairings:
     def test_no_rows_give_no_pairings(self, mode):
         assert Field.for_mode(mode).pairings(Weight.uniform(ABC, mode).values, []) == []
 
+    @pytest.mark.parametrize(
+        "value, rational, floating",
+        [
+            (Fraction(3, 4), "3/4", 0.75),
+            (Fraction(-2), "-2", -2.0),
+            (5, "5", 5.0),
+            (True, "1", 1.0),
+            (False, "0", 0.0),
+            (0.5, "1/2", 0.5),
+        ],
+    )
+    def test_encode_converts_only_foreign_types(self, value, rational, floating):
+        assert self.RATIONAL.encode(value) == rational
+        encoded = self.FLOAT.encode(value)
+        assert type(encoded) is float and encoded == floating
+
     def test_make_solution_rejects_a_weight_on_another_alphabet(self):
         histograms = HistogramSet.from_counts(ABC, [(3, 2, 1), (1, 2, 3)])
         with pytest.raises(AlphabetMismatch):

@@ -44,12 +44,15 @@ GOLDEN = {
         "6825ea2eb64a758f458778bc158bcecdb8296fb0cad059b849134674b890e090",
         "278d17f479b0b4597d822b196e779badabb3a4411aabdb62cad4e23af35ad089",
     ),
+    # the largest reduced cost enters: both E3 weights moved from (0, 1, 0) to
+    # the other optimal vertex (1/2, 0, 1/2), tight symbols (1,) -> (0, 2);
+    # duals (1/2, 1/2), tight members and the score report are unchanged
     ("E3", "rational"): (
-        "d6ec409ceb3102e0cd0f87135a7d8b4a2d45c99ab2d28772f01cb6e2cceb096c",
+        "a35e78d35b84a77429d9c9ea4ca9a41211baf02897af4c7bb41a20320ec12726",
         "239c32925440592efd9aeab66945c783f3f782befef94e263dd1e6b8634b6a32",
     ),
     ("E3", "float"): (
-        "4a3fc6b7cb7416d2ad2e0098ebacd6a2b98c5acb2eb0ba401daf9759c9040e60",
+        "26c9b1b49e6cbb268366b70bc8443bf7c1e5a82760fc4fac6ae509119d61be1b",
         "8be8b129b8440b3c09c0b266646bb31cbccee911aaaad30ba6e2e97ef41aa34d",
     ),
     ("E4", "rational"): (
@@ -69,10 +72,12 @@ GOLDEN = {
     ),
     # float ratios within FLOAT_EPS tie, so the smaller basis index leaves as
     # in exact arithmetic: the float supporting weight moved from
-    # (0, 0.3929, 0.2619, 0.3452, 0) to the rational vertex (0, 7/16, 5/24, 17/48, 0)
+    # (0, 0.3929, 0.2619, 0.3452, 0) to the rational vertex (0, 7/16, 5/24, 17/48, 0).
+    # The largest-coefficient pivot path keeps both vertices and tight sets and
+    # moves only float rounding in the values and duals.
     ("random-9", "float"): (
-        "2f616d0cf35436888844a4391316e98196bf5e683bcc2bd6bf140529fc1d9698",
-        "d9c353c674d0f1eaf8559adf769d404052a21fbcf17989ef48f7f636d2c44217",
+        "e228ec1f57ed9481e47c8cae26590fdbf750cc29545348f73e0bc9954f0177cb",
+        "cfc5ff2a51bfd3d57b852c86d5d9e76891ef9963195a394279d2bd0c6374a134",
     ),
     ("random-10", "rational"): (
         "3563ed3cbd7fb0f6a8924705fccf0c27f22d46c3e1a79000e5134a3816cfa1e9",

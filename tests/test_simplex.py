@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import string
 from fractions import Fraction
 
 import pytest
 
 import histrel.game
 from histrel import (
+    Alphabet,
+    HistogramSet,
     IterationCapExceeded,
     StandardFormLP,
     ValidationError,
@@ -17,8 +20,8 @@ from histrel import (
     solve_supporting,
     supporting_lp,
 )
-from histrel.core import _solve_integer
-from histrel.simplex import _canonicalize, _pivot_to_optimum
+from histrel.core import FLOAT_EPS, _solve_integer
+from histrel.simplex import _apply_pivot, _canonicalize, _pivot_to_optimum
 from histrel.verify import random_histogram_set
 
 E1_ROWS = ((7, 3), (6, 4))
@@ -52,8 +55,10 @@ def _fraction_solve(matrix, rhs):
     return [row[size] for row in aug]
 
 
-def _exact_bland(lp, basis):
-    """Reference: Bland pivoting over fractions from the caller's basis."""
+def _exact_pivoting(lp, basis):
+    """Reference: the library's pivot loop run over fractions from the
+    caller's basis, with no float guide (largest reduced cost enters, Bland's
+    rule after a run of degenerate pivots)."""
     basis_list = list(basis)
     m = len(basis_list)
     A = [[Fraction(v) for v in row] for row in (*lp.rows, lp.objective)]
@@ -68,6 +73,72 @@ def _exact_bland(lp, basis):
         [lp.objective[var] for var in basis_list],
     )
     return (tuple(solution), tuple(duals), tuple(A[m]), -b[m], set(basis_list), iterations)
+
+
+def _largest_coefficient(costs, eps):
+    top = max(costs)
+    return None if top <= eps else costs.index(top)
+
+
+def _smallest_index(costs, eps):
+    return next((j for j, v in enumerate(costs) if v > eps), None)
+
+
+def _pivot_with(lp, basis, entering, *, exact, limit):
+    """A pivot loop local to the tests: ``entering(costs, eps)`` picks the
+    column, and the library's leaving rule picks the row (minimum ratio, ties
+    to the smallest basis index). Stops at an optimum or after ``limit``
+    pivots; returns the bases visited and the objective value reached."""
+    of, eps = (Fraction, 0) if exact else (float, FLOAT_EPS)
+    basis_list = list(basis)
+    m = len(basis_list)
+    A = [[of(v) for v in row] for row in (*lp.rows, lp.objective)]
+    b = [of(v) for v in lp.rhs] + [of(0)]
+    _canonicalize(A, b, basis_list, eps)
+    visited = [frozenset(basis_list)]
+    while len(visited) <= limit:
+        enter = entering(A[m], eps)
+        if enter is None:
+            break
+        leave_row, best_ratio = None, None
+        for r in range(m):
+            if A[r][enter] > eps:
+                ratio = b[r] / A[r][enter]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - eps
+                    or (ratio <= best_ratio + eps and basis_list[r] < basis_list[leave_row])
+                ):
+                    leave_row, best_ratio = r, ratio
+        _apply_pivot(A, b, leave_row, enter)
+        basis_list[leave_row] = enter
+        visited.append(frozenset(basis_list))
+    return visited, -b[m]
+
+
+# V. Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient rule
+# cycles on it. The first two rows are doubled to integers; their slacks keep
+# coefficient 2, since scaling a slack changes its reduced cost.
+CHVATAL = StandardFormLP(
+    objective=(10, -57, -9, -24, 0, 0, 0),
+    rows=((1, -11, -5, 18, 2, 0, 0), (1, -3, -1, 2, 0, 2, 0), (1, 0, 0, 0, 0, 0, 1)),
+    rhs=(0, 0, 1),
+)
+
+
+def _recorded_programs(monkeypatch, sets, mode):
+    """Every game program built while both games of each set are solved in ``mode``."""
+    programs = []
+
+    def record(lp, arithmetic, *, basis):
+        programs.append((lp, basis))
+        return simplex_optimize(lp, arithmetic, basis=basis)
+
+    monkeypatch.setattr(histrel.game, "simplex_optimize", record)
+    for hs in sets:
+        solve_supporting(hs, mode)
+        solve_covering(hs, mode)
+    return programs
 
 
 def _compared(result):
@@ -137,7 +208,7 @@ def test_objective_row_agrees_with_the_basis_solve():
 def test_guided_rational_solve_equals_exact_bland():
     for lp, basis in _game_programs(6, 60):
         result = simplex_optimize(lp, basis=basis)
-        assert _compared(result) == _exact_bland(lp, basis)
+        assert _compared(result) == _exact_pivoting(lp, basis)
         exact = (result.objective_value, *result.solution, *result.row_duals, *result.reduced_costs)
         assert all(type(v) is Fraction for v in exact)
 
@@ -145,7 +216,7 @@ def test_guided_rational_solve_equals_exact_bland():
 def test_rational_falls_back_to_exact_pivoting_when_the_guide_stalls(monkeypatch):
     monkeypatch.setattr("histrel.simplex.DEFAULT_FLOAT_ITERATION_CAP", 0)
     programs = list(_game_programs(7, 20))
-    expected = [_exact_bland(lp, basis) for lp, basis in programs]
+    expected = [_exact_pivoting(lp, basis) for lp, basis in programs]
     assert sum(e[-1] > 0 for e in expected) > len(programs) // 2  # most need a pivot
     for (lp, basis), reference in zip(programs, expected):
         assert _compared(simplex_optimize(lp, basis=basis)) == reference
@@ -160,20 +231,63 @@ def test_exact_repair_continues_from_a_non_optimal_guided_basis(monkeypatch, gui
         if not eps:
             repairs.append(basis_list[:])
             return real(A, b, basis_list, eps, cap)
-        try:  # the float guide: at most guide_pivots Bland pivots
+        try:  # the float guide: at most guide_pivots pivots
             return real(A, b, basis_list, eps, guide_pivots)
         except IterationCapExceeded:
             return guide_pivots
 
     monkeypatch.setattr("histrel.simplex._pivot_to_optimum", guide_stops_early)
     for lp, basis in _game_programs(8, 20):
-        reference = _exact_bland(lp, basis)
+        reference = _exact_pivoting(lp, basis)
         repairs.clear()
         # iterations count the guide's pivots plus the repair's
         assert _compared(simplex_optimize(lp, basis=basis)) == reference
         assert len(repairs) == (reference[-1] > guide_pivots)
         if guide_pivots == 0:
             assert all(set(start) == set(basis) for start in repairs)
+
+
+def test_largest_coefficient_alone_cycles_on_chvatals_example():
+    visited, value = _pivot_with(CHVATAL, (4, 5, 6), _largest_coefficient, exact=True, limit=60)
+    assert len(visited) == 61 and value == 0  # 60 degenerate pivots, no progress
+    assert len(set(visited)) < len(visited)  # a basis repeats: the loop cycles
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_degenerate_stall_switch_solves_chvatals_example(mode):
+    result = simplex_optimize(CHVATAL, mode, basis=(4, 5, 6))
+    assert result.objective_value == 1
+    assert result.solution[0] == 1
+
+
+def test_exact_pivoting_ends_on_chvatals_example():
+    # no float guide and no pivot cap: the Bland fallback alone ends the cycle
+    reference = _exact_pivoting(CHVATAL, (4, 5, 6))
+    assert reference[3] == 1
+    assert _compared(simplex_optimize(CHVATAL, basis=(4, 5, 6))) == reference
+
+
+def _multinomial_set(seed):
+    """26 symbols x 80 members, each member 400 draws from equal probabilities."""
+    rng = random.Random(seed)
+    counts = []
+    for _ in range(80):
+        member = [0] * 26
+        for j in rng.choices(range(26), k=400):
+            member[j] += 1
+        counts.append(member)
+    return HistogramSet.from_counts(Alphabet(tuple(string.ascii_lowercase)), counts)
+
+
+def test_largest_coefficient_takes_at_most_half_the_bland_pivots(monkeypatch):
+    programs = _recorded_programs(monkeypatch, map(_multinomial_set, range(8)), "float")
+    assert len(programs) == 16
+    pivots = sum(simplex_optimize(lp, "float", basis=basis).iterations for lp, basis in programs)
+    bland = sum(
+        len(_pivot_with(lp, basis, _smallest_index, exact=False, limit=10_000)[0]) - 1
+        for lp, basis in programs
+    )
+    assert pivots <= bland / 2
 
 
 def test_exact_answers_where_the_float_guide_misjudges_the_basis():
@@ -224,17 +338,8 @@ def test_integer_solver_reports_a_singular_matrix(matrix):
 
 def test_float_and_rational_end_at_the_same_basis(monkeypatch):
     # every game program of the random sets, with float ratio ties broken as exact ones
-    programs = []
-
-    def record(lp, arithmetic, *, basis):
-        programs.append((lp, basis))
-        return simplex_optimize(lp, arithmetic, basis=basis)
-
-    monkeypatch.setattr(histrel.game, "simplex_optimize", record)
-    for seed in range(300):
-        hs = random_histogram_set(random.Random(seed), 6, 8, 30)
-        solve_supporting(hs)
-        solve_covering(hs)
+    sets = (random_histogram_set(random.Random(seed), 6, 8, 30) for seed in range(300))
+    programs = _recorded_programs(monkeypatch, sets, "rational")
     assert len(programs) > 500
     for lp, basis in programs:
         exact = simplex_optimize(lp, basis=basis)
