@@ -1,17 +1,24 @@
 """Supporting and covering solvers with dual certificates.
 
 The supporting problem maximizes the worst-case pairing over the weight
-simplex; the covering problem minimizes the best case. Both are solved as
-equality-form programs on the reduced alphabet, the returned weight is
-zero-padded back to the full alphabet, and the row duals of the optimal
-basis normalize to a distribution over members that certifies the value by
-complementary slackness. ``make_solution`` is where every solution is
-certified: one pairing of the weight with every member gives the tight sets
-and the certificate, and a solution that fails it raises
-``CertificationFailure`` instead of being returned.
+simplex; the covering problem minimizes the best case. Both are solved on
+the reduced alphabet as von Neumann's normalized program of one positive
+integer matrix ``P``: maximize ``1 . w`` subject to ``P^T w <= 1`` and
+``w >= 0``, from the all-slack basis (G. B. Dantzig, "A proof of the
+equivalence of the programming problem and the game problem", 1951;
+V. Chvatal, *Linear Programming*, 1983, ch. 15). Its value is ``1 / sum(w)``;
+``w`` and the slack duals, each scaled by it, are the optimal distributions
+over the rows and the columns of ``P``. The count matrix is shifted by one
+or subtracted from one more than its largest count to make ``P`` positive.
+The returned weight is zero-padded back to the full alphabet, and the member
+distribution certifies the value by complementary slackness.
+``make_solution`` is where every solution is certified: one pairing of the
+weight with every member gives the tight sets and the certificate, and a
+solution that fails it raises ``CertificationFailure`` instead of being
+returned.
 
 The program is built on the shorter side of the distinct count matrix: with
-more distinct members than symbols, the transposed matrix is solved for the
+fewer distinct members than symbols, the transposed matrix is solved for the
 opposite problem (the minimax theorem makes the values equal), and weight
 and member distribution swap roles. The value never depends on that choice;
 on instances with several optimal weights the returned vertex can.
@@ -99,73 +106,46 @@ class CertificateReport:
 
 
 def supporting_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, tuple[int, ...]]:
-    """Equality-form program for the supporting value.
-
-    Variables are ``x`` (one per symbol), the value, then one surplus per
-    member row. The starting basis holds every surplus plus ``x_0``, which is
-    feasible because the member counts are nonnegative.
-    """
-    k, n = len(rows), len(rows[0])
-    basis = tuple(n + 1 + i for i in range(k)) + (0,)
-    return _game_lp(rows, 1), basis
+    """Normalized program of ``rows + 1``, whose value is the supporting value
+    of ``rows`` plus one (shifting every count shifts the value, since a
+    weight sums to one; the shift makes the value positive)."""
+    return _normalized_lp([[v + 1 for v in row] for row in rows])
 
 
 def covering_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, tuple[int, ...]]:
-    """Equality-form program for the covering value (the value is minimized,
-    so the objective carries a negated value variable).
-
-    The starting basis holds the value, ``x_0``, and every surplus except the
-    one for a row maximizing the first component, which keeps all surpluses
-    nonnegative at the start.
-    """
-    k, n = len(rows), len(rows[0])
-    anchor = max(range(k), key=lambda i: (rows[i][0], -i))
-    basis = (n, 0) + tuple(n + 1 + i for i in range(k) if i != anchor)
-    return _game_lp(rows, -1), basis
+    """Normalized program of ``c - rows`` with ``c = _ceiling(rows)``, whose
+    value is ``c`` minus the covering value of ``rows``: the weight that
+    minimizes the best case maximizes the worst case of ``c - rows``."""
+    c = _ceiling(rows)
+    return _normalized_lp([[c - v for v in row] for row in rows])
 
 
-def _game_lp(rows, sign: int) -> StandardFormLP:
-    """Maximize ``sign * value`` subject to ``sign * (row . x - value) == s_i``
-    per member row and ``sum(x) == 1``; ``sign`` is 1 for supporting and -1
-    for covering. Every entry is a plain integer."""
-    k, n = len(rows), len(rows[0])
-    lp_rows = []
-    for i, row in enumerate(rows):
-        surplus = [0] * k
-        surplus[i] = -1
-        lp_rows.append(tuple(sign * v for v in row) + (-sign,) + tuple(surplus))
-    lp_rows.append((1,) * n + (0,) * (k + 1))
-    objective = (0,) * n + (sign,) + (0,) * k
-    rhs = (0,) * k + (1,)
-    return StandardFormLP(objective, tuple(lp_rows), rhs)
+def _ceiling(rows) -> int:
+    """One more than the largest count, so ``c - rows`` has entries of at least one."""
+    return 1 + max(map(max, rows))
+
+
+def _normalized_lp(P) -> tuple[StandardFormLP, tuple[int, ...]]:
+    """Maximize ``1 . w`` subject to ``P^T w + s == 1`` with ``w, s >= 0``,
+    for a positive integer matrix ``P``: one row per column of ``P``, one
+    ``w`` per row of ``P``, then one slack per column. The all-slack start
+    is feasible at ``s == 1``."""
+    height, width = len(P), len(P[0])
+    lp_rows = [(*column, *(int(i == j) for i in range(width))) for j, column in enumerate(zip(*P))]
+    objective = (1,) * height + (0,) * width
+    basis = tuple(range(height, height + width))
+    return StandardFormLP(objective, lp_rows, (1,) * width), basis
 
 
 def extract_dual(
     result: SimplexResult, rows: Sequence[Sequence[int]], arithmetic: ArithmeticMode = RATIONAL
 ) -> DualWeight:
-    """Dual distribution over member rows from an optimal basis.
-
-    The negated row multipliers of the member constraints are nonnegative at
-    an optimum and normalize to a distribution. They can all vanish only when
-    the covering value is zero; the fallback then places uniform mass on the
-    tight rows, which certifies the same value.
-    """
-    field = Field.for_mode(arithmetic)
-    raw = [-y for y in result.row_duals[: len(rows)]]
-    raw = [field.zero if field.close(v, field.zero) else v for v in raw]
-    total = sum(raw)
-    if field.positive(total):
-        values = [v / total for v in raw]
-    else:
-        n = len(rows[0])
-        xs = result.solution[:n]
-        alpha = result.solution[n]
-        tight = [field.close(p, alpha) for p in field.pairings(xs, rows)]
-        if not any(tight):
-            raise ValidationError("no tight member row to anchor the dual")
-        share = field.share(sum(tight))
-        values = [share if t else field.zero for t in tight]
-    return DualWeight(tuple(values), arithmetic)
+    """Distribution over the rows of ``rows`` from an optimal normalized
+    program: ``w`` scaled by ``1 / sum(w)``, where ``sum(w)`` is the
+    reciprocal of the program's positive value."""
+    w = result.solution[: len(rows)]
+    total = sum(w)
+    return DualWeight(tuple(v / total for v in w), arithmetic)
 
 
 def make_solution(
@@ -270,19 +250,23 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
 
 
 def _solve_lp(unique_rows, problem, field: Field):
-    """Solve the game on the shorter side of the ``k x n`` count matrix.
+    """Solve the game as the normalized program of the ``k x n`` count
+    matrix, on its shorter side.
 
-    With more distinct members than symbols, the transposed matrix is solved
-    for the opposite problem (minimax: supporting on ``M`` is covering on
-    ``M^T`` and vice versa), so the program has ``n + 1`` rows instead of
-    ``k + 1``. There the primal is the member distribution and the row duals
-    are the weight. Returns ``(alpha, weight, member distribution,
-    alternate_optima)``; ``alternate_optima`` flags a symbol that could enter
-    the weight at no cost: a nonbasic weight column with zero reduced cost,
-    or, transposed, a symbol row whose surplus is basic at zero.
+    With at least as many distinct members as symbols, the program is built
+    on the member rows and has ``n`` rows. Otherwise the transposed matrix
+    is solved for the opposite problem (minimax: supporting on ``M`` is
+    covering on ``M^T`` and vice versa), with ``k`` rows. With the value
+    ``v`` of the normalized program, ``v * w`` is the distribution over the
+    rows of the solved matrix, and ``v * y``, with ``y`` minus the slack
+    reduced costs, the distribution over its columns. Returns ``(alpha,
+    weight, member distribution, alternate_optima)``; ``alternate_optima``
+    flags a symbol that could enter the weight at no cost: a symbol slack
+    basic at zero, or, transposed, a nonbasic symbol column with zero
+    reduced cost.
     """
     k, n = len(unique_rows), len(unique_rows[0])
-    flipped = k > n
+    flipped = k < n
     if flipped:
         rows = tuple(zip(*unique_rows))
         lp_problem = COVERING if problem == SUPPORTING else SUPPORTING
@@ -291,19 +275,22 @@ def _solve_lp(unique_rows, problem, field: Field):
     build = supporting_lp if lp_problem == SUPPORTING else covering_lp
     lp, basis = build(rows)
     result = simplex_optimize(lp, field.mode, basis=basis)
-    width = len(rows[0])
-    alpha = result.solution[width]
-    primal = result.solution[:width]
-    row_dual = extract_dual(result, rows, field.mode).values
+    value = field.one / result.objective_value
+    alpha = value - 1 if lp_problem == SUPPORTING else _ceiling(rows) - value
+    height = len(rows)
+    row_side = extract_dual(result, rows, field.mode).values
+    # 0 - c, not -c: a basic slack's zero reduced cost stays +0.0
+    column_side = tuple(value * (0 - c) for c in result.reduced_costs[height:])
     basic = set(result.basis)
     if flipped:
-        surplus = range(k + 1, k + 1 + n)
-        alternate = any(s in basic and field.close(result.solution[s], field.zero) for s in surplus)
-        return alpha, row_dual, primal, alternate
-    alternate = any(
-        j not in basic and field.close(result.reduced_costs[j], field.zero) for j in range(n)
-    )
-    return alpha, primal, row_dual, alternate
+        alternate = any(
+            i not in basic and field.close(result.reduced_costs[i], field.zero)
+            for i in range(height)
+        )
+        return alpha, row_side, column_side, alternate
+    slacks = range(height, height + n)
+    alternate = any(s in basic and field.close(result.solution[s], field.zero) for s in slacks)
+    return alpha, column_side, row_side, alternate
 
 
 def _extreme_mass(unique_rows, column: int, extreme, field: Field):

@@ -15,10 +15,8 @@ from typing import Sequence
 
 from .core import (
     SUPPORTING,
-    Field,
     HistogramSet,
     ProblemMode,
-    Weight,
     require_problem_mode,
 )
 from .errors import ValidationError
@@ -137,22 +135,3 @@ def reduce_fixpoint(
     trace = ReductionTrace(tuple(steps), tuple(symbols[j] for j in current))
     return restricted, trace
 
-
-def redistribute_weight(weight: Weight, position: int) -> Weight:
-    """Move all mass off one symbol, spreading it evenly over the others.
-
-    This is the improvement step behind the elimination test: whenever the
-    supporting-mode inequality holds for every member and the symbol carries
-    positive mass, the returned weight strictly raises the worst-case
-    pairing (and strictly lowers the best case under the covering-mode
-    inequality).
-    """
-    n = len(weight.alphabet)
-    if n < 2:
-        raise ValidationError("redistribution needs at least two symbols")
-    if not 0 <= position < n:
-        raise ValidationError(f"position {position} outside alphabet of size {n}")
-    share = weight.values[position] / (n - 1)
-    values = [v + share for v in weight.values]
-    values[position] = Field.for_mode(weight.mode).zero
-    return Weight(weight.alphabet, tuple(values), weight.mode)

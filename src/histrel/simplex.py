@@ -9,7 +9,9 @@ pivots as there are rows, Bland's smallest-index rule enters columns until
 a pivot moves the objective, so exact pivoting cannot cycle. The tableau
 carries the objective as its last row, with right-hand side 0, and reduces
 it with the constraint rows, so at the optimum that row holds the reduced
-costs and its right-hand side is minus the objective value.
+costs and its right-hand side is minus the objective value. No row
+multipliers are returned: where a row has a slack column, its multiplier
+is minus that slack's reduced cost.
 
 Float mode pivots in doubles with the fixed absolute tolerance
 ``FLOAT_EPS``: entries within it count as zero, and in the ratio test
@@ -18,7 +20,6 @@ would in exact arithmetic. The pivot rule is finite only in exact
 arithmetic, so float mode caps the pivots at ``DEFAULT_FLOAT_ITERATION_CAP``
 and raises ``IterationCapExceeded`` when a solve stalls. The tolerance is
 absolute on raw counts, so very large sample lengths can still defeat it.
-Row duals solve ``B^T y = c_B`` against the original columns.
 
 Rational mode takes integer programs only and is exact. Float pivoting
 guides it to a basis, which is then checked in integers: ``B x_B = b`` and
@@ -71,8 +72,9 @@ class StandardFormLP:
 class SimplexResult:
     """An optimal basic solution together with its basis certificates.
 
-    ``row_duals`` solve ``B^T y = c_B`` and ``reduced_costs ==
-    objective - y . rows`` column by column. Float mode reads
+    ``reduced_costs == objective - y . rows`` column by column, where ``y``
+    solves ``B^T y = c_B``, so a slack (a unit column) has minus its row's
+    multiplier as reduced cost. Float mode reads
     ``objective_value`` and ``reduced_costs`` off the objective row of the
     final tableau; rational mode computes every field exactly from the final
     basis. ``iterations`` counts the pivots of the largest-coefficient rule
@@ -84,7 +86,6 @@ class SimplexResult:
     objective_value: object
     solution: tuple
     basis: tuple[int, ...]
-    row_duals: tuple
     reduced_costs: tuple
     iterations: int
 
@@ -119,7 +120,6 @@ def simplex_optimize(
         objective_value=0 - b[m],  # not -b[m]: a zero value stays +0.0
         solution=tuple(solution),
         basis=tuple(basis_list),
-        row_duals=_float_row_duals(lp, basis_list),
         reduced_costs=tuple(A[m]),
         iterations=iterations,
     )
@@ -167,9 +167,10 @@ def _solve_rational(lp, basis_list) -> SimplexResult:
 
 
 def _solve_basis(lp, basis_list):
-    """Integer certificate of one basis: ``(det, x_B, y, reduced)``, each a
+    """Integer certificate of one basis: ``(det, x_B, reduced)``, each a
     numerator over ``det = |det B|``, or None when ``B`` is singular or
-    ``x_B`` has a negative entry."""
+    ``x_B`` has a negative entry. The reduced costs price every column with
+    the row multipliers ``y`` that solve ``B^T y = c_B``."""
     columns = tuple(zip(*lp.rows))
     basic = [columns[var] for var in basis_list]
     primal = _solve_integer(tuple(zip(*basic)), lp.rhs)
@@ -179,11 +180,11 @@ def _solve_basis(lp, basis_list):
     # B^T has the same |det|, so both solves share the denominator
     y = _solve_integer(basic, [lp.objective[var] for var in basis_list])[1]
     reduced = [c * det - sum(map(mul, y, col)) for c, col in zip(lp.objective, columns)]
-    return det, x, y, reduced
+    return det, x, reduced
 
 
 def _exact_result(lp, basis_list, solved, iterations) -> SimplexResult:
-    det, x, y, reduced = solved
+    det, x, reduced = solved
     solution = [Fraction(0)] * len(lp.objective)
     for var, v in zip(basis_list, x):
         solution[var] = Fraction(v, det)
@@ -192,7 +193,6 @@ def _exact_result(lp, basis_list, solved, iterations) -> SimplexResult:
         objective_value=Fraction(value, det),
         solution=tuple(solution),
         basis=tuple(basis_list),
-        row_duals=tuple(Fraction(v, det) for v in y),
         reduced_costs=tuple(Fraction(v, det) for v in reduced),
         iterations=iterations,
     )
@@ -277,27 +277,3 @@ def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
             raise IterationCapExceeded(f"no optimum after {cap} pivots")
         _apply_pivot(A, b, leave_row, enter)
         basis_list[leave_row] = enter
-
-
-def _float_row_duals(lp, basis_list) -> tuple:
-    """Solve ``B^T y = c_B`` over the original columns in float."""
-    system = [[float(row[var]) for row in lp.rows] for var in basis_list]
-    rhs = [float(lp.objective[var]) for var in basis_list]
-    return tuple(_solve_square(system, rhs))
-
-
-def _solve_square(matrix, rhs):
-    size = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(aug[r][col]))
-        if aug[pivot_row][col] == 0:
-            raise ValidationError("basis matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]

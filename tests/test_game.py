@@ -100,7 +100,7 @@ class TestDuals:
         assert certify(solution, hs).passed
 
     def test_extract_dual_from_a_raw_simplex_result(self):
-        from histrel import extract_dual, simplex_optimize, supporting_lp
+        from histrel.game import extract_dual, simplex_optimize, supporting_lp
 
         rows = ((4, 6), (7, 3))
         lp, basis = supporting_lp(rows)
@@ -235,18 +235,21 @@ def _lp_shape(histograms, problem):
 
 
 def _member_row_value(histograms, problem, mode):
-    """The value of the untransposed program: one row per distinct member."""
+    """The value of the untransposed program: one ``w`` per distinct member.
+    Its value is the supporting value plus one, or, for covering, one more
+    than the largest count minus the covering value."""
     rows = distinct_rows(histograms.count_rows())[0]
     build = supporting_lp if problem == SUPPORTING else covering_lp
     lp, basis = build(rows)
-    return simplex_optimize(lp, mode, basis=basis).solution[len(rows[0])]
+    value = 1 / simplex_optimize(lp, mode, basis=basis).objective_value
+    return value - 1 if problem == SUPPORTING else 1 + max(map(max, rows)) - value
 
 
 SOLVERS = ((SUPPORTING, solve_supporting), (COVERING, solve_covering))
 
 
 class TestShortSide:
-    """With more distinct members than symbols the game is solved on the
+    """With fewer distinct members than symbols the game is solved on the
     transposed matrix; values must not notice."""
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -257,7 +260,7 @@ class TestShortSide:
                 k, n = _lp_shape(hs, problem)
                 if n < 2:
                     continue
-                sides.add(k > n)
+                sides.add(k < n)
                 expected = _member_row_value(hs, problem, mode)
                 alpha = solve(hs, mode).alpha
                 if mode == "rational":
@@ -267,11 +270,11 @@ class TestShortSide:
         assert sides == {True, False}
 
     def test_the_program_has_the_shorter_side_as_rows(self, monkeypatch):
-        heights = []
+        programs = []
 
-        def recording(lp, *args, **kwargs):
-            heights.append(len(lp.rows))
-            return simplex_optimize(lp, *args, **kwargs)
+        def recording(lp, *args, basis):
+            programs.append((lp, basis))
+            return simplex_optimize(lp, *args, basis=basis)
 
         monkeypatch.setattr(histrel.game, "simplex_optimize", recording)
         for hs in _seeded_sets():
@@ -279,21 +282,69 @@ class TestShortSide:
                 k, n = _lp_shape(hs, problem)
                 if n < 2:
                     continue
-                heights.clear()
+                programs.clear()
                 solve(hs)
-                assert heights == [min(k, n) + 1]
+                [(lp, basis)] = programs
+                assert (len(lp.rows), len(lp.objective)) == (min(k, n), k + n)
+                assert all(type(v) is int and v >= 0 for row in lp.rows for v in row)
+                assert lp.rhs == (1,) * min(k, n)
+                # the slacks, one per row, come last and form the starting basis
+                assert basis == tuple(range(max(k, n), k + n))
+                for r, var in enumerate(basis):
+                    assert [row[var] for row in lp.rows] == [int(i == r) for i in range(min(k, n))]
 
     def test_transposed_solve_flags_alternate_optima(self):
-        # four distinct members over three symbols; both the returned weight
-        # and the uniform weight attain 14/3 in both problems
-        hs = make_set("abc", [(0, 8, 6), (6, 8, 0), (2, 6, 6), (6, 4, 4)])
-        uniform = Weight.uniform(hs.alphabet)
-        for problem, solve in SOLVERS:
-            assert _lp_shape(hs, problem) == (4, 3)
-            solution = solve(hs)
-            assert solution.alpha == Fraction(14, 3)
-            assert solution.weight != uniform
-            extreme = min if problem == SUPPORTING else max
-            assert extreme(pairing(uniform, m) for m in hs.members) == solution.alpha
-            assert solution.alternate_optima
-            assert certify(solution, hs).passed
+        # both the returned weight and the uniform weight attain the value in
+        # both problems: four distinct members over three symbols take the
+        # member-row program, two over four the transposed one
+        cases = [
+            (make_set("abc", [(0, 8, 6), (6, 8, 0), (2, 6, 6), (6, 4, 4)]), Fraction(14, 3)),
+            (make_set("abcd", [(4, 4, 0, 0), (0, 0, 4, 4)]), Fraction(2)),
+        ]
+        for hs, value in cases:
+            uniform = Weight.uniform(hs.alphabet)
+            for problem, solve in SOLVERS:
+                k, n = len(hs.members), len(hs.alphabet)
+                assert _lp_shape(hs, problem) == (k, n)
+                solution = solve(hs)
+                assert solution.alpha == value
+                assert solution.weight != uniform
+                extreme = min if problem == SUPPORTING else max
+                assert extreme(pairing(uniform, m) for m in hs.members) == solution.alpha
+                assert solution.alternate_optima
+                assert certify(solution, hs).passed
+
+    def test_seed_3_covering_flags_its_second_optimum(self):
+        # members (11, 7, 1), (15, 2, 2), (2, 16, 1): the returned weight
+        # (0, 0, 1) caps them at 2, and so does (0, e, 1 - e) for e <= 1/15
+        hs = random_histogram_set(random.Random(3), 6, 8, 30)
+        assert _lp_shape(hs, COVERING) == (3, 3)
+        solution = solve_covering(hs)
+        assert solution.weight.values == (0, 0, 1)
+        other = Weight(hs.alphabet, (0, Fraction(1, 15), Fraction(14, 15)))
+        assert max(pairing(other, m) for m in hs.members) == solution.alpha == 2
+        assert solution.alternate_optima
+        assert certify(solution, hs).passed
+
+
+class TestZeroValue:
+    """A symbol no member uses caps the covering value at zero. The normalized
+    program's value stays positive: ``c`` on the member rows, where covering
+    is solved on ``c - counts``, and 1 on the transpose, where it is solved as
+    supporting on ``counts + 1``."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [(3, 5, 0), (6, 2, 0), (4, 4, 0), (1, 7, 0)],  # k >= n: untransposed
+            [(3, 1, 0, 4), (1, 3, 0, 4)],  # k < n: transposed
+        ],
+    )
+    def test_dead_symbol_gives_covering_value_zero(self, counts, mode):
+        hs = make_set("abcd"[: len(counts[0])], counts)
+        solution = solve_covering(hs, mode, use_reduction=False)
+        assert solution.alpha == pytest.approx(0, abs=1e-9)
+        # the point mass on the dead symbol c is the only weight that reaches zero
+        assert solution.weight.values == pytest.approx([int(v == 0) for v in counts[0]], abs=1e-9)
+        assert certify(solution, hs).passed

@@ -51,21 +51,28 @@ GOLDEN = {
         "a35e78d35b84a77429d9c9ea4ca9a41211baf02897af4c7bb41a20320ec12726",
         "239c32925440592efd9aeab66945c783f3f782befef94e263dd1e6b8634b6a32",
     ),
+    # the normalized program moved only float rounding: the covering weight
+    # (1/2, 0, 1/2) and both duals (1/2, 1/2) gained or lost an ulp, and so did
+    # one irrelevance score and its ratio
     ("E3", "float"): (
-        "26c9b1b49e6cbb268366b70bc8443bf7c1e5a82760fc4fac6ae509119d61be1b",
-        "8be8b129b8440b3c09c0b266646bb31cbccee911aaaad30ba6e2e97ef41aa34d",
+        "17f11633b1b9c0e6301bdfa27090ef976b0649425ab13556fe40e117eccf3882",
+        "a546e5d19cfdd239a67cb1cc8b5f4b6bec40478f6acf9aa14962e9e202e2ec5b",
     ),
+    # the normalized program moved the covering dual from member 1 to member 0;
+    # both members pair 1 with the weight (0, 0, 1), and the score report is unchanged
     ("E4", "rational"): (
-        "d0acc4a91ef5279e44cf7d816403b1075bdb570ca1b91f202519ed4eded6607a",
+        "ae7d0891bbd633eb293fa3a7211e549dcb4d7935bc54269838242a7a1a2ef4b1",
         "8d84776d3e12ab5922b8b0727e9ab43a38fa8c78935c124dc148c01c987ac576",
     ),
+    # the same covering dual move as in rational mode
     ("E4", "float"): (
-        "a35bf42b1c7613f1b293d66cc3068347481e7ab94fb65aa363338083e0c33a26",
+        "a4d197e52b7280585c84a60a1576b80baf2beda5911e61fa9bfe387bb10c30e3",
         "d14a5e96cac2856158ecd4f07c0271c61a26935e73e7e2a9f88d7ca62a796f41",
     ),
-    # random-9 has more distinct members than symbols, so it is solved on the
-    # transposed matrix: the supporting weight moved to another optimal vertex
-    # (and float values by rounding); both values are unchanged.
+    # random-9 has more distinct members than symbols. When the program first
+    # moved to the shorter side, which was then the transposed matrix, the
+    # supporting weight moved to another optimal vertex (and float values by
+    # rounding); both values are unchanged.
     ("random-9", "rational"): (
         "3aa8e5b5ff9e20a2f62f544109707421a14d032bd616e9ff4e8df9cdf808b38e",
         "45ea8b3c04e3bdb22126db11b00756e1b83ec918222963e6d60d3acc989ee6f8",
@@ -74,18 +81,21 @@ GOLDEN = {
     # in exact arithmetic: the float supporting weight moved from
     # (0, 0.3929, 0.2619, 0.3452, 0) to the rational vertex (0, 7/16, 5/24, 17/48, 0).
     # The largest-coefficient pivot path keeps both vertices and tight sets and
-    # moves only float rounding in the values and duals.
+    # moves only float rounding in the values and duals. So does the normalized
+    # program, in the values, weights, duals and scores.
     ("random-9", "float"): (
-        "e228ec1f57ed9481e47c8cae26590fdbf750cc29545348f73e0bc9954f0177cb",
-        "cfc5ff2a51bfd3d57b852c86d5d9e76891ef9963195a394279d2bd0c6374a134",
+        "8d09b3b6844f41bb2c41e5a1555ada1f330e7422260d61f58c2380b31fc6e107",
+        "ac720e2a58860ad65b40459d7f783bba92f94bd970fecb63a58460871309fc8d",
     ),
     ("random-10", "rational"): (
         "3563ed3cbd7fb0f6a8924705fccf0c27f22d46c3e1a79000e5134a3816cfa1e9",
         "19902ac9a6a02315cc2b1d5b017ee2dad5ced62405cce92e2e98237595a48d2b",
     ),
+    # the normalized program moved only float rounding in both values, weights,
+    # duals and scores; a -0.0 in the covering weight is now 0.0
     ("random-10", "float"): (
-        "73e3e73a950b2e85472ada08e42ff322f69ffcef7bfccbe21169880d92ff59f7",
-        "b4cc054bdc406c42e081d122ea370354a1b2f6c8b167876a9ec7ceb2c9b0c32a",
+        "024da59085e720e6baac7c29855e522a88dc3fe7b909b6606919ca4bf4b1e40a",
+        "aefa9511ce28da39958369043b9852fd92938c729ba77cdfcf8611c144712dda",
     ),
 }
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 
@@ -9,13 +7,11 @@ from histrel import (
     COVERING,
     SUPPORTING,
     ValidationError,
-    Weight,
     oracle_solve,
-    pairing,
     reduce_fixpoint,
     reducible_symbols,
 )
-from histrel.reduce import corollary_threshold_check, redistribute_weight
+from histrel.reduce import corollary_threshold_check
 from conftest import histogram_sets, make_set
 
 
@@ -91,32 +87,3 @@ class TestFixpoint:
             _, weight, _ = oracle_solve(hs, problem)
             for symbol in trace.eliminated:
                 assert weight.values[hs.alphabet.index(symbol)] == 0
-
-
-class TestRedistribution:
-    def test_moving_mass_off_a_reducible_symbol_improves_the_floor(self, e4):
-        # symbol c is reducible in supporting mode; give it mass and shift it
-        start = Weight(e4.alphabet, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-        shifted = redistribute_weight(start, 2)
-        floor_before = min(pairing(start, m) for m in e4.members)
-        floor_after = min(pairing(shifted, m) for m in e4.members)
-        assert shifted.values[2] == 0
-        assert floor_after > floor_before
-
-    @given(histogram_sets(max_symbols=4, max_members=4))
-    def test_improvement_property(self, hs):
-        rows = hs.count_rows()
-        removable = reducible_symbols(rows, SUPPORTING)
-        if not removable:
-            return
-        target = min(removable)
-        start = Weight.uniform(hs.alphabet)
-        shifted = redistribute_weight(start, target)
-        floor_before = min(pairing(start, m) for m in hs.members)
-        floor_after = min(pairing(shifted, m) for m in hs.members)
-        assert floor_after > floor_before
-
-    def test_mass_is_conserved(self):
-        hs = make_set("abcd", [(1, 2, 3, 4)])
-        shifted = redistribute_weight(Weight.uniform(hs.alphabet), 0)
-        assert sum(shifted.values) == 1

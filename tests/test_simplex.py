@@ -13,14 +13,13 @@ from histrel import (
     IterationCapExceeded,
     StandardFormLP,
     ValidationError,
-    covering_lp,
     distinct_rows,
     simplex_optimize,
     solve_covering,
     solve_supporting,
-    supporting_lp,
 )
 from histrel.core import FLOAT_EPS, _solve_integer
+from histrel.game import covering_lp, supporting_lp
 from histrel.simplex import _apply_pivot, _canonicalize, _pivot_to_optimum
 from histrel.verify import random_histogram_set
 
@@ -68,11 +67,7 @@ def _exact_pivoting(lp, basis):
     solution = [Fraction(0)] * len(lp.objective)
     for r, var in enumerate(basis_list):
         solution[var] = b[r]
-    duals = _fraction_solve(
-        [[row[var] for row in lp.rows] for var in basis_list],
-        [lp.objective[var] for var in basis_list],
-    )
-    return (tuple(solution), tuple(duals), tuple(A[m]), -b[m], set(basis_list), iterations)
+    return (tuple(solution), tuple(A[m]), -b[m], set(basis_list), iterations)
 
 
 def _largest_coefficient(costs, eps):
@@ -141,10 +136,15 @@ def _recorded_programs(monkeypatch, sets, mode):
     return programs
 
 
+def _slack_multipliers(lp, result):
+    """Row multipliers of a program whose last ``m`` columns are its slacks:
+    minus their reduced costs."""
+    return [0 - c for c in result.reduced_costs[len(lp.objective) - len(lp.rows) :]]
+
+
 def _compared(result):
     return (
         result.solution,
-        result.row_duals,
         result.reduced_costs,
         result.objective_value,
         set(result.basis),
@@ -155,23 +155,24 @@ def _compared(result):
 def test_supporting_program_for_e1():
     lp, basis = supporting_lp(E1_ROWS)
     result = simplex_optimize(lp, basis=basis)
-    assert result.objective_value == 6
-    assert result.solution[:2] == (Fraction(1), Fraction(0))
+    # the program of E1 + 1 has value 6 + 1; its slack duals scale to the weight
+    assert result.objective_value == Fraction(1, 7)
+    assert [7 * y for y in _slack_multipliers(lp, result)] == [1, 0]
+    assert [7 * w for w in result.solution[:2]] == [0, 1]  # the minimum member
 
 
 def test_covering_program_for_e1():
     lp, basis = covering_lp(E1_ROWS)
     result = simplex_optimize(lp, basis=basis)
-    # the program minimizes the value, so the objective is its negative
-    assert result.objective_value == -4
-    assert result.solution[:2] == (Fraction(0), Fraction(1))
-    assert result.solution[2] == 4
+    # the program of 8 - E1 has value 8 - 4
+    assert result.objective_value == Fraction(1, 4)
+    assert [4 * y for y in _slack_multipliers(lp, result)] == [0, 1]
 
 
 def test_supporting_program_constant_rows():
     lp, basis = supporting_lp(((2, 2, 2),))
     result = simplex_optimize(lp, basis=basis)
-    assert result.objective_value == 2
+    assert result.objective_value == Fraction(1, 3)
 
 
 def test_deterministic_bit_for_bit():
@@ -184,21 +185,23 @@ def test_deterministic_bit_for_bit():
 def test_row_duals_solve_the_transposed_system():
     lp, basis = supporting_lp(((4, 6), (7, 3)))
     result = simplex_optimize(lp, basis=basis)
-    # y^T E == c on the basic columns, componentwise
+    # y^T B == c_B on the basic columns, componentwise
+    y = _slack_multipliers(lp, result)
     for var in result.basis:
         column = [row[var] for row in lp.rows]
-        assert sum(y * c for y, c in zip(result.row_duals, column)) == lp.objective[var]
+        assert sum(a * c for a, c in zip(y, column)) == lp.objective[var]
 
 
 def test_objective_row_agrees_with_the_basis_solve():
     for lp, basis in _game_programs(6, 60):
         entries = [*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row)]
         assert all(type(v) is int for v in entries)
-        for mode, tol in (("rational", 0), ("float", 1e-9)):
+        for mode, tol in (("rational", 0), ("float", FLOAT_EPS)):
             result = simplex_optimize(lp, mode, basis=basis)
             z = result.solution
+            y = _slack_multipliers(lp, result)
             for j, cost in enumerate(lp.objective):
-                priced = sum(y * row[j] for y, row in zip(result.row_duals, lp.rows))
+                priced = sum(a * row[j] for a, row in zip(y, lp.rows))
                 assert abs(result.reduced_costs[j] - (cost - priced)) <= tol
             assert abs(result.objective_value - sum(c * v for c, v in zip(lp.objective, z))) <= tol
             for row, b in zip(lp.rows, lp.rhs):
@@ -209,7 +212,7 @@ def test_guided_rational_solve_equals_exact_bland():
     for lp, basis in _game_programs(6, 60):
         result = simplex_optimize(lp, basis=basis)
         assert _compared(result) == _exact_pivoting(lp, basis)
-        exact = (result.objective_value, *result.solution, *result.row_duals, *result.reduced_costs)
+        exact = (result.objective_value, *result.solution, *result.reduced_costs)
         assert all(type(v) is Fraction for v in exact)
 
 
@@ -263,7 +266,7 @@ def test_degenerate_stall_switch_solves_chvatals_example(mode):
 def test_exact_pivoting_ends_on_chvatals_example():
     # no float guide and no pivot cap: the Bland fallback alone ends the cycle
     reference = _exact_pivoting(CHVATAL, (4, 5, 6))
-    assert reference[3] == 1
+    assert reference[2] == 1
     assert _compared(simplex_optimize(CHVATAL, basis=(4, 5, 6))) == reference
 
 
