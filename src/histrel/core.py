@@ -60,7 +60,7 @@ class Field:
     """The numbers of one arithmetic mode and the comparisons made on them.
 
     ``tol`` is the fixed ``FLOAT_EPS`` in float mode and exactly zero in
-    rational mode, so ``close`` and ``positive`` are the exact tests there
+    rational mode, so ``close`` and ``support`` are the exact tests there
     and the tolerant ones in float mode.
     """
 
@@ -80,7 +80,7 @@ class Field:
 
     @property
     def tol(self) -> Number:
-        return self.zero if self.exact else FLOAT_EPS
+        return 0 if self.exact else FLOAT_EPS
 
     def share(self, k: int) -> Number:
         return self.one / k
@@ -88,28 +88,56 @@ class Field:
     def close(self, a, b) -> bool:
         return abs(a - b) <= self.tol
 
-    def positive(self, v) -> bool:
-        return v > self.tol
-
     def require_counts_fit(self, sample_length: int) -> None:
         """Float mode converts counts to doubles; every count of a set is at
         most its sample length, so that one bound decides whether they fit."""
         if not self.exact and sample_length > sys.float_info.max:
             raise NumericalFailure("counts exceed the float range; use rational mode")
 
-    def pairings(self, values, rows) -> list:
-        """Pair one vector with every row: ``[pairing(values, row) for row in rows]``.
+    def scaled(self, values) -> tuple[list, Number]:
+        """``values`` as numerators over one denominator.
 
-        Rational mode scales ``values`` once to integer numerators over the
-        lcm of their denominators, so each row costs one integer dot product
-        and a single ``Fraction``. Float mode sums the products left to right,
-        exactly as ``pairing`` does.
+        Rational mode returns integer numerators over the lcm of the values'
+        denominators. Float mode returns the values themselves over 1, so
+        the same expressions on numerators and denominators are, in float
+        mode, the float arithmetic on the values.
         """
         if not self.exact:
-            return [sum(a * b for a, b in zip(values, row)) for row in rows]
-        denominator = math.lcm(*(v.denominator for v in values))
-        numerators = [v.numerator * (denominator // v.denominator) for v in values]
-        return [Fraction(sum(map(mul, numerators, row)), denominator) for row in rows]
+            return list(values), 1
+        ratios = [v.as_integer_ratio() for v in values]
+        denominator = math.lcm(*[q for _, q in ratios])
+        return [p * (denominator // q) for p, q in ratios], denominator
+
+    def support(self, scaled) -> list[int]:
+        """Positions of the positive values, given ``scaled(values)``."""
+        numerators, denominator = scaled
+        floor = self.tol * denominator
+        return [i for i, v in enumerate(numerators) if v > floor]
+
+    def pairings(self, scaled, rows) -> tuple[list, Number]:
+        """Pair one vector, given as ``scaled(values)``, with every row, as
+        numerators over its denominator: ``pairing(values, rows[i]) ==
+        numerators[i] / denominator``.
+
+        Each row costs one dot product: an integer one in rational mode,
+        and in float mode the left-to-right sum that ``pairing`` computes.
+        A point mass reads one count per row, which that sum equals too.
+        """
+        numerators, denominator = scaled
+        if numerators.count(0) == len(numerators) - 1 and denominator in numerators:
+            j = numerators.index(denominator)
+            mass = numerators[j]
+            return [mass * row[j] for row in rows], denominator
+        return [sum(map(mul, numerators, row)) for row in rows], denominator
+
+    def ratio(self, value) -> tuple[Number, Number]:
+        """``value`` as ``(numerator, denominator)``: its integer ratio in
+        rational mode, ``(value, 1)`` in float mode."""
+        return value.as_integer_ratio() if self.exact else (value, 1)
+
+    def quotient(self, numerator, denominator) -> Number:
+        """The number ``numerator / denominator`` of this field."""
+        return Fraction(numerator, denominator) if self.exact else numerator / denominator
 
     def encode(self, value):
         """JSON form: exact ``p/q`` strings, or shortest round-trip floats.
@@ -138,11 +166,13 @@ _FLOAT_FIELD = Field(FLOAT, float, 0.0, 1.0)
 
 def _on_simplex(values, field: Field, what: str) -> tuple:
     """Convert to the field and check nonnegativity and unit total."""
-    values = tuple(field.of(v) for v in values)
-    floor = -field.tol
-    if any(v < floor for v in values):
+    of = field.of
+    values = tuple(v if type(v) is of else of(v) for v in values)
+    numerators, denominator = field.scaled(values)
+    slack = field.tol * denominator
+    if any(v < -slack for v in numerators):
         raise ValidationError(f"{what} components must be nonnegative")
-    if not field.close(sum(values), field.one):
+    if not abs(sum(numerators) - denominator) <= slack:
         raise ValidationError(f"{what} components sum to {sum(values)}, expected 1")
     return values
 

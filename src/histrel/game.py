@@ -170,18 +170,23 @@ def make_solution(
     if weight.alphabet != histograms.alphabet:
         raise AlphabetMismatch("weight and histogram set use different alphabets")
     field = Field.for_mode(weight.mode)
-    pairings = field.pairings(weight.values, histograms.count_rows())
+    weight_scaled = field.scaled(weight.values)
+    pairings = field.pairings(weight_scaled, histograms.count_rows())
+    numerators, denominator = pairings
+    # member i is tight when numerators[i] / denominator == p / q, cross-multiplied
+    p, q = field.ratio(alpha)
+    target, slack = p * denominator, field.tol * q * denominator
     solution = GameSolution(
         alpha=alpha,
         weight=weight,
         dual=dual,
-        tight_members=tuple(i for i, p in enumerate(pairings) if field.close(p, alpha)),
-        tight_symbols=tuple(j for j, v in enumerate(weight.values) if field.positive(v)),
+        tight_members=tuple(i for i, n in enumerate(numerators) if abs(n * q - target) <= slack),
+        tight_symbols=tuple(field.support(weight_scaled)),
         mode=problem,
         reduction_trace=trace,
         alternate_optima=alternate_optima,
     )
-    report = _certificate(solution, histograms, pairings, field)
+    report = _certificate(solution, histograms, weight_scaled, pairings, field)
     if not report.passed:
         clauses = ", ".join(c.clause for c in report.failures())
         raise CertificationFailure(f"{problem} solution fails: {clauses}")
@@ -331,8 +336,9 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
     if solution.weight.alphabet != histograms.alphabet:
         return _structure_failure(solution.mode, "alphabet differs")
     field = Field.for_mode(solution.weight.mode)
-    pairings = field.pairings(solution.weight.values, histograms.count_rows())
-    return _certificate(solution, histograms, pairings, field)
+    weight_scaled = field.scaled(solution.weight.values)
+    pairings = field.pairings(weight_scaled, histograms.count_rows())
+    return _certificate(solution, histograms, weight_scaled, pairings, field)
 
 
 def _structure_failure(problem: ProblemMode, detail: str) -> CertificateReport:
@@ -340,49 +346,62 @@ def _structure_failure(problem: ProblemMode, detail: str) -> CertificateReport:
     return CertificateReport(problem, False, (check,), float("inf"))
 
 
-def _certificate(solution, histograms, pairings, field: Field) -> CertificateReport:
-    """The certificate clauses, given the weight's pairing with every member."""
+def _certificate(solution, histograms, weight_scaled, pairings, field: Field) -> CertificateReport:
+    """The certificate clauses, given the weight as ``Field.scaled`` returns
+    it and its pairing with every member as ``Field.pairings`` returns it.
+
+    Every clause compares numerators over a common denominator, so rational
+    mode compares integers; each violation is the float of one quotient.
+    """
     checks: list[CertificateCheck] = []
 
-    def add(clause: str, violation, detail: str = "") -> None:
+    def add(clause: str, excess, scale, detail: str = "") -> None:
+        """A clause whose violation is ``excess / scale``, with ``scale > 0``."""
         checks.append(
             CertificateCheck(
                 clause=clause,
-                passed=violation <= field.tol,
-                violation=max(0.0, float(violation)),
+                passed=excess <= field.tol * scale,
+                violation=max(0.0, excess / scale),
                 detail=detail,
             )
         )
 
-    weight, dual, alpha = solution.weight, solution.dual, solution.alpha
-    if len(dual.values) != len(histograms.members):
+    if len(solution.dual.values) != len(histograms.members):
         return _structure_failure(solution.mode, "dual length differs")
 
-    add("weight-simplex", max(abs(sum(weight.values) - 1), -min(weight.values), 0))
-    add("dual-simplex", max(abs(sum(dual.values) - 1), -min(dual.values), 0))
+    dual_scaled = field.scaled(solution.dual.values)
+    for clause, (numerators, denominator) in (
+        ("weight-simplex", weight_scaled),
+        ("dual-simplex", dual_scaled),
+    ):
+        add(clause, max(abs(sum(numerators) - denominator), -min(numerators), 0), denominator)
 
     # the supporting claims flip for covering: min/max swap and so do the signs
     sign = 1 if solution.mode == SUPPORTING else -1
     first, last = (min, max) if sign == 1 else (max, min)
-    columns = field.pairings(dual.values, zip(*histograms.count_rows()))
-    primal_value, dual_value = first(pairings), last(columns)
-    add("primal-feasibility", max(sign * (alpha - primal_value), 0))
-    add("value-equality-primal", abs(primal_value - alpha))
-    add("dual-feasibility", max(sign * (dual_value - alpha), 0))
-    add("value-equality-dual", abs(dual_value - alpha))
+    p, q = field.ratio(solution.alpha)
+    members, member_scale = pairings
+    columns, column_scale = field.pairings(dual_scaled, zip(*histograms.count_rows()))
+    # a value v / scale exceeds alpha == p / q by (v * q - p * scale) / (q * scale)
+    primal_gap = first(members) * q - p * member_scale
+    dual_gap = last(columns) * q - p * column_scale
+    add("primal-feasibility", max(-sign * primal_gap, 0), q * member_scale)
+    add("value-equality-primal", abs(primal_gap), q * member_scale)
+    add("dual-feasibility", max(sign * dual_gap, 0), q * column_scale)
+    add("value-equality-dual", abs(dual_gap), q * column_scale)
 
+    target = p * member_scale
     slack_members = max(
-        (abs(pairings[i] - alpha) for i, d in enumerate(dual.values) if field.positive(d)),
-        default=0,
+        (abs(members[i] * q - target) for i in field.support(dual_scaled)), default=0
     )
-    add("slackness-members", slack_members, "positive dual mass on a non-tight member")
+    add("slackness-members", slack_members, q * member_scale, "positive dual mass on a non-tight member")
+    target = p * column_scale
     slack_symbols = max(
-        (abs(columns[v] - alpha) for v, w in enumerate(weight.values) if field.positive(w)),
-        default=0,
+        (abs(columns[v] * q - target) for v in field.support(weight_scaled)), default=0
     )
-    add("slackness-symbols", slack_symbols, "positive weight on a slack dual column")
-    baseline = field.of(histograms.sample_length) / len(histograms.alphabet)
-    add("uniform-bound", max(sign * (baseline - alpha), 0), "value beyond |T| / |V|")
+    add("slackness-symbols", slack_symbols, q * column_scale, "positive weight on a slack dual column")
+    b, r = field.ratio(field.of(histograms.sample_length) / len(histograms.alphabet))
+    add("uniform-bound", max(sign * (b * q - p * r), 0), q * r, "value beyond |T| / |V|")
 
     passed = all(c.passed for c in checks)
     max_violation = max((c.violation for c in checks), default=0.0)

@@ -434,9 +434,11 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
 
     Relevance pairs against the supporting weight, irrelevance against the
     covering weight; ratios divide by the respective value (omitted when the
-    covering value is zero). Flags compare with the profile's tolerance, the
-    one its certificates were checked at (exactly zero in rational mode), so
-    every member of the solved set meets both.
+    value is zero, within the profile's tolerance). Flags compare with that
+    tolerance, the one the certificates were checked at (exactly zero in
+    rational mode), so every member of the solved set meets both. Every
+    comparison is made on the integer numerators of the pairings in
+    rational mode.
     """
     solved = profile.histograms
     if samples.alphabet != solved.alphabet:
@@ -447,24 +449,32 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     sup = profile.supporting
     cov = profile.covering
     counts = samples.count_rows()
-    relevances = field.pairings(sup.weight.values, counts)
-    irrelevances = field.pairings(cov.weight.values, counts)
+    relevances, rel_scale = field.pairings(field.scaled(sup.weight.values), counts)
+    irrelevances, irr_scale = field.pairings(field.scaled(cov.weight.values), counts)
+    # with alpha == p / q, a pairing n / scale exceeds alpha by
+    # (n * q - p * scale) / (q * scale) and divides by it as (n * q) / (scale * p)
+    p_sup, q_sup = field.ratio(sup.alpha)
+    p_cov, q_cov = field.ratio(cov.alpha)
+    sup_target, sup_slack = p_sup * rel_scale, field.tol * q_sup * rel_scale
+    cov_target, cov_slack = p_cov * irr_scale, field.tol * q_cov * irr_scale
+    sup_ratios = abs(sup.alpha) > field.tol
+    cov_ratios = abs(cov.alpha) > field.tol
+    quotient = field.quotient
     rows = []
     for i, (histogram, relevance, irrelevance) in enumerate(
         zip(counts, relevances, irrelevances), start=1
     ):
-        rel_ratio = relevance / sup.alpha if sup.alpha != 0 else None
-        irr_ratio = irrelevance / cov.alpha if cov.alpha != 0 else None
+        relevance_q, irrelevance_q = relevance * q_sup, irrelevance * q_cov
         rows.append(
             ScoreRow(
                 index=i,
                 histogram=histogram,
-                relevance=relevance,
-                irrelevance=irrelevance,
-                relevance_ratio=rel_ratio,
-                irrelevance_ratio=irr_ratio,
-                meets_support=not field.positive(sup.alpha - relevance),
-                within_cover=not field.positive(irrelevance - cov.alpha),
+                relevance=quotient(relevance, rel_scale),
+                irrelevance=quotient(irrelevance, irr_scale),
+                relevance_ratio=quotient(relevance_q, rel_scale * p_sup) if sup_ratios else None,
+                irrelevance_ratio=quotient(irrelevance_q, irr_scale * p_cov) if cov_ratios else None,
+                meets_support=sup_target - relevance_q <= sup_slack,
+                within_cover=irrelevance_q - cov_target <= cov_slack,
             )
         )
     return ScoreReport(

@@ -11,6 +11,8 @@ optimal weights (zero-extended) as the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import gt, lt, mul, sub
 from typing import Sequence
 
 from .core import (
@@ -70,15 +72,22 @@ def reducible_symbols(rows: Sequence[Sequence], problem: ProblemMode) -> frozens
     if any(len(row) != n for row in rows):
         raise ValidationError("functions must share one domain")
     totals = [sum(row) for row in rows]
-    out = set()
-    for w in range(n):
-        if problem == SUPPORTING:
-            ok = all(row[w] * (n - 1) < totals[i] - row[w] for i, row in enumerate(rows))
-        else:
-            ok = all(row[w] * (n - 1) > totals[i] - row[w] for i, row in enumerate(rows))
-        if ok:
-            out.add(w)
-    return frozenset(out)
+    return frozenset(_removable(list(zip(*rows)), totals, problem))
+
+
+def _removable(columns, totals, problem: ProblemMode) -> list[int]:
+    """Positions of the ``columns`` that pass the threshold test in every row.
+
+    A count ``c`` lies strictly below the average of the other ``n - 1``
+    components of its row, ``c * (n - 1) < total - c``, exactly when
+    ``c * n < total``, with ``n = len(columns)`` and ``total`` the row's sum
+    over all ``columns``; covering mode tests ``c * n > total``.
+    """
+    passes = lt if problem == SUPPORTING else gt
+    n = len(columns)
+    return [
+        w for w, column in enumerate(columns) if all(map(passes, map(mul, column, repeat(n)), totals))
+    ]
 
 
 def corollary_threshold_check(histograms: HistogramSet, problem: ProblemMode) -> frozenset[int]:
@@ -86,20 +95,11 @@ def corollary_threshold_check(histograms: HistogramSet, problem: ProblemMode) ->
     ``|T|/|V|`` (cross-multiplied, so exact). Coincides with
     ``reducible_symbols`` on the full histograms."""
     require_problem_mode(problem)
-    n = len(histograms.alphabet)
-    if n < 2:
+    if len(histograms.alphabet) < 2:
         raise ValidationError("threshold test needs at least two symbols")
-    t = histograms.sample_length
-    rows = histograms.count_rows()
-    out = set()
-    for w in range(n):
-        if problem == SUPPORTING:
-            ok = all(row[w] * n < t for row in rows)
-        else:
-            ok = all(row[w] * n > t for row in rows)
-        if ok:
-            out.add(w)
-    return frozenset(out)
+    columns = list(zip(*histograms.count_rows()))
+    totals = [histograms.sample_length] * len(histograms.members)
+    return frozenset(_removable(columns, totals, problem))
 
 
 def reduce_fixpoint(
@@ -108,30 +108,32 @@ def reduce_fixpoint(
     """Eliminate symbols to a fixpoint and restrict every member.
 
     All positions qualifying in one pass are removed together; the general
-    threshold test is re-run on the restricted functions (which no longer sum
-    to the sample length) until nothing qualifies or one symbol remains. The
-    returned rows keep the member order of the input set. Terminates in at
-    most ``|V| - 1`` passes because every pass removes at least one symbol
-    and can never remove them all.
+    threshold test is re-run on the restricted functions until nothing
+    qualifies or one symbol remains. Each member's total over the surviving
+    symbols is kept and lowered by the removed columns after every pass, so
+    the restricted rows are built once, at the end, in the member order of
+    the input set. Terminates in at most ``|V| - 1`` passes because every
+    pass removes at least one symbol and can never remove them all.
     """
     require_problem_mode(problem)
     symbols = histograms.alphabet.symbols
-    full_rows = histograms.count_rows()
+    columns = list(zip(*histograms.count_rows()))
+    totals = [histograms.sample_length] * len(histograms.members)
     current = list(range(len(symbols)))
     steps: list[ReductionStep] = []
     pass_index = 0
     while len(current) >= 2:
-        view = [tuple(row[j] for j in current) for row in full_rows]
-        removable = reducible_symbols(view, problem)
+        removable = _removable([columns[j] for j in current], totals, problem)
         if not removable:
             break
         pass_index += 1
-        for pos in sorted(removable):
-            steps.append(ReductionStep(symbols[current[pos]], problem, pass_index))
-        current = [idx for pos, idx in enumerate(current) if pos not in removable]
+        removed = [current[pos] for pos in removable]
+        for j in removed:
+            steps.append(ReductionStep(symbols[j], problem, pass_index))
+            totals = list(map(sub, totals, columns[j]))
+        current = [j for j in current if j not in removed]
         if not current:  # cannot happen: summing the strict tests contradicts itself
             raise ValidationError("reduction emptied the alphabet")
-    restricted = tuple(tuple(row[j] for j in current) for row in full_rows)
+    restricted = tuple(zip(*(columns[j] for j in current)))
     trace = ReductionTrace(tuple(steps), tuple(symbols[j] for j in current))
     return restricted, trace
-

@@ -185,7 +185,9 @@ class TestFieldPairings:
         values = [rng.choice(choices)() for _ in range(n)]
         rows = [tuple(rng.randint(0, 30) for _ in range(n)) for _ in range(rng.randint(1, 6))]
         rows.append((0,) * n)
-        assert self.RATIONAL.pairings(values, rows) == [pairing(values, row) for row in rows]
+        numerators, denominator = self.RATIONAL.pairings(self.RATIONAL.scaled(values), rows)
+        assert all(type(n) is int for n in numerators) and type(denominator) is int
+        assert [Fraction(n, denominator) for n in numerators] == [pairing(values, row) for row in rows]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_float_is_bit_identical_to_the_plain_sum(self, seed):
@@ -194,11 +196,23 @@ class TestFieldPairings:
         values = [rng.random() / n for _ in range(n)]
         rows = [tuple(rng.randint(0, 10**6) for _ in range(n)) for _ in range(rng.randint(1, 6))]
         expected = [sum(a * b for a, b in zip(values, row)) for row in rows]
-        assert self.FLOAT.pairings(values, rows) == expected
+        assert self.FLOAT.pairings(self.FLOAT.scaled(values), rows) == (expected, 1)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_a_point_mass_reads_one_column(self, mode):
+        field = Field.for_mode(mode)
+        rows = [(3, 0, 7), (0, 5, 0), (2**60 + 1, 1, 4)]
+        for j in range(3):
+            values = Weight.point_mass(ABC, j, mode).values
+            numerators, denominator = field.pairings(field.scaled(values), rows)
+            expected = [pairing(values, row) for row in rows]
+            assert denominator == 1 and numerators == expected
+            assert {type(n) for n in numerators} == {int if mode == "rational" else float}
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_no_rows_give_no_pairings(self, mode):
-        assert Field.for_mode(mode).pairings(Weight.uniform(ABC, mode).values, []) == []
+        field = Field.for_mode(mode)
+        assert field.pairings(field.scaled(Weight.uniform(ABC, mode).values), [])[0] == []
 
     @pytest.mark.parametrize(
         "value, rational, floating",

@@ -22,7 +22,7 @@ from histrel import (
     solve_covering,
     solve_supporting,
 )
-from histrel.core import distinct_rows
+from histrel.core import Field, HistogramSet, distinct_rows
 from histrel.game import covering_lp, supporting_lp
 from histrel.reduce import empty_trace, reduce_fixpoint
 from histrel.simplex import simplex_optimize
@@ -171,6 +171,73 @@ class TestCertify:
         assert "uniform-bound" in [c.clause for c in certify(solution, e3).checks]
         low = dataclasses.replace(solution, alpha=Fraction(3, 2))
         assert "uniform-bound" in [c.clause for c in certify(low, e3).failures()]
+
+
+def _with_duplicates(seed: int) -> HistogramSet:
+    """A random set with one to four members repeated, in shuffled order."""
+    rng = random.Random(seed)
+    histograms = random_histogram_set(rng, max_symbols=6, max_members=6, max_length=20)
+    rows = list(histograms.count_rows())
+    rows += [rng.choice(rows) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(rows)
+    return HistogramSet.from_counts(histograms.alphabet, rows, histograms.sample_length)
+
+
+def _reference_certificate(solution, histograms):
+    """Tight members and the largest violation of ``certify``'s clauses,
+    pairing one member at a time in the field's own arithmetic: Fractions in
+    rational mode, the left-to-right float sum in float mode."""
+    field = Field.for_mode(solution.weight.mode)
+    weight, dual, alpha = solution.weight.values, solution.dual.values, solution.alpha
+    rows = histograms.count_rows()
+    pairings = [pairing(weight, row) for row in rows]
+    columns = [pairing(dual, column) for column in zip(*rows)]
+    sign = 1 if solution.mode == SUPPORTING else -1
+    first, last = (min, max) if sign == 1 else (max, min)
+    primal, dual_value = first(pairings), last(columns)
+    baseline = field.of(histograms.sample_length) / len(histograms.alphabet)
+    violations = [
+        max(abs(sum(weight) - 1), -min(weight), 0),
+        max(abs(sum(dual) - 1), -min(dual), 0),
+        max(sign * (alpha - primal), 0),
+        abs(primal - alpha),
+        max(sign * (dual_value - alpha), 0),
+        abs(dual_value - alpha),
+        max((abs(pairings[i] - alpha) for i, d in enumerate(dual) if d > field.tol), default=0),
+        max((abs(columns[v] - alpha) for v, w in enumerate(weight) if w > field.tol), default=0),
+        max(sign * (baseline - alpha), 0),
+    ]
+    tight = tuple(i for i, p in enumerate(pairings) if field.close(p, alpha))
+    return tight, max(max(0.0, float(v)) for v in violations)
+
+
+class TestIntegerCertificate:
+    """The certificate compares integer numerators; these pin it to a
+    member-by-member reference, on sets with duplicate members."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_tight_members_and_violations_match_a_reference(self, mode):
+        field = Field.for_mode(mode)
+        off_optimum = 0
+        for seed in range(80):
+            histograms = _with_duplicates(seed)
+            k = len(histograms.members)
+            for solve in (solve_supporting, solve_covering):
+                solution = solve(histograms, mode)
+                tight, violation = _reference_certificate(solution, histograms)
+                assert solution.tight_members == tight, seed
+                assert certify(solution, histograms).max_violation == violation, seed
+                # a claim off the optimum: uniform weight and dual, value moved by 1/7
+                claim = dataclasses.replace(
+                    solution,
+                    alpha=solution.alpha + field.share(7),
+                    weight=Weight.uniform(histograms.alphabet, mode),
+                    dual=DualWeight((field.share(k),) * k, mode),
+                )
+                report = certify(claim, histograms)
+                assert report.max_violation == _reference_certificate(claim, histograms)[1], seed
+                off_optimum += not report.passed
+        assert off_optimum > 100
 
 
 class TestSolverProperties:

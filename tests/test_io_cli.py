@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from histrel import (
     solve_profile,
 )
 from histrel.cli import EXIT_CODES, main
-from histrel.core import Field
+from histrel.core import FLOAT_EPS, Field
 from histrel.io import (
     _json_text,
     dumps_histogram_set,
@@ -195,25 +196,58 @@ class TestProfiles:
         with pytest.raises(CertificationFailure):
             load_profile(str(path))
 
+    def test_alpha_nudged_below_the_pairing_denominator_fails_the_load(self, tmp_path):
+        # the load compares integer pairing numerators over D, the lcm of the
+        # weight's denominators, with alpha by cross-multiplying; a stored
+        # alpha off by less than 1/D must still fail it
+        path = tmp_path / "p.json"
+        nudged = 0
+        for seed in range(40):
+            histograms = random_histogram_set(
+                random.Random(seed), max_symbols=6, max_members=8, max_length=30
+            )
+            profile = solve_profile(histograms)
+            for problem in ("supporting", "covering"):
+                solution = getattr(profile, problem)
+                denominator = math.lcm(*(v.denominator for v in solution.weight.values))
+                if denominator == 1:
+                    continue
+                nudged += 1
+                for nudge in (
+                    Fraction(1, 2 * denominator),
+                    Fraction(-1, 3 * denominator),
+                    Fraction(1, 7 * denominator**2 + 1),
+                ):
+                    data = profile_to_json(profile)
+                    data[problem]["alpha"] = str(solution.alpha + nudge)
+                    path.write_text(json.dumps(data))
+                    with pytest.raises(CertificationFailure):
+                        load_profile(str(path))
+        assert nudged > 20
+
     @pytest.mark.parametrize("name", ["e3", "e4"])
     def test_solve_and_load_pair_once_per_problem(self, tmp_path, monkeypatch, request, name):
         histograms = request.getfixturevalue(name)
         calls = []
         pairings = Field.pairings
 
-        def counted(field, values, rows):
-            calls.append(values)
-            return pairings(field, values, rows)
+        def counted(field, scaled, rows):
+            numerators, _denominator = scaled
+            calls.append(len(numerators))
+            return pairings(field, scaled, rows)
 
         monkeypatch.setattr(Field, "pairings", counted)
         path = tmp_path / "p.json"
         profile = solve_profile(histograms)
-        # per problem: the weight with every member, the dual with every symbol
-        assert len(calls) == 4
+        # per problem: the weight (one entry per symbol) with every member,
+        # then the dual (one entry per member) with every symbol
+        symbols, members = len(histograms.alphabet), len(histograms.members)
+        assert symbols != members
+        assert calls == [symbols, members] * 2
         save_profile(profile, str(path))
         calls.clear()
         load_profile(str(path))
-        assert len(calls) == 4
+        assert calls == [symbols, members] * 2
 
     def test_float_profile_round_trips(self, tmp_path, e4):
         profile = solve_profile(e4, "float")
@@ -257,6 +291,19 @@ class TestScoring:
         report = score_profile(profile, make_set("ab", [(4, 2)]))
         assert report.rows[0].irrelevance_ratio is None
         assert dumps_score_report(report)  # serializes despite the null
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_round_off_zero_covering_value_omits_the_ratio(self, mode):
+        # symbol f never occurs, so the covering value is 0; the float LP
+        # returns it as 2.2e-16, which must not turn into finite ratios
+        histograms = make_set(
+            "abcdef", [(0, 2, 1, 0, 1, 0), (1, 1, 0, 1, 1, 0), (3, 0, 1, 0, 0, 0), (0, 2, 1, 1, 0, 0)]
+        )
+        profile = solve_profile(histograms, mode)
+        assert abs(profile.covering.alpha) <= FLOAT_EPS
+        report = score_profile(profile, histograms)
+        assert all(row.irrelevance_ratio is None for row in report.rows)
+        assert all(row.relevance_ratio is not None for row in report.rows)
 
     def test_float_profiles_flag_every_own_member(self):
         # float values carry rounding error; the flags accept what certify accepts

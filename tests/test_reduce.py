@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import string
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -11,7 +15,8 @@ from histrel import (
     reduce_fixpoint,
     reducible_symbols,
 )
-from histrel.reduce import corollary_threshold_check
+from histrel.reduce import ReductionStep, ReductionTrace, corollary_threshold_check
+from histrel.verify import random_histogram_set
 from conftest import histogram_sets, make_set
 
 
@@ -25,6 +30,19 @@ class TestReducibleSymbols:
     def test_e3_blocked_by_threshold_ties(self, e3):
         assert reducible_symbols(e3.count_rows(), SUPPORTING) == frozenset()
         assert reducible_symbols(e3.count_rows(), COVERING) == frozenset()
+
+    @given(histogram_sets())
+    def test_matches_the_average_of_the_other_components(self, hs):
+        # the definition itself, on counts and on the same rows as fractions
+        n = len(hs.alphabet)
+        for rows in (hs.count_rows(), [tuple(Fraction(c, 3) for c in row) for row in hs.count_rows()]):
+            for problem, beyond in ((SUPPORTING, lambda c, avg: c < avg), (COVERING, lambda c, avg: c > avg)):
+                expected = {
+                    w
+                    for w in range(n)
+                    if all(beyond(row[w], Fraction(sum(row) - row[w], n - 1)) for row in rows)
+                }
+                assert reducible_symbols(rows, problem) == expected
 
     def test_single_symbol_rejected(self):
         with pytest.raises(ValidationError):
@@ -87,3 +105,82 @@ class TestFixpoint:
             _, weight, _ = oracle_solve(hs, problem)
             for symbol in trace.eliminated:
                 assert weight.values[hs.alphabet.index(symbol)] == 0
+
+
+def _reference_fixpoint(histograms, problem):
+    """The threshold rule one pass at a time: ``reducible_symbols`` on the
+    member rows restricted to the surviving symbols, rebuilt every pass."""
+    symbols = histograms.alphabet.symbols
+    rows = histograms.count_rows()
+    current = list(range(len(symbols)))
+    steps = []
+    pass_index = 0
+    while len(current) >= 2:
+        view = [tuple(row[j] for j in current) for row in rows]
+        removable = reducible_symbols(view, problem)
+        if not removable:
+            break
+        pass_index += 1
+        steps += [ReductionStep(symbols[current[pos]], problem, pass_index) for pos in sorted(removable)]
+        current = [j for pos, j in enumerate(current) if pos not in removable]
+    restricted = tuple(tuple(row[j] for j in current) for row in rows)
+    return restricted, ReductionTrace(tuple(steps), tuple(symbols[j] for j in current))
+
+
+def _staircase_set(seed: int):
+    """Members drawn with symbol probabilities proportional to ``ratio ** rank``,
+    ranks shuffled: the reduction takes several passes on these."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 26)
+    ratio = rng.uniform(1.1, 2.0)
+    weights = [ratio**rank for rank in rng.sample(range(n), n)]
+    length = rng.randint(20, 400)
+    rows = []
+    for _ in range(rng.randint(1, 30)):
+        counts = [0] * n
+        for j in rng.choices(range(n), weights, k=length):
+            counts[j] += 1
+        rows.append(tuple(counts))
+    return make_set(string.ascii_lowercase[:n], rows)
+
+
+class TestFixpointMatchesOnePassAtATime:
+    @pytest.mark.parametrize("problem", [SUPPORTING, COVERING])
+    def test_random_sets(self, problem):
+        for seed in range(300):
+            histograms = random_histogram_set(random.Random(seed), 6, 8, 30)
+            assert reduce_fixpoint(histograms, problem) == _reference_fixpoint(histograms, problem)
+
+    @pytest.mark.parametrize("problem", [SUPPORTING, COVERING])
+    def test_staircase_sets(self, problem):
+        passes = []
+        for seed in range(60):
+            histograms = _staircase_set(seed)
+            rows, trace = reduce_fixpoint(histograms, problem)
+            assert (rows, trace) == _reference_fixpoint(histograms, problem)
+            passes.append(max((step.pass_index for step in trace.steps), default=0))
+        assert max(passes) >= 3  # the corpus exercises multi-pass reductions
+
+    def test_a_count_at_the_boundary_is_not_removed(self):
+        # pass 1 removes a (0 * 3 < 6 and 1 * 3 < 6); on (b, c) the first
+        # row has 3 * 2 == 6, its total, so neither b nor c qualifies
+        histograms = make_set("abc", [(0, 3, 3), (1, 2, 3)])
+        assert reducible_symbols(((3, 3), (2, 3)), SUPPORTING) == frozenset()
+        rows, trace = reduce_fixpoint(histograms, SUPPORTING)
+        assert [(s.symbol, s.pass_index) for s in trace.steps] == [("a", 1)]
+        assert trace.surviving == ("b", "c")
+        assert rows == ((3, 3), (2, 3))
+        assert (rows, trace) == _reference_fixpoint(histograms, SUPPORTING)
+        # a sits at 2 * 3 == 6 in both rows: neither problem removes it
+        level = make_set("abc", [(2, 3, 1), (2, 1, 3)])
+        for problem in (SUPPORTING, COVERING):
+            assert reduce_fixpoint(level, problem) == _reference_fixpoint(level, problem)
+            assert reduce_fixpoint(level, problem)[1].steps == ()
+
+    def test_one_pass_removes_several_symbols(self):
+        histograms = make_set("abcd", [(0, 1, 4, 5), (1, 0, 3, 6)])
+        rows, trace = reduce_fixpoint(histograms, SUPPORTING)
+        assert [(s.symbol, s.pass_index) for s in trace.steps] == [("a", 1), ("b", 1), ("c", 2)]
+        assert trace.surviving == ("d",)
+        assert rows == ((5,), (6,))
+        assert (rows, trace) == _reference_fixpoint(histograms, SUPPORTING)
