@@ -6,16 +6,7 @@ results by complementary slackness, and uses the optimal weights to score how
 relevant new samples are to the set.
 """
 
-from .binary import (
-    MIXED,
-    ONE_DOMINANT,
-    ZERO_DOMINANT,
-    BinaryCase,
-    binary_dual_case1,
-    binary_dual_case2,
-    classify_binary,
-    solve_binary,
-)
+from .binary import solve_binary
 from .core import (
     COVERING,
     FLOAT,
@@ -28,9 +19,7 @@ from .core import (
     Sample,
     Weight,
     build_histogram,
-    distinct_rows,
     irrelevance_score,
-    pairing,
     relevance_score,
 )
 from .errors import (
@@ -70,21 +59,13 @@ from .io import (
     score_profile,
     solve_profile,
 )
-from .oracle import oracle_grid, oracle_solve
-from .reduce import (
-    ReductionStep,
-    ReductionTrace,
-    reduce_fixpoint,
-    reducible_symbols,
-)
-from .simplex import SimplexResult, StandardFormLP, simplex_optimize
+from .reduce import ReductionStep, ReductionTrace, reduce_fixpoint
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
     "AlphabetMismatch",
-    "BinaryCase",
     "CapExceeded",
     "CertificateReport",
     "CertificationFailure",
@@ -100,47 +81,33 @@ __all__ = [
     "HistrelError",
     "IterationCapExceeded",
     "LengthMismatch",
-    "MIXED",
     "NotBinary",
     "NumericalFailure",
-    "ONE_DOMINANT",
     "ParseError",
     "RATIONAL",
     "ReductionStep",
     "ReductionTrace",
     "Sample",
     "ScoreReport",
-    "SimplexResult",
-    "StandardFormLP",
     "SUPPORTING",
     "UnknownSymbol",
     "ValidationError",
     "Weight",
     "WeightProfile",
     "WrongCase",
-    "ZERO_DOMINANT",
-    "binary_dual_case1",
-    "binary_dual_case2",
     "build_histogram",
     "certify",
-    "classify_binary",
-    "distinct_rows",
     "ingest_samples",
     "irrelevance_score",
     "load_histogram_set",
     "load_profile",
     "make_solution",
-    "oracle_grid",
-    "oracle_solve",
-    "pairing",
     "reduce_fixpoint",
-    "reducible_symbols",
     "relevance_score",
     "save_histogram_set",
     "save_profile",
     "save_score_report",
     "score_profile",
-    "simplex_optimize",
     "solve_binary",
     "solve_covering",
     "solve_profile",

@@ -105,47 +105,37 @@ class CertificateReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def supporting_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, tuple[int, ...]]:
-    """Normalized program of ``rows + 1``, whose value is the supporting value
-    of ``rows`` plus one (shifting every count shifts the value, since a
-    weight sums to one; the shift makes the value positive)."""
-    return _normalized_lp([[v + 1 for v in row] for row in rows])
+def supporting_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, int]:
+    """Normalized program of ``rows + 1``, and the offset 1: the program's
+    value is the supporting value of ``rows`` plus one (shifting every count
+    shifts the value, since a weight sums to one; the shift makes the value
+    positive)."""
+    return _normalized_lp([[v + 1 for v in row] for row in rows]), 1
 
 
-def covering_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, tuple[int, ...]]:
-    """Normalized program of ``c - rows`` with ``c = _ceiling(rows)``, whose
-    value is ``c`` minus the covering value of ``rows``: the weight that
-    minimizes the best case maximizes the worst case of ``c - rows``."""
-    c = _ceiling(rows)
-    return _normalized_lp([[c - v for v in row] for row in rows])
+def covering_lp(rows: Sequence[Sequence[int]]) -> tuple[StandardFormLP, int]:
+    """Normalized program of ``c - rows``, and ``c``, one more than the
+    largest count: the program's value is ``c`` minus the covering value of
+    ``rows``, since the weight that minimizes the best case maximizes the
+    worst case of ``c - rows``."""
+    c = 1 + max(map(max, rows))
+    return _normalized_lp([[c - v for v in row] for row in rows]), c
 
 
-def _ceiling(rows) -> int:
-    """One more than the largest count, so ``c - rows`` has entries of at least one."""
-    return 1 + max(map(max, rows))
+def _normalized_lp(P) -> StandardFormLP:
+    """Maximize ``1 . w`` subject to ``P^T w <= 1`` and ``w >= 0``, for a
+    positive integer matrix ``P``: one row per column of ``P``, one ``w``
+    per row of ``P``. The simplex appends one slack per column of ``P``."""
+    return StandardFormLP((1,) * len(P), tuple(zip(*P)), (1,) * len(P[0]))
 
 
-def _normalized_lp(P) -> tuple[StandardFormLP, tuple[int, ...]]:
-    """Maximize ``1 . w`` subject to ``P^T w + s == 1`` with ``w, s >= 0``,
-    for a positive integer matrix ``P``: one row per column of ``P``, one
-    ``w`` per row of ``P``, then one slack per column. The all-slack start
-    is feasible at ``s == 1``."""
-    height, width = len(P), len(P[0])
-    lp_rows = [(*column, *(int(i == j) for i in range(width))) for j, column in enumerate(zip(*P))]
-    objective = (1,) * height + (0,) * width
-    basis = tuple(range(height, height + width))
-    return StandardFormLP(objective, lp_rows, (1,) * width), basis
-
-
-def extract_dual(
-    result: SimplexResult, rows: Sequence[Sequence[int]], arithmetic: ArithmeticMode = RATIONAL
-) -> DualWeight:
+def extract_dual(result: SimplexResult, rows: Sequence[Sequence[int]]) -> tuple:
     """Distribution over the rows of ``rows`` from an optimal normalized
     program: ``w`` scaled by ``1 / sum(w)``, where ``sum(w)`` is the
     reciprocal of the program's positive value."""
     w = result.solution[: len(rows)]
     total = sum(w)
-    return DualWeight(tuple(v / total for v in w), arithmetic)
+    return tuple(v / total for v in w)
 
 
 def make_solution(
@@ -240,18 +230,26 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
         best, dual_unique = _extreme_mass(unique_rows, 0, extreme, field)
         # The simplex is a point: the value is the extreme count there, and
         # every optimal weight of the original problem is the point mass.
-        alpha = field.of(best)
-        weight = Weight.point_mass(alphabet, surviving[0], arithmetic)
-        alternate = False
+        alpha, weight_values, alternate = field.of(best), (field.one,), False
     else:
         alpha, weight_values, dual_unique, alternate = _solve_lp(unique_rows, problem, field)
-        weight = _padded_weight(weight_values, surviving, alphabet, field)
 
     dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), field)
-    dual = DualWeight(dual_values, arithmetic)
+    weight = _built(problem, "weight-simplex", _padded_weight, weight_values, surviving, alphabet, field)
+    dual = _built(problem, "dual-simplex", DualWeight, dual_values, arithmetic)
     return make_solution(
         alpha, weight, dual, histograms, problem, trace, alternate_optima=alternate
     )
+
+
+def _built(problem, clause, make, *args):
+    """``make(*args)`` for a solver-built weight or dual: one that float
+    round-off put off its simplex fails that certificate clause, like any
+    other fault of a solution."""
+    try:
+        return make(*args)
+    except ValidationError:
+        raise CertificationFailure(f"{problem} solution fails: {clause}") from None
 
 
 def _solve_lp(unique_rows, problem, field: Field):
@@ -278,14 +276,17 @@ def _solve_lp(unique_rows, problem, field: Field):
     else:
         rows, lp_problem = unique_rows, problem
     build = supporting_lp if lp_problem == SUPPORTING else covering_lp
-    lp, basis = build(rows)
-    result = simplex_optimize(lp, field.mode, basis=basis)
+    lp, offset = build(rows)
+    result = simplex_optimize(lp, field.mode)
     value = field.one / result.objective_value
-    alpha = value - 1 if lp_problem == SUPPORTING else _ceiling(rows) - value
+    alpha = value - offset if lp_problem == SUPPORTING else offset - value
     height = len(rows)
-    row_side = extract_dual(result, rows, field.mode).values
-    # 0 - c, not -c: a basic slack's zero reduced cost stays +0.0
-    column_side = tuple(value * (0 - c) for c in result.reduced_costs[height:])
+    row_side = extract_dual(result, rows)
+    column_side = tuple(-value * c for c in result.reduced_costs[height:])
+    if not field.exact:  # float round-off within the tolerance of zero becomes +0.0
+        row_side, column_side = (
+            [0.0 if -field.tol <= v <= 0 else v for v in side] for side in (row_side, column_side)
+        )
     basic = set(result.basis)
     if flipped:
         alternate = any(

@@ -16,27 +16,24 @@ import pytest
 
 from histrel import (
     COVERING,
-    MIXED,
     SUPPORTING,
-    ZERO_DOMINANT,
     HistogramSet,
     certify,
-    classify_binary,
     load_histogram_set,
     load_profile,
-    oracle_solve,
-    pairing,
     reduce_fixpoint,
-    reducible_symbols,
     score_profile,
     solve_binary,
     solve_covering,
     solve_profile,
     solve_supporting,
 )
+from histrel.binary import MIXED, ZERO_DOMINANT, classify_binary
 from histrel.cli import main as cli_main
+from histrel.core import pairing
 from histrel.io import dumps_score_report
-from histrel.reduce import corollary_threshold_check
+from histrel.oracle import oracle_solve
+from histrel.reduce import corollary_threshold_check, reducible_symbols
 from histrel.verify import random_histogram_set
 
 from conftest import make_set

@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 
 from histrel import (
-    MIXED,
-    ONE_DOMINANT,
-    ZERO_DOMINANT,
     Histogram,
     NotBinary,
     WrongCase,
-    binary_dual_case1,
-    binary_dual_case2,
     certify,
-    classify_binary,
     solve_binary,
     solve_covering,
     solve_supporting,
+)
+from histrel.binary import (
+    MIXED,
+    ONE_DOMINANT,
+    ZERO_DOMINANT,
+    binary_dual_case1,
+    binary_dual_case2,
+    classify_binary,
 )
 from conftest import binary_sets, make_set
 

@@ -20,13 +20,11 @@ from histrel import (
     ValidationError,
     Weight,
     build_histogram,
-    distinct_rows,
     irrelevance_score,
     make_solution,
-    pairing,
     relevance_score,
 )
-from histrel.core import Field
+from histrel.core import Field, distinct_rows, pairing
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))

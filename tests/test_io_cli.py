@@ -427,6 +427,23 @@ class TestCli:
         assert "verification: FAIL" in captured.out
         assert captured.err == ""
 
+    def test_float_weight_off_the_simplex_is_a_certification_failure(self, tmp_path, capsys):
+        # the 20th draw (5 symbols, 8 members, |T| = 77 605 488): float round-off
+        # puts a member weight of the supporting solve below -FLOAT_EPS
+        rng = random.Random(13)
+        for _ in range(20):
+            histograms = random_histogram_set(rng, 6, 8, 10**8)
+        path = tmp_path / "hs.json"
+        save_histogram_set(histograms, str(path))
+        solved = self.run("solve", str(path), "--mode", "float")
+        assert solved == EXIT_CODES["certification-failure"]
+        assert "supporting solution fails: dual-simplex" in capsys.readouterr().err
+        # verification counts it as a failed trial instead of stopping
+        assert self.run("verify", str(path)) == EXIT_CODES["verification-failed"]
+        captured = capsys.readouterr()
+        assert "input instance: supporting solution fails: dual-simplex" in captured.out
+        assert captured.err == ""
+
     @pytest.mark.parametrize(
         "label",
         ["", " a", "a ", "a\n", "a\rb", "a\u2028b", "a,b"],

@@ -11,9 +11,8 @@ from histrel import (
     CapExceeded,
     certify,
     make_solution,
-    oracle_grid,
-    oracle_solve,
 )
+from histrel.oracle import oracle_grid, oracle_solve
 from conftest import histogram_sets, make_set
 
 

@@ -11,11 +11,15 @@ from histrel import (
     COVERING,
     SUPPORTING,
     ValidationError,
-    oracle_solve,
     reduce_fixpoint,
+)
+from histrel.oracle import oracle_solve
+from histrel.reduce import (
+    ReductionStep,
+    ReductionTrace,
+    corollary_threshold_check,
     reducible_symbols,
 )
-from histrel.reduce import ReductionStep, ReductionTrace, corollary_threshold_check
 from histrel.verify import random_histogram_set
 from conftest import histogram_sets, make_set
 

@@ -7,20 +7,28 @@ from fractions import Fraction
 import pytest
 
 import histrel.game
+import histrel.simplex
 from histrel import (
+    COVERING,
+    SUPPORTING,
     Alphabet,
     HistogramSet,
     IterationCapExceeded,
-    StandardFormLP,
     ValidationError,
-    distinct_rows,
-    simplex_optimize,
+    certify,
     solve_covering,
     solve_supporting,
 )
-from histrel.core import FLOAT_EPS, _solve_integer
+from histrel.core import FLOAT_EPS, _solve_integer, distinct_rows
 from histrel.game import covering_lp, supporting_lp
-from histrel.simplex import _apply_pivot, _canonicalize, _pivot_to_optimum
+from histrel.oracle import oracle_solve
+from histrel.simplex import (
+    DEFAULT_FLOAT_ITERATION_CAP,
+    StandardFormLP,
+    _apply_pivot,
+    _pivot_to_optimum,
+    simplex_optimize,
+)
 from histrel.verify import random_histogram_set
 
 E1_ROWS = ((7, 3), (6, 4))
@@ -34,7 +42,7 @@ def _game_programs(seed: int, count: int):
         counts = distinct_rows(hs.count_rows())[0]
         for rows in (counts, tuple(zip(*counts))):
             for build in (supporting_lp, covering_lp):
-                yield build(rows)
+                yield build(rows)[0]
 
 
 def _fraction_solve(matrix, rhs):
@@ -54,17 +62,26 @@ def _fraction_solve(matrix, rhs):
     return [row[size] for row in aug]
 
 
-def _exact_pivoting(lp, basis):
+def _slack_tableau(lp, of):
+    """The program's tableau over the number type ``of``: each row followed
+    by its slack's unit entries, then the objective row with zero slack
+    costs; the slacks are the basis."""
+    n, m = len(lp.objective), len(lp.rows)
+    A = [
+        [*map(of, row), *(of(int(i == r)) for i in range(m))] for r, row in enumerate(lp.rows)
+    ]
+    A.append([*map(of, lp.objective), *(of(0),) * m])
+    return A, [*map(of, lp.rhs), of(0)], list(range(n, n + m))
+
+
+def _exact_pivoting(lp):
     """Reference: the library's pivot loop run over fractions from the
-    caller's basis, with no float guide (largest reduced cost enters, Bland's
+    slack basis, with no float guide (largest reduced cost enters, Bland's
     rule after a run of degenerate pivots)."""
-    basis_list = list(basis)
-    m = len(basis_list)
-    A = [[Fraction(v) for v in row] for row in (*lp.rows, lp.objective)]
-    b = [Fraction(v) for v in lp.rhs] + [Fraction(0)]
-    _canonicalize(A, b, basis_list, 0)
+    A, b, basis_list = _slack_tableau(lp, Fraction)
     iterations = _pivot_to_optimum(A, b, basis_list, 0, None)
-    solution = [Fraction(0)] * len(lp.objective)
+    m = len(basis_list)
+    solution = [Fraction(0)] * len(A[m])
     for r, var in enumerate(basis_list):
         solution[var] = b[r]
     return (tuple(solution), tuple(A[m]), -b[m], set(basis_list), iterations)
@@ -79,17 +96,13 @@ def _smallest_index(costs, eps):
     return next((j for j, v in enumerate(costs) if v > eps), None)
 
 
-def _pivot_with(lp, basis, entering, *, exact, limit):
-    """A pivot loop local to the tests: ``entering(costs, eps)`` picks the
-    column, and the library's leaving rule picks the row (minimum ratio, ties
-    to the smallest basis index). Stops at an optimum or after ``limit``
-    pivots; returns the bases visited and the objective value reached."""
-    of, eps = (Fraction, 0) if exact else (float, FLOAT_EPS)
-    basis_list = list(basis)
+def _pivot_with(A, b, basis_list, entering, eps, limit):
+    """A pivot loop local to the tests, on a tableau: ``entering(costs,
+    eps)`` picks the column, and the library's leaving rule picks the row
+    (minimum ratio, ties to the smallest basis index). Stops at an optimum
+    or after ``limit`` pivots; returns the bases visited and the objective
+    value reached."""
     m = len(basis_list)
-    A = [[of(v) for v in row] for row in (*lp.rows, lp.objective)]
-    b = [of(v) for v in lp.rhs] + [of(0)]
-    _canonicalize(A, b, basis_list, eps)
     visited = [frozenset(basis_list)]
     while len(visited) <= limit:
         enter = entering(A[m], eps)
@@ -112,22 +125,31 @@ def _pivot_with(lp, basis, entering, *, exact, limit):
 
 
 # V. Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient rule
-# cycles on it. The first two rows are doubled to integers; their slacks keep
-# coefficient 2, since scaling a slack changes its reduced cost.
+# cycles on this tableau. Its entries of 1/2 keep it out of rational mode,
+# which takes integer programs, so the tests drive the pivot loop on it.
 CHVATAL = StandardFormLP(
-    objective=(10, -57, -9, -24, 0, 0, 0),
-    rows=((1, -11, -5, 18, 2, 0, 0), (1, -3, -1, 2, 0, 2, 0), (1, 0, 0, 0, 0, 0, 1)),
+    objective=(10, -57, -9, -24),
+    rows=(
+        (Fraction(1, 2), Fraction(-11, 2), Fraction(-5, 2), 9),
+        (Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), 1),
+        (1, 0, 0, 0),
+    ),
     rhs=(0, 0, 1),
 )
+# mode -> (number type, tolerance, pivot cap) of the library's pivot loop
+ARITHMETICS = {
+    "rational": (Fraction, 0, None),
+    "float": (float, FLOAT_EPS, DEFAULT_FLOAT_ITERATION_CAP),
+}
 
 
 def _recorded_programs(monkeypatch, sets, mode):
     """Every game program built while both games of each set are solved in ``mode``."""
     programs = []
 
-    def record(lp, arithmetic, *, basis):
-        programs.append((lp, basis))
-        return simplex_optimize(lp, arithmetic, basis=basis)
+    def record(lp, arithmetic):
+        programs.append(lp)
+        return simplex_optimize(lp, arithmetic)
 
     monkeypatch.setattr(histrel.game, "simplex_optimize", record)
     for hs in sets:
@@ -137,9 +159,9 @@ def _recorded_programs(monkeypatch, sets, mode):
 
 
 def _slack_multipliers(lp, result):
-    """Row multipliers of a program whose last ``m`` columns are its slacks:
-    minus their reduced costs."""
-    return [0 - c for c in result.reduced_costs[len(lp.objective) - len(lp.rows) :]]
+    """Row multipliers: minus the reduced costs of the slacks, which come
+    after the program's columns."""
+    return [0 - c for c in result.reduced_costs[len(lp.objective) :]]
 
 
 def _compared(result):
@@ -153,8 +175,8 @@ def _compared(result):
 
 
 def test_supporting_program_for_e1():
-    lp, basis = supporting_lp(E1_ROWS)
-    result = simplex_optimize(lp, basis=basis)
+    lp, _ = supporting_lp(E1_ROWS)
+    result = simplex_optimize(lp)
     # the program of E1 + 1 has value 6 + 1; its slack duals scale to the weight
     assert result.objective_value == Fraction(1, 7)
     assert [7 * y for y in _slack_multipliers(lp, result)] == [1, 0]
@@ -162,56 +184,60 @@ def test_supporting_program_for_e1():
 
 
 def test_covering_program_for_e1():
-    lp, basis = covering_lp(E1_ROWS)
-    result = simplex_optimize(lp, basis=basis)
+    lp, _ = covering_lp(E1_ROWS)
+    result = simplex_optimize(lp)
     # the program of 8 - E1 has value 8 - 4
     assert result.objective_value == Fraction(1, 4)
     assert [4 * y for y in _slack_multipliers(lp, result)] == [0, 1]
 
 
 def test_supporting_program_constant_rows():
-    lp, basis = supporting_lp(((2, 2, 2),))
-    result = simplex_optimize(lp, basis=basis)
+    lp, _ = supporting_lp(((2, 2, 2),))
+    result = simplex_optimize(lp)
     assert result.objective_value == Fraction(1, 3)
 
 
 def test_deterministic_bit_for_bit():
-    lp, basis = supporting_lp(((3, 2, 1), (1, 2, 3)))
-    first = simplex_optimize(lp, basis=basis)
-    second = simplex_optimize(lp, basis=basis)
+    lp, _ = supporting_lp(((3, 2, 1), (1, 2, 3)))
+    first = simplex_optimize(lp)
+    second = simplex_optimize(lp)
     assert first == second
 
 
 def test_row_duals_solve_the_transposed_system():
-    lp, basis = supporting_lp(((4, 6), (7, 3)))
-    result = simplex_optimize(lp, basis=basis)
-    # y^T B == c_B on the basic columns, componentwise
+    lp, _ = supporting_lp(((4, 6), (7, 3)))
+    result = simplex_optimize(lp)
+    n = len(lp.objective)
+    # y^T B == c_B on the basic columns, componentwise; a basic slack prices y_r at 0
     y = _slack_multipliers(lp, result)
     for var in result.basis:
-        column = [row[var] for row in lp.rows]
-        assert sum(a * c for a, c in zip(y, column)) == lp.objective[var]
+        if var < n:
+            assert sum(a * row[var] for a, row in zip(y, lp.rows)) == lp.objective[var]
+        else:
+            assert y[var - n] == 0
 
 
 def test_objective_row_agrees_with_the_basis_solve():
-    for lp, basis in _game_programs(6, 60):
+    for lp in _game_programs(6, 60):
         entries = [*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row)]
         assert all(type(v) is int for v in entries)
+        n = len(lp.objective)
         for mode, tol in (("rational", 0), ("float", FLOAT_EPS)):
-            result = simplex_optimize(lp, mode, basis=basis)
-            z = result.solution
+            result = simplex_optimize(lp, mode)
+            x, slacks = result.solution[:n], result.solution[n:]
             y = _slack_multipliers(lp, result)
             for j, cost in enumerate(lp.objective):
                 priced = sum(a * row[j] for a, row in zip(y, lp.rows))
                 assert abs(result.reduced_costs[j] - (cost - priced)) <= tol
-            assert abs(result.objective_value - sum(c * v for c, v in zip(lp.objective, z))) <= tol
-            for row, b in zip(lp.rows, lp.rhs):
-                assert abs(sum(a * v for a, v in zip(row, z)) - b) <= tol
+            assert abs(result.objective_value - sum(c * v for c, v in zip(lp.objective, x))) <= tol
+            for row, b, s in zip(lp.rows, lp.rhs, slacks):
+                assert abs(sum(a * v for a, v in zip(row, x)) + s - b) <= tol
 
 
 def test_guided_rational_solve_equals_exact_bland():
-    for lp, basis in _game_programs(6, 60):
-        result = simplex_optimize(lp, basis=basis)
-        assert _compared(result) == _exact_pivoting(lp, basis)
+    for lp in _game_programs(6, 60):
+        result = simplex_optimize(lp)
+        assert _compared(result) == _exact_pivoting(lp)
         exact = (result.objective_value, *result.solution, *result.reduced_costs)
         assert all(type(v) is Fraction for v in exact)
 
@@ -219,20 +245,22 @@ def test_guided_rational_solve_equals_exact_bland():
 def test_rational_falls_back_to_exact_pivoting_when_the_guide_stalls(monkeypatch):
     monkeypatch.setattr("histrel.simplex.DEFAULT_FLOAT_ITERATION_CAP", 0)
     programs = list(_game_programs(7, 20))
-    expected = [_exact_pivoting(lp, basis) for lp, basis in programs]
+    expected = [_exact_pivoting(lp) for lp in programs]
     assert sum(e[-1] > 0 for e in expected) > len(programs) // 2  # most need a pivot
-    for (lp, basis), reference in zip(programs, expected):
-        assert _compared(simplex_optimize(lp, basis=basis)) == reference
+    for lp, reference in zip(programs, expected):
+        assert _compared(simplex_optimize(lp)) == reference
 
 
 @pytest.mark.parametrize("guide_pivots", [0, 1])
 def test_exact_repair_continues_from_a_non_optimal_guided_basis(monkeypatch, guide_pivots):
+    # a guide that stops early leaves a basis that is not optimal, and exact
+    # pivoting then starts over from the slacks
     real = _pivot_to_optimum
-    repairs = []
+    exact_starts = []
 
     def guide_stops_early(A, b, basis_list, eps, cap):
         if not eps:
-            repairs.append(basis_list[:])
+            exact_starts.append(basis_list[:])
             return real(A, b, basis_list, eps, cap)
         try:  # the float guide: at most guide_pivots pivots
             return real(A, b, basis_list, eps, guide_pivots)
@@ -240,34 +268,45 @@ def test_exact_repair_continues_from_a_non_optimal_guided_basis(monkeypatch, gui
             return guide_pivots
 
     monkeypatch.setattr("histrel.simplex._pivot_to_optimum", guide_stops_early)
-    for lp, basis in _game_programs(8, 20):
-        reference = _exact_pivoting(lp, basis)
-        repairs.clear()
-        # iterations count the guide's pivots plus the repair's
-        assert _compared(simplex_optimize(lp, basis=basis)) == reference
-        assert len(repairs) == (reference[-1] > guide_pivots)
-        if guide_pivots == 0:
-            assert all(set(start) == set(basis) for start in repairs)
+    for lp in _game_programs(8, 20):
+        reference = _exact_pivoting(lp)
+        exact_starts.clear()
+        # iterations count the exact pivots, or the guide's when its basis is accepted
+        assert _compared(simplex_optimize(lp)) == reference
+        assert len(exact_starts) == (reference[-1] > guide_pivots)
+        n, m = len(lp.objective), len(lp.rows)
+        assert all(start == list(range(n, n + m)) for start in exact_starts)
 
 
 def test_largest_coefficient_alone_cycles_on_chvatals_example():
-    visited, value = _pivot_with(CHVATAL, (4, 5, 6), _largest_coefficient, exact=True, limit=60)
-    assert len(visited) == 61 and value == 0  # 60 degenerate pivots, no progress
-    assert len(set(visited)) < len(visited)  # a basis repeats: the loop cycles
+    for of, eps, _ in ARITHMETICS.values():
+        visited, value = _pivot_with(*_slack_tableau(CHVATAL, of), _largest_coefficient, eps, 60)
+        assert len(visited) == 61 and value == 0  # 60 degenerate pivots, no progress
+        assert len(set(visited)) < len(visited)  # a basis repeats: the loop cycles
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_degenerate_stall_switch_solves_chvatals_example(mode):
-    result = simplex_optimize(CHVATAL, mode, basis=(4, 5, 6))
-    assert result.objective_value == 1
-    assert result.solution[0] == 1
+    of, eps, cap = ARITHMETICS[mode]
+    A, b, basis_list = _slack_tableau(CHVATAL, of)
+    # the library's loop: the Bland fallback ends the cycle
+    assert _pivot_to_optimum(A, b, basis_list, eps, cap) > len(basis_list)
+    assert -b[-1] == 1
+    assert b[basis_list.index(0)] == 1
 
 
 def test_exact_pivoting_ends_on_chvatals_example():
-    # no float guide and no pivot cap: the Bland fallback alone ends the cycle
-    reference = _exact_pivoting(CHVATAL, (4, 5, 6))
+    # scaled to integers with unit slacks, the example does not make the
+    # largest-coefficient rule cycle, and both modes solve it from the slacks
+    lp = StandardFormLP(
+        objective=(10, -57, -9, -24),
+        rows=((1, -11, -5, 18), (1, -3, -1, 2), (1, 0, 0, 0)),
+        rhs=(0, 0, 1),
+    )
+    reference = _exact_pivoting(lp)
     assert reference[2] == 1
-    assert _compared(simplex_optimize(CHVATAL, basis=(4, 5, 6))) == reference
+    assert _compared(simplex_optimize(lp)) == reference
+    assert simplex_optimize(lp, "float").objective_value == 1
 
 
 def _multinomial_set(seed):
@@ -285,28 +324,27 @@ def _multinomial_set(seed):
 def test_largest_coefficient_takes_at_most_half_the_bland_pivots(monkeypatch):
     programs = _recorded_programs(monkeypatch, map(_multinomial_set, range(8)), "float")
     assert len(programs) == 16
-    pivots = sum(simplex_optimize(lp, "float", basis=basis).iterations for lp, basis in programs)
+    pivots = sum(simplex_optimize(lp, "float").iterations for lp in programs)
     bland = sum(
-        len(_pivot_with(lp, basis, _smallest_index, exact=False, limit=10_000)[0]) - 1
-        for lp, basis in programs
+        len(_pivot_with(*_slack_tableau(lp, float), _smallest_index, FLOAT_EPS, 10_000)[0]) - 1
+        for lp in programs
     )
     assert pivots <= bland / 2
 
 
 def test_exact_answers_where_the_float_guide_misjudges_the_basis():
-    # x == -1e-10 passes float feasibility within FLOAT_EPS but is infeasible
-    lp = StandardFormLP(objective=(0, 0), rows=((10**10, -1),), rhs=(-1,))
-    assert simplex_optimize(lp, "float", basis=(0,)).solution[0] < 0
-    with pytest.raises(ValidationError, match="infeasible"):
-        simplex_optimize(lp, basis=(0,))
-    # float pivoting sees a pivot of 1e-10 and calls the basis singular; det B == -1
-    lp = StandardFormLP(objective=(0, 0), rows=((10**10, 1), (1, 0)), rhs=(1, 0))
-    with pytest.raises(ValidationError, match="singular"):
-        simplex_optimize(lp, "float", basis=(0, 1))
-    assert simplex_optimize(lp, basis=(0, 1)).solution == (0, 1)
+    # ratios 1 and 1 - 1e-10 tie in float, and the smaller basis index leaves:
+    # the float basis leaves the second slack at -1
+    lp = StandardFormLP(objective=(1,), rows=((1,), (10**10 + 1,)), rhs=(1, 10**10))
+    assert simplex_optimize(lp, "float").solution == (1.0, 0.0, -1.0)
+    assert simplex_optimize(lp).objective_value == Fraction(10**10, 10**10 + 1)
+    # a reduced cost of 1e-10 counts as zero in float: the float basis stops short
+    lp = StandardFormLP(objective=(1, 1), rows=((10**10, 10**10 - 1),), rhs=(10**10,))
+    assert simplex_optimize(lp, "float").objective_value == 1.0
+    assert simplex_optimize(lp).objective_value == Fraction(10**10, 10**10 - 1)
     # an entry beyond the float range stops the guide before its first pivot
-    lp = StandardFormLP(objective=(1, 0), rows=((10**400, 1),), rhs=(10**400,))
-    assert simplex_optimize(lp, basis=(0,)).objective_value == 1
+    lp = StandardFormLP(objective=(1,), rows=((10**400,),), rhs=(10**400,))
+    assert simplex_optimize(lp).objective_value == 1
 
 
 def test_integer_solver_matches_fraction_elimination():
@@ -344,10 +382,8 @@ def test_float_and_rational_end_at_the_same_basis(monkeypatch):
     sets = (random_histogram_set(random.Random(seed), 6, 8, 30) for seed in range(300))
     programs = _recorded_programs(monkeypatch, sets, "rational")
     assert len(programs) > 500
-    for lp, basis in programs:
-        exact = simplex_optimize(lp, basis=basis)
-        approx = simplex_optimize(lp, "float", basis=basis)
-        assert set(exact.basis) == set(approx.basis)
+    for lp in programs:
+        assert set(simplex_optimize(lp).basis) == set(simplex_optimize(lp, "float").basis)
 
 
 @pytest.mark.parametrize("where", ["objective", "rows", "rhs"])
@@ -357,16 +393,16 @@ def test_rational_programs_take_integer_entries(where, entry):
     parts[where] = {"objective": (entry, 0), "rows": ((entry, 1),), "rhs": (entry,)}[where]
     lp = StandardFormLP(**parts)
     with pytest.raises(ValidationError, match="integer entries"):
-        simplex_optimize(lp, basis=(0,))
+        simplex_optimize(lp)
     # float mode converts any real entry
-    assert simplex_optimize(lp, "float", basis=(0,)).objective_value == 1.0
+    assert simplex_optimize(lp, "float").objective_value == 1.0
 
 
 def test_float_mode_matches_rational_mode():
     for rows in (E1_ROWS, ((4, 6), (7, 3)), ((3, 2, 1), (1, 2, 3))):
-        lp, basis = supporting_lp(rows)
-        exact = simplex_optimize(lp, basis=basis)
-        approx = simplex_optimize(lp, arithmetic="float", basis=basis)
+        lp, _ = supporting_lp(rows)
+        exact = simplex_optimize(lp)
+        approx = simplex_optimize(lp, arithmetic="float")
         assert abs(float(exact.objective_value) - approx.objective_value) <= 1e-9
 
 
@@ -374,26 +410,63 @@ def test_float_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr("histrel.simplex.DEFAULT_FLOAT_ITERATION_CAP", 0)
     # the second program has a member after the first with a zero first count
     for rows in (((4, 6), (7, 3)), ((2, 1, 1), (0, 3, 1))):
-        lp, basis = supporting_lp(rows)
+        lp, _ = supporting_lp(rows)
         with pytest.raises(IterationCapExceeded):
-            simplex_optimize(lp, arithmetic="float", basis=basis)
+            simplex_optimize(lp, arithmetic="float")
 
 
-def test_infeasible_program_is_reported():
-    # x + y == -1 has no nonnegative solution, so the basis {x} starts at x == -1
-    lp = StandardFormLP(objective=(1, 0), rows=((1, 1),), rhs=(-1,))
-    with pytest.raises(ValidationError, match="infeasible"):
-        simplex_optimize(lp, basis=(0,))
+def test_negative_right_hand_side_is_rejected():
+    # x + y <= -1 has no nonnegative solution, and the slack basis would start at s == -1
+    with pytest.raises(ValidationError, match="nonnegative"):
+        StandardFormLP(objective=(1, 0), rows=((1, 1),), rhs=(-1,))
 
 
 def test_unbounded_program_is_reported():
-    # maximize x with only x - s == 0: x can grow forever
+    # maximize x with only x - y <= 0: x can grow forever
     lp = StandardFormLP(objective=(1, 0), rows=((1, -1),), rhs=(0,))
-    with pytest.raises(ValidationError, match="unbounded"):
-        simplex_optimize(lp, basis=(0,))
+    for mode in ("rational", "float"):
+        with pytest.raises(ValidationError, match="unbounded"):
+            simplex_optimize(lp, mode)
 
 
-def test_bad_starting_basis_is_rejected():
-    lp, _ = supporting_lp(E1_ROWS)
-    with pytest.raises(ValidationError):
-        simplex_optimize(lp, basis=(0, 0, 0))
+def test_large_sample_lengths_solve_exactly(monkeypatch):
+    # at |T| = 1e8 the float guide often ends at a basis that is singular,
+    # infeasible or not optimal in exact arithmetic; exact pivoting from the
+    # slacks must then give the oracle's value and a certified solution
+    runs = []  # per rational program: how each pivot loop ended and each basis checked
+    real_tableau, real_check = histrel.simplex._optimal_tableau, histrel.simplex._solve_basis
+
+    def optimize(lp, arithmetic):
+        runs.append([])
+        return simplex_optimize(lp, arithmetic)
+
+    def tableau(lp, field):
+        try:
+            found = real_tableau(lp, field)
+        except (ValidationError, IterationCapExceeded, OverflowError):
+            runs[-1].append(f"{field.mode} raised")
+            raise
+        runs[-1].append(f"{field.mode} pivoted")
+        return found
+
+    def check(lp, basis):
+        solved = real_check(lp, basis)
+        optimal = solved is not None and max(solved[-1]) <= 0
+        runs[-1].append("rejected" if solved is None else "optimal" if optimal else "not optimal")
+        return solved
+
+    monkeypatch.setattr(histrel.game, "simplex_optimize", optimize)
+    monkeypatch.setattr(histrel.simplex, "_optimal_tableau", tableau)
+    monkeypatch.setattr(histrel.simplex, "_solve_basis", check)
+    rng = random.Random(13)
+    draws = [random_histogram_set(rng, 6, 8, 10**8) for _ in range(100)]
+    for hs in draws[::3]:
+        for problem, solve in ((SUPPORTING, solve_supporting), (COVERING, solve_covering)):
+            solution = solve(hs)
+            assert solution.alpha == oracle_solve(hs, problem)[0]
+            assert certify(solution, hs).passed
+    accepted = ["float pivoted", "optimal"]
+    assert all(run == accepted or run[-2:] == ["rational pivoted", "optimal"] for run in runs)
+    guides = {tuple(run[:2]) for run in runs if run != accepted}
+    assert ("float pivoted", "not optimal") in guides
+    assert ("float pivoted", "rejected") in guides
