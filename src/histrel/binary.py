@@ -1,12 +1,13 @@
-"""Closed forms for two-symbol alphabets.
+"""Two-symbol alphabets: the case split, and a closed form for straddling sets.
 
 Every two-symbol set falls into one of three cases: the first component
 dominates in every member, the second does, or members straddle the middle.
-Dominant cases put all weight on the dominant symbol with the extreme count
-as the value; the straddling case pins both values to half the sample length
-at the even weight. The certifying member distributions are explicit: point
-or uniform mass on the extreme members in the dominant cases, and a
-two-member balance solution in the straddling case.
+In a dominant case the threshold reduction already removes the dominated
+symbol (supporting) or the dominant one (covering), and the general solve
+returns the point mass, the extreme count as the value, and uniform mass on
+the distinct members attaining it; ``solve_binary`` delegates to it. The
+straddling case keeps its closed form: both values are half the sample
+length at the even weight, certified by a two-member balance solution.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import (
     distinct_rows,
 )
 from .errors import DegeneratePair, NotBinary, WrongCase
-from .game import DualWeight, GameSolution, _extreme_mass, _spread_over_members, make_solution
+from .game import DualWeight, GameSolution, make_solution, solve_covering, solve_supporting
 
 ZERO_DOMINANT = "zero_dominant"
 ONE_DOMINANT = "one_dominant"
@@ -69,33 +70,20 @@ def classify_binary(histograms: HistogramSet) -> BinaryCase:
     return BinaryCase(MIXED, (Histogram(alphabet, heavy_one), Histogram(alphabet, heavy_zero)))
 
 
-def _canonical_distribution(histograms, component, extreme, field) -> DualWeight:
-    """Uniform mass over the distinct members attaining the ``extreme``
-    (``min`` or ``max``) count in one component, placed on first occurrences."""
-    unique, origins = distinct_rows(histograms.count_rows())
-    _, mass = _extreme_mass(unique, component, extreme, field)
-    return DualWeight(
-        _spread_over_members(mass, origins, len(histograms.members), field), field.mode
-    )
-
-
 def binary_dual_case1(
     histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL
 ) -> tuple[DualWeight, DualWeight]:
     """Member distributions for the dominant-first-symbol case.
 
-    The supporting problem's dual concentrates on members attaining the
-    minimal first count (their weighted first column reproduces the value);
-    the covering problem's dual concentrates on members attaining the maximal
-    second count.
+    These are the duals of ``solve_supporting`` and ``solve_covering``: the
+    supporting one is uniform on the distinct members attaining the minimal
+    first count (their weighted first column reproduces the value), the
+    covering one on those attaining the maximal second count, each on first
+    occurrences.
     """
-    field = Field.for_mode(arithmetic)
     if classify_binary(histograms).tag != ZERO_DOMINANT:
         raise WrongCase("first component does not dominate in every member")
-    return (
-        _canonical_distribution(histograms, 0, min, field),
-        _canonical_distribution(histograms, 1, max, field),
-    )
+    return solve_supporting(histograms, arithmetic).dual, solve_covering(histograms, arithmetic).dual
 
 
 def binary_dual_case2(
@@ -139,41 +127,28 @@ def binary_dual_case2(
 def solve_binary(
     histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL
 ) -> tuple[GameSolution, GameSolution]:
-    """Both game solutions for a two-symbol set, without touching the LP.
+    """Both game solutions for a two-symbol set.
 
-    In a dominant case the supporting weight sits on the dominant symbol
-    ``d`` and the covering weight on the other one. In the straddling case
-    the even weight solves both problems, it is the unique optimum exactly
-    when both strict straddle directions occur, and one balance distribution
-    certifies both values.
+    A dominant set is solved by ``solve_supporting`` and ``solve_covering``:
+    the reduction leaves one symbol, so the supporting weight is the point
+    mass on the dominant symbol ``d`` and the covering weight the one on the
+    other symbol, and each trace records the symbol eliminated in pass 1. A
+    straddling set takes the closed form, without touching the LP: the even
+    weight solves both problems, it is the unique optimum exactly when both
+    strict straddle directions occur, one balance distribution certifies
+    both values, and the trace is empty.
     """
     field = Field.for_mode(arithmetic)
-    _require_binary(histograms)
-    field.require_counts_fit(histograms.sample_length)
     case = classify_binary(histograms)
-    alphabet = histograms.alphabet
+    if case.tag != MIXED:
+        return solve_supporting(histograms, arithmetic), solve_covering(histograms, arithmetic)
+    field.require_counts_fit(histograms.sample_length)
     rows = histograms.count_rows()
-
-    if case.tag == MIXED:
-        sup_alpha = cov_alpha = field.of(histograms.sample_length) / 2
-        sup_weight = cov_weight = Weight.uniform(alphabet, arithmetic)
-        sup_dual = cov_dual = binary_dual_case2(histograms, case.witnesses, arithmetic)
-        forced = any(row[1] > row[0] for row in rows) and any(row[0] > row[1] for row in rows)
-        sup_alt = cov_alt = not forced
-    else:
-        d = 0 if case.tag == ZERO_DOMINANT else 1
-        sup_alpha = field.of(min(row[d] for row in rows))
-        cov_alpha = field.of(max(row[1 - d] for row in rows))
-        sup_weight = Weight.point_mass(alphabet, d, arithmetic)
-        cov_weight = Weight.point_mass(alphabet, 1 - d, arithmetic)
-        sup_dual = _canonical_distribution(histograms, d, min, field)
-        cov_dual = _canonical_distribution(histograms, 1 - d, max, field)
-        sup_alt = cov_alt = False
-
-    supporting = make_solution(
-        sup_alpha, sup_weight, sup_dual, histograms, SUPPORTING, alternate_optima=sup_alt
+    alpha = field.of(histograms.sample_length) / 2
+    weight = Weight.uniform(histograms.alphabet, arithmetic)
+    dual = binary_dual_case2(histograms, case.witnesses, arithmetic)
+    forced = any(row[1] > row[0] for row in rows) and any(row[0] > row[1] for row in rows)
+    return (
+        make_solution(alpha, weight, dual, histograms, SUPPORTING, alternate_optima=not forced),
+        make_solution(alpha, weight, dual, histograms, COVERING, alternate_optima=not forced),
     )
-    covering = make_solution(
-        cov_alpha, cov_weight, cov_dual, histograms, COVERING, alternate_optima=cov_alt
-    )
-    return supporting, covering

@@ -1,9 +1,10 @@
 """Command-line surface: ingest, solve, score, verify.
 
 Exit codes are stable per error class so shell pipelines can branch on them;
-see ``EXIT_CODES``. The default arithmetic mode is rational and can be
-overridden per call with ``--mode`` or globally with the ``HISTREL_MODE``
-environment variable.
+see ``EXIT_CODES``. A file named on the command line that cannot be opened,
+read or written is a usage error that names the path as given. The default
+arithmetic mode is rational and can be overridden per call with ``--mode``
+or globally with the ``HISTREL_MODE`` environment variable.
 """
 
 from __future__ import annotations
@@ -196,6 +197,11 @@ def main(argv=None) -> int:
     except HistrelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    except OSError as exc:
+        if exc.filename is None:  # not a file named on the command line
+            raise
+        print(f"error: {exc.strerror}: {exc.filename!r}", file=sys.stderr)
+        return EXIT_CODES["usage"]
 
 
 def console_main() -> None:

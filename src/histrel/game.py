@@ -227,7 +227,7 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
 
     if len(surviving) == 1:
         extreme = min if problem == SUPPORTING else max
-        best, dual_unique = _extreme_mass(unique_rows, 0, extreme, field)
+        best, dual_unique = _extreme_mass(unique_rows, extreme, field)
         # The simplex is a point: the value is the extreme count there, and
         # every optimal weight of the original problem is the point mass.
         alpha, weight_values, alternate = field.of(best), (field.one,), False
@@ -299,11 +299,11 @@ def _solve_lp(unique_rows, problem, field: Field):
     return alpha, column_side, row_side, alternate
 
 
-def _extreme_mass(unique_rows, column: int, extreme, field: Field):
-    """Uniform mass on the distinct rows attaining the ``extreme`` (``min`` or
-    ``max``) count in one column; returns that count and the mass per
-    distinct row."""
-    counts = [row[column] for row in unique_rows]
+def _extreme_mass(unique_rows, extreme, field: Field):
+    """Uniform mass on the distinct one-symbol rows attaining the ``extreme``
+    (``min`` or ``max``) count; returns that count and the mass per distinct
+    row."""
+    counts = [row[0] for row in unique_rows]
     best = extreme(counts)
     share = field.share(counts.count(best))
     return best, tuple(share if v == best else field.zero for v in counts)

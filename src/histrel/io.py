@@ -60,17 +60,34 @@ FLAGS_NOTE = (
 )
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".histrel-", suffix=".tmp")
+def read_text(path: str) -> str:
+    """A UTF-8 file's text without a leading byte-order mark. Text that does
+    not decode is a ``ParseError``; any ``OSError`` names ``path``."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"{path!r} is not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write a temporary file beside ``path`` and rename it over ``path``. A
+    failed write leaves no temporary file, and its ``OSError`` names ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".histrel-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 _escape = json.encoder.encode_basestring_ascii  # json.dumps' string writer (ensure_ascii)
@@ -209,8 +226,7 @@ def _parse_json_text(text: str):
 
 
 def load_histogram_set(path: str) -> HistogramSet:
-    with open(path, "r", encoding="utf-8") as handle:
-        return histogram_set_from_json(_parse_json_text(handle.read()))
+    return histogram_set_from_json(_parse_json_text(read_text(path)))
 
 
 def ingest_samples(path: str, alphabet: Alphabet | None = None) -> HistogramSet:
@@ -218,12 +234,11 @@ def ingest_samples(path: str, alphabet: Alphabet | None = None) -> HistogramSet:
 
     CSV rows become one histogram each; every row must have the length of the
     first row. Without an explicit alphabet the symbols are inferred from the
-    data and ordered lexicographically.
+    data and ordered lexicographically. A leading byte-order mark is dropped
+    before the format is told from the first character.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = read_text(path)
+    if text.lstrip().startswith("{"):
         histograms = histogram_set_from_json(_parse_json_text(text))
         if alphabet is not None and histograms.alphabet != alphabet:
             raise AlphabetMismatch(
@@ -282,9 +297,11 @@ class WeightProfile:
 def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL) -> WeightProfile:
     """Solve both problems and bundle the results.
 
-    Two-symbol alphabets take the closed-form path; everything else reduces
-    and then pivots. Either path raises ``CertificationFailure`` rather than
-    return a solution that fails its certificate.
+    Two-symbol alphabets go to ``solve_binary``, which keeps a closed form
+    only for straddling sets; every other set, dominant two-symbol sets
+    included, reduces and then pivots. Either path raises
+    ``CertificationFailure`` rather than return a solution that fails its
+    certificate.
     """
     require_arithmetic(arithmetic)
     if len(histograms.alphabet) == 2:
@@ -398,8 +415,7 @@ def save_profile(profile: WeightProfile, path: str) -> None:
 
 
 def load_profile(path: str) -> WeightProfile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return profile_from_json(_parse_json_text(handle.read()))
+    return profile_from_json(_parse_json_text(read_text(path)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from histrel import (
     Histogram,
     NotBinary,
+    ReductionStep,
+    ReductionTrace,
     WrongCase,
     certify,
     solve_binary,
@@ -22,7 +25,14 @@ from histrel.binary import (
     binary_dual_case2,
     classify_binary,
 )
+from histrel.verify import random_histogram_set
 from conftest import binary_sets, make_set
+
+SEEDED_BINARY_SETS = [
+    hs
+    for hs in (random_histogram_set(random.Random(seed), 6, 8, 30) for seed in range(300))
+    if len(hs.alphabet) == 2
+]
 
 
 class TestClassify:
@@ -184,3 +194,49 @@ class TestAgainstTheSolver:
         supporting, covering = solve_binary(hs)
         half = Fraction(hs.sample_length, 2)
         assert supporting.alpha >= half >= covering.alpha
+
+
+def assert_closed_form_facts(hs, mode) -> str:
+    """The closed forms' facts hold for ``solve_binary``; returns the case tag.
+
+    A dominant set, with dominant symbol ``d``: the supporting weight is the
+    point mass on ``d`` at the minimum of column ``d``, the covering weight
+    the point mass on the other symbol at the maximum of its column, each
+    member distribution is uniform on the first occurrences of the distinct
+    rows attaining that extreme, no alternate optimum is flagged, and the
+    reduction eliminates the other symbol in pass 1. A straddling set: the
+    even weight at half the sample length, with an empty trace.
+    """
+    supporting, covering = solve_binary(hs, mode)
+    tag = classify_binary(hs).tag
+    rows, symbols = hs.count_rows(), hs.alphabet.symbols
+    if tag == MIXED:
+        for solution in (supporting, covering):
+            assert solution.weight.values == (Fraction(1, 2),) * 2
+            assert solution.alpha == Fraction(hs.sample_length, 2)
+            assert solution.reduction_trace.steps == ()
+        return tag
+    d = 0 if tag == ZERO_DOMINANT else 1
+    for solution, column, extreme in ((supporting, d, min), (covering, 1 - d, max)):
+        best = extreme(row[column] for row in rows)
+        attaining = [i for i, row in enumerate(rows) if row[column] == best and rows.index(row) == i]
+        assert solution.alpha == best
+        assert solution.weight.values == tuple(int(j == column) for j in (0, 1))
+        assert solution.dual.values == tuple(
+            Fraction(1, len(attaining)) if i in attaining else 0 for i in range(len(rows))
+        )
+        assert solution.alternate_optima is False
+        step = ReductionStep(symbols[1 - column], solution.mode, 1)
+        assert solution.reduction_trace == ReductionTrace((step,), (symbols[column],))
+    return tag
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+class TestClosedFormFactsHold:
+    @given(binary_sets())
+    def test_random_binary_sets(self, mode, hs):
+        assert_closed_form_facts(hs, mode)
+
+    def test_seeded_two_symbol_sets(self, mode):
+        tags = [assert_closed_form_facts(hs, mode) for hs in SEEDED_BINARY_SETS]
+        assert MIXED in tags and len(set(tags)) == 3

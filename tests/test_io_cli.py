@@ -16,6 +16,8 @@ from histrel import (
     HistogramSet,
     LengthMismatch,
     ParseError,
+    ReductionStep,
+    ReductionTrace,
     UnknownSymbol,
     Weight,
     ingest_samples,
@@ -123,6 +125,38 @@ class TestIngest:
         path.write_bytes(b"a,b\r\nb,a\r\n")
         assert ingest_samples(str(path)).count_rows() == ((1, 1), (1, 1))
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"alphabet": ["a", "b"], "sample_length": 3, "histograms": [[2, 1], [1, 2]]}', "a,b,a\nb,b,a\n"],
+        ids=["json", "csv"],
+    )
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        histograms = ingest_samples(str(marked))
+        assert histograms.alphabet.symbols == ("a", "b")
+        assert histograms == ingest_samples(str(plain))
+        if text.startswith("{"):
+            assert load_histogram_set(str(marked)) == histograms
+
+    def test_text_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xff\xfea,b\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            ingest_samples(str(path))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_histogram_set(str(path))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_profile(str(path))
+
+    def test_a_missing_file_is_an_os_error_naming_it(self, tmp_path):
+        path = str(tmp_path / "missing.csv")
+        with pytest.raises(FileNotFoundError) as err:
+            ingest_samples(path)
+        assert err.value.filename == path
+
 
 def artifact_trees(histograms, mode) -> list:
     """The JSON trees of a set, its profile, and the report scoring its own members."""
@@ -181,11 +215,22 @@ class TestProfiles:
         assert profile.supporting.reduction_trace.eliminated == ("c", "b")
         assert profile.covering.reduction_trace.eliminated == ("a",)
 
-    def test_binary_sets_route_through_the_closed_form(self, e1):
+    def test_only_straddling_binary_sets_take_the_closed_form(self, e1, e2):
+        # E1 is dominant: the reduction eliminates one symbol in pass 1
         profile = solve_profile(e1)
-        assert profile.supporting.reduction_trace.steps == ()
+        assert profile.supporting.reduction_trace == ReductionTrace(
+            (ReductionStep("b", "supporting", 1),), ("a",)
+        )
+        assert profile.covering.reduction_trace == ReductionTrace(
+            (ReductionStep("a", "covering", 1),), ("b",)
+        )
         assert profile.supporting.alpha == 6
         assert profile.covering.alpha == 4
+        # E2 straddles: the closed form runs and records no reduction
+        profile = solve_profile(e2)
+        assert profile.supporting.reduction_trace.steps == ()
+        assert profile.covering.reduction_trace.steps == ()
+        assert profile.supporting.alpha == profile.covering.alpha == 5
 
     def test_tampered_profile_fails_certification(self, tmp_path, e1):
         path = tmp_path / "p.json"
@@ -353,6 +398,93 @@ class TestCli:
         garbled = tmp_path / "garbled.json"
         garbled.write_text("{not json")
         assert self.run("solve", str(garbled)) == EXIT_CODES["parse"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"alphabet": ["a", "b"], "sample_length": 3, "histograms": [[2, 1], [1, 2]]}', "a,b,a\nb,b,a\n"],
+        ids=["json", "csv"],
+    )
+    def test_a_byte_order_mark_changes_no_output_byte(self, tmp_path, capsys, text):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.in"
+            path.write_text(text, encoding=encoding)
+            assert self.run("solve", str(path)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["alphabet"] == ["a", "b"]
+
+    def test_a_byte_order_mark_on_a_profile_changes_no_output_byte(self, tmp_path, capsys, e1):
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        text = dumps_profile(solve_profile(e1))
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.json"
+            path.write_text(text, encoding=encoding)
+            assert self.run("score", str(path), str(samples)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def one_error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "{missing}"],
+            ["solve", "{missing}"],
+            ["score", "{missing}", "{csv}"],
+            ["score", "{profile}", "{missing}"],
+            ["verify", "{missing}"],
+            ["solve", "{directory}"],
+        ],
+        ids=["ingest", "solve", "score-profile", "score-samples", "verify", "directory"],
+    )
+    def test_an_unreadable_input_is_a_usage_error_naming_it(self, tmp_path, capsys, e1, argv):
+        paths = {
+            "missing": str(tmp_path / "missing.json"),
+            "csv": str(tmp_path / "e1.csv"),
+            "profile": str(tmp_path / "p.json"),
+            "directory": str(tmp_path),
+        }
+        (tmp_path / "e1.csv").write_text(E1_CSV)
+        save_profile(solve_profile(e1), paths["profile"])
+        argv = [arg.format(**paths) for arg in argv]
+        assert self.run(*argv) == EXIT_CODES["usage"]
+        unreadable = paths["directory"] if argv[1] == paths["directory"] else paths["missing"]
+        assert unreadable in self.one_error_line(capsys)
+
+    @pytest.mark.parametrize("target", ["missing/p.json", "out"], ids=["no-directory", "a-directory"])
+    def test_an_unwritable_output_is_a_usage_error_naming_it(self, tmp_path, capsys, target):
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        (tmp_path / "out").mkdir()
+        output = str(tmp_path / target)
+        assert self.run("solve", str(samples), "-o", output) == EXIT_CODES["usage"]
+        err = self.one_error_line(capsys)
+        assert f"'{output}'" in err and ".histrel-" not in err
+        # no temporary file is left next to the output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "out"]
+
+    @pytest.mark.parametrize("command", ["solve", "score-profile", "score-samples"])
+    def test_an_input_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys, e1, command):
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"\xff\xfea,b\n")
+        samples, profile = tmp_path / "e1.csv", tmp_path / "p.json"
+        samples.write_text(E1_CSV)
+        save_profile(solve_profile(e1), str(profile))
+        argv = {
+            "solve": ["solve", str(latin)],
+            "score-profile": ["score", str(latin), str(samples)],
+            "score-samples": ["score", str(profile), str(latin)],
+        }[command]
+        assert self.run(*argv) == EXIT_CODES["parse"]
+        assert "not UTF-8" in self.one_error_line(capsys)
 
     def test_mode_flag_and_environment_default(self, tmp_path, monkeypatch, e1):
         hs_path = tmp_path / "hs.json"
