@@ -2,7 +2,8 @@
 
 Exit codes are stable per error class so shell pipelines can branch on them;
 see ``EXIT_CODES``. A file named on the command line that cannot be opened,
-read or written is a usage error that names the path as given. The default
+read or written is a usage error that names the path as given, and so is a
+failed write to standard output, named ``<stdout>``. The default
 arithmetic mode is rational and can be overridden per call with ``--mode``
 or globally with the ``HISTREL_MODE`` environment variable.
 """
@@ -91,7 +92,12 @@ def _parse_alphabet(spec: str | None) -> Alphabet | None:
 def _emit(artifact, output: str | None, dumps, save) -> None:
     """Write ``dumps(artifact)`` to stdout, or ``save`` it to the output path."""
     if output is None or output == "-":
-        sys.stdout.write(dumps(artifact))
+        text = dumps(artifact)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # so a full device fails here, not at interpreter exit
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, "<stdout>") from exc
     else:
         save(artifact, output)
 
@@ -198,7 +204,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     except OSError as exc:
-        if exc.filename is None:  # not a file named on the command line
+        if exc.filename is None:  # neither a file named on the command line nor stdout
             raise
         print(f"error: {exc.strerror}: {exc.filename!r}", file=sys.stderr)
         return EXIT_CODES["usage"]

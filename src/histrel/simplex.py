@@ -2,22 +2,25 @@
 
 Programs are stated as: maximize ``objective . x`` subject to
 ``rows . x <= rhs`` and ``x >= 0``, with ``rhs >= 0`` (V. Chvatal, *Linear
-Programming*, 1983). The simplex appends one slack column per row, and every
+Programming*, 1983). The simplex adds one slack variable per row, and every
 pivot loop starts from the all-slack basis, which ``rhs >= 0`` makes
-feasible; there is no phase one. The column with the largest reduced cost
-enters (Dantzig's rule), and the smallest basis index leaves among the
-minimum-ratio rows. After as many consecutive degenerate pivots as there are
-rows, Bland's smallest-index rule enters columns until a pivot moves the
-objective, so exact pivoting cannot cycle. The tableau carries the objective
-as its last row, with right-hand side 0, and reduces it with the constraint
-rows, so at the optimum that row holds the reduced costs and its right-hand
-side is minus the objective value. No row multipliers are returned: a row's
-multiplier is minus its slack's reduced cost.
+feasible; there is no phase one. The variable with the largest reduced cost
+enters (Dantzig's rule; the smallest variable index among ties), and the
+smallest basis index leaves among the minimum-ratio rows. After as many consecutive degenerate pivots as there are
+rows, Bland's smallest-index rule enters variables until a pivot moves the
+objective, so exact pivoting cannot cycle. Pivoting rewrites Chvatal's
+dictionary: one row per basic variable and one column per nonbasic one, so
+the basic variables' unit columns of the full tableau are neither stored nor
+rewritten. The objective is its last row, with right-hand side 0, reduced
+with the constraint rows, so at the optimum that row holds the nonbasic
+reduced costs and its right-hand side is minus the objective value. No row
+multipliers are returned: a row's multiplier is minus its slack's reduced
+cost.
 
 Float mode pivots in doubles with the fixed absolute tolerance
-``FLOAT_EPS``: entries within it count as zero, and in the ratio test
-ratios within it count as tied, so the smaller basis index leaves as it
-would in exact arithmetic. The pivot rule is finite only in exact
+``FLOAT_EPS``: entries within it count as zero, and reduced costs within
+it of the largest, like ratios within it in the ratio test, count as tied,
+so ties break as they would in exact arithmetic. The pivot rule is finite only in exact
 arithmetic, so float mode caps the pivots at ``DEFAULT_FLOAT_ITERATION_CAP``
 and raises ``IterationCapExceeded`` when a solve stalls. The tolerance is
 absolute on raw counts, so very large sample lengths can still defeat it.
@@ -78,9 +81,9 @@ class SimplexResult:
     program's columns, then one slack per row. ``reduced_costs == c - y . A``
     column by column, where ``y`` solves ``B^T y = c_B``, so a slack has
     minus its row's multiplier as reduced cost. Float mode reads
-    ``objective_value`` and ``reduced_costs`` off the objective row of the
-    final tableau; rational mode computes every field exactly from the final
-    basis. ``iterations`` counts the pivots of the largest-coefficient rule
+    ``objective_value`` and the nonbasic ``reduced_costs`` off the objective
+    row of the final dictionary, and a basic variable's is zero; rational
+    mode computes every field exactly from the final basis. ``iterations`` counts the pivots of the largest-coefficient rule
     with its Bland fallback that reached that basis: in rational mode, the
     float guide's when its basis is accepted, otherwise exact pivoting's.
     """
@@ -102,39 +105,20 @@ def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) 
     field = Field.for_mode(arithmetic)
     if field.exact:
         return _solve_rational(lp)
-    A, b, basis, iterations = _optimal_tableau(lp, field)
-    m = len(basis)
-    solution = [field.zero] * len(A[m])
-    for r, var in enumerate(basis):
-        solution[var] = b[r]
+    basis, nonbasic, b, costs, iterations = _optimal_dictionary(lp, field)
+    solution = [field.zero] * (len(basis) + len(nonbasic))
+    reduced_costs = solution[:]  # a basic variable's reduced cost is zero
+    for var, v in zip(basis, b):
+        solution[var] = v
+    for var, c in zip(nonbasic, costs):
+        reduced_costs[var] = c
     return SimplexResult(
-        objective_value=0 - b[m],  # not -b[m]: a zero value stays +0.0
+        objective_value=0 - b[-1],  # not -b[-1]: a zero value stays +0.0
         solution=tuple(solution),
         basis=tuple(basis),
-        reduced_costs=tuple(A[m]),
+        reduced_costs=tuple(reduced_costs),
         iterations=iterations,
     )
-
-
-def _optimal_tableau(lp, field):
-    """Pivot in ``field`` from the all-slack basis to an optimal basis;
-    returns the final tableau, that basis and the pivot count."""
-    n, m = len(lp.objective), len(lp.rows)
-    of, zero, one = field.of, field.zero, field.one
-    # the slacks form an identity and cost nothing, so the objective, the
-    # last row, starts reduced; at the optimum it holds the reduced costs,
-    # and its right-hand side minus the objective value
-    A = [
-        [*map(of, row), *(one if i == r else zero for i in range(m))]
-        for r, row in enumerate(lp.rows)
-    ]
-    A.append([*map(of, lp.objective), *(zero,) * m])
-    b = [*map(of, lp.rhs), zero]
-    basis = list(range(n, n + m))
-    # exact pivoting cannot stall: the Bland fallback ends every degenerate run;
-    # float pivoting can, and the cap detects it
-    cap = None if field.exact else DEFAULT_FLOAT_ITERATION_CAP
-    return A, b, basis, _pivot_to_optimum(A, b, basis, field.tol, cap)
 
 
 def _solve_rational(lp) -> SimplexResult:
@@ -144,7 +128,7 @@ def _solve_rational(lp) -> SimplexResult:
     if bad is not None:
         raise ValidationError(f"rational programs take integer entries, got {bad!r}")
     try:
-        basis, pivots = _optimal_tableau(lp, Field.for_mode(FLOAT))[2:]
+        basis, *_, pivots = _optimal_dictionary(lp, Field.for_mode(FLOAT))
     except (ValidationError, IterationCapExceeded, OverflowError):
         pass
     else:
@@ -152,7 +136,7 @@ def _solve_rational(lp) -> SimplexResult:
         # accepted when exactly feasible and no reduced cost is positive
         if solved is not None and max(solved[-1]) <= 0:
             return _exact_result(lp, basis, solved, pivots)
-    basis, pivots = _optimal_tableau(lp, Field.for_mode(RATIONAL))[2:]
+    basis, *_, pivots = _optimal_dictionary(lp, Field.for_mode(RATIONAL))
     return _exact_result(lp, basis, _solve_basis(lp, basis), pivots)
 
 
@@ -192,55 +176,52 @@ def _exact_result(lp, basis, solved, iterations) -> SimplexResult:
     )
 
 
-def _apply_pivot(A, b, prow, pcol):
-    pivot = A[prow][pcol]
-    if pivot != 1:
-        inv = 1 / pivot
-        A[prow] = [v * inv for v in A[prow]]
-        b[prow] = b[prow] * inv
-    row = A[prow]
-    for r in range(len(A)):
-        if r == prow:
-            continue
-        factor = A[r][pcol]
-        if factor == 0:
-            continue
-        A[r] = [v - factor * w for v, w in zip(A[r], row)]
-        A[r][pcol] = 0 * factor  # exact zero in both arithmetics
-        b[r] = b[r] - factor * b[prow]
+def _optimal_dictionary(lp, field):
+    """Pivot Chvatal's dictionary in ``field`` from the all-slack basis to an
+    optimal basis, by the rule the module describes; returns ``(basis,
+    nonbasic, b, costs, pivots)``.
 
-
-def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
-    """Largest-coefficient pivoting with a Bland fallback; returns the pivots.
-
-    The column with the largest reduced cost enters, and reduced costs within
-    ``eps`` of the largest tie to the smallest column. The smallest basis
-    index leaves among the minimum-ratio rows; ratios within ``eps`` are ties.
-    After ``m`` consecutive degenerate pivots (minimum ratio at most ``eps``),
-    Bland's smallest improving column enters until a pivot moves the
-    objective. Exact pivoting therefore ends: a nondegenerate pivot strictly
-    raises the objective, and a run of Bland pivots cannot cycle.
+    Row ``r`` of the dictionary ``D`` holds the coefficients of basic
+    variable ``basis[r]`` on the nonbasic variables, column ``k`` on
+    ``nonbasic[k]``, and ``b[r]`` is its value. Row ``m`` holds the reduced
+    costs, and ``b[m]`` minus the objective value. These are the entries of
+    the full tableau less the basic variables' unit columns, which no pivot
+    changes, except for each one's entry in its own row, ``unit[r]``: it is
+    ``pivot * (1 / pivot)``, not always 1.0 in float, and becomes the
+    leaving variable's column. So every entry, rounding included, equals the
+    tableau's, and so does every pivot.
     """
-    m = len(basis_list)
+    n, m = len(lp.objective), len(lp.rows)
+    of, zero, one, eps = field.of, field.zero, field.one, field.tol
+    # exact pivoting cannot stall: the Bland fallback ends every degenerate run;
+    # float pivoting can, and the cap detects it
+    cap = None if field.exact else DEFAULT_FLOAT_ITERATION_CAP
+    # the slacks are basic and cost nothing, so the objective row starts reduced
+    D = [[*map(of, row)] for row in (*lp.rows, lp.objective)]
+    b = [*map(of, lp.rhs), zero]
+    unit = [one] * m
+    basis, nonbasic = list(range(n, n + m)), list(range(n))
     iterations = degenerate = 0
     while True:
-        costs = A[m]
-        top = max(costs)
+        costs = D[m]
+        top = max(costs, default=zero)
         if top <= eps:
-            return iterations
+            return basis, nonbasic, b, costs, iterations
         if degenerate < m:
-            enter = next(j for j, v in enumerate(costs) if v >= top - eps and v > eps)
+            candidates = (k for k, v in enumerate(costs) if v >= top - eps and v > eps)
         else:
-            enter = next(j for j, v in enumerate(costs) if v > eps)
+            candidates = (k for k, v in enumerate(costs) if v > eps)
+        # the columns are permuted: a tie goes to the smallest variable index
+        enter = min(candidates, key=nonbasic.__getitem__)
         leave_row, best_ratio = None, None
         for r in range(m):
-            coeff = A[r][enter]
+            coeff = D[r][enter]
             if coeff > eps:
                 ratio = b[r] / coeff
                 if (
                     best_ratio is None
                     or ratio < best_ratio - eps
-                    or (ratio <= best_ratio + eps and basis_list[r] < basis_list[leave_row])
+                    or (ratio <= best_ratio + eps and basis[r] < basis[leave_row])
                 ):
                     leave_row, best_ratio = r, ratio
         if leave_row is None:
@@ -249,5 +230,20 @@ def _pivot_to_optimum(A, b, basis_list, eps, cap) -> int:
         iterations += 1
         if cap is not None and iterations > cap:
             raise IterationCapExceeded(f"no optimum after {cap} pivots")
-        _apply_pivot(A, b, leave_row, enter)
-        basis_list[leave_row] = enter
+        row = D[leave_row]
+        pivot = row[enter]
+        row[enter] = unit[leave_row]  # the leaving variable takes the column
+        if pivot != 1:
+            inv = 1 / pivot
+            row = D[leave_row] = [v * inv for v in row]
+            b[leave_row] = b[leave_row] * inv
+            pivot = pivot * inv
+        unit[leave_row] = pivot
+        for r, old in enumerate(D):
+            factor = old[enter]
+            if r == leave_row or factor == 0:
+                continue
+            old[enter] = zero  # the leaving variable's entry off its row
+            D[r] = [v - factor * w for v, w in zip(old, row)]
+            b[r] = b[r] - factor * b[leave_row]
+        basis[leave_row], nonbasic[enter] = nonbasic[enter], basis[leave_row]

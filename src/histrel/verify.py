@@ -3,8 +3,9 @@
 Every property the library promises at desk scale is checked here on seeded
 random instances plus a handful of pinned cases, so one command answers "is
 this build trustworthy": values match the oracle exactly, bounds hold,
-certificates pass, reduction is sound, the closed binary forms agree with
-the pivoting path, and float mode tracks rational mode.
+certificates pass, reduction is sound, the straddling binary closed form
+agrees with the pivoting path and dominant binary sets show the closed
+form's facts, and float mode tracks rational mode.
 """
 
 from __future__ import annotations
@@ -206,28 +207,43 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
 
 
 def _check_binary_agreement(histograms, stats, label) -> None:
+    """``solve_binary`` on a two-symbol set. Its straddling closed form must
+    agree with the pivoting path; a dominant set, which it solves by that
+    path, must show the closed form's facts: the supporting weight is the
+    point mass on the dominant symbol at the minimum of its column, the
+    covering weight the point mass on the other symbol at the maximum of
+    that one's, and neither flags an alternate optimum."""
     sup_fast, cov_fast = solve_binary(histograms)
-    sup_lp = solve_supporting(histograms)
-    cov_lp = solve_covering(histograms)
-    _stat(stats, "binary-alpha-agreement").record(
-        sup_fast.alpha == sup_lp.alpha and cov_fast.alpha == cov_lp.alpha,
-        note=f"{label}: fast ({sup_fast.alpha},{cov_fast.alpha}) lp ({sup_lp.alpha},{cov_lp.alpha})",
-    )
     case = classify_binary(histograms)
-    forced = case.tag != MIXED or not sup_fast.alternate_optima
-    if forced:
-        _stat(stats, "binary-forced-weights").record(
-            sup_fast.weight.values == sup_lp.weight.values
-            and cov_fast.weight.values == cov_lp.weight.values,
-            note=f"{label}: fast {sup_fast.weight.values} lp {sup_lp.weight.values}",
+    rows = histograms.count_rows()
+    if case.tag == MIXED:
+        sup_lp = solve_supporting(histograms)
+        cov_lp = solve_covering(histograms)
+        _stat(stats, "binary-alpha-agreement").record(
+            sup_fast.alpha == sup_lp.alpha and cov_fast.alpha == cov_lp.alpha,
+            note=f"{label}: fast ({sup_fast.alpha},{cov_fast.alpha}) lp ({sup_lp.alpha},{cov_lp.alpha})",
         )
+        if not sup_fast.alternate_optima:
+            _stat(stats, "binary-forced-weights").record(
+                sup_fast.weight.values == sup_lp.weight.values
+                and cov_fast.weight.values == cov_lp.weight.values,
+                note=f"{label}: fast {sup_fast.weight.values} lp {sup_lp.weight.values}",
+            )
+    else:
+        dominant = 0 if case.tag == ZERO_DOMINANT else 1
+        for solution, column, extreme in ((sup_fast, dominant, min), (cov_fast, 1 - dominant, max)):
+            _stat(stats, "binary-dominant-facts").record(
+                solution.alpha == extreme(row[column] for row in rows)
+                and solution.weight.values == tuple(int(j == column) for j in (0, 1))
+                and solution.alternate_optima is False,
+                note=f"{label}: {solution.mode} alpha {solution.alpha} weight {solution.weight.values}",
+            )
     for solution in (sup_fast, cov_fast):
         report = certify(solution, histograms)
         _stat(stats, "binary-certificates").record(
             report.passed, violation=report.max_violation, note=label
         )
     t = histograms.sample_length
-    rows = histograms.count_rows()
     if case.tag == ZERO_DOMINANT:
         lhs = sum(d * row[0] for d, row in zip(sup_fast.dual.values, rows))
         _stat(stats, "binary-dual-identity").record(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import histrel.verify
 from histrel import (
     Histogram,
     NotBinary,
@@ -240,3 +241,41 @@ class TestClosedFormFactsHold:
     def test_seeded_two_symbol_sets(self, mode):
         tags = [assert_closed_form_facts(hs, mode) for hs in SEEDED_BINARY_SETS]
         assert MIXED in tags and len(set(tags)) == 3
+
+
+class TestVerifyBinaryCheck:
+    """``histrel verify``'s binary check: a dominant set is solved once and
+    checked against the closed-form facts, a straddling one against the LP."""
+
+    def check(self, monkeypatch, hs, swap=False):
+        lp_solves = []
+        real = histrel.verify.solve_supporting
+
+        def counted(*args, **kwargs):
+            lp_solves.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(histrel.verify, "solve_supporting", counted)
+        if swap:  # a solver that returns the two games' solutions crossed
+            monkeypatch.setattr(histrel.verify, "solve_binary", lambda h: solve_binary(h)[::-1])
+        stats = {}
+        histrel.verify._check_binary_agreement(hs, stats, "set")
+        return stats, len(lp_solves)
+
+    def test_a_dominant_set_is_checked_against_the_closed_form_facts(self, monkeypatch, e1):
+        stats, lp_solves = self.check(monkeypatch, e1)
+        assert lp_solves == 0
+        assert set(stats) == {"binary-dominant-facts", "binary-certificates", "binary-dual-identity"}
+        assert stats["binary-dominant-facts"].trials == 2
+        assert all(stat.passed for stat in stats.values())
+
+    def test_the_facts_catch_crossed_solutions(self, monkeypatch, e1):
+        stats = self.check(monkeypatch, e1, swap=True)[0]
+        assert stats["binary-dominant-facts"].failures == 2
+
+    def test_a_straddling_set_is_compared_with_the_lp(self, monkeypatch, e2):
+        stats, lp_solves = self.check(monkeypatch, e2)
+        assert lp_solves == 1
+        assert {"binary-alpha-agreement", "binary-forced-weights"} <= set(stats)
+        assert "binary-dominant-facts" not in stats
+        assert all(stat.passed for stat in stats.values())

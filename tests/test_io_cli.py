@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -470,6 +472,36 @@ class TestCli:
         assert f"'{output}'" in err and ".histrel-" not in err
         # no temporary file is left next to the output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "out"]
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("command", ["ingest", "solve", "score"])
+    def test_a_failed_write_to_stdout_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, e1, command, failing
+    ):
+        class FullStdout:
+            """A standard output on a full device, such as ``> /dev/full``:
+            large outputs fail in ``write``, small ones when flushed."""
+
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return len(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        samples, profile = tmp_path / "e1.csv", tmp_path / "p.json"
+        samples.write_text(E1_CSV)
+        save_profile(solve_profile(e1), str(profile))
+        argv = {
+            "ingest": ["ingest", str(samples)],
+            "solve": ["solve", str(samples)],
+            "score": ["score", str(profile), str(samples)],
+        }[command]
+        monkeypatch.setattr("sys.stdout", FullStdout())
+        assert self.run(*argv) == EXIT_CODES["usage"]
+        err = self.one_error_line(capsys)
+        assert "No space left on device" in err and "'<stdout>'" in err
 
     @pytest.mark.parametrize("command", ["solve", "score-profile", "score-samples"])
     def test_an_input_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys, e1, command):

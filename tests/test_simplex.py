@@ -19,14 +19,12 @@ from histrel import (
     solve_covering,
     solve_supporting,
 )
-from histrel.core import FLOAT_EPS, _solve_integer, distinct_rows
+from histrel.core import FLOAT_EPS, Field, _solve_integer, distinct_rows
 from histrel.game import covering_lp, supporting_lp
 from histrel.oracle import oracle_solve
 from histrel.simplex import (
-    DEFAULT_FLOAT_ITERATION_CAP,
     StandardFormLP,
-    _apply_pivot,
-    _pivot_to_optimum,
+    _optimal_dictionary,
     simplex_optimize,
 )
 from histrel.verify import random_histogram_set
@@ -63,9 +61,9 @@ def _fraction_solve(matrix, rhs):
 
 
 def _slack_tableau(lp, of):
-    """The program's tableau over the number type ``of``: each row followed
-    by its slack's unit entries, then the objective row with zero slack
-    costs; the slacks are the basis."""
+    """The program's full tableau over the number type ``of``: each row
+    followed by its slack's unit entries, then the objective row with zero
+    slack costs; the slacks are the basis."""
     n, m = len(lp.objective), len(lp.rows)
     A = [
         [*map(of, row), *(of(int(i == r)) for i in range(m))] for r, row in enumerate(lp.rows)
@@ -74,38 +72,73 @@ def _slack_tableau(lp, of):
     return A, [*map(of, lp.rhs), of(0)], list(range(n, n + m))
 
 
+def _apply_pivot(A, b, prow, pcol):
+    """One pivot of the full tableau, every column rewritten: the reference
+    the library's dictionary pivot must equal entry for entry."""
+    pivot = A[prow][pcol]
+    if pivot != 1:
+        inv = 1 / pivot
+        A[prow] = [v * inv for v in A[prow]]
+        b[prow] = b[prow] * inv
+    row = A[prow]
+    for r in range(len(A)):
+        if r == prow:
+            continue
+        factor = A[r][pcol]
+        if factor == 0:
+            continue
+        A[r] = [v - factor * w for v, w in zip(A[r], row)]
+        A[r][pcol] = 0 * factor  # exact zero in both arithmetics
+        b[r] = b[r] - factor * b[prow]
+
+
 def _exact_pivoting(lp):
     """Reference: the library's pivot loop run over fractions from the
     slack basis, with no float guide (largest reduced cost enters, Bland's
     rule after a run of degenerate pivots)."""
-    A, b, basis_list = _slack_tableau(lp, Fraction)
-    iterations = _pivot_to_optimum(A, b, basis_list, 0, None)
-    m = len(basis_list)
-    solution = [Fraction(0)] * len(A[m])
-    for r, var in enumerate(basis_list):
-        solution[var] = b[r]
-    return (tuple(solution), tuple(A[m]), -b[m], set(basis_list), iterations)
+    basis, nonbasic, b, costs, iterations = _optimal_dictionary(lp, Field.for_mode("rational"))
+    solution = [Fraction(0)] * (len(basis) + len(nonbasic))
+    reduced_costs = solution[:]
+    for var, v in zip(basis, b):
+        solution[var] = v
+    for var, c in zip(nonbasic, costs):
+        reduced_costs[var] = c
+    return (tuple(solution), tuple(reduced_costs), -b[-1], set(basis), iterations)
 
 
-def _largest_coefficient(costs, eps):
+def _largest_coefficient(costs, eps, stalled):
     top = max(costs)
     return None if top <= eps else costs.index(top)
 
 
-def _smallest_index(costs, eps):
+def _smallest_index(costs, eps, stalled):
     return next((j for j, v in enumerate(costs) if v > eps), None)
 
 
+def _library_rule(costs, eps, stalled):
+    """The library's entering rule on a tableau's objective row: the
+    smallest column within ``eps`` of the largest reduced cost, or Bland's
+    smallest improving column once the pivots have stalled."""
+    if stalled:
+        return _smallest_index(costs, eps, stalled)
+    top = max(costs)
+    if top <= eps:
+        return None
+    return next(j for j, v in enumerate(costs) if v >= top - eps and v > eps)
+
+
 def _pivot_with(A, b, basis_list, entering, eps, limit):
-    """A pivot loop local to the tests, on a tableau: ``entering(costs,
-    eps)`` picks the column, and the library's leaving rule picks the row
-    (minimum ratio, ties to the smallest basis index). Stops at an optimum
-    or after ``limit`` pivots; returns the bases visited and the objective
-    value reached."""
+    """A pivot loop local to the tests, on a full tableau: ``entering(costs,
+    eps, stalled)`` picks the column, where ``stalled`` says that the last
+    ``m`` pivots were degenerate, and the library's leaving rule picks the
+    row (minimum ratio, ties to the smallest basis index). Stops at an
+    optimum or after ``limit`` pivots; returns the bases visited, each in
+    row order, and the objective value reached."""
     m = len(basis_list)
-    visited = [frozenset(basis_list)]
+    visited = [tuple(basis_list)]
+    degenerate = 0
     while len(visited) <= limit:
-        enter = entering(A[m], eps)
+        enter = entering(A[m], eps, degenerate >= m)
         if enter is None:
             break
         leave_row, best_ratio = None, None
@@ -118,15 +151,16 @@ def _pivot_with(A, b, basis_list, entering, eps, limit):
                     or (ratio <= best_ratio + eps and basis_list[r] < basis_list[leave_row])
                 ):
                     leave_row, best_ratio = r, ratio
+        degenerate = degenerate + 1 if best_ratio <= eps else 0
         _apply_pivot(A, b, leave_row, enter)
         basis_list[leave_row] = enter
-        visited.append(frozenset(basis_list))
+        visited.append(tuple(basis_list))
     return visited, -b[m]
 
 
 # V. Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient rule
-# cycles on this tableau. Its entries of 1/2 keep it out of rational mode,
-# which takes integer programs, so the tests drive the pivot loop on it.
+# cycles on this program. Its entries of 1/2 keep it out of rational mode,
+# which takes integer programs, so the tests drive the pivot loops on it.
 CHVATAL = StandardFormLP(
     objective=(10, -57, -9, -24),
     rows=(
@@ -136,11 +170,6 @@ CHVATAL = StandardFormLP(
     ),
     rhs=(0, 0, 1),
 )
-# mode -> (number type, tolerance, pivot cap) of the library's pivot loop
-ARITHMETICS = {
-    "rational": (Fraction, 0, None),
-    "float": (float, FLOAT_EPS, DEFAULT_FLOAT_ITERATION_CAP),
-}
 
 
 def _recorded_programs(monkeypatch, sets, mode):
@@ -254,45 +283,45 @@ def test_rational_falls_back_to_exact_pivoting_when_the_guide_stalls(monkeypatch
 @pytest.mark.parametrize("guide_pivots", [0, 1])
 def test_exact_repair_continues_from_a_non_optimal_guided_basis(monkeypatch, guide_pivots):
     # a guide that stops early leaves a basis that is not optimal, and exact
-    # pivoting then starts over from the slacks
-    real = _pivot_to_optimum
-    exact_starts = []
+    # pivoting then starts over; the pivot loop takes no basis, so it starts
+    # from the slacks
+    real = _optimal_dictionary
+    exact_runs = []
 
-    def guide_stops_early(A, b, basis_list, eps, cap):
-        if not eps:
-            exact_starts.append(basis_list[:])
-            return real(A, b, basis_list, eps, cap)
-        try:  # the float guide: at most guide_pivots pivots
-            return real(A, b, basis_list, eps, guide_pivots)
-        except IterationCapExceeded:
-            return guide_pivots
+    def guide_stops_early(lp, field):
+        if field.exact:
+            exact_runs.append(lp)
+            return real(lp, field)
+        # the float guide: at most guide_pivots pivots of the library's rule
+        A, b, basis_list = _slack_tableau(lp, float)
+        visited = _pivot_with(A, b, basis_list, _library_rule, FLOAT_EPS, guide_pivots)[0]
+        nonbasic = [j for j in range(len(A[-1])) if j not in basis_list]
+        return basis_list, nonbasic, b, [A[-1][j] for j in nonbasic], len(visited) - 1
 
-    monkeypatch.setattr("histrel.simplex._pivot_to_optimum", guide_stops_early)
+    monkeypatch.setattr("histrel.simplex._optimal_dictionary", guide_stops_early)
     for lp in _game_programs(8, 20):
         reference = _exact_pivoting(lp)
-        exact_starts.clear()
+        exact_runs.clear()
         # iterations count the exact pivots, or the guide's when its basis is accepted
         assert _compared(simplex_optimize(lp)) == reference
-        assert len(exact_starts) == (reference[-1] > guide_pivots)
-        n, m = len(lp.objective), len(lp.rows)
-        assert all(start == list(range(n, n + m)) for start in exact_starts)
+        assert len(exact_runs) == (reference[-1] > guide_pivots)
 
 
 def test_largest_coefficient_alone_cycles_on_chvatals_example():
-    for of, eps, _ in ARITHMETICS.values():
-        visited, value = _pivot_with(*_slack_tableau(CHVATAL, of), _largest_coefficient, eps, 60)
+    for field in map(Field.for_mode, ("rational", "float")):
+        tableau = _slack_tableau(CHVATAL, field.of)
+        visited, value = _pivot_with(*tableau, _largest_coefficient, field.tol, 60)
         assert len(visited) == 61 and value == 0  # 60 degenerate pivots, no progress
         assert len(set(visited)) < len(visited)  # a basis repeats: the loop cycles
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_degenerate_stall_switch_solves_chvatals_example(mode):
-    of, eps, cap = ARITHMETICS[mode]
-    A, b, basis_list = _slack_tableau(CHVATAL, of)
     # the library's loop: the Bland fallback ends the cycle
-    assert _pivot_to_optimum(A, b, basis_list, eps, cap) > len(basis_list)
+    basis, _, b, _, pivots = _optimal_dictionary(CHVATAL, Field.for_mode(mode))
+    assert pivots > len(basis)
     assert -b[-1] == 1
-    assert b[basis_list.index(0)] == 1
+    assert b[basis.index(0)] == 1
 
 
 def test_exact_pivoting_ends_on_chvatals_example():
@@ -309,16 +338,17 @@ def test_exact_pivoting_ends_on_chvatals_example():
     assert simplex_optimize(lp, "float").objective_value == 1
 
 
-def _multinomial_set(seed):
-    """26 symbols x 80 members, each member 400 draws from equal probabilities."""
+def _multinomial_set(seed, symbols=26, members=80, length=400):
+    """Each member ``length`` draws from equal probabilities on ``symbols``
+    symbols; by default the size of the benchmark's float sets."""
     rng = random.Random(seed)
     counts = []
-    for _ in range(80):
-        member = [0] * 26
-        for j in rng.choices(range(26), k=400):
+    for _ in range(members):
+        member = [0] * symbols
+        for j in rng.choices(range(symbols), k=length):
             member[j] += 1
         counts.append(member)
-    return HistogramSet.from_counts(Alphabet(tuple(string.ascii_lowercase)), counts)
+    return HistogramSet.from_counts(Alphabet(tuple(string.ascii_lowercase[:symbols])), counts)
 
 
 def test_largest_coefficient_takes_at_most_half_the_bland_pivots(monkeypatch):
@@ -330,6 +360,41 @@ def test_largest_coefficient_takes_at_most_half_the_bland_pivots(monkeypatch):
         for lp in programs
     )
     assert pivots <= bland / 2
+
+
+def _bases_before_the_cap(monkeypatch, lp, pivots):
+    """The library's float basis, in row order, after each of its first
+    ``pivots`` pivots: a pivot cap of ``k`` stops the loop after ``k``
+    pivots, and the basis is read off the frame that raised."""
+    bases = []
+    for cap in range(pivots):
+        with monkeypatch.context() as patch:
+            patch.setattr("histrel.simplex.DEFAULT_FLOAT_ITERATION_CAP", cap)
+            with pytest.raises(IterationCapExceeded) as stopped:
+                simplex_optimize(lp, "float")
+        bases.append(tuple(stopped.traceback[-1].locals["basis"]))
+    return bases
+
+
+def test_dictionary_pivots_like_the_full_tableau(monkeypatch):
+    # the dictionary drops the basic unit columns of the tableau but keeps
+    # its pivots and its float rounding: the same bases in the same rows,
+    # and the same bits in every value and reduced cost
+    sets = [_multinomial_set(seed) for seed in range(2)]
+    sets += [_multinomial_set(seed, 10, 20, 80) for seed in range(4)]
+    programs = [*_game_programs(6, 60), *_recorded_programs(monkeypatch, sets, "float")]
+    for lp in programs:
+        A, b, basis_list = _slack_tableau(lp, float)
+        visited = _pivot_with(A, b, basis_list, _library_rule, FLOAT_EPS, 10_000)[0]
+        result = simplex_optimize(lp, "float")
+        assert result.iterations == len(visited) - 1
+        assert [*_bases_before_the_cap(monkeypatch, lp, result.iterations), result.basis] == visited
+        solution = [0.0] * len(A[-1])
+        for r, var in enumerate(basis_list):
+            solution[var] = b[r]
+        assert repr(result.solution) == repr(tuple(solution))
+        assert repr(result.reduced_costs) == repr(tuple(A[-1]))
+        assert repr(result.objective_value) == repr(0 - b[-1])
 
 
 def test_exact_answers_where_the_float_guide_misjudges_the_basis():
@@ -434,15 +499,15 @@ def test_large_sample_lengths_solve_exactly(monkeypatch):
     # infeasible or not optimal in exact arithmetic; exact pivoting from the
     # slacks must then give the oracle's value and a certified solution
     runs = []  # per rational program: how each pivot loop ended and each basis checked
-    real_tableau, real_check = histrel.simplex._optimal_tableau, histrel.simplex._solve_basis
+    real_pivoting, real_check = histrel.simplex._optimal_dictionary, histrel.simplex._solve_basis
 
     def optimize(lp, arithmetic):
         runs.append([])
         return simplex_optimize(lp, arithmetic)
 
-    def tableau(lp, field):
+    def pivoting(lp, field):
         try:
-            found = real_tableau(lp, field)
+            found = real_pivoting(lp, field)
         except (ValidationError, IterationCapExceeded, OverflowError):
             runs[-1].append(f"{field.mode} raised")
             raise
@@ -456,7 +521,7 @@ def test_large_sample_lengths_solve_exactly(monkeypatch):
         return solved
 
     monkeypatch.setattr(histrel.game, "simplex_optimize", optimize)
-    monkeypatch.setattr(histrel.simplex, "_optimal_tableau", tableau)
+    monkeypatch.setattr(histrel.simplex, "_optimal_dictionary", pivoting)
     monkeypatch.setattr(histrel.simplex, "_solve_basis", check)
     rng = random.Random(13)
     draws = [random_histogram_set(rng, 6, 8, 10**8) for _ in range(100)]
