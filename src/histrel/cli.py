@@ -97,9 +97,27 @@ def _emit(artifact, output: str | None, dumps, save) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()  # so a full device fails here, not at interpreter exit
         except OSError as exc:
+            _drop_stdout()
             raise OSError(exc.errno, exc.strerror, "<stdout>") from exc
     else:
         save(artifact, output)
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device after a failed write.
+
+    The bytes that the write left in stdout's buffer would otherwise fail again
+    in the interpreter's exit flush, which prints a second error and exits 120.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # an in-memory stream has no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 @functools.cache

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -502,6 +504,42 @@ class TestCli:
         assert self.run(*argv) == EXIT_CODES["usage"]
         err = self.one_error_line(capsys)
         assert "No space left on device" in err and "'<stdout>'" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("stdout", ["standard", "keeps-failed-bytes"])
+    def test_a_process_writing_to_a_full_device_exits_2(self, tmp_path, stdout, size):
+        """``histrel ingest samples.csv > /dev/full`` as a process, whose
+        interpreter flushes stdout again at exit. The second stdout is a
+        buffered writer that keeps the bytes of a failed write, so that exit
+        flush retries them."""
+        samples = tmp_path / "samples.csv"
+        # a small output fails when flushed, a large one already in write
+        samples.write_text(E1_CSV * (1 if size == "small" else 200))
+        prelude = {
+            "standard": "",
+            "keeps-failed-bytes": (
+                "import io, sys\n"
+                "class Raw(io.FileIO):\n"
+                "    def write(self, data):\n"
+                "        return super().write(data)\n"
+                "sys.stdout = io.TextIOWrapper(io.BufferedWriter(Raw(1, 'w', closefd=False)))\n"
+            ),
+        }[stdout]
+        code = prelude + "from histrel.cli import console_main\nconsole_main()\n"
+        src = os.path.dirname(os.path.dirname(histrel.verify.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-W", "error", "-c", code, "ingest", str(samples)],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        assert done.stderr == "error: No space left on device: '<stdout>'\n"
+        assert done.returncode == EXIT_CODES["usage"]
 
     @pytest.mark.parametrize("command", ["solve", "score-profile", "score-samples"])
     def test_an_input_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys, e1, command):

@@ -92,20 +92,6 @@ def _apply_pivot(A, b, prow, pcol):
         b[r] = b[r] - factor * b[prow]
 
 
-def _exact_pivoting(lp):
-    """Reference: the library's pivot loop run over fractions from the
-    slack basis, with no float guide (largest reduced cost enters, Bland's
-    rule after a run of degenerate pivots)."""
-    basis, nonbasic, b, costs, iterations = _optimal_dictionary(lp, Field.for_mode("rational"))
-    solution = [Fraction(0)] * (len(basis) + len(nonbasic))
-    reduced_costs = solution[:]
-    for var, v in zip(basis, b):
-        solution[var] = v
-    for var, c in zip(nonbasic, costs):
-        reduced_costs[var] = c
-    return (tuple(solution), tuple(reduced_costs), -b[-1], set(basis), iterations)
-
-
 def _largest_coefficient(costs, eps, stalled):
     top = max(costs)
     return None if top <= eps else costs.index(top)
@@ -156,6 +142,18 @@ def _pivot_with(A, b, basis_list, entering, eps, limit):
         basis_list[leave_row] = enter
         visited.append(tuple(basis_list))
     return visited, -b[m]
+
+
+def _exact_pivoting(lp):
+    """Reference: the full tableau pivoted over fractions from the slack
+    basis by the library's rules, with no float guide (largest reduced cost
+    enters, Bland's rule after a run of degenerate pivots)."""
+    A, b, basis_list = _slack_tableau(lp, Fraction)
+    visited, value = _pivot_with(A, b, basis_list, _library_rule, 0, 10**6)
+    solution = [Fraction(0)] * len(A[-1])
+    for r, var in enumerate(basis_list):
+        solution[var] = b[r]
+    return (tuple(solution), tuple(A[-1]), value, set(basis_list), len(visited) - 1)
 
 
 # V. Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient rule
