@@ -26,7 +26,6 @@ from .errors import (
     AlphabetMismatch,
     CapExceeded,
     CertificationFailure,
-    DegeneratePair,
     EmptySet,
     HistrelError,
     IterationCapExceeded,
@@ -36,7 +35,6 @@ from .errors import (
     ParseError,
     UnknownSymbol,
     ValidationError,
-    WrongCase,
 )
 from .game import (
     CertificateReport,
@@ -70,7 +68,6 @@ __all__ = [
     "CertificateReport",
     "CertificationFailure",
     "COVERING",
-    "DegeneratePair",
     "DualWeight",
     "EmptySet",
     "FLOAT",
@@ -94,7 +91,6 @@ __all__ = [
     "ValidationError",
     "Weight",
     "WeightProfile",
-    "WrongCase",
     "build_histogram",
     "certify",
     "ingest_samples",

@@ -12,20 +12,8 @@ length at the even weight, certified by a two-member balance solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (
-    COVERING,
-    RATIONAL,
-    SUPPORTING,
-    ArithmeticMode,
-    Field,
-    Histogram,
-    HistogramSet,
-    Weight,
-    distinct_rows,
-)
-from .errors import DegeneratePair, NotBinary, WrongCase
+from .core import COVERING, RATIONAL, SUPPORTING, ArithmeticMode, Field, HistogramSet, Weight
+from .errors import NotBinary
 from .game import DualWeight, GameSolution, make_solution, solve_covering, solve_supporting
 
 ZERO_DOMINANT = "zero_dominant"
@@ -33,95 +21,40 @@ ONE_DOMINANT = "one_dominant"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class BinaryCase:
-    """Case tag, plus the straddling witness pair when mixed."""
-
-    tag: str
-    witnesses: tuple[Histogram, Histogram] | None = None
-
-
-def _require_binary(histograms: HistogramSet) -> None:
+def classify_binary(histograms: HistogramSet) -> str:
+    """The case tag of a two-symbol set: ``ZERO_DOMINANT`` or ``ONE_DOMINANT``
+    when that component is the larger in every member, ``MIXED`` otherwise.
+    The three tags are mutually exclusive and exhaustive."""
     if len(histograms.alphabet) != 2:
         raise NotBinary(f"need a two-symbol alphabet, got {len(histograms.alphabet)} symbols")
-
-
-def classify_binary(histograms: HistogramSet) -> BinaryCase:
-    """Split a two-symbol set by which component dominates in every member.
-
-    The three tags are mutually exclusive and exhaustive. Mixed witnesses
-    prefer a balanced member; otherwise the pair maximizes the second and
-    first components respectively, which keeps the balance denominators
-    nonzero. Duplicates never influence the choice.
-    """
-    _require_binary(histograms)
-    unique, _ = distinct_rows(histograms.count_rows())
-    if all(row[0] > row[1] for row in unique):
-        return BinaryCase(ZERO_DOMINANT)
-    if all(row[1] > row[0] for row in unique):
-        return BinaryCase(ONE_DOMINANT)
-    alphabet = histograms.alphabet
-    balanced = next((row for row in unique if row[0] == row[1]), None)
-    if balanced is not None:
-        member = Histogram(alphabet, balanced)
-        return BinaryCase(MIXED, (member, member))
-    heavy_one = max(unique, key=lambda row: row[1])
-    heavy_zero = max(unique, key=lambda row: row[0])
-    return BinaryCase(MIXED, (Histogram(alphabet, heavy_one), Histogram(alphabet, heavy_zero)))
-
-
-def binary_dual_case1(
-    histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL
-) -> tuple[DualWeight, DualWeight]:
-    """Member distributions for the dominant-first-symbol case.
-
-    These are the duals of ``solve_supporting`` and ``solve_covering``: the
-    supporting one is uniform on the distinct members attaining the minimal
-    first count (their weighted first column reproduces the value), the
-    covering one on those attaining the maximal second count, each on first
-    occurrences.
-    """
-    if classify_binary(histograms).tag != ZERO_DOMINANT:
-        raise WrongCase("first component does not dominate in every member")
-    return solve_supporting(histograms, arithmetic).dual, solve_covering(histograms, arithmetic).dual
-
-
-def binary_dual_case2(
-    histograms: HistogramSet,
-    witnesses: tuple[Histogram, Histogram],
-    arithmetic: ArithmeticMode = RATIONAL,
-) -> DualWeight:
-    """Two-member balance distribution for the straddling case.
-
-    Mass lands only on the witness pair, chosen so that both weighted column
-    sums equal half the sample length. A coincident pair must be balanced and
-    takes all the mass.
-    """
-    field = Field.for_mode(arithmetic)
-    _require_binary(histograms)
-    prime, second = witnesses
-    if prime.counts[1] < prime.counts[0] or second.counts[1] > second.counts[0]:
-        raise WrongCase("witnesses do not straddle the middle")
     rows = histograms.count_rows()
+    if all(row[0] > row[1] for row in rows):
+        return ZERO_DOMINANT
+    if all(row[1] > row[0] for row in rows):
+        return ONE_DOMINANT
+    return MIXED
+
+
+def _balance_dual(rows, half, field: Field) -> tuple:
+    """A member distribution of a straddling set whose weighted column sums
+    both equal ``half``, half the sample length.
+
+    All mass goes to the first balanced member if there is one. Otherwise it
+    is split between the first member with the largest second count and the
+    first with the largest first count; these straddle the middle, so their
+    first counts differ.
+    """
     values = [field.zero] * len(rows)
-
-    def first_index(counts) -> int:
-        try:
-            return rows.index(counts)
-        except ValueError:
-            raise WrongCase("witness is not a member of the set") from None
-
-    if prime.counts == second.counts:
-        values[first_index(prime.counts)] = field.one
-        return DualWeight(tuple(values), arithmetic)
-
-    half = field.of(histograms.sample_length) / 2
-    denominator = second.counts[0] - prime.counts[0]
-    if denominator == 0:
-        raise DegeneratePair("witnesses share their first count")
-    values[first_index(prime.counts)] = (second.counts[0] - half) / denominator
-    values[first_index(second.counts)] = (half - prime.counts[0]) / denominator
-    return DualWeight(tuple(values), arithmetic)
+    balanced = next((i for i, row in enumerate(rows) if row[0] == row[1]), None)
+    if balanced is not None:
+        values[balanced] = field.one
+        return tuple(values)
+    heavy_one = max(range(len(rows)), key=lambda i: rows[i][1])
+    heavy_zero = max(range(len(rows)), key=lambda i: rows[i][0])
+    low, high = rows[heavy_one][0], rows[heavy_zero][0]
+    values[heavy_one] = (high - half) / (high - low)
+    values[heavy_zero] = (half - low) / (high - low)
+    return tuple(values)
 
 
 def solve_binary(
@@ -139,14 +72,13 @@ def solve_binary(
     both values, and the trace is empty.
     """
     field = Field.for_mode(arithmetic)
-    case = classify_binary(histograms)
-    if case.tag != MIXED:
+    if classify_binary(histograms) != MIXED:
         return solve_supporting(histograms, arithmetic), solve_covering(histograms, arithmetic)
     field.require_counts_fit(histograms.sample_length)
     rows = histograms.count_rows()
     alpha = field.of(histograms.sample_length) / 2
     weight = Weight.uniform(histograms.alphabet, arithmetic)
-    dual = binary_dual_case2(histograms, case.witnesses, arithmetic)
+    dual = DualWeight(_balance_dual(rows, alpha, field), arithmetic)
     forced = any(row[1] > row[0] for row in rows) and any(row[0] > row[1] for row in rows)
     return (
         make_solution(alpha, weight, dual, histograms, SUPPORTING, alternate_optima=not forced),

@@ -64,14 +64,6 @@ class NotBinary(HistrelError):
     """The fast path requires an alphabet of exactly two symbols."""
 
 
-class WrongCase(HistrelError):
-    """A case-specific construction was applied to the wrong case."""
-
-
-class DegeneratePair(HistrelError):
-    """A witness pair leads to a vanishing denominator."""
-
-
 class CapExceeded(HistrelError):
     """Instance is larger than the brute-force caps allow."""
 

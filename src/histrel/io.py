@@ -13,12 +13,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
 from .binary import solve_binary
 from .core import (
     COVERING,
+    FLOAT,
     RATIONAL,
     SUPPORTING,
     Alphabet,
@@ -248,15 +250,25 @@ def ingest_samples(path: str, alphabet: Alphabet | None = None) -> HistogramSet:
     return _ingest_csv(text, alphabet)
 
 
+# the characters besides LF and CR at which str.splitlines breaks a line
+_LINE_BREAK = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
+    """Rows end at LF, into which ``read_text`` has turned CRLF and CR; a
+    token holding any other line break is a ``ParseError`` at its line."""
     rows: list[tuple[int, tuple[str, ...]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         tokens = tuple(map(str.strip, line.split(",")))
         if "" in tokens:
             raise ParseError(lineno, "empty symbol token")
+        if not line.isprintable():  # every line break is unprintable
+            broken = next(filter(_LINE_BREAK.search, tokens), None)
+            if broken is not None:
+                raise ParseError(lineno, f"symbol token {broken!r} holds a line break")
         rows.append((lineno, tokens))
     if not rows:
         raise EmptySet("sample file contains no rows")
@@ -351,13 +363,23 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
             and len(step) == 2
             and isinstance(step[0], str)
             and type(step[1]) is int
+            and step[1] >= 1
         ):
-            raise ParseError(None, f"'{problem}.reduction.steps' entry {step!r} is not [symbol, pass]")
+            raise ParseError(
+                None, f"'{problem}.reduction.steps' entry {step!r} is not [symbol, pass >= 1]"
+            )
         steps.append(ReductionStep(symbol=step[0], mode=problem, pass_index=step[1]))
-    surviving = reduction.get("surviving", list(histograms.alphabet.symbols))
-    trace = ReductionTrace(
-        tuple(steps), _require_strings(surviving, f"'{problem}.reduction.surviving'")
+    symbols = histograms.alphabet.symbols
+    surviving = _require_strings(
+        reduction.get("surviving", list(symbols)), f"'{problem}.reduction.surviving'"
     )
+    if not surviving or sorted([s.symbol for s in steps] + list(surviving)) != sorted(symbols):
+        raise ParseError(
+            None,
+            f"'{problem}.reduction' does not list each alphabet symbol once, "
+            "as eliminated or surviving, with at least one surviving",
+        )
+    trace = ReductionTrace(tuple(steps), surviving)
     # read every field before certifying: a wrong-typed one is a parse error either way
     alternate = _require_type(
         obj.get("alternate_optima", False), bool, f"'{problem}.alternate_optima'"
@@ -391,6 +413,8 @@ def profile_from_json(obj: dict) -> WeightProfile:
     if fmt != PROFILE_FORMAT:
         raise ParseError(None, f"not a weight profile (format {fmt!r})")
     _require_keys(obj, _HISTOGRAM_KEYS + ("mode", "supporting", "covering"), "profile")
+    if obj["mode"] not in (RATIONAL, FLOAT):
+        raise ParseError(None, f"'mode' {obj['mode']!r} is not {RATIONAL!r} or {FLOAT!r}")
     field = Field.for_mode(obj["mode"])
     histograms = histogram_set_from_json(obj)
     field.require_counts_fit(histograms.sample_length)

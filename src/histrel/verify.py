@@ -208,15 +208,21 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
 
 def _check_binary_agreement(histograms, stats, label) -> None:
     """``solve_binary`` on a two-symbol set. Its straddling closed form must
-    agree with the pivoting path; a dominant set, which it solves by that
-    path, must show the closed form's facts: the supporting weight is the
-    point mass on the dominant symbol at the minimum of its column, the
-    covering weight the point mass on the other symbol at the maximum of
-    that one's, and neither flags an alternate optimum."""
+    agree with the pivoting path, and its member distribution must balance
+    both columns at half the sample length. A dominant set, which it solves
+    by that path, must show the closed form's facts: with dominant column
+    ``d``, the supporting weight is the point mass on ``d`` at the minimum of
+    that column, the covering weight the point mass on the other symbol at
+    the maximum of its column, neither flags an alternate optimum, and each
+    member distribution's weighted column reproduces that extreme."""
     sup_fast, cov_fast = solve_binary(histograms)
-    case = classify_binary(histograms)
+    tag = classify_binary(histograms)
     rows = histograms.count_rows()
-    if case.tag == MIXED:
+
+    def weighted(solution, column):
+        return sum(d * row[column] for d, row in zip(solution.dual.values, rows))
+
+    if tag == MIXED:
         sup_lp = solve_supporting(histograms)
         cov_lp = solve_covering(histograms)
         _stat(stats, "binary-alpha-agreement").record(
@@ -229,33 +235,27 @@ def _check_binary_agreement(histograms, stats, label) -> None:
                 and cov_fast.weight.values == cov_lp.weight.values,
                 note=f"{label}: fast {sup_fast.weight.values} lp {sup_lp.weight.values}",
             )
+        half = Fraction(histograms.sample_length, 2)
+        _stat(stats, "binary-dual-identity").record(
+            weighted(sup_fast, 0) == half and weighted(sup_fast, 1) == half, note=label
+        )
     else:
-        dominant = 0 if case.tag == ZERO_DOMINANT else 1
+        dominant = 0 if tag == ZERO_DOMINANT else 1
         for solution, column, extreme in ((sup_fast, dominant, min), (cov_fast, 1 - dominant, max)):
+            best = extreme(row[column] for row in rows)
             _stat(stats, "binary-dominant-facts").record(
-                solution.alpha == extreme(row[column] for row in rows)
+                solution.alpha == best
                 and solution.weight.values == tuple(int(j == column) for j in (0, 1))
                 and solution.alternate_optima is False,
                 note=f"{label}: {solution.mode} alpha {solution.alpha} weight {solution.weight.values}",
+            )
+            _stat(stats, "binary-dual-identity").record(
+                weighted(solution, column) == best, note=f"{label}: {solution.mode}"
             )
     for solution in (sup_fast, cov_fast):
         report = certify(solution, histograms)
         _stat(stats, "binary-certificates").record(
             report.passed, violation=report.max_violation, note=label
-        )
-    t = histograms.sample_length
-    if case.tag == ZERO_DOMINANT:
-        lhs = sum(d * row[0] for d, row in zip(sup_fast.dual.values, rows))
-        _stat(stats, "binary-dual-identity").record(
-            lhs == min(row[0] for row in rows), note=label
-        )
-    elif case.tag == MIXED:
-        half = Fraction(t, 2)
-        balances = [
-            sum(d * row[j] for d, row in zip(sup_fast.dual.values, rows)) for j in (0, 1)
-        ]
-        _stat(stats, "binary-dual-identity").record(
-            balances[0] == half and balances[1] == half, note=label
         )
 
 

@@ -211,7 +211,7 @@ def test_criterion_5_duality_certificates(corpus, binary_corpus):
             if not certify(solution, hs).passed:
                 violations.append(f"binary set {idx}: {solution.mode} certificate fails")
         rows = hs.count_rows()
-        tag = classify_binary(hs).tag
+        tag = classify_binary(hs)
         if tag == ZERO_DOMINANT:
             column = sum(d * r[0] for d, r in zip(fast_sup.dual.values, rows))
             if column != min(r[0] for r in rows):

@@ -12,9 +12,9 @@ PUBLIC = {
     "GameSolution", "Histogram", "HistogramSet", "RATIONAL", "ReductionStep",
     "ReductionTrace", "SUPPORTING", "Sample", "ScoreReport", "Weight", "WeightProfile",
     # errors
-    "AlphabetMismatch", "CapExceeded", "CertificationFailure", "DegeneratePair",
-    "EmptySet", "HistrelError", "IterationCapExceeded", "LengthMismatch", "NotBinary",
-    "NumericalFailure", "ParseError", "UnknownSymbol", "ValidationError", "WrongCase",
+    "AlphabetMismatch", "CapExceeded", "CertificationFailure", "EmptySet",
+    "HistrelError", "IterationCapExceeded", "LengthMismatch", "NotBinary",
+    "NumericalFailure", "ParseError", "UnknownSymbol", "ValidationError",
     # solving, certifying and scoring
     "build_histogram", "certify", "irrelevance_score", "make_solution", "reduce_fixpoint",
     "relevance_score", "solve_binary", "solve_covering", "solve_supporting",
@@ -25,12 +25,9 @@ PUBLIC = {
 
 # helpers no longer exported, each with the module that still has it
 MODULE_ONLY = {
-    "BinaryCase": "binary",
     "MIXED": "binary",
     "ONE_DOMINANT": "binary",
     "ZERO_DOMINANT": "binary",
-    "binary_dual_case1": "binary",
-    "binary_dual_case2": "binary",
     "classify_binary": "binary",
     "distinct_rows": "core",
     "pairing": "core",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,24 +9,16 @@ from hypothesis import given, settings
 
 import histrel.verify
 from histrel import (
-    Histogram,
+    DualWeight,
     NotBinary,
     ReductionStep,
     ReductionTrace,
-    WrongCase,
     certify,
     solve_binary,
     solve_covering,
     solve_supporting,
 )
-from histrel.binary import (
-    MIXED,
-    ONE_DOMINANT,
-    ZERO_DOMINANT,
-    binary_dual_case1,
-    binary_dual_case2,
-    classify_binary,
-)
+from histrel.binary import MIXED, ONE_DOMINANT, ZERO_DOMINANT, classify_binary
 from histrel.verify import random_histogram_set
 from conftest import binary_sets, make_set
 
@@ -36,24 +29,35 @@ SEEDED_BINARY_SETS = [
 ]
 
 
+def dual_support(hs) -> list[tuple[int, ...]]:
+    """The members, in set order, that the straddling dual puts mass on."""
+    dual = solve_binary(hs)[0].dual.values
+    return [row for row, d in zip(hs.count_rows(), dual) if d]
+
+
 class TestClassify:
     def test_e1_zero_dominant(self, e1):
-        assert classify_binary(e1).tag == ZERO_DOMINANT
+        assert classify_binary(e1) == ZERO_DOMINANT
 
     def test_e2_mixed_with_expected_witnesses(self, e2):
-        case = classify_binary(e2)
-        assert case.tag == MIXED
-        assert [w.counts for w in case.witnesses] == [(4, 6), (7, 3)]
+        assert classify_binary(e2) == MIXED
+        assert dual_support(e2) == [(4, 6), (7, 3)]
 
     def test_balanced_member_witnesses_itself(self):
         hs = make_set("ab", [(5, 5)])
-        case = classify_binary(hs)
-        assert case.tag == MIXED
-        assert case.witnesses[0] == case.witnesses[1]
-        assert case.witnesses[0].counts == (5, 5)
+        assert classify_binary(hs) == MIXED
+        assert dual_support(hs) == [(5, 5)]
+
+    def test_first_balanced_member_takes_all_the_mass(self):
+        hs = make_set("ab", [(7, 3), (5, 5), (2, 8), (5, 5)])
+        assert solve_binary(hs)[0].dual.values == (0, 1, 0, 0)
+
+    def test_first_extreme_members_witness_a_strict_straddle(self):
+        hs = make_set("ab", [(7, 3), (2, 8), (3, 7), (2, 8), (8, 2), (8, 2)])
+        assert solve_binary(hs)[0].dual.values == (0, Fraction(1, 2), 0, 0, Fraction(1, 2), 0)
 
     def test_one_dominant(self):
-        assert classify_binary(make_set("ab", [(3, 7), (2, 8)])).tag == ONE_DOMINANT
+        assert classify_binary(make_set("ab", [(3, 7), (2, 8)])) == ONE_DOMINANT
 
     def test_not_binary(self, e3):
         with pytest.raises(NotBinary):
@@ -61,7 +65,7 @@ class TestClassify:
 
     @given(binary_sets())
     def test_tags_are_exclusive_and_exhaustive(self, hs):
-        tag = classify_binary(hs).tag
+        tag = classify_binary(hs)
         rows = hs.count_rows()
         zero = all(r[0] > r[1] for r in rows)
         one = all(r[1] > r[0] for r in rows)
@@ -103,76 +107,61 @@ class TestSolveBinary:
 
 
 class TestCase1Duals:
+    """A dominant set's member distributions, as ``solve_binary`` returns them."""
+
     def test_e1_point_masses(self, e1):
-        supporting, covering = binary_dual_case1(e1)
-        assert supporting.values == (0, 1)  # unique minimum of the first count
-        assert covering.values == (0, 1)  # unique maximum of the second count
+        supporting, covering = solve_binary(e1)
+        assert supporting.dual.values == (0, 1)  # unique minimum of the first count
+        assert covering.dual.values == (0, 1)  # unique maximum of the second count
 
     def test_duplicates_collapse_before_the_mass_is_placed(self):
         hs = make_set("ab", [(7, 3), (7, 3), (6, 4)])
-        supporting, covering = binary_dual_case1(hs)
-        assert supporting.values == (0, 0, 1)
-        assert covering.values == (0, 0, 1)
+        supporting, covering = solve_binary(hs)
+        assert supporting.dual.values == (0, 0, 1)
+        assert covering.dual.values == (0, 0, 1)
 
     def test_fully_duplicated_set_is_a_point_mass(self):
         hs = make_set("ab", [(6, 4), (6, 4)])
-        supporting, _ = binary_dual_case1(hs)
-        assert supporting.values == (1, 0)
-
-    def test_wrong_case(self, e2):
-        with pytest.raises(WrongCase):
-            binary_dual_case1(e2)
+        assert solve_binary(hs)[0].dual.values == (1, 0)
 
     @given(binary_sets())
     def test_weighted_first_column_reproduces_the_minimum(self, hs):
-        if classify_binary(hs).tag != ZERO_DOMINANT:
+        if classify_binary(hs) != ZERO_DOMINANT:
             return
-        supporting, _ = binary_dual_case1(hs)
+        supporting = solve_binary(hs)[0]
         rows = hs.count_rows()
-        assert sum(d * r[0] for d, r in zip(supporting.values, rows)) == min(
+        assert sum(d * r[0] for d, r in zip(supporting.dual.values, rows)) == min(
             r[0] for r in rows
         )
 
 
 class TestCase2Duals:
+    """A straddling set's balance distribution, shared by both games."""
+
     def test_e2_balance_solution(self, e2):
-        case = classify_binary(e2)
-        dual = binary_dual_case2(e2, case.witnesses)
-        assert dual.values == (Fraction(2, 3), Fraction(1, 3))
+        supporting, covering = solve_binary(e2)
+        assert supporting.dual.values == covering.dual.values == (Fraction(2, 3), Fraction(1, 3))
         rows = e2.count_rows()
-        assert sum(d * r[0] for d, r in zip(dual.values, rows)) == 5
-        assert sum(d * r[1] for d, r in zip(dual.values, rows)) == 5
+        assert sum(d * r[0] for d, r in zip(supporting.dual.values, rows)) == 5
+        assert sum(d * r[1] for d, r in zip(supporting.dual.values, rows)) == 5
 
     def test_balanced_singleton(self):
-        hs = make_set("ab", [(5, 5)])
-        dual = binary_dual_case2(hs, classify_binary(hs).witnesses)
-        assert dual.values == (1,)
+        assert solve_binary(make_set("ab", [(5, 5)]))[0].dual.values == (1,)
 
     def test_symmetric_pair_splits_evenly(self):
         hs = make_set("ab", [(2, 8), (8, 2)])
-        dual = binary_dual_case2(hs, classify_binary(hs).witnesses)
-        assert dual.values == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_non_straddling_witnesses_rejected(self, e2):
-        bad = (Histogram(e2.alphabet, (7, 3)), Histogram(e2.alphabet, (7, 3)))
-        with pytest.raises(WrongCase):
-            binary_dual_case2(e2, bad)
-
-    def test_foreign_witness_rejected(self, e2):
-        outsider = Histogram(e2.alphabet, (5, 5))
-        with pytest.raises(WrongCase):
-            binary_dual_case2(e2, (outsider, Histogram(e2.alphabet, (7, 3))))
+        assert solve_binary(hs)[0].dual.values == (Fraction(1, 2), Fraction(1, 2))
 
     @given(binary_sets())
     def test_balance_equations_hold_exactly(self, hs):
-        case = classify_binary(hs)
-        if case.tag != MIXED:
+        if classify_binary(hs) != MIXED:
             return
-        dual = binary_dual_case2(hs, case.witnesses)
+        supporting, covering = solve_binary(hs)
+        assert covering.dual == supporting.dual
         rows = hs.count_rows()
         half = Fraction(hs.sample_length, 2)
         for component in (0, 1):
-            assert sum(d * r[component] for d, r in zip(dual.values, rows)) == half
+            assert sum(d * r[component] for d, r in zip(supporting.dual.values, rows)) == half
 
 
 class TestAgainstTheSolver:
@@ -209,7 +198,7 @@ def assert_closed_form_facts(hs, mode) -> str:
     even weight at half the sample length, with an empty trace.
     """
     supporting, covering = solve_binary(hs, mode)
-    tag = classify_binary(hs).tag
+    tag = classify_binary(hs)
     rows, symbols = hs.count_rows(), hs.alphabet.symbols
     if tag == MIXED:
         for solution in (supporting, covering):
@@ -279,3 +268,21 @@ class TestVerifyBinaryCheck:
         assert {"binary-alpha-agreement", "binary-forced-weights"} <= set(stats)
         assert "binary-dominant-facts" not in stats
         assert all(stat.passed for stat in stats.values())
+
+    @pytest.mark.parametrize("rows", [[(7, 3), (6, 4)], [(3, 7), (2, 8)]], ids=["zero", "one"])
+    def test_both_games_duals_are_checked_on_either_dominant_tag(self, monkeypatch, rows):
+        stats = self.check(monkeypatch, make_set("ab", rows))[0]
+        assert stats["binary-dual-identity"].trials == 2
+        assert stats["binary-dual-identity"].passed
+
+    def test_the_dual_identity_catches_a_covering_dual_off_the_maximum(self, monkeypatch):
+        hs = make_set("ab", [(3, 7), (2, 8)])  # covering: column 0, maximum 3 in member 0
+
+        def moved(h):
+            supporting, covering = solve_binary(h)
+            return supporting, dataclasses.replace(covering, dual=DualWeight((0, 1)))
+
+        monkeypatch.setattr(histrel.verify, "solve_binary", moved)
+        stats = {}
+        histrel.verify._check_binary_agreement(hs, stats, "set")
+        assert stats["binary-dual-identity"].failures == 1

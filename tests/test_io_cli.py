@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -49,6 +50,43 @@ from conftest import make_set
 E1_CSV = "a,a,a,a,a,a,a,b,b,b\na,a,a,a,a,a,b,b,b,b\n"
 E4_CSV = "a,a,a,a,b,c\na,a,a,b,b,c\n"
 BIG = 10**400  # beyond the float range
+
+# supporting reduction traces of the E4 profile (c then b eliminated, a
+# surviving) that do not list each alphabet symbol once, or that number a
+# pass below 1, each with the field its parse error names
+TRACES_OFF_THE_ALPHABET = {
+    "foreign-trace": ("supporting.reduction", {"steps": [["zzz", 7]], "surviving": ["q"]}),
+    "missing-symbol": ("supporting.reduction", {"steps": [["c", 1]], "surviving": ["a"]}),
+    "eliminated-and-surviving": (
+        "supporting.reduction",
+        {"steps": [["c", 1], ["b", 2]], "surviving": ["a", "b"]},
+    ),
+    "surviving-twice": (
+        "supporting.reduction",
+        {"steps": [["c", 1], ["b", 2]], "surviving": ["a", "a"]},
+    ),
+    "eliminated-twice": (
+        "supporting.reduction",
+        {"steps": [["c", 1], ["c", 2]], "surviving": ["a", "b"]},
+    ),
+    "none-surviving": (
+        "supporting.reduction",
+        {"steps": [["a", 1], ["b", 1], ["c", 2]], "surviving": []},
+    ),
+    "default-steps": ("supporting.reduction", {"surviving": ["a"]}),
+    "pass-zero": (
+        "supporting.reduction.steps",
+        {"steps": [["c", 0], ["b", 2]], "surviving": ["a"]},
+    ),
+    "pass-negative": (
+        "supporting.reduction.steps",
+        {"steps": [["c", 1], ["b", -2]], "surviving": ["a"]},
+    ),
+}
+
+
+def trace_damage(reduction, profile):
+    profile["supporting"]["reduction"] = reduction
 
 
 class TestIngest:
@@ -128,6 +166,26 @@ class TestIngest:
         path = tmp_path / "s.csv"
         path.write_bytes(b"a,b\r\nb,a\r\n")
         assert ingest_samples(str(path)).count_rows() == ((1, 1), (1, 1))
+        path.write_bytes(b"a,b\rb,b\r")  # universal newlines: a lone CR ends a row too
+        assert ingest_samples(str(path)).count_rows() == ((1, 1), (0, 2))
+
+    @pytest.mark.parametrize(
+        "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_lf_ends_a_row(self, tmp_path, brk):
+        assert len(f"a{brk}b".splitlines()) == 2
+        path = tmp_path / "s.csv"
+        path.write_text(f"a,b\nb,a{brk}b,a\nb,b\n", encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as err:
+            ingest_samples(str(path))
+        assert err.value.line == 2
+        assert repr(f"a{brk}b") in str(err.value)
+
+    def test_a_line_break_inside_a_token_is_reported_at_its_lf_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\fb,a\nb,b,a,a\n", newline="")
+        with pytest.raises(ParseError, match="^line 1: "):
+            ingest_samples(str(path))
 
     @pytest.mark.parametrize(
         "text",
@@ -786,6 +844,11 @@ class TestCli:
                 "covering.alternate_optima",
                 lambda p: p["covering"].update(alternate_optima="false"),
             ),
+            ("mode", lambda p: p.update(mode="banana")),
+            *[
+                (field, partial(trace_damage, reduction))
+                for field, reduction in TRACES_OFF_THE_ALPHABET.values()
+            ],
         ],
         ids=[
             "reduction",
@@ -801,6 +864,8 @@ class TestCli:
             "tight-members",
             "weight",
             "alternate-optima",
+            "unknown-mode",
+            *TRACES_OFF_THE_ALPHABET,
         ],
     )
     def test_wrong_typed_profile_field_is_a_parse_error(self, tmp_path, capsys, e4, field, damage):
@@ -812,3 +877,12 @@ class TestCli:
         samples.write_text(E4_CSV)
         assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
         assert field in capsys.readouterr().err
+
+    def test_a_profile_without_reduction_traces_still_loads(self, tmp_path, e4):
+        data = json.loads(dumps_profile(solve_profile(e4)))
+        for problem in ("supporting", "covering"):
+            del data[problem]["reduction"]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        profile = load_profile(str(path))
+        assert profile.supporting.reduction_trace == ReductionTrace((), ("a", "b", "c"))
