@@ -11,7 +11,10 @@ V. Chvatal, *Linear Programming*, 1983, ch. 15). Its value is ``1 / sum(w)``;
 over the rows and the columns of ``P``. The count matrix is shifted by one
 or subtracted from one more than its largest count to make ``P`` positive.
 The returned weight is zero-padded back to the full alphabet, and the member
-distribution certifies the value by complementary slackness.
+distribution certifies the value by complementary slackness. Two shortcuts
+skip the program: a reduction that leaves one symbol, and one that leaves
+both symbols of a two-symbol set, whose members then straddle the middle
+and which the even weight solves at half the sample length.
 ``make_solution`` is where every solution is certified: one pairing of the
 weight with every member gives the tight sets and the certificate, and a
 solution that fails it raises ``CertificationFailure`` instead of being
@@ -22,8 +25,8 @@ fewer distinct members than symbols, the transposed matrix is solved for the
 opposite problem (the minimax theorem makes the values equal), and weight
 and member distribution swap roles. The value never depends on that choice;
 on instances with several optimal weights the returned vertex can.
-``alternate_optima`` is a warning read off the final basis: ``False`` does
-not prove the weight unique.
+A program's ``alternate_optima`` is a warning read off the final basis:
+``False`` does not prove the weight unique.
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ def make_solution(
 
     One pairing of the weight with every member gives both the tight sets
     and the certificate. Raises ``CertificationFailure`` naming the failed
-    clauses, so every solution this returns is certified.
+    clauses, or a symbol that ``trace`` eliminated but the weight carries,
+    so every solution this returns is certified.
     """
     require_problem_mode(problem)
     if trace is None:
@@ -180,6 +184,10 @@ def make_solution(
     if not report.passed:
         clauses = ", ".join(c.clause for c in report.failures())
         raise CertificationFailure(f"{problem} solution fails: {clauses}")
+    weighted = {histograms.alphabet.symbols[j] for j in solution.tight_symbols}
+    for symbol in trace.eliminated:
+        if symbol in weighted:
+            raise CertificationFailure(f"{problem} solution weighs eliminated symbol {symbol!r}")
     return solution
 
 
@@ -191,9 +199,10 @@ def solve_supporting(
 ) -> GameSolution:
     """Maximize the worst-case pairing over the weight simplex.
 
-    Returns the value, one optimal vertex weight (zero on every symbol the
+    Returns the value, one optimal weight (zero on every symbol the
     threshold reduction eliminated), and a certifying member distribution.
-    The value never falls below ``|T| / |V|``.
+    The value never falls below ``|T| / |V|``. ``use_reduction=False``
+    solves the program on the full alphabet, with neither shortcut.
     """
     return _solve_game(histograms, SUPPORTING, arithmetic, use_reduction)
 
@@ -231,6 +240,16 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
         # The simplex is a point: the value is the extreme count there, and
         # every optimal weight of the original problem is the point mass.
         alpha, weight_values, alternate = field.of(best), (field.one,), False
+    elif use_reduction and len(alphabet) == 2:
+        # Both symbols survive exactly when the members straddle the middle:
+        # the even weight pairs to half the sample length with every member,
+        # and it is the only optimum exactly when both strict straddle
+        # directions occur.
+        alpha, weight_values = field.of(histograms.sample_length) / 2, (field.share(2),) * 2
+        dual_unique = _balance_dual(unique_rows, alpha, field)
+        alternate = not (
+            any(a > b for a, b in unique_rows) and any(b > a for a, b in unique_rows)
+        )
     else:
         alpha, weight_values, dual_unique, alternate = _solve_lp(unique_rows, problem, field)
 
@@ -297,6 +316,28 @@ def _solve_lp(unique_rows, problem, field: Field):
     slacks = range(height, height + n)
     alternate = any(s in basic and field.close(result.solution[s], field.zero) for s in slacks)
     return alpha, column_side, row_side, alternate
+
+
+def _balance_dual(rows, half, field: Field) -> tuple:
+    """A member distribution of a straddling two-symbol set whose weighted
+    column sums both equal ``half``, half the sample length.
+
+    All mass goes to the first balanced member if there is one. Otherwise it
+    is split between the first member with the largest second count and the
+    first with the largest first count; these straddle the middle, so their
+    first counts differ.
+    """
+    values = [field.zero] * len(rows)
+    balanced = next((i for i, row in enumerate(rows) if row[0] == row[1]), None)
+    if balanced is not None:
+        values[balanced] = field.one
+        return tuple(values)
+    heavy_one = max(range(len(rows)), key=lambda i: rows[i][1])
+    heavy_zero = max(range(len(rows)), key=lambda i: rows[i][0])
+    low, high = rows[heavy_one][0], rows[heavy_zero][0]
+    values[heavy_one] = (high - half) / (high - low)
+    values[heavy_zero] = (half - low) / (high - low)
+    return tuple(values)
 
 
 def _extreme_mass(unique_rows, extreme, field: Field):

@@ -17,6 +17,8 @@ import re
 import tempfile
 from dataclasses import dataclass
 
+# io calls neither solve_binary nor certify (imported from .game below); both
+# are imported because perfbench/spans.py wraps io.solve_binary and io.certify
 from .binary import solve_binary
 from .core import (
     COVERING,
@@ -41,7 +43,6 @@ from .errors import (
     ParseError,
     UnknownSymbol,
 )
-# io no longer calls certify; perfbench/spans.py wraps io.certify and io.make_solution
 from .game import (
     DualWeight,
     GameSolution,
@@ -179,6 +180,15 @@ def _require_strings(value, what: str) -> tuple[str, ...]:
     return items
 
 
+def _require_integers(value, what: str) -> list[int]:
+    """Return a JSON list of integers; booleans and integral floats are not integers."""
+    items = _require_type(value, list, what)
+    for item in items:
+        if type(item) is not int:
+            raise ParseError(None, f"{what} entry {item!r} is not a JSON integer")
+    return items
+
+
 def _require_keys(obj, keys, what: str) -> None:
     _require_type(obj, dict, what)
     for key in keys:
@@ -307,24 +317,15 @@ class WeightProfile:
 
 
 def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL) -> WeightProfile:
-    """Solve both problems and bundle the results.
-
-    Two-symbol alphabets go to ``solve_binary``, which keeps a closed form
-    only for straddling sets; every other set, dominant two-symbol sets
-    included, reduces and then pivots. Either path raises
-    ``CertificationFailure`` rather than return a solution that fails its
-    certificate.
+    """Solve both problems with ``solve_supporting`` and ``solve_covering``
+    and bundle the results, which raise ``CertificationFailure`` rather than
+    return a solution that fails its certificate.
     """
     require_arithmetic(arithmetic)
-    if len(histograms.alphabet) == 2:
-        supporting, covering = solve_binary(histograms, arithmetic)
-    else:
-        supporting = solve_supporting(histograms, arithmetic)
-        covering = solve_covering(histograms, arithmetic)
     return WeightProfile(
         histograms=histograms,
-        supporting=supporting,
-        covering=covering,
+        supporting=solve_supporting(histograms, arithmetic),
+        covering=solve_covering(histograms, arithmetic),
         mode=arithmetic,
         input_digest=digest_histogram_set(histograms),
     )
@@ -385,7 +386,7 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
         obj.get("alternate_optima", False), bool, f"'{problem}.alternate_optima'"
     )
     stored = [
-        _require_type(obj[key], list, f"'{problem}.{key}'")
+        _require_integers(obj[key], f"'{problem}.{key}'")
         for key in ("tight_members", "tight_symbols")
     ]
     solution = make_solution(

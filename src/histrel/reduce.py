@@ -90,18 +90,6 @@ def _removable(columns, totals, problem: ProblemMode) -> list[int]:
     ]
 
 
-def corollary_threshold_check(histograms: HistogramSet, problem: ProblemMode) -> frozenset[int]:
-    """First-pass screen for genuine histograms: compare each count against
-    ``|T|/|V|`` (cross-multiplied, so exact). Coincides with
-    ``reducible_symbols`` on the full histograms."""
-    require_problem_mode(problem)
-    if len(histograms.alphabet) < 2:
-        raise ValidationError("threshold test needs at least two symbols")
-    columns = list(zip(*histograms.count_rows()))
-    totals = [histograms.sample_length] * len(histograms.members)
-    return frozenset(_removable(columns, totals, problem))
-
-
 def reduce_fixpoint(
     histograms: HistogramSet, problem: ProblemMode
 ) -> tuple[tuple[tuple[int, ...], ...], ReductionTrace]:

@@ -4,8 +4,8 @@ Every property the library promises at desk scale is checked here on seeded
 random instances plus a handful of pinned cases, so one command answers "is
 this build trustworthy": values match the oracle exactly, bounds hold,
 certificates pass, reduction is sound, the straddling binary closed form
-agrees with the pivoting path and dominant binary sets show the closed
-form's facts, and float mode tracks rational mode.
+agrees with the program on the full alphabet and dominant binary sets show
+the closed form's facts, and float mode tracks rational mode.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import (
 from .errors import CertificationFailure
 from .game import certify, make_solution, solve_covering, solve_supporting
 from .oracle import oracle_solve
-from .reduce import corollary_threshold_check, reduce_fixpoint, reducible_symbols
+from .reduce import reduce_fixpoint
 
 FLOAT_AGREEMENT = 1e-6
 
@@ -168,13 +168,6 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
             oracle_report.passed, violation=oracle_report.max_violation, note=label
         )
 
-        if n >= 2:  # the threshold screens need two symbols, as in the solver
-            screen_general = reducible_symbols(histograms.count_rows(), problem)
-            screen_corollary = corollary_threshold_check(histograms, problem)
-            _stat(stats, f"screen-equivalence-{problem}").record(
-                screen_general == screen_corollary, note=label
-            )
-
         unreduced = solve(histograms, use_reduction=False)
         _stat(stats, f"reduction-alpha-{problem}").record(
             unreduced.alpha == solution.alpha,
@@ -207,14 +200,14 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
 
 
 def _check_binary_agreement(histograms, stats, label) -> None:
-    """``solve_binary`` on a two-symbol set. Its straddling closed form must
-    agree with the pivoting path, and its member distribution must balance
-    both columns at half the sample length. A dominant set, which it solves
-    by that path, must show the closed form's facts: with dominant column
-    ``d``, the supporting weight is the point mass on ``d`` at the minimum of
-    that column, the covering weight the point mass on the other symbol at
-    the maximum of its column, neither flags an alternate optimum, and each
-    member distribution's weighted column reproduces that extreme."""
+    """``solve_binary`` on a two-symbol set. A straddling set's closed form
+    must agree with the program on the full alphabet (``use_reduction=False``),
+    and its member distribution must balance both columns at half the sample
+    length. A dominant set must show the closed form's facts: with dominant
+    column ``d``, the supporting weight is the point mass on ``d`` at the
+    minimum of that column, the covering weight the point mass on the other
+    symbol at the maximum of its column, neither flags an alternate optimum,
+    and each member distribution's weighted column reproduces that extreme."""
     sup_fast, cov_fast = solve_binary(histograms)
     tag = classify_binary(histograms)
     rows = histograms.count_rows()
@@ -223,8 +216,8 @@ def _check_binary_agreement(histograms, stats, label) -> None:
         return sum(d * row[column] for d, row in zip(solution.dual.values, rows))
 
     if tag == MIXED:
-        sup_lp = solve_supporting(histograms)
-        cov_lp = solve_covering(histograms)
+        sup_lp = solve_supporting(histograms, use_reduction=False)
+        cov_lp = solve_covering(histograms, use_reduction=False)
         _stat(stats, "binary-alpha-agreement").record(
             sup_fast.alpha == sup_lp.alpha and cov_fast.alpha == cov_lp.alpha,
             note=f"{label}: fast ({sup_fast.alpha},{cov_fast.alpha}) lp ({sup_lp.alpha},{cov_lp.alpha})",

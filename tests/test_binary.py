@@ -19,6 +19,7 @@ from histrel import (
     solve_supporting,
 )
 from histrel.binary import MIXED, ONE_DOMINANT, ZERO_DOMINANT, classify_binary
+from histrel.io import solve_profile
 from histrel.verify import random_histogram_set
 from conftest import binary_sets, make_set
 
@@ -169,8 +170,8 @@ class TestAgainstTheSolver:
     @given(binary_sets())
     def test_closed_forms_match_the_pivoting_path(self, hs):
         fast_sup, fast_cov = solve_binary(hs)
-        lp_sup = solve_supporting(hs)
-        lp_cov = solve_covering(hs)
+        lp_sup = solve_supporting(hs, use_reduction=False)
+        lp_cov = solve_covering(hs, use_reduction=False)
         assert fast_sup.alpha == lp_sup.alpha
         assert fast_cov.alpha == lp_cov.alpha
         if not fast_sup.alternate_optima:
@@ -184,6 +185,24 @@ class TestAgainstTheSolver:
         supporting, covering = solve_binary(hs)
         half = Fraction(hs.sample_length, 2)
         assert supporting.alpha >= half >= covering.alpha
+
+
+def assert_one_solve_path(hs, mode) -> None:
+    """The library and the profile return the same solutions."""
+    profile = solve_profile(hs, mode)
+    assert solve_supporting(hs, mode) == profile.supporting
+    assert solve_covering(hs, mode) == profile.covering
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+class TestLibraryAndProfileAgree:
+    @given(binary_sets())
+    def test_random_binary_sets(self, mode, hs):
+        assert_one_solve_path(hs, mode)
+
+    def test_seeded_two_symbol_sets(self, mode):
+        for hs in SEEDED_BINARY_SETS:
+            assert_one_solve_path(hs, mode)
 
 
 def assert_closed_form_facts(hs, mode) -> str:

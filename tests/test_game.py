@@ -24,7 +24,7 @@ from histrel import (
 from histrel.core import Field, HistogramSet, distinct_rows, pairing
 from histrel.game import covering_lp, supporting_lp
 from histrel.oracle import oracle_solve
-from histrel.reduce import empty_trace, reduce_fixpoint
+from histrel.reduce import ReductionStep, ReductionTrace, empty_trace, reduce_fixpoint
 from histrel.simplex import simplex_optimize
 from histrel.verify import random_histogram_set
 from conftest import histogram_sets, make_set
@@ -171,6 +171,20 @@ class TestCertify:
         assert str(err.value) == (
             "supporting solution fails: dual-feasibility, value-equality-dual, uniform-bound"
         )
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_make_solution_raises_on_weight_the_trace_eliminated(self, e1, mode):
+        # E1's supporting weight is the point mass on a; a trace that
+        # eliminates a contradicts it, though every clause of certify passes
+        solution = solve_supporting(e1, mode)
+        trace = ReductionTrace((ReductionStep("a", SUPPORTING, 1),), ("b",))
+        args = (solution.alpha, solution.weight, solution.dual, e1, SUPPORTING)
+        with pytest.raises(CertificationFailure, match="weighs eliminated symbol 'a'"):
+            make_solution(*args, trace)
+        assert certify(dataclasses.replace(solution, reduction_trace=trace), e1).passed
+        # eliminating the weightless b is what the reduction records
+        trace = ReductionTrace((ReductionStep("b", SUPPORTING, 1),), ("a",))
+        assert make_solution(*args, trace) == solution
 
     def test_supporting_value_below_the_uniform_weight_fails(self, e3):
         # the uniform weight pairs to |T| / |V| = 2 with every member
@@ -352,6 +366,7 @@ class TestShortSide:
             return result
 
         monkeypatch.setattr(histrel.game, "simplex_optimize", recording)
+        straddling = 0
         for hs in _seeded_sets():
             for problem, solve in SOLVERS:
                 k, n = _lp_shape(hs, problem)
@@ -359,6 +374,10 @@ class TestShortSide:
                     continue
                 programs.clear()
                 solve(hs)
+                if len(hs.alphabet) == 2:  # both symbols survive: the closed form
+                    assert programs == []
+                    straddling += 1
+                    continue
                 [(lp, result)] = programs
                 assert (len(lp.rows), len(lp.objective)) == (min(k, n), max(k, n))
                 assert all(type(v) is int and v >= 1 for row in lp.rows for v in row)
@@ -366,6 +385,7 @@ class TestShortSide:
                 assert lp.rhs == (1,) * min(k, n)
                 # the simplex appends one slack per row after the program's columns
                 assert len(result.solution) == len(result.reduced_costs) == k + n
+        assert straddling > 0
 
     def test_transposed_solve_flags_alternate_optima(self):
         # both the returned weight and the uniform weight attain the value in

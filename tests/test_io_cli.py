@@ -49,6 +49,7 @@ from conftest import make_set
 
 E1_CSV = "a,a,a,a,a,a,a,b,b,b\na,a,a,a,a,a,b,b,b,b\n"
 E4_CSV = "a,a,a,a,b,c\na,a,a,b,b,c\n"
+STRADDLING_CSV = "a,b,a\nb,b,a\n"  # (2, 1) and (1, 2): both games weigh a and b 1/2 each
 BIG = 10**400  # beyond the float range
 
 # supporting reduction traces of the E4 profile (c then b eliminated, a
@@ -845,6 +846,23 @@ class TestCli:
                 lambda p: p["covering"].update(alternate_optima="false"),
             ),
             ("mode", lambda p: p.update(mode="banana")),
+            # E4's covering tight members are [0, 1], its supporting tight symbols [0]
+            (
+                "'covering.tight_members' entry False is not a JSON integer",
+                lambda p: p["covering"].update(tight_members=[False, True]),
+            ),
+            (
+                "'covering.tight_members' entry 0.0 is not a JSON integer",
+                lambda p: p["covering"].update(tight_members=[0.0, 1]),
+            ),
+            (
+                "'supporting.tight_symbols' entry False is not a JSON integer",
+                lambda p: p["supporting"].update(tight_symbols=[False]),
+            ),
+            (
+                "'supporting.tight_symbols' entry '0' is not a JSON integer",
+                lambda p: p["supporting"].update(tight_symbols=["0"]),
+            ),
             *[
                 (field, partial(trace_damage, reduction))
                 for field, reduction in TRACES_OFF_THE_ALPHABET.values()
@@ -865,6 +883,10 @@ class TestCli:
             "weight",
             "alternate-optima",
             "unknown-mode",
+            "tight-booleans",
+            "tight-float",
+            "tight-boolean",
+            "tight-string",
             *TRACES_OFF_THE_ALPHABET,
         ],
     )
@@ -877,6 +899,23 @@ class TestCli:
         samples.write_text(E4_CSV)
         assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "csv, surviving",
+        [(STRADDLING_CSV, ["b"]), (E4_CSV, ["b", "c"])],
+        ids=["straddling", "e4"],
+    )
+    def test_a_trace_eliminating_a_weighted_symbol_fails_certification(
+        self, tmp_path, capsys, csv, surviving
+    ):
+        samples = tmp_path / "s.csv"
+        samples.write_text(csv)
+        data = json.loads(dumps_profile(solve_profile(ingest_samples(str(samples)))))
+        trace_damage({"steps": [["a", 1]], "surviving": surviving}, data)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["certification-failure"]
+        assert "supporting solution weighs eliminated symbol 'a'" in capsys.readouterr().err
 
     def test_a_profile_without_reduction_traces_still_loads(self, tmp_path, e4):
         data = json.loads(dumps_profile(solve_profile(e4)))

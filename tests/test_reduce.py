@@ -17,7 +17,6 @@ from histrel.oracle import oracle_solve
 from histrel.reduce import (
     ReductionStep,
     ReductionTrace,
-    corollary_threshold_check,
     reducible_symbols,
 )
 from histrel.verify import random_histogram_set
@@ -30,6 +29,9 @@ class TestReducibleSymbols:
 
     def test_e4_covering_first_pass(self, e4):
         assert reducible_symbols(e4.count_rows(), COVERING) == {0}
+
+    def test_e1_covering_first_pass(self, e1):
+        assert reducible_symbols(e1.count_rows(), COVERING) == {0}
 
     def test_e3_blocked_by_threshold_ties(self, e3):
         assert reducible_symbols(e3.count_rows(), SUPPORTING) == frozenset()
@@ -51,25 +53,6 @@ class TestReducibleSymbols:
     def test_single_symbol_rejected(self):
         with pytest.raises(ValidationError):
             reducible_symbols(((3,),), SUPPORTING)
-
-
-class TestCorollaryScreen:
-    def test_e4_supporting(self, e4):
-        assert corollary_threshold_check(e4, SUPPORTING) == {2}
-
-    def test_e1_covering(self, e1):
-        assert corollary_threshold_check(e1, COVERING) == {0}
-
-    def test_e3_empty_both_modes(self, e3):
-        assert corollary_threshold_check(e3, SUPPORTING) == frozenset()
-        assert corollary_threshold_check(e3, COVERING) == frozenset()
-
-    @given(histogram_sets())
-    def test_matches_general_form_on_first_pass(self, hs):
-        for problem in (SUPPORTING, COVERING):
-            assert corollary_threshold_check(hs, problem) == reducible_symbols(
-                hs.count_rows(), problem
-            )
 
 
 class TestFixpoint:

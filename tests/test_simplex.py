@@ -19,6 +19,7 @@ from histrel import (
     solve_covering,
     solve_supporting,
 )
+from histrel.binary import MIXED, classify_binary
 from histrel.core import FLOAT_EPS, Field, _solve_integer, distinct_rows
 from histrel.game import covering_lp, supporting_lp
 from histrel.oracle import oracle_solve
@@ -171,7 +172,9 @@ CHVATAL = StandardFormLP(
 
 
 def _recorded_programs(monkeypatch, sets, mode):
-    """Every game program built while both games of each set are solved in ``mode``."""
+    """Every game program built while both games of each set are solved in
+    ``mode``. A straddling two-symbol set takes the closed form, so its
+    programs are built without the reduction, which would keep both symbols."""
     programs = []
 
     def record(lp, arithmetic):
@@ -180,8 +183,9 @@ def _recorded_programs(monkeypatch, sets, mode):
 
     monkeypatch.setattr(histrel.game, "simplex_optimize", record)
     for hs in sets:
-        solve_supporting(hs, mode)
-        solve_covering(hs, mode)
+        reduce = len(hs.alphabet) != 2 or classify_binary(hs) != MIXED
+        solve_supporting(hs, mode, use_reduction=reduce)
+        solve_covering(hs, mode, use_reduction=reduce)
     return programs
 
 
