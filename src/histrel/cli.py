@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .io import (
+    _require_csv_labels,
     dumps_histogram_set,
     dumps_profile,
     dumps_score_report,
@@ -40,6 +41,7 @@ from .io import (
     score_profile,
     solve_profile,
 )
+from .oracle import ORACLE_MAX_MEMBERS, ORACLE_MAX_SYMBOLS
 from .verify import run_verification
 
 EXIT_CODES = {
@@ -86,7 +88,7 @@ def _parse_alphabet(spec: str | None) -> Alphabet | None:
     if spec is None:
         return None
     labels = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    return Alphabet(tuple(labels))
+    return Alphabet(_require_csv_labels(labels, "'--alphabet'"))
 
 
 def _emit(artifact, output: str | None, dumps, save) -> None:
@@ -156,8 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("input", nargs="?", help="optional instance file to verify alone")
     verify.add_argument("--trials", type=int, default=100)
     verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument("--max-v", type=int, default=4, help="largest alphabet (2..6)")
-    verify.add_argument("--max-m", type=int, default=5, help="largest member count (1..8)")
+    verify.add_argument(
+        "--max-v", type=int, default=4, help=f"largest alphabet (2..{ORACLE_MAX_SYMBOLS})"
+    )
+    verify.add_argument(
+        "--max-m", type=int, default=5, help=f"largest member count (1..{ORACLE_MAX_MEMBERS})"
+    )
     verify.add_argument("--max-t", type=int, default=12, help="largest sample length")
     verify.set_defaults(func=cmd_verify)
 
@@ -186,8 +192,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_v > 6 or args.max_m > 8:
-        raise CapExceeded("verification respects the oracle caps: --max-v <= 6, --max-m <= 8")
+    if args.max_v > ORACLE_MAX_SYMBOLS or args.max_m > ORACLE_MAX_MEMBERS:
+        raise CapExceeded(
+            "verification respects the oracle caps: "
+            f"--max-v <= {ORACLE_MAX_SYMBOLS}, --max-m <= {ORACLE_MAX_MEMBERS}"
+        )
     if args.trials < 0 or args.max_v < 2 or args.max_m < 1 or args.max_t < 1:
         raise ValidationError(
             "verification needs --trials >= 0, --max-v >= 2, --max-m >= 1, --max-t >= 1"

@@ -149,15 +149,17 @@ class Field:
             value = self.of(value)
         return str(value) if self.exact else value
 
-    def decode(self, value) -> Number:
-        if isinstance(value, bool):
-            raise ParseError(None, f"expected a number, got {value!r}")
-        if self.exact and isinstance(value, float):
-            raise ParseError(None, f"rational file contains a float value {value!r}")
-        try:
-            return self.of(value)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ParseError(None, f"not a {self.mode} number: {value!r}") from None
+    def decode(self, value, what: str) -> Number:
+        """A number read from JSON: an integer or a ``p/q`` string in
+        rational mode, a JSON number in float mode. A ``ParseError`` names
+        the field ``what``."""
+        # exact types: a bool is no number, and neither mode reads the other's
+        if type(value) in ((int, str) if self.exact else (int, float)):
+            try:
+                return self.of(value)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+        raise ParseError(None, f"{what} {value!r} is not a {self.mode} number")
 
 
 _RATIONAL_FIELD = Field(RATIONAL, Fraction, Fraction(0), Fraction(1))

@@ -61,7 +61,7 @@ class ParseError(HistrelError):
 
 
 class NotBinary(HistrelError):
-    """The fast path requires an alphabet of exactly two symbols."""
+    """The two-symbol case split needs an alphabet of exactly two symbols."""
 
 
 class CapExceeded(HistrelError):

@@ -48,7 +48,7 @@ from .core import (
     distinct_rows,
     require_problem_mode,
 )
-from .errors import AlphabetMismatch, CertificationFailure, EmptySet, ValidationError
+from .errors import AlphabetMismatch, CertificationFailure, ValidationError
 from .reduce import ReductionTrace, empty_trace, reduce_fixpoint
 from .simplex import SimplexResult, StandardFormLP, simplex_optimize
 
@@ -221,10 +221,7 @@ def solve_covering(
 
 
 def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
-    require_problem_mode(problem)
     field = Field.for_mode(arithmetic)
-    if not histograms.members:
-        raise EmptySet("cannot solve an empty histogram set")
     field.require_counts_fit(histograms.sample_length)
     alphabet = histograms.alphabet
     if use_reduction and len(alphabet) >= 2:

@@ -14,7 +14,8 @@ import json
 import math
 import os
 import re
-import tempfile
+import secrets
+import stat
 from dataclasses import dataclass
 
 # io calls neither solve_binary nor certify (imported from .game below); both
@@ -76,14 +77,22 @@ def read_text(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a temporary file beside ``path`` and rename it over ``path``. A
-    failed write leaves no temporary file, and its ``OSError`` names ``path``."""
+    """Write a temporary file beside ``path`` and rename it over ``path``. The
+    file gets the mode ``open(path, "w")`` would leave: an existing file
+    keeps its own, and a new one gets ``0o666`` less the umask. A failed
+    write leaves no temporary file, and its ``OSError`` names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".histrel-{secrets.token_hex(8)}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".histrel-", suffix=".tmp")
+        # the kernel applies the umask to the requested 0o666
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass  # a new file
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -196,12 +205,12 @@ def _require_keys(obj, keys, what: str) -> None:
             raise ParseError(None, f"{what} is missing the {key!r} key")
 
 
-def _require_csv_labels(value) -> tuple[str, ...]:
+def _require_csv_labels(value, what: str = "'alphabet'") -> tuple[str, ...]:
     """Alphabet labels, each one a token that ``_ingest_csv`` can read back."""
-    labels = _require_strings(value, "'alphabet'")
+    labels = _require_strings(value, what)
     for label in labels:
         if "," in label or label.strip() != label or label.splitlines() != [label]:
-            raise ParseError(None, f"'alphabet' entry {label!r} is not a CSV symbol token")
+            raise ParseError(None, f"{what} entry {label!r} is not a CSV symbol token")
     return labels
 
 
@@ -351,9 +360,10 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
     _require_keys(obj, keys, f"{problem} solution")
 
     def numbers(key):
-        return tuple(field.decode(v) for v in _require_type(obj[key], list, f"'{problem}.{key}'"))
+        what = f"'{problem}.{key}'"
+        return tuple(field.decode(v, f"{what} entry") for v in _require_type(obj[key], list, what))
 
-    alpha = field.decode(obj["alpha"])
+    alpha = field.decode(obj["alpha"], f"'{problem}.alpha'")
     weight = Weight(histograms.alphabet, numbers("weight"), field.mode)
     dual = DualWeight(numbers("dual"), field.mode)
     reduction = _require_type(obj.get("reduction", {}), dict, f"'{problem}.reduction'")

@@ -29,12 +29,14 @@ Rational mode takes integer programs only and is exact. Float pivoting
 guides it to a basis, which is then checked in integers: ``B x_B = b`` and
 ``B^T y = c_B`` are solved by fraction-free elimination over the common
 denominator ``|det B|``, and the basis is accepted when ``x_B >= 0`` and
-every reduced cost ``c_j det - y . A_j`` is at most zero; ``Fraction``
-values are built only for the result. Otherwise (the guide overflowed,
-stalled or reported the program unbounded, or its basis is singular,
-infeasible or not optimal in exact arithmetic) exact pivoting runs from the
-slack basis, so every error a rational solve raises is the exact one.
-Either way the result is bit-for-bit deterministic.
+every reduced cost ``c_j det - y . A_j`` is at most zero. Otherwise (the
+guide overflowed, stalled or reported the program unbounded, or its basis
+is singular, infeasible or not optimal in exact arithmetic) exact
+``Fraction`` pivoting runs from the slack basis, so every error a rational
+solve raises is the exact one. Every mode reads its result off one final
+dictionary: float pivoting's, exact pivoting's, or the accepted guide's
+basis written in the same shape with entries over ``|det B|``. The result
+is bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -80,12 +82,14 @@ class SimplexResult:
     ``solution``, ``reduced_costs`` and the ``basis`` indices run over the
     program's columns, then one slack per row. ``reduced_costs == c - y . A``
     column by column, where ``y`` solves ``B^T y = c_B``, so a slack has
-    minus its row's multiplier as reduced cost. Float mode reads
-    ``objective_value`` and the nonbasic ``reduced_costs`` off the objective
-    row of the final dictionary, and a basic variable's is zero; rational
-    mode computes every field exactly from the final basis. ``iterations`` counts the pivots of the largest-coefficient rule
-    with its Bland fallback that reached that basis: in rational mode, the
-    float guide's when its basis is accepted, otherwise exact pivoting's.
+    minus its row's multiplier as reduced cost. Every field is read off the
+    final dictionary: the basic values and ``objective_value`` from its
+    right-hand side, the nonbasic ``reduced_costs`` from its objective row,
+    and zero for every other entry. In rational mode that dictionary is
+    exact: exact pivoting's own, or the accepted float guide's basis solved
+    in integers. ``iterations`` counts the pivots of the largest-coefficient
+    rule with its Bland fallback that reached that basis: in rational mode,
+    the float guide's when its basis is accepted, otherwise exact pivoting's.
     """
 
     objective_value: object
@@ -103,9 +107,19 @@ def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) 
     produce the identical result.
     """
     field = Field.for_mode(arithmetic)
+    dictionary = None
     if field.exact:
-        return _solve_rational(lp)
-    basis, nonbasic, b, costs, iterations = _optimal_dictionary(lp, field)
+        entries = (*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row))
+        bad = next((v for v in entries if type(v) is not int), None)  # exact type: bool is an int
+        if bad is not None:
+            raise ValidationError(f"rational programs take integer entries, got {bad!r}")
+        try:
+            guide = _optimal_dictionary(lp, Field.for_mode(FLOAT))
+        except (ValidationError, IterationCapExceeded, OverflowError):
+            pass
+        else:
+            dictionary = _solve_basis(lp, guide)
+    basis, nonbasic, b, costs, iterations = dictionary or _optimal_dictionary(lp, field)
     solution = [field.zero] * (len(basis) + len(nonbasic))
     reduced_costs = solution[:]  # a basic variable's reduced cost is zero
     for var, v in zip(basis, b):
@@ -121,31 +135,17 @@ def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) 
     )
 
 
-def _solve_rational(lp) -> SimplexResult:
-    """Exact optimum of an integer program, guided by float pivoting."""
-    entries = (*lp.objective, *lp.rhs, *(v for row in lp.rows for v in row))
-    bad = next((v for v in entries if type(v) is not int), None)  # exact type: bool is an int
-    if bad is not None:
-        raise ValidationError(f"rational programs take integer entries, got {bad!r}")
-    try:
-        basis, *_, pivots = _optimal_dictionary(lp, Field.for_mode(FLOAT))
-    except (ValidationError, IterationCapExceeded, OverflowError):
-        pass
-    else:
-        solved = _solve_basis(lp, basis)
-        # accepted when exactly feasible and no reduced cost is positive
-        if solved is not None and max(solved[-1]) <= 0:
-            return _exact_result(lp, basis, solved, pivots)
-    basis, *_, pivots = _optimal_dictionary(lp, Field.for_mode(RATIONAL))
-    return _exact_result(lp, basis, _solve_basis(lp, basis), pivots)
+def _solve_basis(lp, guide):
+    """The exact dictionary of the float ``guide``'s final basis, or None
+    when ``B`` is singular, ``x_B`` has a negative entry or a reduced cost
+    is positive.
 
-
-def _solve_basis(lp, basis):
-    """Integer certificate of one basis: ``(det, x_B, reduced)``, each a
-    numerator over ``det = |det B|``, or None when ``B`` is singular or
-    ``x_B`` has a negative entry. The reduced costs price every column,
-    slacks included, with the row multipliers ``y`` that solve
-    ``B^T y = c_B``."""
+    ``B x_B = b`` and ``B^T y = c_B`` are solved by fraction-free
+    elimination over the denominator ``det = |det B|``; ``b`` holds
+    ``x_B`` and then minus the objective value, and ``costs`` the nonbasic
+    ``c_j - y . A_j``, each as ``Fraction(numerator, det)``.
+    """
+    basis, nonbasic, *_, pivots = guide
     m = len(lp.rows)
     columns = (*zip(*lp.rows), *(tuple(int(i == r) for i in range(m)) for r in range(m)))
     costs = (*lp.objective, *(0,) * m)
@@ -156,24 +156,12 @@ def _solve_basis(lp, basis):
     det, x = primal
     # B^T has the same |det|, so both solves share the denominator
     y = _solve_integer(basic, [costs[var] for var in basis])[1]
-    reduced = [c * det - sum(map(mul, y, col)) for c, col in zip(costs, columns)]
-    return det, x, reduced
-
-
-def _exact_result(lp, basis, solved, iterations) -> SimplexResult:
-    det, x, reduced = solved
-    n = len(lp.objective)
-    solution = [Fraction(0)] * len(reduced)
-    for var, v in zip(basis, x):
-        solution[var] = Fraction(v, det)
-    value = sum(lp.objective[var] * v for var, v in zip(basis, x) if var < n)  # slacks cost 0
-    return SimplexResult(
-        objective_value=Fraction(value, det),
-        solution=tuple(solution),
-        basis=tuple(basis),
-        reduced_costs=tuple(Fraction(v, det) for v in reduced),
-        iterations=iterations,
-    )
+    reduced = [costs[var] * det - sum(map(mul, y, columns[var])) for var in nonbasic]
+    if any(v > 0 for v in reduced):
+        return None
+    value = sum(costs[var] * v for var, v in zip(basis, x))
+    b = [Fraction(v, det) for v in (*x, -value)]
+    return basis, nonbasic, b, [Fraction(v, det) for v in reduced], pivots
 
 
 def _optimal_dictionary(lp, field):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -88,6 +89,24 @@ TRACES_OFF_THE_ALPHABET = {
 
 def trace_damage(reduction, profile):
     profile["supporting"]["reduction"] = reduction
+
+
+def retype(problem, key, profile):
+    """Write ``problem.key``'s numbers as the JSON type the profile's mode
+    rejects: floats in a rational profile, strings in a float one."""
+    as_wrong = str if profile["mode"] == "float" else lambda v: float(Fraction(v))
+    value = profile[problem][key]
+    profile[problem][key] = [*map(as_wrong, value)] if isinstance(value, list) else as_wrong(value)
+
+
+# profile numbers of a type no profile holds, and the field each error names
+NUMBER_DAMAGE = {
+    "alpha-type": ("'supporting.alpha'", partial(retype, "supporting", "alpha")),
+    "weight-type": ("'supporting.weight' entry", partial(retype, "supporting", "weight")),
+    "dual-type": ("'covering.dual' entry", partial(retype, "covering", "dual")),
+    "boolean-alpha": ("'covering.alpha' True", lambda p: p["covering"].update(alpha=True)),
+    "null-weight": ("'supporting.weight' entry None", lambda p: p["supporting"].update(weight=[None])),
+}
 
 
 class TestIngest:
@@ -717,6 +736,35 @@ class TestCli:
         assert self.run("solve", str(path)) == EXIT_CODES["parse"]
         assert f"'alphabet' entry {label!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "solve"])
+    @pytest.mark.parametrize("label", ["c\x1cd", "c\nd", "c\u2028d"])
+    def test_an_alphabet_option_no_file_can_carry_is_a_parse_error(
+        self, tmp_path, capsys, command, label
+    ):
+        output = tmp_path / "x.json"
+        missing = str(tmp_path / "missing.csv")  # the labels are checked before any file is read
+        argv = (command, missing, "--alphabet", f"a,b,{label}", "-o", str(output))
+        assert self.run(*argv) == EXIT_CODES["parse"]
+        assert f"'--alphabet' entry {label!r}" in self.one_error_line(capsys)
+        assert not output.exists()
+
+    @pytest.mark.parametrize("umask, created", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_a_written_file_gets_the_mode_open_would_give_it(self, tmp_path, umask, created):
+        # a new file gets 0o666 less the umask, and an existing file keeps its mode
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        existing = tmp_path / "existing.json"
+        existing.write_text("")
+        existing.chmod(0o640)
+        previous = os.umask(umask)
+        try:
+            for output in ("new.json", "existing.json"):
+                assert self.run("solve", str(samples), "-o", str(tmp_path / output)) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == created
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+
     def test_profile_with_an_empty_label_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         histograms = HistogramSet.from_counts(Alphabet(("", "b")), [(1, 1)])
@@ -818,55 +866,64 @@ class TestCli:
         assert "HISTREL_MODE" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, damage",
+        "mode, field, damage",
         [
-            ("supporting.reduction", lambda p: p["supporting"].update(reduction=5)),
-            ("supporting.reduction.steps", lambda p: p["supporting"]["reduction"].update(steps=7)),
+            *[("rational", *case) for case in [
+                ("supporting.reduction", lambda p: p["supporting"].update(reduction=5)),
+                ("supporting.reduction.steps", lambda p: p["supporting"]["reduction"].update(steps=7)),
+                (
+                    "supporting.reduction.steps",
+                    lambda p: p["supporting"]["reduction"].update(steps=[["a", "x"]]),
+                ),
+                ("provenance", lambda p: p.update(provenance=[])),
+                ("alphabet", lambda p: p.update(alphabet=5)),
+                ("'alphabet' entry 3", lambda p: p.update(alphabet=["a", "b", 3])),
+                (
+                    "supporting.reduction.steps",
+                    lambda p: p["supporting"]["reduction"].update(steps=[[1, 1]]),
+                ),
+                (
+                    "covering.reduction.surviving",
+                    lambda p: p["covering"]["reduction"].update(surviving=["a", 2]),
+                ),
+                ("provenance.input_sha256", lambda p: p["provenance"].update(input_sha256=5)),
+                ("'histograms' row 1", lambda p: p["histograms"].__setitem__(0, 5)),
+                ("supporting.tight_members", lambda p: p["supporting"].update(tight_members=3)),
+                ("supporting.weight", lambda p: p["supporting"].update(weight="1/3")),
+                (
+                    "covering.alternate_optima",
+                    lambda p: p["covering"].update(alternate_optima="false"),
+                ),
+                ("mode", lambda p: p.update(mode="banana")),
+                # E4's covering tight members are [0, 1], its supporting tight symbols [0]
+                (
+                    "'covering.tight_members' entry False is not a JSON integer",
+                    lambda p: p["covering"].update(tight_members=[False, True]),
+                ),
+                (
+                    "'covering.tight_members' entry 0.0 is not a JSON integer",
+                    lambda p: p["covering"].update(tight_members=[0.0, 1]),
+                ),
+                (
+                    "'supporting.tight_symbols' entry False is not a JSON integer",
+                    lambda p: p["supporting"].update(tight_symbols=[False]),
+                ),
+                (
+                    "'supporting.tight_symbols' entry '0' is not a JSON integer",
+                    lambda p: p["supporting"].update(tight_symbols=["0"]),
+                ),
+                *[
+                    (field, partial(trace_damage, reduction))
+                    for field, reduction in TRACES_OFF_THE_ALPHABET.values()
+                ],
+            ]],
+            *[(mode, *case) for mode in ("rational", "float") for case in NUMBER_DAMAGE.values()],
             (
-                "supporting.reduction.steps",
-                lambda p: p["supporting"]["reduction"].update(steps=[["a", "x"]]),
+                "float",
+                "'supporting.weight' entry '5_0e-2'",
+                lambda p: p["supporting"].update(weight=[0.5, "5_0e-2", 0.0]),
             ),
-            ("provenance", lambda p: p.update(provenance=[])),
-            ("alphabet", lambda p: p.update(alphabet=5)),
-            ("'alphabet' entry 3", lambda p: p.update(alphabet=["a", "b", 3])),
-            (
-                "supporting.reduction.steps",
-                lambda p: p["supporting"]["reduction"].update(steps=[[1, 1]]),
-            ),
-            (
-                "covering.reduction.surviving",
-                lambda p: p["covering"]["reduction"].update(surviving=["a", 2]),
-            ),
-            ("provenance.input_sha256", lambda p: p["provenance"].update(input_sha256=5)),
-            ("'histograms' row 1", lambda p: p["histograms"].__setitem__(0, 5)),
-            ("supporting.tight_members", lambda p: p["supporting"].update(tight_members=3)),
-            ("supporting.weight", lambda p: p["supporting"].update(weight="1/3")),
-            (
-                "covering.alternate_optima",
-                lambda p: p["covering"].update(alternate_optima="false"),
-            ),
-            ("mode", lambda p: p.update(mode="banana")),
-            # E4's covering tight members are [0, 1], its supporting tight symbols [0]
-            (
-                "'covering.tight_members' entry False is not a JSON integer",
-                lambda p: p["covering"].update(tight_members=[False, True]),
-            ),
-            (
-                "'covering.tight_members' entry 0.0 is not a JSON integer",
-                lambda p: p["covering"].update(tight_members=[0.0, 1]),
-            ),
-            (
-                "'supporting.tight_symbols' entry False is not a JSON integer",
-                lambda p: p["supporting"].update(tight_symbols=[False]),
-            ),
-            (
-                "'supporting.tight_symbols' entry '0' is not a JSON integer",
-                lambda p: p["supporting"].update(tight_symbols=["0"]),
-            ),
-            *[
-                (field, partial(trace_damage, reduction))
-                for field, reduction in TRACES_OFF_THE_ALPHABET.values()
-            ],
+            ("float", "'supporting.alpha'", lambda p: p["supporting"].update(alpha=BIG)),
         ],
         ids=[
             "reduction",
@@ -888,11 +945,16 @@ class TestCli:
             "tight-boolean",
             "tight-string",
             *TRACES_OFF_THE_ALPHABET,
+            *[f"{mode}-{case}" for mode in ("rational", "float") for case in NUMBER_DAMAGE],
+            "float-underscore-weight",
+            "float-alpha-beyond-the-float-range",
         ],
     )
-    def test_wrong_typed_profile_field_is_a_parse_error(self, tmp_path, capsys, e4, field, damage):
+    def test_wrong_typed_profile_field_is_a_parse_error(
+        self, tmp_path, capsys, e4, mode, field, damage
+    ):
         path = tmp_path / "p.json"
-        data = json.loads(dumps_profile(solve_profile(e4)))
+        data = json.loads(dumps_profile(solve_profile(e4, mode)))
         damage(data)
         path.write_text(json.dumps(data))
         samples = tmp_path / "e4.csv"

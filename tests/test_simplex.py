@@ -496,12 +496,21 @@ def test_unbounded_program_is_reported():
             simplex_optimize(lp, mode)
 
 
+def _large_length_sets():
+    rng = random.Random(13)
+    draws = [random_histogram_set(rng, 6, 8, 10**8) for _ in range(100)]
+    return draws[::3]
+
+
 def test_large_sample_lengths_solve_exactly(monkeypatch):
     # at |T| = 1e8 the float guide often ends at a basis that is singular,
     # infeasible or not optimal in exact arithmetic; exact pivoting from the
-    # slacks must then give the oracle's value and a certified solution
+    # slacks must then end at an optimal dictionary, with the oracle's value
+    # and a certified solution
     runs = []  # per rational program: how each pivot loop ended and each basis checked
+    solves = []  # one entry per integer solve
     real_pivoting, real_check = histrel.simplex._optimal_dictionary, histrel.simplex._solve_basis
+    real_solve = histrel.simplex._solve_integer
 
     def optimize(lp, arithmetic):
         runs.append([])
@@ -513,27 +522,66 @@ def test_large_sample_lengths_solve_exactly(monkeypatch):
         except (ValidationError, IterationCapExceeded, OverflowError):
             runs[-1].append(f"{field.mode} raised")
             raise
-        runs[-1].append(f"{field.mode} pivoted")
+        if field.exact:  # feasible and no reduced cost positive, exactly
+            _basis, _nonbasic, b, costs, _pivots = found
+            optimal = min(b[:-1]) >= 0 and max(costs) <= 0
+            runs[-1].append("rational optimal" if optimal else "rational not optimal")
+        else:
+            runs[-1].append("float pivoted")
         return found
 
-    def check(lp, basis):
-        solved = real_check(lp, basis)
-        optimal = solved is not None and max(solved[-1]) <= 0
-        runs[-1].append("rejected" if solved is None else "optimal" if optimal else "not optimal")
-        return solved
+    def solve_integer(matrix, rhs):
+        solves.append(len(matrix))
+        return real_solve(matrix, rhs)
+
+    def check(lp, guide):
+        before = len(solves)
+        accepted = real_check(lp, guide)
+        # one solve: B singular or x_B negative; two: a reduced cost is positive
+        primal_only = len(solves) - before == 1
+        runs[-1].append("optimal" if accepted else "rejected" if primal_only else "not optimal")
+        return accepted
 
     monkeypatch.setattr(histrel.game, "simplex_optimize", optimize)
     monkeypatch.setattr(histrel.simplex, "_optimal_dictionary", pivoting)
+    monkeypatch.setattr(histrel.simplex, "_solve_integer", solve_integer)
     monkeypatch.setattr(histrel.simplex, "_solve_basis", check)
-    rng = random.Random(13)
-    draws = [random_histogram_set(rng, 6, 8, 10**8) for _ in range(100)]
-    for hs in draws[::3]:
+    for hs in _large_length_sets():
         for problem, solve in ((SUPPORTING, solve_supporting), (COVERING, solve_covering)):
             solution = solve(hs)
             assert solution.alpha == oracle_solve(hs, problem)[0]
             assert certify(solution, hs).passed
     accepted = ["float pivoted", "optimal"]
-    assert all(run == accepted or run[-2:] == ["rational pivoted", "optimal"] for run in runs)
+    assert all(run == accepted or run[-1] == "rational optimal" for run in runs)
     guides = {tuple(run[:2]) for run in runs if run != accepted}
     assert ("float pivoted", "not optimal") in guides
     assert ("float pivoted", "rejected") in guides
+
+
+def test_a_rational_solve_solves_in_integers_only_for_the_guide(monkeypatch):
+    # exact pivoting's final dictionary is the result: after a rejected guide
+    # no basis is solved again, so a call runs at most the guide's two solves
+    solves, fallbacks = [], []
+    real_pivoting, real_solve = histrel.simplex._optimal_dictionary, histrel.simplex._solve_integer
+
+    def optimize(lp, arithmetic):
+        solves.append(0)
+        return simplex_optimize(lp, arithmetic)
+
+    def pivoting(lp, field):
+        fallbacks.append(field.exact)
+        return real_pivoting(lp, field)
+
+    def solve_integer(matrix, rhs):
+        solves[-1] += 1
+        return real_solve(matrix, rhs)
+
+    monkeypatch.setattr(histrel.game, "simplex_optimize", optimize)
+    monkeypatch.setattr(histrel.simplex, "_optimal_dictionary", pivoting)
+    monkeypatch.setattr(histrel.simplex, "_solve_integer", solve_integer)
+    rng = random.Random(14)
+    for hs in (random_histogram_set(rng, 6, 8, 10**12) for _ in range(12)):
+        solve_supporting(hs)
+        solve_covering(hs)
+    assert sum(fallbacks) > len(solves) // 4  # a quarter of the guides are rejected
+    assert max(solves) <= 2
