@@ -87,7 +87,7 @@ def _default_mode() -> str:
 def _parse_alphabet(spec: str | None) -> Alphabet | None:
     if spec is None:
         return None
-    labels = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    labels = [tok.strip() for tok in spec.split(",")]  # an empty label is a parse error, not dropped
     return Alphabet(_require_csv_labels(labels, "'--alphabet'"))
 
 

@@ -4,7 +4,9 @@ Everything here is immutable and pure. Rational mode keeps exact
 ``fractions.Fraction`` values; float mode keeps IEEE doubles and tolerates
 ``FLOAT_EPS`` of slack in every normalization and comparison check. The
 internal ``Field`` carries that one decision: rational mode is the float rule
-with a tolerance of exactly zero. The internal ``_solve_integer`` is the one
+with a tolerance of exactly zero. It also makes every comparison of values
+with a value (``gaps`` and the tests on them), for the certificates, the tight
+sets and the score flags alike. The internal ``_solve_integer`` is the one
 exact linear solve, shared by the simplex and the oracle.
 """
 
@@ -60,8 +62,8 @@ class Field:
     """The numbers of one arithmetic mode and the comparisons made on them.
 
     ``tol`` is the fixed ``FLOAT_EPS`` in float mode and exactly zero in
-    rational mode, so ``close`` and ``support`` are the exact tests there
-    and the tolerant ones in float mode.
+    rational mode, so ``close``, ``support``, ``within`` and ``near`` are the
+    exact tests there and the tolerant ones in float mode.
     """
 
     mode: ArithmeticMode
@@ -130,9 +132,40 @@ class Field:
             return [mass * row[j] for row in rows], denominator
         return [sum(map(mul, numerators, row)) for row in rows], denominator
 
-    def ratio(self, value) -> tuple[Number, Number]:
-        """``value`` as ``(numerator, denominator)``: its integer ratio in
-        rational mode, ``(value, 1)`` in float mode."""
+    def gaps(self, scaled, value) -> tuple[list, Number]:
+        """The values ``scaled`` holds less ``value``, as numerators over one
+        positive scale: with ``value == p / q``, ``n / s`` less it is
+        ``(n * q - p * s) / (q * s)``. This is every comparison with a value:
+        integers in rational mode, a subtraction in float mode (``q == s == 1``)."""
+        numerators, denominator = scaled
+        p, q = self._ratio(value)
+        target = p * denominator
+        return [n * q - target for n in numerators], q * denominator
+
+    def within(self, excess, scale) -> bool:
+        """Whether ``excess / scale``, with ``scale > 0``, is at most the tolerance."""
+        return excess <= self.tol * scale
+
+    def near(self, gaps) -> list[int]:
+        """Positions of the values equal to the value, given ``gaps(scaled, value)``."""
+        numerators, scale = gaps
+        bound = self.tol * scale
+        return [i for i, g in enumerate(numerators) if abs(g) <= bound]
+
+    def ratios(self, scaled, value) -> list:
+        """The values ``scaled`` holds divided by ``value``; all None when it is zero."""
+        numerators, denominator = scaled
+        if self.close(value, self.zero):
+            return [None] * len(numerators)
+        p, q = self._ratio(value)
+        return [self.quotient(n * q, denominator * p) for n in numerators]
+
+    def cleared(self, values):
+        """Float round-off at or below zero, within the tolerance, as ``+0.0``."""
+        return values if self.exact else [0.0 if -self.tol <= v <= 0 else v for v in values]
+
+    def _ratio(self, value) -> tuple[Number, Number]:
+        """``value`` as an integer ratio in rational mode, ``(value, 1)`` in float mode."""
         return value.as_integer_ratio() if self.exact else (value, 1)
 
     def quotient(self, numerator, denominator) -> Number:
@@ -150,15 +183,18 @@ class Field:
         return str(value) if self.exact else value
 
     def decode(self, value, what: str) -> Number:
-        """A number read from JSON: an integer or a ``p/q`` string in
-        rational mode, a JSON number in float mode. A ``ParseError`` names
-        the field ``what``."""
+        """A number read from JSON: an integer or a string that ``encode``
+        writes (``str`` of the ``Fraction``) in rational mode, a JSON number
+        in float mode. A ``ParseError`` names the field ``what``."""
         # exact types: a bool is no number, and neither mode reads the other's
         if type(value) in ((int, str) if self.exact else (int, float)):
             try:
-                return self.of(value)
+                number = self.of(value)
             except (ValueError, ZeroDivisionError, OverflowError):
                 pass
+            else:  # Fraction also parses "0.5", " 1/2", "+1" and "5_0e-2"
+                if type(value) is not str or str(number) == value:
+                    return number
         raise ParseError(None, f"{what} {value!r} is not a {self.mode} number")
 
 

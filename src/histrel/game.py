@@ -15,10 +15,11 @@ distribution certifies the value by complementary slackness. Two shortcuts
 skip the program: a reduction that leaves one symbol, and one that leaves
 both symbols of a two-symbol set, whose members then straddle the middle
 and which the even weight solves at half the sample length.
-``make_solution`` is where every solution is certified: one pairing of the
-weight with every member gives the tight sets and the certificate, and a
-solution that fails it raises ``CertificationFailure`` instead of being
-returned.
+``make_solution`` is where every solution is certified: it and ``certify``
+share one computation, in which one pairing of the weight with every member
+gives the tight sets and the certificate, each a comparison of a pairing
+with the value made by ``Field``. A solution that fails the certificate
+raises ``CertificationFailure`` instead of being returned.
 
 The program is built on the shorter side of the distinct count matrix: with
 fewer distinct members than symbols, the transposed matrix is solved for the
@@ -163,32 +164,17 @@ def make_solution(
         trace = empty_trace(histograms.alphabet.symbols)
     if weight.alphabet != histograms.alphabet:
         raise AlphabetMismatch("weight and histogram set use different alphabets")
-    field = Field.for_mode(weight.mode)
-    weight_scaled = field.scaled(weight.values)
-    pairings = field.pairings(weight_scaled, histograms.count_rows())
-    numerators, denominator = pairings
-    # member i is tight when numerators[i] / denominator == p / q, cross-multiplied
-    p, q = field.ratio(alpha)
-    target, slack = p * denominator, field.tol * q * denominator
-    solution = GameSolution(
-        alpha=alpha,
-        weight=weight,
-        dual=dual,
-        tight_members=tuple(i for i, n in enumerate(numerators) if abs(n * q - target) <= slack),
-        tight_symbols=tuple(field.support(weight_scaled)),
-        mode=problem,
-        reduction_trace=trace,
-        alternate_optima=alternate_optima,
-    )
-    report = _certificate(solution, histograms, weight_scaled, pairings, field)
+    tight_members, tight_symbols, report = _certified(alpha, weight, dual, histograms, problem)
     if not report.passed:
         clauses = ", ".join(c.clause for c in report.failures())
         raise CertificationFailure(f"{problem} solution fails: {clauses}")
-    weighted = {histograms.alphabet.symbols[j] for j in solution.tight_symbols}
+    weighted = {histograms.alphabet.symbols[j] for j in tight_symbols}
     for symbol in trace.eliminated:
         if symbol in weighted:
             raise CertificationFailure(f"{problem} solution weighs eliminated symbol {symbol!r}")
-    return solution
+    return GameSolution(
+        alpha, weight, dual, tight_members, tight_symbols, problem, trace, alternate_optima
+    )
 
 
 def solve_supporting(
@@ -297,12 +283,8 @@ def _solve_lp(unique_rows, problem, field: Field):
     value = field.one / result.objective_value
     alpha = value - offset if lp_problem == SUPPORTING else offset - value
     height = len(rows)
-    row_side = extract_dual(result, rows)
-    column_side = tuple(-value * c for c in result.reduced_costs[height:])
-    if not field.exact:  # float round-off within the tolerance of zero becomes +0.0
-        row_side, column_side = (
-            [0.0 if -field.tol <= v <= 0 else v for v in side] for side in (row_side, column_side)
-        )
+    row_side = field.cleared(extract_dual(result, rows))
+    column_side = field.cleared([-value * c for c in result.reduced_costs[height:]])
     basic = set(result.basis)
     if flipped:
         alternate = any(
@@ -374,10 +356,7 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
     """
     if solution.weight.alphabet != histograms.alphabet:
         return _structure_failure(solution.mode, "alphabet differs")
-    field = Field.for_mode(solution.weight.mode)
-    weight_scaled = field.scaled(solution.weight.values)
-    pairings = field.pairings(weight_scaled, histograms.count_rows())
-    return _certificate(solution, histograms, weight_scaled, pairings, field)
+    return _certified(solution.alpha, solution.weight, solution.dual, histograms, solution.mode)[2]
 
 
 def _structure_failure(problem: ProblemMode, detail: str) -> CertificateReport:
@@ -385,63 +364,48 @@ def _structure_failure(problem: ProblemMode, detail: str) -> CertificateReport:
     return CertificateReport(problem, False, (check,), float("inf"))
 
 
-def _certificate(solution, histograms, weight_scaled, pairings, field: Field) -> CertificateReport:
-    """The certificate clauses, given the weight as ``Field.scaled`` returns
-    it and its pairing with every member as ``Field.pairings`` returns it.
-
-    Every clause compares numerators over a common denominator, so rational
-    mode compares integers; each violation is the float of one quotient.
+def _certified(alpha, weight, dual, histograms, problem):
+    """``(tight_members, tight_symbols, report)`` of a claimed solution, from
+    one pairing of the weight with every member and one of the dual with
+    every symbol. The tight sets and every clause compare those pairings with
+    ``alpha`` through ``Field.gaps``; each violation is one quotient's float.
     """
+    field = Field.for_mode(weight.mode)
+    rows = histograms.count_rows()
+    weight_scaled = field.scaled(weight.values)
+    member_gaps, member_scale = field.gaps(field.pairings(weight_scaled, rows), alpha)
+    tight_members = tuple(field.near((member_gaps, member_scale)))
+    tight_symbols = tuple(field.support(weight_scaled))
+    if len(dual.values) != len(rows):
+        return tight_members, tight_symbols, _structure_failure(problem, "dual length differs")
     checks: list[CertificateCheck] = []
 
     def add(clause: str, excess, scale, detail: str = "") -> None:
         """A clause whose violation is ``excess / scale``, with ``scale > 0``."""
-        checks.append(
-            CertificateCheck(
-                clause=clause,
-                passed=excess <= field.tol * scale,
-                violation=max(0.0, excess / scale),
-                detail=detail,
-            )
-        )
+        checks.append(CertificateCheck(clause, field.within(excess, scale), max(0.0, excess / scale), detail))
 
-    if len(solution.dual.values) != len(histograms.members):
-        return _structure_failure(solution.mode, "dual length differs")
-
-    dual_scaled = field.scaled(solution.dual.values)
-    for clause, (numerators, denominator) in (
-        ("weight-simplex", weight_scaled),
-        ("dual-simplex", dual_scaled),
-    ):
+    dual_scaled = field.scaled(dual.values)
+    for clause, (numerators, denominator) in (("weight-simplex", weight_scaled), ("dual-simplex", dual_scaled)):
         add(clause, max(abs(sum(numerators) - denominator), -min(numerators), 0), denominator)
 
     # the supporting claims flip for covering: min/max swap and so do the signs
-    sign = 1 if solution.mode == SUPPORTING else -1
+    sign = 1 if problem == SUPPORTING else -1
     first, last = (min, max) if sign == 1 else (max, min)
-    p, q = field.ratio(solution.alpha)
-    members, member_scale = pairings
-    columns, column_scale = field.pairings(dual_scaled, zip(*histograms.count_rows()))
-    # a value v / scale exceeds alpha == p / q by (v * q - p * scale) / (q * scale)
-    primal_gap = first(members) * q - p * member_scale
-    dual_gap = last(columns) * q - p * column_scale
-    add("primal-feasibility", max(-sign * primal_gap, 0), q * member_scale)
-    add("value-equality-primal", abs(primal_gap), q * member_scale)
-    add("dual-feasibility", max(sign * dual_gap, 0), q * column_scale)
-    add("value-equality-dual", abs(dual_gap), q * column_scale)
+    column_gaps, column_scale = field.gaps(field.pairings(dual_scaled, zip(*rows)), alpha)
+    primal_gap, dual_gap = first(member_gaps), last(column_gaps)
+    add("primal-feasibility", max(-sign * primal_gap, 0), member_scale)
+    add("value-equality-primal", abs(primal_gap), member_scale)
+    add("dual-feasibility", max(sign * dual_gap, 0), column_scale)
+    add("value-equality-dual", abs(dual_gap), column_scale)
 
-    target = p * member_scale
-    slack_members = max(
-        (abs(members[i] * q - target) for i in field.support(dual_scaled)), default=0
-    )
-    add("slackness-members", slack_members, q * member_scale, "positive dual mass on a non-tight member")
-    target = p * column_scale
-    slack_symbols = max(
-        (abs(columns[v] * q - target) for v in field.support(weight_scaled)), default=0
-    )
-    add("slackness-symbols", slack_symbols, q * column_scale, "positive weight on a slack dual column")
-    b, r = field.ratio(field.of(histograms.sample_length) / len(histograms.alphabet))
-    add("uniform-bound", max(sign * (b * q - p * r), 0), q * r, "value beyond |T| / |V|")
+    slack_members = max((abs(member_gaps[i]) for i in field.support(dual_scaled)), default=0)
+    add("slackness-members", slack_members, member_scale, "positive dual mass on a non-tight member")
+    slack_symbols = max((abs(column_gaps[v]) for v in tight_symbols), default=0)
+    add("slackness-symbols", slack_symbols, column_scale, "positive weight on a slack dual column")
+    uniform = field.of(histograms.sample_length) / len(histograms.alphabet)
+    (uniform_gap,), uniform_scale = field.gaps(field.scaled([uniform]), alpha)
+    add("uniform-bound", max(sign * uniform_gap, 0), uniform_scale, "value beyond |T| / |V|")
 
     passed = all(c.passed for c in checks)
     max_violation = max((c.violation for c in checks), default=0.0)
-    return CertificateReport(solution.mode, passed, tuple(checks), max_violation)
+    return tight_members, tight_symbols, CertificateReport(problem, passed, tuple(checks), max_violation)

@@ -4,11 +4,13 @@ Formats are deliberately small: sample files are plain CSV (one sample per
 line, comma-separated single-token symbols), histogram sets and all derived
 artifacts are JSON. Rational values serialize as exact ``p/q`` strings,
 floats as shortest round-trip decimals, so rational-mode files round-trip
-bit-exactly. All file writes are whole-file atomic.
+bit-exactly. All file writes are whole-file atomic and otherwise write as
+``open(path, "w")`` does.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -77,23 +79,26 @@ def read_text(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a temporary file beside ``path`` and rename it over ``path``. The
-    file gets the mode ``open(path, "w")`` would leave: an existing file
-    keeps its own, and a new one gets ``0o666`` less the umask. A failed
-    write leaves no temporary file, and its ``OSError`` names ``path``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".histrel-{secrets.token_hex(8)}.tmp")
+    """Write a temporary file beside ``path`` and rename it over ``path``,
+    as ``open(path, "w")`` would write: through a symbolic link to its
+    target, not into a file the caller may not write, and leaving an
+    existing file its own mode and a new one ``0o666`` less the umask. A
+    failed write leaves no temporary file, and its ``OSError`` names ``path``."""
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".histrel-{secrets.token_hex(8)}.tmp")
     try:
+        if os.path.exists(target) and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         # the kernel applies the umask to the requested 0o666
         fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
             try:
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             except FileNotFoundError:
                 pass  # a new file
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -488,8 +493,8 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     value is zero, within the profile's tolerance). Flags compare with that
     tolerance, the one the certificates were checked at (exactly zero in
     rational mode), so every member of the solved set meets both. Every
-    comparison is made on the integer numerators of the pairings in
-    rational mode.
+    comparison with a value is ``Field``'s, the one the certificates make,
+    and is made on the integer numerators of the pairings in rational mode.
     """
     solved = profile.histograms
     if samples.alphabet != solved.alphabet:
@@ -497,37 +502,33 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     if samples.sample_length != solved.sample_length:
         raise LengthMismatch(expected=solved.sample_length, actual=samples.sample_length)
     field = Field.for_mode(profile.mode)
-    sup = profile.supporting
-    cov = profile.covering
+    sup, cov = profile.supporting, profile.covering
     counts = samples.count_rows()
-    relevances, rel_scale = field.pairings(field.scaled(sup.weight.values), counts)
-    irrelevances, irr_scale = field.pairings(field.scaled(cov.weight.values), counts)
-    # with alpha == p / q, a pairing n / scale exceeds alpha by
-    # (n * q - p * scale) / (q * scale) and divides by it as (n * q) / (scale * p)
-    p_sup, q_sup = field.ratio(sup.alpha)
-    p_cov, q_cov = field.ratio(cov.alpha)
-    sup_target, sup_slack = p_sup * rel_scale, field.tol * q_sup * rel_scale
-    cov_target, cov_slack = p_cov * irr_scale, field.tol * q_cov * irr_scale
-    sup_ratios = abs(sup.alpha) > field.tol
-    cov_ratios = abs(cov.alpha) > field.tol
-    quotient = field.quotient
-    rows = []
-    for i, (histogram, relevance, irrelevance) in enumerate(
-        zip(counts, relevances, irrelevances), start=1
-    ):
-        relevance_q, irrelevance_q = relevance * q_sup, irrelevance * q_cov
-        rows.append(
-            ScoreRow(
-                index=i,
-                histogram=histogram,
-                relevance=quotient(relevance, rel_scale),
-                irrelevance=quotient(irrelevance, irr_scale),
-                relevance_ratio=quotient(relevance_q, rel_scale * p_sup) if sup_ratios else None,
-                irrelevance_ratio=quotient(irrelevance_q, irr_scale * p_cov) if cov_ratios else None,
-                meets_support=sup_target - relevance_q <= sup_slack,
-                within_cover=irrelevance_q - cov_target <= cov_slack,
-            )
+    relevances = field.pairings(field.scaled(sup.weight.values), counts)
+    irrelevances = field.pairings(field.scaled(cov.weight.values), counts)
+    (sup_gaps, sup_scale), (cov_gaps, cov_scale) = (
+        field.gaps(relevances, sup.alpha), field.gaps(irrelevances, cov.alpha)
+    )
+    quotient, within = field.quotient, field.within
+    rel_scale, irr_scale = relevances[1], irrelevances[1]
+    columns = zip(
+        counts, relevances[0], irrelevances[0], sup_gaps, cov_gaps,
+        field.ratios(relevances, sup.alpha), field.ratios(irrelevances, cov.alpha),
+    )
+    rows = [
+        ScoreRow(
+            index=i,
+            histogram=histogram,
+            relevance=quotient(relevance, rel_scale),
+            irrelevance=quotient(irrelevance, irr_scale),
+            relevance_ratio=relevance_ratio,
+            irrelevance_ratio=irrelevance_ratio,
+            meets_support=within(-sup_gap, sup_scale),
+            within_cover=within(cov_gap, cov_scale),
         )
+        for i, (histogram, relevance, irrelevance, sup_gap, cov_gap, relevance_ratio, irrelevance_ratio)
+        in enumerate(columns, start=1)
+    ]
     return ScoreReport(
         alphabet=solved.alphabet,
         sample_length=solved.sample_length,

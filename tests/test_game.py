@@ -261,6 +261,51 @@ class TestIntegerCertificate:
         assert off_optimum > 100
 
 
+def _perturbed_claims(solution, histograms, mode):
+    """The solved claim, then claims off it: ``alpha`` nudged each way,
+    within and beyond the float tolerance, the uniform weight, and a flat
+    dual."""
+    field = Field.for_mode(mode)
+    alpha, k = solution.alpha, len(histograms.members)
+    if mode == "rational":
+        q = alpha.denominator
+        nudges = [Fraction(1, 2 * q), Fraction(-1, 3 * q), Fraction(1, 10**12), Fraction(-1, 10**12)]
+    else:
+        nudges = [1e-12, -1e-12, 1e-6, -1e-6]
+    yield alpha, solution.weight, solution.dual
+    for nudge in nudges:
+        yield alpha + nudge, solution.weight, solution.dual
+    yield alpha, Weight.uniform(histograms.alphabet, mode), solution.dual
+    yield alpha, solution.weight, DualWeight((field.share(k),) * k, mode)
+
+
+class TestOneCertificatePass:
+    """``make_solution`` and ``certify`` run one certificate computation."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_make_solution_fails_exactly_when_certify_does(self, mode):
+        passed = failed = 0
+        for seed in range(60):
+            histograms = random_histogram_set(random.Random(seed), 6, 8, 30)
+            for solve in (solve_supporting, solve_covering):
+                solution = solve(histograms, mode)
+                for alpha, weight, dual in _perturbed_claims(solution, histograms, mode):
+                    claim = dataclasses.replace(solution, alpha=alpha, weight=weight, dual=dual)
+                    report = certify(claim, histograms)
+                    # no reduction trace: the uniform weight carries eliminated symbols
+                    args = (alpha, weight, dual, histograms, solution.mode)
+                    if report.passed:
+                        assert certify(make_solution(*args), histograms) == report, seed
+                        passed += 1
+                        continue
+                    with pytest.raises(CertificationFailure) as err:
+                        make_solution(*args)
+                    clauses = ", ".join(c.clause for c in report.failures())
+                    assert str(err.value) == f"{solution.mode} solution fails: {clauses}", seed
+                    failed += 1
+        assert passed > 100 and failed > 100
+
+
 class TestSolverProperties:
     def test_rational_mode_is_deterministic(self, e3):
         assert solve_supporting(e3) == solve_supporting(e3)

@@ -106,7 +106,15 @@ NUMBER_DAMAGE = {
     "dual-type": ("'covering.dual' entry", partial(retype, "covering", "dual")),
     "boolean-alpha": ("'covering.alpha' True", lambda p: p["covering"].update(alpha=True)),
     "null-weight": ("'supporting.weight' entry None", lambda p: p["supporting"].update(weight=[None])),
+    "underscore-weight": (
+        "'supporting.weight' entry '5_0e-2'",
+        lambda p: p["supporting"]["weight"].__setitem__(1, "5_0e-2"),
+    ),
 }
+
+# rational number strings that Fraction parses but no profile holds: a
+# profile writes each value as str(Fraction), and E4's supporting weight is (1, 0, 0)
+UNWRITTEN_RATIONALS = {"decimal": "1.0", "padded": " 1", "signed": "+1"}
 
 
 class TestIngest:
@@ -432,6 +440,17 @@ class TestScoring:
         assert all(row.irrelevance_ratio is None for row in report.rows)
         assert all(row.relevance_ratio is not None for row in report.rows)
 
+    def test_tight_members_are_the_members_scoring_the_value(self):
+        # the profile's tight sets and the report's scores compare with
+        # alpha through the same Field.gaps, exactly in rational mode
+        for seed in range(100):
+            hs = random_histogram_set(random.Random(seed), 6, 8, 30)
+            profile = solve_profile(hs)
+            rows = score_profile(profile, hs).rows
+            sup, cov = profile.supporting, profile.covering
+            assert sup.tight_members == tuple(i for i, r in enumerate(rows) if r.relevance == sup.alpha)
+            assert cov.tight_members == tuple(i for i, r in enumerate(rows) if r.irrelevance == cov.alpha)
+
     def test_float_profiles_flag_every_own_member(self):
         # float values carry rounding error; the flags accept what certify accepts
         for seed in range(20):
@@ -748,6 +767,50 @@ class TestCli:
         assert f"'--alphabet' entry {label!r}" in self.one_error_line(capsys)
         assert not output.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "solve"])
+    @pytest.mark.parametrize("spec", ["a,,b", "a,b,", ",", ""], ids=["inner", "trailing", "comma", "blank"])
+    def test_an_empty_alphabet_option_label_is_a_parse_error(self, tmp_path, capsys, command, spec):
+        samples = tmp_path / "s.csv"
+        samples.write_text("a,b\nb,a\n")
+        output = tmp_path / "x.json"
+        argv = (command, str(samples), "--alphabet", spec, "-o", str(output))
+        assert self.run(*argv) == EXIT_CODES["parse"]
+        assert "'--alphabet' entry ''" in self.one_error_line(capsys)
+        assert not output.exists()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "dangling"])
+    def test_an_output_symlink_is_written_through(self, tmp_path, existing):
+        # like open(path, "w"): the link stays a link, and its target, in
+        # another directory here, gets the bytes and keeps its mode
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        (tmp_path / "elsewhere").mkdir()
+        target = tmp_path / "elsewhere" / "target.json"
+        if existing:
+            target.write_text("")
+            target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert self.run("solve", str(samples), "-o", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == dumps_profile(solve_profile(ingest_samples(str(samples))))
+        if existing:
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "elsewhere", "link.json"]
+        assert [p.name for p in target.parent.iterdir()] == ["target.json"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="open(path, 'w') succeeds for root too")
+    def test_a_read_only_output_is_a_usage_error_naming_it(self, tmp_path, capsys):
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        output = tmp_path / "read-only.json"
+        output.write_text("kept")
+        output.chmod(0o444)
+        assert self.run("solve", str(samples), "-o", str(output)) == EXIT_CODES["usage"]
+        assert f"'{output}'" in self.one_error_line(capsys)
+        assert output.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "read-only.json"]
+
     @pytest.mark.parametrize("umask, created", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_a_written_file_gets_the_mode_open_would_give_it(self, tmp_path, umask, created):
         # a new file gets 0o666 less the umask, and an existing file keeps its mode
@@ -918,11 +981,14 @@ class TestCli:
                 ],
             ]],
             *[(mode, *case) for mode in ("rational", "float") for case in NUMBER_DAMAGE.values()],
-            (
-                "float",
-                "'supporting.weight' entry '5_0e-2'",
-                lambda p: p["supporting"].update(weight=[0.5, "5_0e-2", 0.0]),
-            ),
+            *[
+                (
+                    "rational",
+                    f"'supporting.weight' entry {text!r}",
+                    partial(lambda text, p: p["supporting"]["weight"].__setitem__(0, text), text),
+                )
+                for text in UNWRITTEN_RATIONALS.values()
+            ],
             ("float", "'supporting.alpha'", lambda p: p["supporting"].update(alpha=BIG)),
         ],
         ids=[
@@ -946,7 +1012,7 @@ class TestCli:
             "tight-string",
             *TRACES_OFF_THE_ALPHABET,
             *[f"{mode}-{case}" for mode in ("rational", "float") for case in NUMBER_DAMAGE],
-            "float-underscore-weight",
+            *[f"rational-{case}-weight" for case in UNWRITTEN_RATIONALS],
             "float-alpha-beyond-the-float-range",
         ],
     )
