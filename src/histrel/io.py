@@ -261,11 +261,17 @@ def ingest_samples(path: str, alphabet: Alphabet | None = None) -> HistogramSet:
     CSV rows become one histogram each; every row must have the length of the
     first row. Without an explicit alphabet the symbols are inferred from the
     data and ordered lexicographically. A leading byte-order mark is dropped
-    before the format is told from the first character.
+    before the format is told: a file whose first character other than
+    whitespace is ``{`` is histogram JSON, and its JSON errors say so.
     """
     text = read_text(path)
     if text.lstrip().startswith("{"):
-        histograms = histogram_set_from_json(_parse_json_text(text))
+        try:
+            obj = _parse_json_text(text)
+        except ParseError as exc:
+            hint = "a file starting with '{' is read as histogram JSON, not as CSV"
+            raise ParseError(exc.line, f"{exc.reason} ({hint})") from None
+        histograms = histogram_set_from_json(obj)
         if alphabet is not None and histograms.alphabet != alphabet:
             raise AlphabetMismatch(
                 f"file alphabet {histograms.alphabet.symbols} differs from {alphabet.symbols}"
@@ -280,9 +286,24 @@ _LINE_BREAK = re.compile("[\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
     """Rows end at LF, into which ``read_text`` has turned CRLF and CR; a
-    token holding any other line break is a ``ParseError`` at its line."""
+    token holding any other line break is a ``ParseError`` at its line.
+    Whitespace around a line or a token (what ``str.strip`` removes) is ignored.
+
+    A *clean* line, printable and without an ASCII space, is split once and
+    never stripped or searched: U+0020 is the only whitespace character
+    Python counts as printable and no line break is printable, so stripping
+    it or its tokens removes nothing and it holds no line break. Its empty
+    tokens are the ones ``",,"`` or a comma at either end makes.
+    """
     rows: list[tuple[int, tuple[str, ...]]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.isprintable() and " " not in line:
+            if not line:
+                continue
+            if ",," in line or line[0] == "," or line[-1] == ",":
+                raise ParseError(lineno, "empty symbol token")
+            rows.append((lineno, tuple(line.split(","))))
+            continue
         line = line.strip()
         if not line:
             continue

@@ -8,6 +8,7 @@ import random
 import stat
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -20,12 +21,15 @@ from histrel import (
     CertificationFailure,
     EmptySet,
     HistogramSet,
+    HistrelError,
     LengthMismatch,
     ParseError,
     ReductionStep,
     ReductionTrace,
+    Sample,
     UnknownSymbol,
     Weight,
+    build_histogram,
     ingest_samples,
     load_histogram_set,
     load_profile,
@@ -37,6 +41,7 @@ from histrel import (
 from histrel.cli import EXIT_CODES, main
 from histrel.core import FLOAT_EPS, Field
 from histrel.io import (
+    _ingest_csv,
     _json_text,
     dumps_histogram_set,
     dumps_profile,
@@ -116,6 +121,80 @@ NUMBER_DAMAGE = {
 # profile writes each value as str(Fraction), and E4's supporting weight is (1, 0, 0)
 UNWRITTEN_RATIONALS = {"decimal": "1.0", "padded": " 1", "signed": "+1"}
 
+# every character str.strip removes except LF, which ends a row, and CR, which
+# read_text turns into LF; it holds every line break but LF and CR
+STRIPPED = (
+    "\t\v\f\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+CSV_LABELS = ("a", "b", "ab", "\xe9", "{", "a b", "a\tb", "a\x00b", "a\x1cb", "a\u3000b")
+
+
+def _per_token_ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
+    """The reference reading of a sample CSV text: strip every line and every
+    token, then search every token for a line break. ``io._ingest_csv`` must
+    give the same result, or raise the same error, on every text."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = tuple(map(str.strip, line.split(",")))
+        if "" in tokens:
+            raise ParseError(lineno, "empty symbol token")
+        # a stripped token neither starts nor ends with a line break
+        broken = next((token for token in tokens if len(token.splitlines()) > 1), None)
+        if broken is not None:
+            raise ParseError(lineno, f"symbol token {broken!r} holds a line break")
+        rows.append((lineno, tokens))
+    if not rows:
+        raise EmptySet("sample file contains no rows")
+    expected = len(rows[0][1])
+    for lineno, tokens in rows:
+        if len(tokens) != expected:
+            raise LengthMismatch(line=lineno, expected=expected, actual=len(tokens))
+    if alphabet is None:
+        alphabet = Alphabet(tuple(sorted(set().union(*(tokens for _, tokens in rows)))))
+    members = []
+    for lineno, tokens in rows:
+        try:
+            members.append(build_histogram(Sample(tokens), alphabet))
+        except UnknownSymbol as exc:
+            raise UnknownSymbol(exc.label, position=exc.position, line=lineno) from None
+    return HistogramSet(alphabet, expected, tuple(members))
+
+
+def random_csv_text(rng: random.Random) -> str:
+    """A small CSV text of padded, empty, unknown and multi-character tokens
+    in rows that mostly, but not always, share one length."""
+    pads = rng.choice([" ", " \t", STRIPPED])
+
+    def pad() -> str:
+        return "".join(rng.choices(pads, k=rng.choice([0, 0, 0, 1, 2])))
+
+    def token() -> str:
+        if rng.random() < 0.05:
+            return pad()  # empty, or empty once stripped
+        return pad() + rng.choice(CSV_LABELS) + pad()
+
+    width = rng.randint(1, 4)
+    lines = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.1:
+            lines.append(pad())  # a blank line
+            continue
+        length = width + (rng.choice([-1, 1]) if width > 1 and rng.random() < 0.05 else 0)
+        lines.append(pad() + ",".join(token() for _ in range(length)) + pad())
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _ingest_outcome(ingest, text: str, alphabet: Alphabet | None):
+    """The histogram set ``ingest`` reads, or its error's type and message."""
+    try:
+        return ingest(text, alphabet)
+    except HistrelError as exc:
+        return type(exc), str(exc)
+
 
 class TestIngest:
     def test_csv_counts(self, tmp_path):
@@ -178,6 +257,40 @@ class TestIngest:
             ingest_samples(str(path), Alphabet(("a", "b")))
         assert (err.value.label, err.value.line, err.value.position) == (label, line, position)
 
+    @pytest.mark.parametrize(
+        "text", ["a,b,a\nb,c,a\n", "a,b,a\n\u3000b ,\tc\xa0, a \n"], ids=["clean", "padded"]
+    )
+    def test_an_unknown_symbol_is_placed_alike_on_clean_and_padded_lines(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(UnknownSymbol) as err:
+            ingest_samples(str(path), Alphabet(("a", "b")))
+        assert (err.value.label, err.value.line, err.value.position) == ("c", 2, 2)
+        assert str(err.value) == "unknown symbol 'c' (line 2, position 2)"
+
+    def test_every_text_reads_as_the_per_token_reference_reads_it(self):
+        whitespace = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+        assert whitespace - set(STRIPPED) == {"\n", "\r"}
+        rng = random.Random(20)
+        kinds = Counter()
+        for _ in range(3000):
+            text = random_csv_text(rng)
+            labels = rng.sample(("a", "b", "ab", "\xe9", "{", "a b"), rng.randint(1, 6))
+            for alphabet in (None, Alphabet(tuple(labels))):
+                want = _ingest_outcome(_per_token_ingest_csv, text, alphabet)
+                assert _ingest_outcome(_ingest_csv, text, alphabet) == want, (text, alphabet)
+                if isinstance(want, HistogramSet):
+                    kinds["read"] += 1
+                elif want[0] is ParseError:
+                    kinds["line break" if "line break" in want[1] else "empty token"] += 1
+                else:
+                    kinds[want[0].__name__] += 1
+        # every outcome occurs often, so the texts reach every branch of both readers
+        assert set(kinds) == {
+            "read", "line break", "empty token", "EmptySet", "LengthMismatch", "UnknownSymbol"
+        }
+        assert min(kinds.values()) >= 50, kinds
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("\n\n")
@@ -186,9 +299,22 @@ class TestIngest:
 
     def test_empty_token(self, tmp_path):
         path = tmp_path / "s.csv"
-        path.write_text("a,,b\n")
-        with pytest.raises(ParseError):
+        # inner, leading and trailing, on clean lines and on padded ones
+        for text in ["a,,b\n", ",a,b\n", "a,b,\nb,b,a\n", "a, ,b\n", "\t,a,b\n", "a,b,\t\n"]:
+            path.write_text(text)
+            with pytest.raises(ParseError, match="^line 1: empty symbol token$"):
+                ingest_samples(str(path))
+
+    def test_a_csv_starting_with_a_brace_is_read_as_histogram_json(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(" {,a\na,{\n")
+        with pytest.raises(ParseError) as err:
             ingest_samples(str(path))
+        assert err.value.line == 1
+        assert str(err.value).startswith("line 1: invalid JSON: ")
+        assert "a file starting with '{' is read as histogram JSON" in str(err.value)
+        path.write_text("[,a\na,[\n")
+        assert ingest_samples(str(path)).alphabet.symbols == ("[", "a")
 
     def test_crlf_rows_are_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
