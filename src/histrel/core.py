@@ -1,13 +1,15 @@
-"""Domain types: alphabets, samples, histograms, weights, and the pairing form.
+"""Domain types: alphabets, samples, histograms, weights, and the scores.
 
 Everything here is immutable and pure. Rational mode keeps exact
 ``fractions.Fraction`` values; float mode keeps IEEE doubles and tolerates
 ``FLOAT_EPS`` of slack in every normalization and comparison check. The
 internal ``Field`` carries that one decision: rational mode is the float rule
-with a tolerance of exactly zero. It also makes every comparison of values
-with a value (``gaps`` and the tests on them), for the certificates, the tight
-sets and the score flags alike. The internal ``_solve_integer`` is the one
-exact linear solve, shared by the simplex and the oracle.
+with a tolerance of exactly zero. It also holds the one pairing rule
+(``pairings``), which the certificates, ``score_profile`` and the relevance
+and irrelevance scores share, and makes every comparison of values with a
+value (``gaps`` and the tests on them), for the certificates, the tight sets
+and the score flags alike. The internal ``_solve_integer`` is the one exact
+linear solve, shared by the simplex and the oracle.
 """
 
 from __future__ import annotations
@@ -118,12 +120,13 @@ class Field:
 
     def pairings(self, scaled, rows) -> tuple[list, Number]:
         """Pair one vector, given as ``scaled(values)``, with every row, as
-        numerators over its denominator: ``pairing(values, rows[i]) ==
-        numerators[i] / denominator``.
+        numerators over its denominator: the pairing of ``values`` with
+        ``rows[i]`` is ``numerators[i] / denominator``.
 
-        Each row costs one dot product: an integer one in rational mode,
-        and in float mode the left-to-right sum that ``pairing`` computes.
-        A point mass reads one count per row, which that sum equals too.
+        This is the library's one pairing rule. Each row costs one dot
+        product: an integer one in rational mode, and in float mode the
+        left-to-right sum of the products. A point mass reads one count per
+        row, which that sum equals too.
         """
         numerators, denominator = scaled
         if numerators.count(0) == len(numerators) - 1 and denominator in numerators:
@@ -323,9 +326,6 @@ class Histogram:
     def total(self) -> int:
         return sum(self.counts)
 
-    def count(self, label: str) -> int:
-        return self.counts[self.alphabet.index(label)]
-
 
 @dataclass(frozen=True)
 class HistogramSet:
@@ -421,50 +421,27 @@ class Weight:
         values[position] = field.one
         return cls(alphabet, tuple(values), mode)
 
-    def value(self, label: str) -> Number:
-        return self.values[self.alphabet.index(label)]
 
-
-def _vector_over_alphabet(obj) -> tuple[tuple, Alphabet | None]:
-    if isinstance(obj, Weight):
-        return obj.values, obj.alphabet
-    if isinstance(obj, Histogram):
-        return obj.counts, obj.alphabet
-    return tuple(obj), None
-
-
-def pairing(x, m) -> Number:
-    """Componentwise inner product of two functions on a shared alphabet.
-
-    Accepts ``Weight``, ``Histogram``, or any plain number sequence; the
-    result is exact whenever both sides are exact.
-    """
-    xv, xa = _vector_over_alphabet(x)
-    mv, ma = _vector_over_alphabet(m)
-    if xa is not None and ma is not None and xa != ma:
-        raise AlphabetMismatch("pairing arguments use different alphabets")
-    if len(xv) != len(mv):
-        raise AlphabetMismatch(f"pairing arguments have lengths {len(xv)} and {len(mv)}")
-    return sum(a * b for a, b in zip(xv, mv))
-
-
-def _require_same_alphabet(a: Alphabet, b: Alphabet) -> None:
-    if a != b:
+def _score(histogram: Histogram, weight: Weight) -> Number:
+    """Pair ``histogram`` with ``weight`` by ``Field.pairings``, the rule that
+    ``score_profile`` and the certificates use, in the weight's mode."""
+    if histogram.alphabet != weight.alphabet:
         raise AlphabetMismatch("histogram and weight use different alphabets")
+    field = Field.for_mode(weight.mode)
+    (paired,), scale = field.pairings(field.scaled(weight.values), [histogram.counts])
+    return field.quotient(paired, scale)
 
 
 def relevance_score(histogram: Histogram, supporting_weight: Weight) -> Number:
     """Pairing of a test histogram with the supporting weight; higher means
     the sample sits closer to the set."""
-    _require_same_alphabet(histogram.alphabet, supporting_weight.alphabet)
-    return pairing(supporting_weight, histogram)
+    return _score(histogram, supporting_weight)
 
 
 def irrelevance_score(histogram: Histogram, covering_weight: Weight) -> Number:
     """Pairing of a test histogram with the covering weight; lower means the
     sample sits closer to the set."""
-    _require_same_alphabet(histogram.alphabet, covering_weight.alphabet)
-    return pairing(covering_weight, histogram)
+    return _score(histogram, covering_weight)
 
 
 def build_histogram(sample: Sample, alphabet: Alphabet) -> Histogram:

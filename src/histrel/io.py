@@ -262,16 +262,15 @@ def ingest_samples(path: str, alphabet: Alphabet | None = None) -> HistogramSet:
     first row. Without an explicit alphabet the symbols are inferred from the
     data and ordered lexicographically. A leading byte-order mark is dropped
     before the format is told: a file whose first character other than
-    whitespace is ``{`` is histogram JSON, and its JSON errors say so.
+    whitespace is ``{`` is histogram JSON, and its parse errors say so.
     """
     text = read_text(path)
     if text.lstrip().startswith("{"):
         try:
-            obj = _parse_json_text(text)
+            histograms = histogram_set_from_json(_parse_json_text(text))
         except ParseError as exc:
             hint = "a file starting with '{' is read as histogram JSON, not as CSV"
             raise ParseError(exc.line, f"{exc.reason} ({hint})") from None
-        histograms = histogram_set_from_json(obj)
         if alphabet is not None and histograms.alphabet != alphabet:
             raise AlphabetMismatch(
                 f"file alphabet {histograms.alphabet.symbols} differs from {alphabet.symbols}"

@@ -1,15 +1,15 @@
-"""Brute-force certification solvers for desk-scale instances.
+"""Brute-force certification solver for desk-scale instances.
 
-These exist to check the main solvers, not to be fast: everything is exact,
-instances are hard-capped, and the algorithms share the integer linear solve
-with the main path but never its pivoting.
+``oracle_solve`` exists to check the main solvers, not to be fast: it is
+exact, instances are hard-capped, and it shares the integer linear solve with
+the main path but never its pivoting. ``histrel verify`` runs it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     RATIONAL,
@@ -20,12 +20,11 @@ from .core import (
     _solve_integer,
     require_problem_mode,
 )
-from .errors import CapExceeded, NumericalFailure, ValidationError
+from .errors import CapExceeded, NumericalFailure
 from .game import DualWeight
 
 ORACLE_MAX_SYMBOLS = 6
 ORACLE_MAX_MEMBERS = 8
-GRID_MAX_SYMBOLS = 4
 
 
 def _equalize(vectors: Sequence[Sequence[int]]) -> tuple[list[Fraction], Fraction] | None:
@@ -121,42 +120,3 @@ def _off_support_optimal(rows, symbols, members, xs, qs, value, supporting) -> b
         elif column < value:
             return False
     return True
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def oracle_grid(histograms: HistogramSet, problem: ProblemMode, resolution: int) -> Fraction:
-    """Best value over the lattice of weights with the given denominator.
-
-    Grid optima are inner approximations: they never exceed the supporting
-    value and never fall below the covering value, and they differ from the
-    true value by at most ``|T| * |V| / resolution``.
-    """
-    require_problem_mode(problem)
-    n = len(histograms.alphabet)
-    if n > GRID_MAX_SYMBOLS:
-        raise CapExceeded(f"grid scan handles at most {GRID_MAX_SYMBOLS} symbols, got {n}")
-    if resolution < 1:
-        raise ValidationError("grid resolution must be at least 1")
-    rows = histograms.count_rows()
-    best: Fraction | None = None
-    for counts in _compositions(resolution, n):
-        values = [
-            Fraction(sum(c * row[j] for j, c in enumerate(counts)), resolution) for row in rows
-        ]
-        score = min(values) if problem == SUPPORTING else max(values)
-        if best is None:
-            best = score
-        elif problem == SUPPORTING:
-            best = max(best, score)
-        else:
-            best = min(best, score)
-    assert best is not None
-    return best

@@ -5,7 +5,8 @@ its count falls strictly below the average of the remaining counts; the
 covering problem drops symbols strictly above that average. Elimination is
 re-applied to the restricted functions until nothing qualifies or a single
 symbol remains, and the restricted problem has the same value and the same
-optimal weights (zero-extended) as the original.
+optimal weights (zero-extended) as the original. ``_removable`` is the one
+threshold test; ``reduce_fixpoint`` runs it.
 """
 
 from __future__ import annotations
@@ -54,25 +55,6 @@ class ReductionTrace:
 
 def empty_trace(symbols: Sequence[str]) -> ReductionTrace:
     return ReductionTrace(steps=(), surviving=tuple(symbols))
-
-
-def reducible_symbols(rows: Sequence[Sequence], problem: ProblemMode) -> frozenset[int]:
-    """Positions removable from every row of a nonnegative function set.
-
-    Supporting mode returns positions strictly below the average of the other
-    components in every row; covering mode strictly above. Comparisons are
-    exact (cross-multiplied), so integer and fraction rows never round.
-    """
-    require_problem_mode(problem)
-    if not rows:
-        raise ValidationError("need at least one function to test")
-    n = len(rows[0])
-    if n < 2:
-        raise ValidationError("threshold test needs at least two symbols")
-    if any(len(row) != n for row in rows):
-        raise ValidationError("functions must share one domain")
-    totals = [sum(row) for row in rows]
-    return frozenset(_removable(list(zip(*rows)), totals, problem))
 
 
 def _removable(columns, totals, problem: ProblemMode) -> list[int]:

@@ -23,7 +23,6 @@ from .core import (
     SUPPORTING,
     Alphabet,
     HistogramSet,
-    pairing,
 )
 from .errors import CertificationFailure
 from .game import certify, make_solution, solve_covering, solve_supporting
@@ -188,8 +187,9 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
             gap <= FLOAT_AGREEMENT, violation=gap, note=f"{label}: gap {gap}"
         )
 
+        # an exact dot product of its own, independent of Field.pairings
         for member in histograms.members:
-            paired = pairing(solution.weight, member)
+            paired = sum(w * c for w, c in zip(solution.weight.values, member.counts))
             ok = paired >= solution.alpha if problem == SUPPORTING else paired <= solution.alpha
             _stat(stats, f"member-score-contract-{problem}").record(
                 ok, note=f"{label}: member {member.counts}"

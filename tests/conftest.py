@@ -5,11 +5,23 @@ import string
 import pytest
 from hypothesis import strategies as st
 
-from histrel import Alphabet, HistogramSet
+from histrel import Alphabet, Histogram, HistogramSet, Weight
 
 
 def make_set(labels: str, rows) -> HistogramSet:
     return HistogramSet.from_counts(Alphabet(tuple(labels)), rows)
+
+
+def pairing(x, m):
+    """Reference pairing: the left-to-right sum of the componentwise products
+    of two equal-length vectors, each a ``Weight``, a ``Histogram`` or a plain
+    number sequence. Exact when both sides are."""
+    def vector(obj):
+        if isinstance(obj, Weight):
+            return obj.values
+        return obj.counts if isinstance(obj, Histogram) else tuple(obj)
+
+    return sum(a * b for a, b in zip(vector(x), vector(m), strict=True))
 
 
 @pytest.fixture

@@ -30,12 +30,11 @@ from histrel import (
 )
 from histrel.binary import MIXED, ZERO_DOMINANT, classify_binary
 from histrel.cli import main as cli_main
-from histrel.core import pairing
 from histrel.io import dumps_score_report
 from histrel.oracle import oracle_solve
 from histrel.verify import random_histogram_set
 
-from conftest import make_set
+from conftest import make_set, pairing
 
 SEED = 20240901
 TRIALS = 200

@@ -30,10 +30,7 @@ MODULE_ONLY = {
     "ZERO_DOMINANT": "binary",
     "classify_binary": "binary",
     "distinct_rows": "core",
-    "pairing": "core",
-    "oracle_grid": "oracle",
     "oracle_solve": "oracle",
-    "reducible_symbols": "reduce",
     "SimplexResult": "simplex",
     "StandardFormLP": "simplex",
     "simplex_optimize": "simplex",
@@ -52,3 +49,20 @@ def test_helpers_stay_importable_from_their_modules_only():
         assert name not in histrel.__all__
         assert not hasattr(histrel, name), name
         getattr(importlib.import_module(f"histrel.{module}"), name)
+
+
+# removed helpers, each with the module or class that had it; the tests keep
+# reference versions of the first three
+REMOVED = {
+    "pairing": "histrel.core",
+    "oracle_grid": "histrel.oracle",
+    "reducible_symbols": "histrel.reduce",
+    "count": histrel.Histogram,
+    "value": histrel.Weight,
+}
+
+
+def test_removed_helpers_stay_removed():
+    for name, owner in REMOVED.items():
+        owner = importlib.import_module(owner) if isinstance(owner, str) else owner
+        assert not hasattr(owner, name), (owner, name)

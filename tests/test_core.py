@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,12 @@ from histrel import (
     irrelevance_score,
     make_solution,
     relevance_score,
+    score_profile,
+    solve_profile,
 )
-from histrel.core import Field, distinct_rows, pairing
+from histrel.core import FLOAT_EPS, Field, distinct_rows
+from histrel.verify import random_histogram_set
+from conftest import pairing
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -127,44 +132,48 @@ class TestWeight:
 
 
 class TestPairing:
+    """The public scores pair by ``Field.pairings``, the library's one rule."""
+
     def test_point_mass_selects_one_count(self):
         hist = Histogram(AB, (7, 3))
-        assert pairing(Weight.point_mass(AB, 0), hist) == 7
+        assert relevance_score(hist, Weight.point_mass(AB, 0)) == 7
+        assert irrelevance_score(hist, Weight.point_mass(AB, 1, "float")) == 3.0
 
     def test_even_split_averages(self):
         hist = Histogram(AB, (7, 3))
-        assert pairing(Weight.uniform(AB), hist) == 5
+        assert relevance_score(hist, Weight.uniform(AB)) == 5
 
     def test_uniform_weight_gives_length_over_size(self):
         hist = Histogram(ABC, (3, 2, 1))
-        assert pairing(Weight.uniform(ABC), hist) == Fraction(6, 3) == 2
+        assert irrelevance_score(hist, Weight.uniform(ABC)) == Fraction(6, 3) == 2
 
     def test_alphabet_mismatch(self):
-        with pytest.raises(AlphabetMismatch):
-            pairing(Weight.uniform(AB), Histogram(ABC, (1, 1, 1)))
-
-    def test_plain_sequences_pair_too(self):
-        assert pairing((Fraction(1, 2), Fraction(1, 2)), (7, 3)) == 5
+        for score in (relevance_score, irrelevance_score):
+            with pytest.raises(AlphabetMismatch, match="^histogram and weight use different alphabets"):
+                score(Histogram(ABC, (1, 1, 1)), Weight.uniform(AB))
 
     @given(
-        st.lists(st.fractions(), min_size=3, max_size=3),
-        st.lists(st.fractions(), min_size=3, max_size=3),
-        st.lists(st.integers(0, 20), min_size=3, max_size=3),
-        st.fractions(),
-        st.fractions(),
+        st.lists(st.integers(0, 9), min_size=3, max_size=3).filter(any),
+        st.lists(st.integers(0, 9), min_size=3, max_size=3).filter(any),
+        st.lists(st.integers(0, 20), min_size=3, max_size=3).filter(any),
+        st.fractions(0, 1),
     )
-    def test_bilinearity(self, x, y, m, alpha, beta):
-        combined = tuple(alpha * a + beta * b for a, b in zip(x, y))
-        assert pairing(combined, m) == alpha * pairing(x, m) + beta * pairing(y, m)
+    def test_bilinearity(self, x, y, m, share):
+        wx, wy = (Weight(ABC, tuple(Fraction(r, sum(raw)) for r in raw)) for raw in (x, y))
+        mixed = Weight(ABC, tuple(share * a + (1 - share) * b for a, b in zip(wx.values, wy.values)))
+        hist = Histogram(ABC, tuple(m))
+        expected = share * relevance_score(hist, wx) + (1 - share) * relevance_score(hist, wy)
+        assert relevance_score(hist, mixed) == expected
 
     @given(
-        st.lists(st.integers(0, 12), min_size=2, max_size=2),
-        st.lists(st.integers(0, 12), min_size=2, max_size=2),
+        st.lists(st.integers(0, 12), min_size=2, max_size=2).filter(any),
+        st.lists(st.integers(0, 12), min_size=2, max_size=2).filter(any),
     )
     def test_linearity_in_histogram_argument(self, m1, m2):
-        w = (Fraction(1, 4), Fraction(3, 4))
-        summed = tuple(a + b for a, b in zip(m1, m2))
-        assert pairing(w, summed) == pairing(w, m1) + pairing(w, m2)
+        w = Weight(AB, (Fraction(1, 4), Fraction(3, 4)))
+        summed = Histogram(AB, tuple(a + b for a, b in zip(m1, m2)))
+        parts = relevance_score(Histogram(AB, m1), w) + relevance_score(Histogram(AB, m2), w)
+        assert relevance_score(summed, w) == parts
 
 
 class TestFieldPairings:
@@ -254,3 +263,67 @@ class TestScores:
     def test_scores_require_matching_alphabets(self):
         with pytest.raises(AlphabetMismatch):
             relevance_score(Histogram(ABC, (1, 1, 1)), Weight.uniform(AB))
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_scores_pair_like_score_profile_and_the_reference(self, mode):
+        """One pairing rule: each sample's scores are, to the last bit, its
+        ``score_profile`` row and the reference ``pairing``, for the solved
+        weights, point masses and, in float mode, weights with components in
+        ``[-FLOAT_EPS, 0)``."""
+        rng = random.Random(21)
+        checked = 0
+        for seed in range(40):
+            histograms = random_histogram_set(random.Random(seed), 6, 8, 30)
+            profile = solve_profile(histograms, mode)
+            samples = HistogramSet.from_counts(
+                histograms.alphabet,
+                [*histograms.count_rows(), *_random_rows(rng, histograms, 4)],
+                histograms.sample_length,
+            )
+            solved = (profile.supporting.weight, profile.covering.weight)
+            for supporting, covering in [solved, *_odd_weights(rng, histograms.alphabet, mode)]:
+                swapped = replace(
+                    profile,
+                    supporting=replace(profile.supporting, weight=supporting),
+                    covering=replace(profile.covering, weight=covering),
+                )
+                for row, sample in zip(score_profile(swapped, samples).rows, samples.members):
+                    relevance = relevance_score(sample, supporting)
+                    irrelevance = irrelevance_score(sample, covering)
+                    assert repr(relevance) == repr(row.relevance) == repr(pairing(supporting, sample))
+                    assert repr(irrelevance) == repr(row.irrelevance) == repr(pairing(covering, sample))
+                    checked += 1
+        assert checked > 1000
+
+
+def _random_rows(rng, histograms, k):
+    n = len(histograms.alphabet)
+    rows = []
+    for _ in range(k):
+        counts = [0] * n
+        for j in rng.choices(range(n), k=histograms.sample_length):
+            counts[j] += 1
+        rows.append(tuple(counts))
+    return rows
+
+
+def _odd_weights(rng, alphabet, mode):
+    """(supporting, covering) pairs: every point mass, each paired with the
+    next one, and three random weights; in float mode the random weights
+    carry components in ``[-FLOAT_EPS, 0)``, which ``Weight`` tolerates."""
+    n = len(alphabet)
+    masses = [Weight.point_mass(alphabet, j, mode) for j in range(n)]
+    pairs = [(masses[j], masses[(j + 1) % n]) for j in range(n)]
+    for _ in range(3):
+        raw = [rng.randint(1, 9) for _ in range(n)]
+        if mode == "rational":
+            values = [Fraction(r, sum(raw)) for r in raw]
+        else:
+            values = [r / sum(raw) for r in raw]
+            for j in rng.sample(range(1, n), max(1, (n - 1) // 2)):
+                values[j] = -FLOAT_EPS * rng.choice((1.0, 0.5, 1e-3))
+            values[0] += 1 - sum(values)
+            assert any(-FLOAT_EPS <= v < 0 for v in values)
+        weight = Weight(alphabet, tuple(values), mode)
+        pairs.append((weight, weight))
+    return pairs

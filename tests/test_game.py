@@ -21,13 +21,13 @@ from histrel import (
     solve_covering,
     solve_supporting,
 )
-from histrel.core import Field, HistogramSet, distinct_rows, pairing
+from histrel.core import Field, HistogramSet, distinct_rows
 from histrel.game import covering_lp, supporting_lp
 from histrel.oracle import oracle_solve
 from histrel.reduce import ReductionStep, ReductionTrace, empty_trace, reduce_fixpoint
 from histrel.simplex import simplex_optimize
 from histrel.verify import random_histogram_set
-from conftest import histogram_sets, make_set
+from conftest import histogram_sets, make_set, pairing
 
 
 class TestSupportingExamples:

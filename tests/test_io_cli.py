@@ -316,6 +316,24 @@ class TestIngest:
         path.write_text("[,a\na,[\n")
         assert ingest_samples(str(path)).alphabet.symbols == ("[", "a")
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{}\n", "histogram file is missing the 'alphabet' key"),
+            ('{"alphabet": "ab", "sample_length": 1, "histograms": []}', "'alphabet' is not a JSON list"),
+            ('{"alphabet": ["a"], "sample_length": 1, "histograms": [1]}', "'histograms' row 1 is not a JSON list"),
+        ],
+    )
+    def test_valid_json_that_is_no_histogram_file_gets_the_brace_hint(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            ingest_samples(str(path))
+        hint = "(a file starting with '{' is read as histogram JSON, not as CSV)"
+        assert str(err.value) == f"{reason} {hint}"
+        assert main(["ingest", str(path)]) == 10
+        assert capsys.readouterr().err == f"error: {reason} {hint}\n"
+
     def test_crlf_rows_are_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_bytes(b"a,b\r\nb,a\r\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import random
 import string
 from fractions import Fraction
@@ -10,49 +11,50 @@ from hypothesis import given
 from histrel import (
     COVERING,
     SUPPORTING,
-    ValidationError,
     reduce_fixpoint,
 )
 from histrel.oracle import oracle_solve
-from histrel.reduce import (
-    ReductionStep,
-    ReductionTrace,
-    reducible_symbols,
-)
+from histrel.reduce import ReductionStep, ReductionTrace
 from histrel.verify import random_histogram_set
 from conftest import histogram_sets, make_set
 
 
+def _reducible(rows, problem) -> frozenset[int]:
+    """Reference threshold rule, as the paper states it: the positions whose
+    component lies strictly below (supporting) or strictly above (covering)
+    the average of the other components in every row, compared as fractions."""
+    beyond = operator.lt if problem == SUPPORTING else operator.gt
+    n = len(rows[0])
+    return frozenset(
+        w for w in range(n) if all(beyond(row[w], Fraction(sum(row) - row[w], n - 1)) for row in rows)
+    )
+
+
+def _first_pass(histograms, problem) -> frozenset[int]:
+    """Positions that ``reduce_fixpoint`` removes in its first pass."""
+    _, trace = reduce_fixpoint(histograms, problem)
+    index = histograms.alphabet.index
+    return frozenset(index(step.symbol) for step in trace.steps if step.pass_index == 1)
+
+
 class TestReducibleSymbols:
     def test_e4_supporting_first_pass(self, e4):
-        assert reducible_symbols(e4.count_rows(), SUPPORTING) == {2}
+        assert _first_pass(e4, SUPPORTING) == _reducible(e4.count_rows(), SUPPORTING) == {2}
 
     def test_e4_covering_first_pass(self, e4):
-        assert reducible_symbols(e4.count_rows(), COVERING) == {0}
+        assert _first_pass(e4, COVERING) == _reducible(e4.count_rows(), COVERING) == {0}
 
     def test_e1_covering_first_pass(self, e1):
-        assert reducible_symbols(e1.count_rows(), COVERING) == {0}
+        assert _first_pass(e1, COVERING) == _reducible(e1.count_rows(), COVERING) == {0}
 
     def test_e3_blocked_by_threshold_ties(self, e3):
-        assert reducible_symbols(e3.count_rows(), SUPPORTING) == frozenset()
-        assert reducible_symbols(e3.count_rows(), COVERING) == frozenset()
+        for problem in (SUPPORTING, COVERING):
+            assert _first_pass(e3, problem) == _reducible(e3.count_rows(), problem) == frozenset()
 
     @given(histogram_sets())
     def test_matches_the_average_of_the_other_components(self, hs):
-        # the definition itself, on counts and on the same rows as fractions
-        n = len(hs.alphabet)
-        for rows in (hs.count_rows(), [tuple(Fraction(c, 3) for c in row) for row in hs.count_rows()]):
-            for problem, beyond in ((SUPPORTING, lambda c, avg: c < avg), (COVERING, lambda c, avg: c > avg)):
-                expected = {
-                    w
-                    for w in range(n)
-                    if all(beyond(row[w], Fraction(sum(row) - row[w], n - 1)) for row in rows)
-                }
-                assert reducible_symbols(rows, problem) == expected
-
-    def test_single_symbol_rejected(self):
-        with pytest.raises(ValidationError):
-            reducible_symbols(((3,),), SUPPORTING)
+        for problem in (SUPPORTING, COVERING):
+            assert _first_pass(hs, problem) == _reducible(hs.count_rows(), problem)
 
 
 class TestFixpoint:
@@ -95,8 +97,8 @@ class TestFixpoint:
 
 
 def _reference_fixpoint(histograms, problem):
-    """The threshold rule one pass at a time: ``reducible_symbols`` on the
-    member rows restricted to the surviving symbols, rebuilt every pass."""
+    """The threshold rule one pass at a time: the reference ``_reducible`` on
+    the member rows restricted to the surviving symbols, rebuilt every pass."""
     symbols = histograms.alphabet.symbols
     rows = histograms.count_rows()
     current = list(range(len(symbols)))
@@ -104,7 +106,7 @@ def _reference_fixpoint(histograms, problem):
     pass_index = 0
     while len(current) >= 2:
         view = [tuple(row[j] for j in current) for row in rows]
-        removable = reducible_symbols(view, problem)
+        removable = _reducible(view, problem)
         if not removable:
             break
         pass_index += 1
@@ -152,7 +154,7 @@ class TestFixpointMatchesOnePassAtATime:
         # pass 1 removes a (0 * 3 < 6 and 1 * 3 < 6); on (b, c) the first
         # row has 3 * 2 == 6, its total, so neither b nor c qualifies
         histograms = make_set("abc", [(0, 3, 3), (1, 2, 3)])
-        assert reducible_symbols(((3, 3), (2, 3)), SUPPORTING) == frozenset()
+        assert _reducible(((3, 3), (2, 3)), SUPPORTING) == frozenset()
         rows, trace = reduce_fixpoint(histograms, SUPPORTING)
         assert [(s.symbol, s.pass_index) for s in trace.steps] == [("a", 1)]
         assert trace.surviving == ("b", "c")
