@@ -6,7 +6,6 @@ results by complementary slackness, and uses the optimal weights to score how
 relevant new samples are to the set.
 """
 
-from .binary import solve_binary
 from .core import (
     COVERING,
     FLOAT,
@@ -30,7 +29,6 @@ from .errors import (
     HistrelError,
     IterationCapExceeded,
     LengthMismatch,
-    NotBinary,
     NumericalFailure,
     ParseError,
     UnknownSymbol,
@@ -78,7 +76,6 @@ __all__ = [
     "HistrelError",
     "IterationCapExceeded",
     "LengthMismatch",
-    "NotBinary",
     "NumericalFailure",
     "ParseError",
     "RATIONAL",
@@ -104,7 +101,6 @@ __all__ = [
     "save_profile",
     "save_score_report",
     "score_profile",
-    "solve_binary",
     "solve_covering",
     "solve_profile",
     "solve_supporting",

@@ -60,10 +60,6 @@ class ParseError(HistrelError):
         super().__init__(prefix + reason)
 
 
-class NotBinary(HistrelError):
-    """The two-symbol case split needs an alphabet of exactly two symbols."""
-
-
 class CapExceeded(HistrelError):
     """Instance is larger than the brute-force caps allow."""
 

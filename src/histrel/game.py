@@ -206,6 +206,17 @@ def solve_covering(
     return _solve_game(histograms, COVERING, arithmetic, use_reduction)
 
 
+def solve_binary(
+    histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONAL
+) -> tuple[GameSolution, GameSolution]:
+    """``solve_supporting`` and ``solve_covering`` of a two-symbol set;
+    ``ValidationError`` otherwise. No library code calls it; it goes when
+    ``perfbench/spans.py`` stops wrapping ``io.solve_binary`` (ROADMAP item 1)."""
+    if len(histograms.alphabet) != 2:
+        raise ValidationError(f"need a two-symbol alphabet, got {len(histograms.alphabet)} symbols")
+    return solve_supporting(histograms, arithmetic), solve_covering(histograms, arithmetic)
+
+
 def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
     field = Field.for_mode(arithmetic)
     field.require_counts_fit(histograms.sample_length)

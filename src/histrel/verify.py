@@ -6,6 +6,9 @@ this build trustworthy": values match the oracle exactly, bounds hold,
 certificates pass, reduction is sound, the straddling binary closed form
 agrees with the program on the full alphabet and dominant binary sets show
 the closed form's facts, and float mode tracks rational mode.
+
+``classify_binary`` tags the paper's case split of two-symbol sets: a
+dominant first or second component, or members that straddle the middle.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .binary import MIXED, ZERO_DOMINANT, classify_binary, solve_binary
 from .core import (
     COVERING,
     FLOAT,
@@ -24,12 +26,16 @@ from .core import (
     Alphabet,
     HistogramSet,
 )
-from .errors import CertificationFailure
+from .errors import CertificationFailure, ValidationError
 from .game import certify, make_solution, solve_covering, solve_supporting
 from .oracle import oracle_solve
 from .reduce import reduce_fixpoint
 
 FLOAT_AGREEMENT = 1e-6
+
+ZERO_DOMINANT = "zero_dominant"
+ONE_DOMINANT = "one_dominant"
+MIXED = "mixed"
 
 E1 = ("ab", 10, ((7, 3), (6, 4)))
 E2 = ("ab", 10, ((4, 6), (7, 3)))
@@ -111,6 +117,21 @@ def random_histogram_set(
             prev = cut
         rows.append(tuple(counts))
     return HistogramSet.from_counts(alphabet, rows, t)
+
+
+def classify_binary(histograms: HistogramSet) -> str:
+    """The case tag of a two-symbol set: ``ZERO_DOMINANT`` or ``ONE_DOMINANT``
+    when that component is the larger in every member, ``MIXED`` otherwise;
+    ``ValidationError`` for any other alphabet. The three tags are mutually
+    exclusive and exhaustive."""
+    if len(histograms.alphabet) != 2:
+        raise ValidationError(f"need a two-symbol alphabet, got {len(histograms.alphabet)} symbols")
+    rows = histograms.count_rows()
+    if all(row[0] > row[1] for row in rows):
+        return ZERO_DOMINANT
+    if all(row[1] > row[0] for row in rows):
+        return ONE_DOMINANT
+    return MIXED
 
 
 def _stat(stats: dict[str, PropertyStat], name: str) -> PropertyStat:
@@ -200,7 +221,7 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
 
 
 def _check_binary_agreement(histograms, stats, label) -> None:
-    """``solve_binary`` on a two-symbol set. A straddling set's closed form
+    """Both solvers on a two-symbol set. A straddling set's closed form
     must agree with the program on the full alphabet (``use_reduction=False``),
     and its member distribution must balance both columns at half the sample
     length. A dominant set must show the closed form's facts: with dominant
@@ -208,8 +229,8 @@ def _check_binary_agreement(histograms, stats, label) -> None:
     minimum of that column, the covering weight the point mass on the other
     symbol at the maximum of its column, neither flags an alternate optimum,
     and each member distribution's weighted column reproduces that extreme."""
-    sup_fast, cov_fast = solve_binary(histograms)
     tag = classify_binary(histograms)
+    sup_fast, cov_fast = solve_supporting(histograms), solve_covering(histograms)
     rows = histograms.count_rows()
 
     def weighted(solution, column):

@@ -23,16 +23,14 @@ from histrel import (
     load_profile,
     reduce_fixpoint,
     score_profile,
-    solve_binary,
     solve_covering,
     solve_profile,
     solve_supporting,
 )
-from histrel.binary import MIXED, ZERO_DOMINANT, classify_binary
 from histrel.cli import main as cli_main
 from histrel.io import dumps_score_report
 from histrel.oracle import oracle_solve
-from histrel.verify import random_histogram_set
+from histrel.verify import MIXED, ZERO_DOMINANT, classify_binary, random_histogram_set
 
 from conftest import make_set, pairing
 
@@ -102,7 +100,7 @@ def binary_corpus():
     solved = [
         (
             hs,
-            solve_binary(hs),
+            (solve_supporting(hs), solve_covering(hs)),
             solve_supporting(hs, use_reduction=False),
             solve_covering(hs, use_reduction=False),
         )

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import importlib
 
+import pytest
+
 import histrel
+import histrel.io
+from histrel import ValidationError, solve_covering, solve_supporting
+from histrel.game import solve_binary
 
 PUBLIC = {
     # types and constants
@@ -13,11 +18,11 @@ PUBLIC = {
     "ReductionTrace", "SUPPORTING", "Sample", "ScoreReport", "Weight", "WeightProfile",
     # errors
     "AlphabetMismatch", "CapExceeded", "CertificationFailure", "EmptySet",
-    "HistrelError", "IterationCapExceeded", "LengthMismatch", "NotBinary",
-    "NumericalFailure", "ParseError", "UnknownSymbol", "ValidationError",
+    "HistrelError", "IterationCapExceeded", "LengthMismatch", "NumericalFailure",
+    "ParseError", "UnknownSymbol", "ValidationError",
     # solving, certifying and scoring
     "build_histogram", "certify", "irrelevance_score", "make_solution", "reduce_fixpoint",
-    "relevance_score", "solve_binary", "solve_covering", "solve_supporting",
+    "relevance_score", "solve_covering", "solve_supporting",
     # files
     "ingest_samples", "load_histogram_set", "load_profile", "save_histogram_set",
     "save_profile", "save_score_report", "score_profile", "solve_profile",
@@ -25,19 +30,21 @@ PUBLIC = {
 
 # helpers no longer exported, each with the module that still has it
 MODULE_ONLY = {
-    "MIXED": "binary",
-    "ONE_DOMINANT": "binary",
-    "ZERO_DOMINANT": "binary",
-    "classify_binary": "binary",
+    "MIXED": "verify",
+    "ONE_DOMINANT": "verify",
+    "ZERO_DOMINANT": "verify",
+    "classify_binary": "verify",
     "distinct_rows": "core",
     "oracle_solve": "oracle",
     "SimplexResult": "simplex",
     "StandardFormLP": "simplex",
     "simplex_optimize": "simplex",
+    "solve_binary": "game",
 }
 
 
 def test_the_exported_names_are_pinned():
+    assert len(PUBLIC) == 44
     assert len(histrel.__all__) == len(set(histrel.__all__)) == len(PUBLIC)
     assert set(histrel.__all__) == PUBLIC
     for name in histrel.__all__:
@@ -51,7 +58,7 @@ def test_helpers_stay_importable_from_their_modules_only():
         getattr(importlib.import_module(f"histrel.{module}"), name)
 
 
-# removed helpers, each with the module or class that had it; the tests keep
+# removed names, each with the module or class that had it; the tests keep
 # reference versions of the first three
 REMOVED = {
     "pairing": "histrel.core",
@@ -59,6 +66,7 @@ REMOVED = {
     "reducible_symbols": "histrel.reduce",
     "count": histrel.Histogram,
     "value": histrel.Weight,
+    "NotBinary": "histrel.errors",
 }
 
 
@@ -66,3 +74,13 @@ def test_removed_helpers_stay_removed():
     for name, owner in REMOVED.items():
         owner = importlib.import_module(owner) if isinstance(owner, str) else owner
         assert not hasattr(owner, name), (owner, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("histrel.binary")
+
+
+def test_solve_binary_is_the_two_solvers_on_a_two_symbol_set_only(e1, e4):
+    # module-only: perfbench/spans.py wraps it as io.solve_binary
+    assert histrel.io.solve_binary is solve_binary
+    assert solve_binary(e1) == (solve_supporting(e1), solve_covering(e1))
+    with pytest.raises(ValidationError, match="need a two-symbol alphabet, got 3 symbols"):
+        solve_binary(e4)

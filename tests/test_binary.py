@@ -9,18 +9,17 @@ from hypothesis import given, settings
 
 import histrel.verify
 from histrel import (
+    RATIONAL,
     DualWeight,
-    NotBinary,
     ReductionStep,
     ReductionTrace,
+    ValidationError,
     certify,
-    solve_binary,
     solve_covering,
     solve_supporting,
 )
-from histrel.binary import MIXED, ONE_DOMINANT, ZERO_DOMINANT, classify_binary
 from histrel.io import solve_profile
-from histrel.verify import random_histogram_set
+from histrel.verify import MIXED, ONE_DOMINANT, ZERO_DOMINANT, classify_binary, random_histogram_set
 from conftest import binary_sets, make_set
 
 SEEDED_BINARY_SETS = [
@@ -30,9 +29,14 @@ SEEDED_BINARY_SETS = [
 ]
 
 
+def both_games(hs, mode=RATIONAL):
+    """The supporting and the covering solution of ``hs``."""
+    return solve_supporting(hs, mode), solve_covering(hs, mode)
+
+
 def dual_support(hs) -> list[tuple[int, ...]]:
     """The members, in set order, that the straddling dual puts mass on."""
-    dual = solve_binary(hs)[0].dual.values
+    dual = solve_supporting(hs).dual.values
     return [row for row, d in zip(hs.count_rows(), dual) if d]
 
 
@@ -51,17 +55,17 @@ class TestClassify:
 
     def test_first_balanced_member_takes_all_the_mass(self):
         hs = make_set("ab", [(7, 3), (5, 5), (2, 8), (5, 5)])
-        assert solve_binary(hs)[0].dual.values == (0, 1, 0, 0)
+        assert solve_supporting(hs).dual.values == (0, 1, 0, 0)
 
     def test_first_extreme_members_witness_a_strict_straddle(self):
         hs = make_set("ab", [(7, 3), (2, 8), (3, 7), (2, 8), (8, 2), (8, 2)])
-        assert solve_binary(hs)[0].dual.values == (0, Fraction(1, 2), 0, 0, Fraction(1, 2), 0)
+        assert solve_supporting(hs).dual.values == (0, Fraction(1, 2), 0, 0, Fraction(1, 2), 0)
 
     def test_one_dominant(self):
         assert classify_binary(make_set("ab", [(3, 7), (2, 8)])) == ONE_DOMINANT
 
     def test_not_binary(self, e3):
-        with pytest.raises(NotBinary):
+        with pytest.raises(ValidationError, match="need a two-symbol alphabet, got 3 symbols"):
             classify_binary(e3)
 
     @given(binary_sets())
@@ -77,59 +81,55 @@ class TestClassify:
 
 class TestSolveBinary:
     def test_e1_closed_forms(self, e1):
-        supporting, covering = solve_binary(e1)
+        supporting, covering = both_games(e1)
         assert supporting.alpha == 6 and supporting.weight.values == (1, 0)
         assert covering.alpha == 4 and covering.weight.values == (0, 1)
 
     def test_e2_pins_both_values_to_half(self, e2):
-        supporting, covering = solve_binary(e2)
+        supporting, covering = both_games(e2)
         assert supporting.alpha == covering.alpha == 5
         assert supporting.weight.values == covering.weight.values == (Fraction(1, 2),) * 2
         assert not supporting.alternate_optima
 
     def test_one_dominant_swaps_the_forms(self):
         hs = make_set("ab", [(3, 7), (2, 8)])
-        supporting, covering = solve_binary(hs)
+        supporting, covering = both_games(hs)
         assert supporting.alpha == 7 and supporting.weight.values == (0, 1)
         assert covering.alpha == 3 and covering.weight.values == (1, 0)
 
     def test_odd_length_keeps_the_exact_half(self):
         hs = make_set("ab", [(4, 5), (6, 3)])
-        supporting, _ = solve_binary(hs)
+        supporting = solve_supporting(hs)
         assert supporting.alpha == Fraction(9, 2)
 
     def test_mixed_with_only_balanced_straddle_is_not_forced(self):
-        supporting, _ = solve_binary(make_set("ab", [(5, 5), (7, 3)]))
+        supporting = solve_supporting(make_set("ab", [(5, 5), (7, 3)]))
         assert supporting.alternate_optima
-
-    def test_not_binary(self, e4):
-        with pytest.raises(NotBinary):
-            solve_binary(e4)
 
 
 class TestCase1Duals:
-    """A dominant set's member distributions, as ``solve_binary`` returns them."""
+    """A dominant set's member distributions, as the two solvers return them."""
 
     def test_e1_point_masses(self, e1):
-        supporting, covering = solve_binary(e1)
+        supporting, covering = both_games(e1)
         assert supporting.dual.values == (0, 1)  # unique minimum of the first count
         assert covering.dual.values == (0, 1)  # unique maximum of the second count
 
     def test_duplicates_collapse_before_the_mass_is_placed(self):
         hs = make_set("ab", [(7, 3), (7, 3), (6, 4)])
-        supporting, covering = solve_binary(hs)
+        supporting, covering = both_games(hs)
         assert supporting.dual.values == (0, 0, 1)
         assert covering.dual.values == (0, 0, 1)
 
     def test_fully_duplicated_set_is_a_point_mass(self):
         hs = make_set("ab", [(6, 4), (6, 4)])
-        assert solve_binary(hs)[0].dual.values == (1, 0)
+        assert solve_supporting(hs).dual.values == (1, 0)
 
     @given(binary_sets())
     def test_weighted_first_column_reproduces_the_minimum(self, hs):
         if classify_binary(hs) != ZERO_DOMINANT:
             return
-        supporting = solve_binary(hs)[0]
+        supporting = solve_supporting(hs)
         rows = hs.count_rows()
         assert sum(d * r[0] for d, r in zip(supporting.dual.values, rows)) == min(
             r[0] for r in rows
@@ -140,24 +140,24 @@ class TestCase2Duals:
     """A straddling set's balance distribution, shared by both games."""
 
     def test_e2_balance_solution(self, e2):
-        supporting, covering = solve_binary(e2)
+        supporting, covering = both_games(e2)
         assert supporting.dual.values == covering.dual.values == (Fraction(2, 3), Fraction(1, 3))
         rows = e2.count_rows()
         assert sum(d * r[0] for d, r in zip(supporting.dual.values, rows)) == 5
         assert sum(d * r[1] for d, r in zip(supporting.dual.values, rows)) == 5
 
     def test_balanced_singleton(self):
-        assert solve_binary(make_set("ab", [(5, 5)]))[0].dual.values == (1,)
+        assert solve_supporting(make_set("ab", [(5, 5)])).dual.values == (1,)
 
     def test_symmetric_pair_splits_evenly(self):
         hs = make_set("ab", [(2, 8), (8, 2)])
-        assert solve_binary(hs)[0].dual.values == (Fraction(1, 2), Fraction(1, 2))
+        assert solve_supporting(hs).dual.values == (Fraction(1, 2), Fraction(1, 2))
 
     @given(binary_sets())
     def test_balance_equations_hold_exactly(self, hs):
         if classify_binary(hs) != MIXED:
             return
-        supporting, covering = solve_binary(hs)
+        supporting, covering = both_games(hs)
         assert covering.dual == supporting.dual
         rows = hs.count_rows()
         half = Fraction(hs.sample_length, 2)
@@ -169,7 +169,7 @@ class TestAgainstTheSolver:
     @settings(max_examples=60)
     @given(binary_sets())
     def test_closed_forms_match_the_pivoting_path(self, hs):
-        fast_sup, fast_cov = solve_binary(hs)
+        fast_sup, fast_cov = both_games(hs)
         lp_sup = solve_supporting(hs, use_reduction=False)
         lp_cov = solve_covering(hs, use_reduction=False)
         assert fast_sup.alpha == lp_sup.alpha
@@ -182,7 +182,7 @@ class TestAgainstTheSolver:
 
     @given(binary_sets())
     def test_values_bracket_half_the_sample_length(self, hs):
-        supporting, covering = solve_binary(hs)
+        supporting, covering = both_games(hs)
         half = Fraction(hs.sample_length, 2)
         assert supporting.alpha >= half >= covering.alpha
 
@@ -206,7 +206,7 @@ class TestLibraryAndProfileAgree:
 
 
 def assert_closed_form_facts(hs, mode) -> str:
-    """The closed forms' facts hold for ``solve_binary``; returns the case tag.
+    """The closed forms' facts hold for both solvers; returns the case tag.
 
     A dominant set, with dominant symbol ``d``: the supporting weight is the
     point mass on ``d`` at the minimum of column ``d``, the covering weight
@@ -216,7 +216,7 @@ def assert_closed_form_facts(hs, mode) -> str:
     reduction eliminates the other symbol in pass 1. A straddling set: the
     even weight at half the sample length, with an empty trace.
     """
-    supporting, covering = solve_binary(hs, mode)
+    supporting, covering = both_games(hs, mode)
     tag = classify_binary(hs)
     rows, symbols = hs.count_rows(), hs.alphabet.symbols
     if tag == MIXED:
@@ -257,15 +257,16 @@ class TestVerifyBinaryCheck:
 
     def check(self, monkeypatch, hs, swap=False):
         lp_solves = []
-        real = histrel.verify.solve_supporting
 
         def counted(*args, **kwargs):
-            lp_solves.append(args)
-            return real(*args, **kwargs)
+            if kwargs.get("use_reduction") is False:
+                lp_solves.append(args)
+            return solve_supporting(*args, **kwargs)
 
         monkeypatch.setattr(histrel.verify, "solve_supporting", counted)
-        if swap:  # a solver that returns the two games' solutions crossed
-            monkeypatch.setattr(histrel.verify, "solve_binary", lambda h: solve_binary(h)[::-1])
+        if swap:  # solvers that return the two games' solutions crossed
+            monkeypatch.setattr(histrel.verify, "solve_supporting", solve_covering)
+            monkeypatch.setattr(histrel.verify, "solve_covering", solve_supporting)
         stats = {}
         histrel.verify._check_binary_agreement(hs, stats, "set")
         return stats, len(lp_solves)
@@ -297,11 +298,10 @@ class TestVerifyBinaryCheck:
     def test_the_dual_identity_catches_a_covering_dual_off_the_maximum(self, monkeypatch):
         hs = make_set("ab", [(3, 7), (2, 8)])  # covering: column 0, maximum 3 in member 0
 
-        def moved(h):
-            supporting, covering = solve_binary(h)
-            return supporting, dataclasses.replace(covering, dual=DualWeight((0, 1)))
+        def moved(h, *args, **kwargs):
+            return dataclasses.replace(solve_covering(h, *args, **kwargs), dual=DualWeight((0, 1)))
 
-        monkeypatch.setattr(histrel.verify, "solve_binary", moved)
+        monkeypatch.setattr(histrel.verify, "solve_covering", moved)
         stats = {}
         histrel.verify._check_binary_agreement(hs, stats, "set")
         assert stats["binary-dual-identity"].failures == 1

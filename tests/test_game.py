@@ -134,6 +134,21 @@ class TestCertify:
         assert not report.passed
         assert "primal-feasibility" in [c.clause for c in report.failures()]
 
+    @pytest.mark.parametrize(
+        "damage, detail",
+        [
+            ({"weight": Weight(make_set("ac", [(1, 0)]).alphabet, (1, 0))}, "alphabet differs"),
+            ({"dual": DualWeight((1,))}, "dual length differs"),
+        ],
+        ids=["weight-alphabet", "dual-length"],
+    )
+    def test_a_misshapen_solution_fails_the_structure_clause_without_raising(
+        self, e1, damage, detail
+    ):
+        report = certify(dataclasses.replace(solve_supporting(e1), **damage), e1)
+        assert not report.passed
+        assert [(c.clause, c.detail) for c in report.failures()] == [("structure", detail)]
+
     def test_oracle_solutions_certify(self, e3):
         alpha, weight, dual = oracle_solve(e3, SUPPORTING)
         solution = make_solution(alpha, weight, dual, e3, SUPPORTING)

@@ -955,6 +955,21 @@ class TestCli:
         assert output.read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "read-only.json"]
 
+    def test_a_read_only_output_is_refused_before_open_is_tried(self, tmp_path, capsys, monkeypatch):
+        # open(path, "w") succeeds for root, so the writer asks os.access first;
+        # reporting the target unwritable runs that refusal for any user
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        output = tmp_path / "read-only.json"
+        output.write_text("kept")
+        refused, access = os.path.realpath(output), os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != refused and access(path, mode))
+        assert self.run("solve", str(samples), "-o", str(output)) == EXIT_CODES["usage"]
+        err = self.one_error_line(capsys)
+        assert f"'{output}'" in err and os.strerror(errno.EACCES) in err
+        assert output.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "read-only.json"]
+
     @pytest.mark.parametrize("umask, created", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
     def test_a_written_file_gets_the_mode_open_would_give_it(self, tmp_path, umask, created):
         # a new file gets 0o666 less the umask, and an existing file keeps its mode
@@ -1188,6 +1203,32 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert self.run("score", str(path), str(samples)) == EXIT_CODES["certification-failure"]
         assert "supporting solution weighs eliminated symbol 'a'" in capsys.readouterr().err
+
+    def test_stored_tight_sets_that_do_not_match_fail_certification(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        samples.write_text(STRADDLING_CSV)
+        data = json.loads(dumps_profile(solve_profile(ingest_samples(str(samples)))))
+        assert data["supporting"]["tight_members"] == [0, 1]
+        data["supporting"]["tight_members"] = [0]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        message = "stored tight sets for supporting do not match the data"
+        with pytest.raises(CertificationFailure, match=message):
+            load_profile(str(path))
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["certification-failure"]
+        assert message in self.one_error_line(capsys)
+
+    def test_scoring_histogram_json_over_another_alphabet_is_an_alphabet_mismatch(
+        self, tmp_path, capsys
+    ):
+        samples = tmp_path / "s.csv"
+        samples.write_text(STRADDLING_CSV)
+        profile = tmp_path / "p.json"
+        assert self.run("solve", str(samples), "-o", str(profile)) == 0
+        other = tmp_path / "other.json"
+        other.write_text('{"alphabet": ["a", "c"], "sample_length": 3, "histograms": [[2, 1]]}')
+        assert self.run("score", str(profile), str(other)) == EXIT_CODES["alphabet-mismatch"]
+        assert "file alphabet ('a', 'c') differs from ('a', 'b')" in self.one_error_line(capsys)
 
     def test_a_profile_without_reduction_traces_still_loads(self, tmp_path, e4):
         data = json.loads(dumps_profile(solve_profile(e4)))

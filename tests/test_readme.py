@@ -6,7 +6,9 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from histrel.cli import EXIT_CODES
+import histrel.errors
+from histrel.cli import EXIT_CODES, _exit_code_for
+from histrel.errors import HistrelError
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -36,7 +38,23 @@ def test_the_library_example_computes_what_its_comments_state():
     assert checked == 4
 
 
+def table_codes() -> list[int]:
+    return [int(code) for code in re.findall(r"^\| (\d+) \|", section("### Exit codes"), re.M)]
+
+
 def test_the_exit_code_table_lists_exactly_the_cli_codes():
-    codes = [int(code) for code in re.findall(r"^\| (\d+) \|", section("### Exit codes"), re.M)]
+    codes = table_codes()
     assert codes == sorted(set(codes))
     assert codes == sorted(EXIT_CODES.values())
+
+
+def test_every_error_class_exits_with_a_listed_code_other_than_unexpected():
+    kinds = [
+        kind
+        for kind in vars(histrel.errors).values()
+        if isinstance(kind, type) and issubclass(kind, HistrelError) and kind is not HistrelError
+    ]
+    assert kinds
+    for kind in kinds:
+        code = _exit_code_for(kind.__new__(kind))  # constructors differ; only the class matters
+        assert code in table_codes() and code != EXIT_CODES["unexpected"], kind.__name__

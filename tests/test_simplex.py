@@ -19,7 +19,6 @@ from histrel import (
     solve_covering,
     solve_supporting,
 )
-from histrel.binary import MIXED, classify_binary
 from histrel.core import FLOAT_EPS, Field, _solve_integer, distinct_rows
 from histrel.game import covering_lp, supporting_lp
 from histrel.oracle import oracle_solve
@@ -28,7 +27,7 @@ from histrel.simplex import (
     _optimal_dictionary,
     simplex_optimize,
 )
-from histrel.verify import random_histogram_set
+from histrel.verify import MIXED, classify_binary, random_histogram_set
 
 E1_ROWS = ((7, 3), (6, 4))
 
