@@ -9,7 +9,9 @@ with a tolerance of exactly zero. It also holds the one pairing rule
 and irrelevance scores share, and makes every comparison of values with a
 value (``gaps`` and the tests on them), for the certificates, the tight sets
 and the score flags alike. The internal ``_solve_integer`` is the one exact
-linear solve, shared by the simplex and the oracle.
+linear solve: one fraction-free LU of a square integer matrix solves both
+the system and its transpose, for the simplex's basis check, and the oracle
+reads the system's solution.
 """
 
 from __future__ import annotations
@@ -218,41 +220,78 @@ def _on_simplex(values, field: Field, what: str) -> tuple:
     return values
 
 
-def _solve_integer(matrix, rhs) -> tuple[int, list[int]] | None:
-    """Solve ``matrix . x == rhs`` for a square integer system without fractions.
+def _solve_integer(matrix, rhs, costs=None):
+    """Solve ``matrix . x == rhs`` and, given ``costs``, ``matrix^T . y ==
+    costs`` for a square integer matrix, without fractions and from one
+    factorization.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss): every intermediate
-    entry is a minor of the augmented matrix, so each division by the
-    previous pivot is exact. Returns ``(det, numerators)`` with ``det`` the
-    positive ``|det(matrix)|`` and ``x[i] == numerators[i] / det``, or None
-    when the matrix is singular.
+    One fraction-free (Bareiss) forward elimination of ``[matrix | rhs]``,
+    pivoting on the first nonzero entry of each column, factors ``P matrix
+    = L D^-1 U`` (W. Zhou and D. J. Jeffrey, "Fraction-free matrix factors",
+    2008). Every entry it makes is a minor of the augmented matrix, so each
+    division by the previous pivot is exact; the pivots ``p_k`` are U's
+    diagonal, ``det = p_n`` is ``det(P matrix)``, and ``L[i][k]``, row
+    ``i``'s column-``k`` entry just before step ``k``, stays in place below
+    the diagonal. Back-substitution over ``U`` gives ``x * |det|``. For the
+    transpose, ``U^T D^-1 L^T`` factors ``(P matrix)^T``: the Bareiss step on
+    ``costs`` with ``U^T`` as lower factor, then back-substitution over
+    ``L^T``, give ``P y * |det|``. Every division there is exact too.
+
+    Returns ``(det, x, y)`` with ``det`` the positive ``|det(matrix)|``,
+    ``x[i]`` the numerator of the ``i``-th unknown over it and ``y`` the
+    same for the transposed system (None without ``costs``), or None when
+    the matrix is singular.
     """
     size = len(matrix)
-    aug = [[*row, value] for row, value in zip(matrix, rhs)]
+    rows = [[*row, value] for row, value in zip(matrix, rhs)]
+    order = list(range(size))
     previous = 1
     for k in range(size):
-        pivot_row = next((r for r in range(k, size) if aug[r][k]), None)
+        pivot_row = next((r for r in range(k, size) if rows[r][k]), None)
         if pivot_row is None:
             return None
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot_tail = aug[k][k:]
-        pivot = pivot_tail[0]
-        # columns left of k are settled: zero off the diagonal, never read again
-        for r in range(size):
-            if r == k:
-                continue
-            row = aug[r]
-            factor = row[k]
+        rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        order[k], order[pivot_row] = order[pivot_row], order[k]
+        pivot, *pivot_tail = rows[k][k:]
+        for row in rows[k + 1 :]:
+            factor = row[k]  # L[i][k]: kept, columns left of k+1 are never rewritten
             if factor:
-                tail = zip(row[k:], pivot_tail)
-                row[k:] = [(pivot * v - factor * w) // previous for v, w in tail]
+                tail = zip(row[k + 1 :], pivot_tail)
+                row[k + 1 :] = [(pivot * v - factor * w) // previous for v, w in tail]
             elif pivot != previous:
-                row[k:] = [pivot * v // previous for v in row[k:]]
+                row[k + 1 :] = [pivot * v // previous for v in row[k + 1 :]]
         previous = pivot
-    numerators = [row[size] for row in aug]
-    if previous < 0:
-        return -previous, [-v for v in numerators]
-    return previous, numerators
+    det = abs(previous)
+    x = _back_substitute(rows, det, [row[size] for row in rows])
+    if costs is None:
+        return det, x, None
+    # the Bareiss step on costs: the lower factor U^T's column k is U's row k
+    c = list(costs)
+    previous = 1
+    for k, row in enumerate(rows):
+        pivot, ck = row[k], c[k]
+        tail = zip(c[k + 1 :], row[k + 1 : size])
+        c[k + 1 :] = [(pivot * v - u * ck) // previous for v, u in tail]
+        previous = pivot
+    y = [0] * size
+    for i, v in zip(order, _back_substitute([*zip(*rows)], det, c)):  # over L^T: P y
+        y[i] = v
+    return det, x, y
+
+
+def _back_substitute(upper, scale, rhs) -> list[int]:
+    """``scale`` times the solution of the triangular system ``upper . X ==
+    rhs``, which reads ``upper[i][j]`` for ``j >= i`` only: ``X[i] == (scale
+    * rhs[i] - sum_{j>i} upper[i][j] X[j]) / upper[i][i]``. With ``scale``
+    the determinant of the system it was eliminated from, up to sign, every
+    ``X[i]`` is an integer (Cramer's rule) and every division is exact."""
+    size = len(rhs)
+    solved = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = upper[i]
+        known = sum(map(mul, row[i + 1 : size], solved[i + 1 :]))
+        solved[i] = (scale * rhs[i] - known) // row[i]
+    return solved
 
 
 @dataclass(frozen=True)

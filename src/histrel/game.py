@@ -133,13 +133,16 @@ def _normalized_lp(P) -> StandardFormLP:
     return StandardFormLP((1,) * len(P), tuple(zip(*P)), (1,) * len(P[0]))
 
 
-def extract_dual(result: SimplexResult, rows: Sequence[Sequence[int]]) -> tuple:
+def extract_dual(result: SimplexResult, rows: Sequence[Sequence[int]], field: Field) -> tuple:
     """Distribution over the rows of ``rows`` from an optimal normalized
     program: ``w`` scaled by ``1 / sum(w)``, where ``sum(w)`` is the
-    reciprocal of the program's positive value."""
-    w = result.solution[: len(rows)]
-    total = sum(w)
-    return tuple(v / total for v in w)
+    reciprocal of the program's positive value. ``w`` is read as
+    ``field.scaled`` numerators, whose sum is the total over the same
+    denominator: integers in rational mode, and in float mode the
+    left-to-right sum of ``w`` and the same divisions."""
+    numerators, _ = field.scaled(result.solution[: len(rows)])
+    total = sum(numerators)
+    return tuple(field.quotient(v, total) for v in numerators)
 
 
 def make_solution(
@@ -294,7 +297,7 @@ def _solve_lp(unique_rows, problem, field: Field):
     value = field.one / result.objective_value
     alpha = value - offset if lp_problem == SUPPORTING else offset - value
     height = len(rows)
-    row_side = field.cleared(extract_dual(result, rows))
+    row_side = field.cleared(extract_dual(result, rows, field))
     column_side = field.cleared([-value * c for c in result.reduced_costs[height:]])
     basic = set(result.basis)
     if flipped:

@@ -42,6 +42,7 @@ from .errors import (
     LengthMismatch,
     ParseError,
     UnknownSymbol,
+    ValidationError,
 )
 # io calls neither certify nor solve_binary: perfbench/spans.py wraps both as
 # io attributes, and both imports go when it stops (ROADMAP item 1)
@@ -222,13 +223,22 @@ def _require_csv_labels(value, what: str = "'alphabet'") -> tuple[str, ...]:
 def histogram_set_from_json(obj: dict) -> HistogramSet:
     _require_keys(obj, _HISTOGRAM_KEYS, "histogram file")
     alphabet = Alphabet(_require_csv_labels(obj["alphabet"]))
-    rows = [
-        tuple(_require_type(row, list, f"'histograms' row {i}"))
-        for i, row in enumerate(_require_type(obj["histograms"], list, "'histograms'"), start=1)
-    ]
+    sample_length = obj["sample_length"]
+    if type(sample_length) is not int:  # exact type: a bool is no integer
+        raise ParseError(None, f"'sample_length' {sample_length!r} is not a JSON integer")
+    rows = _require_type(obj["histograms"], list, "'histograms'")
+    for i, row in enumerate(rows, start=1):
+        _require_type(row, list, f"'histograms' row {i}")
     if not rows:
         raise EmptySet("histogram file lists no histograms")
-    return HistogramSet.from_counts(alphabet, rows, obj["sample_length"])
+    try:
+        return HistogramSet.from_counts(alphabet, rows, sample_length)
+    except ValidationError:
+        # Histogram tests every count; look for a wrong JSON type only now,
+        # so a valid file pays no second pass over its counts
+        for i, row in enumerate(rows, start=1):
+            _require_integers(row, f"'histograms' row {i}")
+        raise
 
 
 def dumps_histogram_set(histograms: HistogramSet) -> str:

@@ -1,8 +1,10 @@
 """Brute-force certification solver for desk-scale instances.
 
 ``oracle_solve`` exists to check the main solvers, not to be fast: it is
-exact, instances are hard-capped, and it shares the integer linear solve with
-the main path but never its pivoting. ``histrel verify`` runs it.
+exact, instances are hard-capped, and it shares the integer linear solve
+with the main path (one fraction-free LU, of which it reads the system's
+solution and not the transpose's) but never its pivoting. ``histrel
+verify`` runs it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _equalize(vectors: Sequence[Sequence[int]]) -> tuple[list[Fraction], Fractio
     solved = _solve_integer(matrix, rhs)
     if solved is None:
         return None
-    det, numerators = solved
+    det, numerators, _ = solved
     values = [Fraction(v, det) for v in numerators]
     return values[:r], values[r]
 

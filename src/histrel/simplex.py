@@ -26,17 +26,17 @@ and raises ``IterationCapExceeded`` when a solve stalls. The tolerance is
 absolute on raw counts, so very large sample lengths can still defeat it.
 
 Rational mode takes integer programs only and is exact. Float pivoting
-guides it to a basis, which is then checked in integers: ``B x_B = b`` and
-``B^T y = c_B`` are solved by fraction-free elimination over the common
+guides it to a basis, which is then checked in integers: one fraction-free
+LU of ``B`` solves both ``B x_B = b`` and ``B^T y = c_B`` over the common
 denominator ``|det B|``, and the basis is accepted when ``x_B >= 0`` and
-every reduced cost ``c_j det - y . A_j`` is at most zero. Otherwise (the
-guide overflowed, stalled or reported the program unbounded, or its basis
-is singular, infeasible or not optimal in exact arithmetic) exact
-``Fraction`` pivoting runs from the slack basis, so every error a rational
-solve raises is the exact one. Every mode reads its result off one final
-dictionary: float pivoting's, exact pivoting's, or the accepted guide's
-basis written in the same shape with entries over ``|det B|``. The result
-is bit-for-bit deterministic.
+every reduced cost ``c_j det - y . A_j`` is at most zero (``-y_r`` for
+row ``r``'s slack). Otherwise (the guide overflowed, stalled or reported
+the program unbounded, or its basis is singular, infeasible or not optimal
+in exact arithmetic) exact ``Fraction`` pivoting runs from the slack basis,
+so every error a rational solve raises is the exact one. Every mode reads
+its result off one final dictionary: float pivoting's, exact pivoting's,
+or the accepted guide's basis written in the same shape with entries over
+``|det B|``. The result is bit-for-bit deterministic.
 """
 
 from __future__ import annotations
@@ -140,26 +140,31 @@ def _solve_basis(lp, guide):
     when ``B`` is singular, ``x_B`` has a negative entry or a reduced cost
     is positive.
 
-    ``B x_B = b`` and ``B^T y = c_B`` are solved by fraction-free
-    elimination over the denominator ``det = |det B|``; ``b`` holds
-    ``x_B`` and then minus the objective value, and ``costs`` the nonbasic
-    ``c_j - y . A_j``, each as ``Fraction(numerator, det)``.
+    One fraction-free LU of ``B`` solves both ``B x_B = b`` and ``B^T y =
+    c_B`` over the denominator ``det = |det B|``. ``b`` holds ``x_B`` and
+    then minus the objective value, and ``costs`` the nonbasic reduced
+    costs, each as ``Fraction(numerator, det)``: ``c_j det - y . A_j`` for a
+    program column, and ``-y_r`` for row ``r``'s slack, whose column is the
+    unit vector.
     """
     basis, nonbasic, *_, pivots = guide
-    m = len(lp.rows)
-    columns = (*zip(*lp.rows), *(tuple(int(i == r) for i in range(m)) for r in range(m)))
-    costs = (*lp.objective, *(0,) * m)
-    basic = [columns[var] for var in basis]
-    primal = _solve_integer(tuple(zip(*basic)), lp.rhs)
-    if primal is None or min(primal[1]) < 0:
+    n, objective = len(lp.objective), lp.objective
+    matrix = [
+        [row[var] if var < n else int(var - n == r) for var in basis]
+        for r, row in enumerate(lp.rows)
+    ]
+    solved = _solve_integer(matrix, lp.rhs, [objective[var] if var < n else 0 for var in basis])
+    if solved is None or min(solved[1]) < 0:
         return None
-    det, x = primal
-    # B^T has the same |det|, so both solves share the denominator
-    y = _solve_integer(basic, [costs[var] for var in basis])[1]
-    reduced = [costs[var] * det - sum(map(mul, y, columns[var])) for var in nonbasic]
+    det, x, y = solved
+    columns = tuple(zip(*lp.rows))
+    reduced = [
+        objective[var] * det - sum(map(mul, y, columns[var])) if var < n else -y[var - n]
+        for var in nonbasic
+    ]
     if any(v > 0 for v in reduced):
         return None
-    value = sum(costs[var] * v for var, v in zip(basis, x))
+    value = sum(objective[var] * v for var, v in zip(basis, x) if var < n)
     b = [Fraction(v, det) for v in (*x, -value)]
     return basis, nonbasic, b, [Fraction(v, det) for v in reduced], pivots
 

@@ -104,7 +104,13 @@ class TestDuals:
 
         rows = ((4, 6), (7, 3))
         lp, _ = supporting_lp(rows)
-        assert extract_dual(simplex_optimize(lp), rows) == (Fraction(2, 3), Fraction(1, 3))
+        result = simplex_optimize(lp)
+        assert extract_dual(result, rows, Field.for_mode("rational")) == (Fraction(2, 3), Fraction(1, 3))
+        # float mode divides each entry of w by its left-to-right sum
+        result = simplex_optimize(lp, "float")
+        w = result.solution[:2]
+        total = w[0] + w[1]
+        assert extract_dual(result, rows, Field.for_mode("float")) == (w[0] / total, w[1] / total)
 
     def test_float_round_off_below_zero_is_written_as_zero(self):
         # float pivoting leaves components such as -2.36e-16 in seed 9's

@@ -28,6 +28,7 @@ from histrel import (
     ReductionTrace,
     Sample,
     UnknownSymbol,
+    ValidationError,
     Weight,
     build_histogram,
     ingest_samples,
@@ -333,6 +334,46 @@ class TestIngest:
         assert str(err.value) == f"{reason} {hint}"
         assert main(["ingest", str(path)]) == 10
         assert capsys.readouterr().err == f"error: {reason} {hint}\n"
+
+    @pytest.mark.parametrize(
+        "sample_length, rows, reason",
+        [
+            ('"2"', "[[1, 1]]", "'sample_length' '2' is not a JSON integer"),
+            ("2.0", "[[1, 1]]", "'sample_length' 2.0 is not a JSON integer"),
+            ("true", "[[1, 0]]", "'sample_length' True is not a JSON integer"),
+            ("2", "[[1, true]]", "'histograms' row 1 entry True is not a JSON integer"),
+            ("2", "[[1, 1], [1.0, 1]]", "'histograms' row 2 entry 1.0 is not a JSON integer"),
+            ("2", '[[2, 0], ["1", 1]]', "'histograms' row 2 entry '1' is not a JSON integer"),
+        ],
+    )
+    def test_wrong_json_types_in_a_histogram_file_are_parse_errors(
+        self, tmp_path, capsys, sample_length, rows, reason
+    ):
+        text = f'{{"alphabet": ["a", "b"], "sample_length": {sample_length}, "histograms": {rows}}}\n'
+        path = tmp_path / "h.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_histogram_set(str(path))
+        assert str(err.value) == reason
+        # the commands read samples as CSV, so their message adds the brace hint
+        hint = "(a file starting with '{' is read as histogram JSON, not as CSV)"
+        for args in (["ingest", str(path)], ["solve", str(path), "-o", str(tmp_path / "p.json")]):
+            assert main(args) == 10
+            assert capsys.readouterr().err == f"error: {reason} {hint}\n"
+        # and the same data inside a profile is the same parse error
+        profile = json.loads(dumps_profile(solve_profile(make_set("ab", [(1, 1), (2, 0)]))))
+        profile.update(json.loads(text))
+        (tmp_path / "profile.json").write_text(json.dumps(profile))
+        (tmp_path / "s.csv").write_text("a,b\n")
+        assert main(["score", str(tmp_path / "profile.json"), str(tmp_path / "s.csv")]) == 10
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+    def test_a_negative_integer_count_stays_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text('{"alphabet": ["a", "b"], "sample_length": 2, "histograms": [[1, 1], [3, -1]]}')
+        with pytest.raises(ValidationError, match="nonnegative integers, got -1"):
+            load_histogram_set(str(path))
+        assert main(["ingest", str(path)]) == 19
 
     def test_crlf_rows_are_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -1040,7 +1081,7 @@ class TestCli:
         path.write_text(
             json.dumps({"alphabet": alphabet, "sample_length": length, "histograms": counts})
         )
-        assert self.run("solve", str(path)) == EXIT_CODES["validation"]
+        assert self.run("solve", str(path)) == EXIT_CODES["parse"]
 
     def test_non_integer_profile_counts_are_rejected(self, tmp_path, e4):
         path = tmp_path / "p.json"
@@ -1049,7 +1090,7 @@ class TestCli:
         path.write_text(json.dumps(data))
         samples = tmp_path / "e4.csv"
         samples.write_text(E4_CSV)
-        assert self.run("score", str(path), str(samples)) == EXIT_CODES["validation"]
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
 
     @pytest.mark.parametrize(
         "labels, rows",

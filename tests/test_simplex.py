@@ -60,6 +60,49 @@ def _fraction_solve(matrix, rhs):
     return [row[size] for row in aug]
 
 
+def _gauss_jordan_solve(matrix, rhs):
+    """The reference integer solve: fraction-free Gauss-Jordan elimination
+    (Bareiss) of ``[matrix | rhs]``, every row eliminated at every step, with
+    the first nonzero entry of each column as pivot. Returns ``(det,
+    numerators)`` with ``det == |det(matrix)|`` and ``x[i] == numerators[i] /
+    det``, or None when the matrix is singular. ``core._solve_integer`` must
+    return what this does, for ``matrix`` and its transpose, from one LU."""
+    size = len(matrix)
+    aug = [[*row, value] for row, value in zip(matrix, rhs)]
+    previous = 1
+    for k in range(size):
+        pivot_row = next((r for r in range(k, size) if aug[r][k]), None)
+        if pivot_row is None:
+            return None
+        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        pivot_tail = aug[k][k:]
+        pivot = pivot_tail[0]
+        for r in range(size):
+            if r == k:
+                continue
+            row = aug[r]
+            factor = row[k]
+            if factor:
+                tail = zip(row[k:], pivot_tail)
+                row[k:] = [(pivot * v - factor * w) // previous for v, w in tail]
+            elif pivot != previous:
+                row[k:] = [pivot * v // previous for v in row[k:]]
+        previous = pivot
+    numerators = [row[size] for row in aug]
+    if previous < 0:
+        return -previous, [-v for v in numerators]
+    return previous, numerators
+
+
+def _reference_solves(matrix, rhs, costs):
+    """``(det, x, y)`` from two reference solves, of ``matrix`` and of its
+    transpose, or None when the matrix is singular."""
+    primal = _gauss_jordan_solve(matrix, rhs)
+    if primal is None:
+        return None
+    return (*primal, _gauss_jordan_solve([list(col) for col in zip(*matrix)], costs)[1])
+
+
 def _slack_tableau(lp, of):
     """The program's full tableau over the number type ``of``: each row
     followed by its slack's unit entries, then the objective row with zero
@@ -264,12 +307,22 @@ def test_objective_row_agrees_with_the_basis_solve():
                 assert abs(sum(a * v for a, v in zip(row, x)) + s - b) <= tol
 
 
-def test_guided_rational_solve_equals_exact_bland():
+def test_guided_rational_solve_equals_exact_bland(monkeypatch):
+    # on these small programs the guide's basis is exactly optimal, so the
+    # integer check accepts every guide and exact pivoting never runs
+    modes, real_pivoting = [], histrel.simplex._optimal_dictionary
+
+    def pivoting(lp, field):
+        modes.append(field.mode)
+        return real_pivoting(lp, field)
+
+    monkeypatch.setattr(histrel.simplex, "_optimal_dictionary", pivoting)
     for lp in _game_programs(6, 60):
         result = simplex_optimize(lp)
         assert _compared(result) == _exact_pivoting(lp)
         exact = (result.objective_value, *result.solution, *result.reduced_costs)
         assert all(type(v) is Fraction for v in exact)
+    assert modes and set(modes) == {"float"}
 
 
 def test_rational_falls_back_to_exact_pivoting_when_the_guide_stalls(monkeypatch):
@@ -421,17 +474,20 @@ def test_integer_solver_matches_fraction_elimination():
         entries = (0, 0, 1, -1, rng.randint(-40, 40))
         matrix = [[rng.choice(entries) for _ in range(size)] for _ in range(size)]
         rhs = [rng.randint(-20, 20) for _ in range(size)]
+        costs = [rng.randint(-20, 20) for _ in range(size)]
         expected = _fraction_solve(matrix, rhs)
-        solved = _solve_integer(matrix, rhs)
+        solved = _solve_integer(matrix, rhs, costs)
         if expected is None:
             singular += 1
             assert solved is None
             continue
-        det, numerators = solved
-        assert det > 0 and all(type(v) is int for v in numerators)
-        assert [Fraction(v, det) for v in numerators] == expected
-        # the same |det B| for the transpose, so primal and dual solves share it
-        assert _solve_integer([list(col) for col in zip(*matrix)], rhs)[0] == det
+        det, x, y = solved
+        assert det > 0 and all(type(v) is int for v in (*x, *y))
+        assert [Fraction(v, det) for v in x] == expected
+        # the transpose has the same |det|, so one denominator serves both systems
+        transposed = [list(col) for col in zip(*matrix)]
+        assert [Fraction(v, det) for v in y] == _fraction_solve(transposed, costs)
+        assert _solve_integer(matrix, rhs) == (det, x, None)
     assert singular > 10
 
 
@@ -441,6 +497,56 @@ def test_integer_solver_matches_fraction_elimination():
 )
 def test_integer_solver_reports_a_singular_matrix(matrix):
     assert _solve_integer(matrix, [1] * len(matrix)) is None
+    assert _solve_integer(matrix, [1] * len(matrix), [1] * len(matrix)) is None
+
+
+# entry draws: units, small integers and integers up to 1e12, each with zeros
+_ENTRY_DRAWS = {
+    "unit": lambda rng: rng.choice((0, 1, -1)),
+    "small": lambda rng: rng.choice((0, 0, rng.randint(-9, 9))),
+    "large": lambda rng: rng.choice((0, rng.randint(-(10**12), 10**12))),
+}
+
+
+@pytest.mark.parametrize("entries", sorted(_ENTRY_DRAWS))
+def test_one_lu_solves_both_systems_like_the_reference(entries):
+    rng, draw = random.Random(f"lu-{entries}"), _ENTRY_DRAWS[entries]
+    singular = late_swaps = 0
+    for trial in range(104):
+        size = 1 + trial % 26
+        matrix = [[draw(rng) for _ in range(size)] for _ in range(size)]
+        rhs, costs = [draw(rng) for _ in range(size)], [draw(rng) for _ in range(size)]
+        if trial % 4 == 1 and size > 1:
+            # one row made the sum of two rows: singular unless it was one of them
+            i, j = rng.choice(range(size)), rng.choice(range(size))
+            matrix[rng.randrange(size)] = [a + b for a, b in zip(matrix[i], matrix[j])]
+        elif trial % 4 == 2 and size > 2:
+            # rows k - 1 and k agree on the first k + 1 columns, so the leading
+            # (k + 1)-minor is zero: with the leading k-minor nonzero, step k
+            # finds a zero pivot and swaps in a row from below
+            k = rng.randint(1, size - 2)
+            matrix[k][: k + 1] = matrix[k - 1][: k + 1]
+            block = [row[:k] for row in matrix[:k]]
+            if _gauss_jordan_solve(block, [0] * k) is not None:
+                late_swaps += _gauss_jordan_solve(matrix, rhs) is not None
+        expected = _reference_solves(matrix, rhs, costs)
+        assert _solve_integer(matrix, rhs, costs) == expected
+        if expected is None:
+            singular += 1
+        elif size > 1:
+            # swapping rows 0 and 1 negates det(matrix), so one of the two
+            # systems has a negative determinant: x stays, y's first two swap
+            det, x, y = expected
+            swapped = [matrix[1], matrix[0], *matrix[2:]]
+            swapped_rhs = [rhs[1], rhs[0], *rhs[2:]]
+            assert _solve_integer(swapped, swapped_rhs, costs) == (det, x, [y[1], y[0], *y[2:]])
+    assert singular >= 10 and late_swaps >= 5
+
+
+def test_a_one_by_one_system():
+    assert _solve_integer([[-5]], [3], [2]) == (5, [-3], [-2])
+    assert _solve_integer([[4]], [6], [-2]) == (4, [6], [-2])  # numerators over det, unreduced
+    assert _solve_integer([[0]], [1], [1]) is None
 
 
 def test_float_and_rational_end_at_the_same_basis(monkeypatch):
@@ -507,7 +613,7 @@ def test_large_sample_lengths_solve_exactly(monkeypatch):
     # slacks must then end at an optimal dictionary, with the oracle's value
     # and a certified solution
     runs = []  # per rational program: how each pivot loop ended and each basis checked
-    solves = []  # one entry per integer solve
+    solves = []  # what each integer factorization returned
     real_pivoting, real_check = histrel.simplex._optimal_dictionary, histrel.simplex._solve_basis
     real_solve = histrel.simplex._solve_integer
 
@@ -529,16 +635,17 @@ def test_large_sample_lengths_solve_exactly(monkeypatch):
             runs[-1].append("float pivoted")
         return found
 
-    def solve_integer(matrix, rhs):
-        solves.append(len(matrix))
-        return real_solve(matrix, rhs)
+    def solve_integer(*args):
+        solves.append(real_solve(*args))
+        return solves[-1]
 
     def check(lp, guide):
         before = len(solves)
         accepted = real_check(lp, guide)
-        # one solve: B singular or x_B negative; two: a reduced cost is positive
-        primal_only = len(solves) - before == 1
-        runs[-1].append("optimal" if accepted else "rejected" if primal_only else "not optimal")
+        assert len(solves) == before + 1  # one factorization per basis checked
+        # B singular or x_B negative: rejected; else a reduced cost is positive
+        rejected = solves[-1] is None or min(solves[-1][1]) < 0
+        runs[-1].append("optimal" if accepted else "rejected" if rejected else "not optimal")
         return accepted
 
     monkeypatch.setattr(histrel.game, "simplex_optimize", optimize)
@@ -559,21 +666,22 @@ def test_large_sample_lengths_solve_exactly(monkeypatch):
 
 def test_a_rational_solve_solves_in_integers_only_for_the_guide(monkeypatch):
     # exact pivoting's final dictionary is the result: after a rejected guide
-    # no basis is solved again, so a call runs at most the guide's two solves
-    solves, fallbacks = [], []
+    # no basis is solved again, so a call runs at most the guide's one
+    # factorization, which solves both of its systems
+    factorizations, fallbacks = [], []
     real_pivoting, real_solve = histrel.simplex._optimal_dictionary, histrel.simplex._solve_integer
 
     def optimize(lp, arithmetic):
-        solves.append(0)
+        factorizations.append(0)
         return simplex_optimize(lp, arithmetic)
 
     def pivoting(lp, field):
         fallbacks.append(field.exact)
         return real_pivoting(lp, field)
 
-    def solve_integer(matrix, rhs):
-        solves[-1] += 1
-        return real_solve(matrix, rhs)
+    def solve_integer(*args):
+        factorizations[-1] += 1
+        return real_solve(*args)
 
     monkeypatch.setattr(histrel.game, "simplex_optimize", optimize)
     monkeypatch.setattr(histrel.simplex, "_optimal_dictionary", pivoting)
@@ -582,5 +690,5 @@ def test_a_rational_solve_solves_in_integers_only_for_the_guide(monkeypatch):
     for hs in (random_histogram_set(rng, 6, 8, 10**12) for _ in range(12)):
         solve_supporting(hs)
         solve_covering(hs)
-    assert sum(fallbacks) > len(solves) // 4  # a quarter of the guides are rejected
-    assert max(solves) <= 2
+    assert sum(fallbacks) > len(factorizations) // 4  # a quarter of the guides are rejected
+    assert max(factorizations) == 1
