@@ -298,7 +298,9 @@ def _solve_lp(unique_rows, problem, field: Field):
     alpha = value - offset if lp_problem == SUPPORTING else offset - value
     height = len(rows)
     row_side = field.cleared(extract_dual(result, rows, field))
-    column_side = field.cleared([-value * c for c in result.reduced_costs[height:]])
+    numerators, denominator = field.scaled(result.reduced_costs[height:])
+    (scale,), over = field.scaled([-value])
+    column_side = field.cleared([field.quotient(scale * c, over * denominator) for c in numerators])
     basic = set(result.basis)
     if flipped:
         alternate = any(

@@ -1,4 +1,4 @@
-"""Randomized cross-checks of the solvers against the brute-force oracle.
+"""Randomized cross-checks of the solvers against a brute-force oracle.
 
 Every property the library promises at desk scale is checked here on seeded
 random instances plus a handful of pinned cases, so one command answers "is
@@ -6,6 +6,13 @@ this build trustworthy": values match the oracle exactly, bounds hold,
 certificates pass, reduction is sound, the straddling binary closed form
 agrees with the program on the full alphabet and dominant binary sets show
 the closed form's facts, and float mode tracks rational mode.
+
+The oracle, ``oracle_solve``, is exhaustive support enumeration (L. S.
+Shapley and R. N. Snow, "Basic solutions of discrete games", 1950), exact
+and capped at ``ORACLE_MAX_SYMBOLS`` symbols and ``ORACLE_MAX_MEMBERS``
+members. It shares the integer linear solve with the main path (it reads the
+system's solution of the one fraction-free LU, not the transpose's) but
+never its pivoting. ``run_verification`` checks its bounds before any solve.
 
 ``classify_binary`` tags the paper's case split of two-symbol sets: a
 dominant first or second component, or members that straddle the middle.
@@ -18,19 +25,27 @@ import string
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
 
 from .core import (
     COVERING,
     FLOAT,
+    RATIONAL,
     SUPPORTING,
     Alphabet,
     HistogramSet,
+    ProblemMode,
+    Weight,
+    _solve_integer,
+    require_problem_mode,
 )
-from .errors import CertificationFailure, ValidationError
-from .game import certify, make_solution, solve_covering, solve_supporting
-from .oracle import oracle_solve
+from .errors import CapExceeded, CertificationFailure, NumericalFailure, ValidationError
+from .game import DualWeight, certify, make_solution, solve_covering, solve_supporting
 from .reduce import reduce_fixpoint
 
+ORACLE_MAX_SYMBOLS = 6
+ORACLE_MAX_MEMBERS = 8
 FLOAT_AGREEMENT = 1e-6
 
 ZERO_DOMINANT = "zero_dominant"
@@ -94,9 +109,103 @@ class VerificationReport:
             if stat.worst:
                 line += f" (worst violation {stat.worst:.3g})"
             out.append(line)
-            for note in stat.notes:
-                out.append(f"     - {note}")
+            out.extend(f"     - {note}" for note in stat.notes)
         return out
+
+
+def _equalize(vectors: Sequence[Sequence[int]]) -> tuple[list[Fraction], Fraction] | None:
+    """Distribution over positions making every vector's weighted sum equal.
+
+    Solves ``vector . u = value`` for each vector together with
+    ``sum(u) = 1``; returns ``(u, value)`` or None when the bordered system
+    is singular. Nonnegativity is NOT checked here.
+    """
+    r = len(vectors[0])
+    matrix = [[*vec, -1] for vec in vectors]
+    matrix.append([1] * r + [0])
+    rhs = [0] * len(vectors) + [1]
+    solved = _solve_integer(matrix, rhs)
+    if solved is None:
+        return None
+    det, numerators, _ = solved
+    values = [Fraction(v, det) for v in numerators]
+    return values[:r], values[r]
+
+
+def oracle_solve(
+    histograms: HistogramSet, problem: ProblemMode
+) -> tuple[Fraction, Weight, DualWeight]:
+    """Exact optimum by exhaustive equal-size support enumeration.
+
+    For every pair of supports (symbols, members) of equal size the bordered
+    equalizing systems are solved exactly; a candidate is kept when both
+    sides are nonnegative and the optimality inequalities hold off the
+    supports. The first equilibrium in enumeration order is returned - the
+    value is unique even though the weight need not be.
+    """
+    require_problem_mode(problem)
+    n = len(histograms.alphabet)
+    k = len(histograms.members)
+    if n > ORACLE_MAX_SYMBOLS:
+        raise CapExceeded(f"oracle handles at most {ORACLE_MAX_SYMBOLS} symbols, got {n}")
+    if k > ORACLE_MAX_MEMBERS:
+        raise CapExceeded(f"oracle handles at most {ORACLE_MAX_MEMBERS} members, got {k}")
+    rows = histograms.count_rows()
+    supporting = problem == SUPPORTING
+
+    for size in range(1, min(n, k) + 1):
+        for symbols in combinations(range(n), size):
+            for members in combinations(range(k), size):
+                weight_side = _equalize([[rows[i][j] for j in symbols] for i in members])
+                if weight_side is None:
+                    continue
+                xs, value = weight_side
+                if any(x < 0 for x in xs):
+                    continue
+                member_side = _equalize([[rows[i][j] for i in members] for j in symbols])
+                if member_side is None:
+                    continue
+                qs, value_dual = member_side
+                if value_dual != value or any(q < 0 for q in qs):
+                    continue
+                if not _off_support_optimal(rows, symbols, members, xs, qs, value, supporting):
+                    continue
+                weight_values = [Fraction(0)] * n
+                for pos, j in enumerate(symbols):
+                    weight_values[j] = xs[pos]
+                dual_values = [Fraction(0)] * k
+                for pos, i in enumerate(members):
+                    dual_values[i] = qs[pos]
+                return (
+                    value,
+                    Weight(histograms.alphabet, tuple(weight_values), RATIONAL),
+                    DualWeight(tuple(dual_values), RATIONAL),
+                )
+    raise NumericalFailure("support enumeration found no equilibrium")
+
+
+def _off_support_optimal(rows, symbols, members, xs, qs, value, supporting) -> bool:
+    member_set = set(members)
+    symbol_set = set(symbols)
+    for i, row in enumerate(rows):
+        if i in member_set:
+            continue
+        paired = sum(x * row[j] for x, j in zip(xs, symbols))
+        if supporting:
+            if paired < value:
+                return False
+        elif paired > value:
+            return False
+    for j in range(len(rows[0])):
+        if j in symbol_set:
+            continue
+        column = sum(q * rows[i][j] for q, i in zip(qs, members))
+        if supporting:
+            if column > value:
+                return False
+        elif column < value:
+            return False
+    return True
 
 
 def random_histogram_set(
@@ -157,8 +266,8 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
     baseline = Fraction(t, n)
 
     for problem, solve in ((SUPPORTING, solve_supporting), (COVERING, solve_covering)):
-        solution = solve(histograms)
         oracle_alpha, oracle_weight, oracle_dual = oracle_solve(histograms, problem)
+        solution = solve(histograms)
 
         _stat(stats, f"alpha-match-{problem}").record(
             solution.alpha == oracle_alpha,
@@ -285,6 +394,22 @@ def binary_sweep(stats: dict[str, PropertyStat], sample_length: int = 10) -> Non
                 _check_binary_agreement(histograms, stats, label)
 
 
+def _require_sweep_bounds(trials, max_symbols, max_members, max_length) -> None:
+    """Each bound is named with its ``histrel verify`` flag; every cap is checked first."""
+    bounds = (
+        ("trials", "--trials", trials, 0, None),
+        ("max_symbols", "--max-v", max_symbols, 2, ORACLE_MAX_SYMBOLS),
+        ("max_members", "--max-m", max_members, 1, ORACLE_MAX_MEMBERS),
+        ("max_length", "--max-t", max_length, 1, None),
+    )
+    for name, flag, value, _, cap in bounds:
+        if cap is not None and value > cap:
+            raise CapExceeded(f"the oracle caps {name} ({flag}) at {cap}, got {value}")
+    for name, flag, value, least, _ in bounds:
+        if value < least:
+            raise ValidationError(f"verification needs {name} ({flag}) >= {least}, got {value}")
+
+
 def run_verification(
     trials: int = 100,
     seed: int = 1,
@@ -295,7 +420,12 @@ def run_verification(
     instance: HistogramSet | None = None,
 ) -> VerificationReport:
     """Deterministic verification sweep; same seed, same report. With an
-    ``instance``, only that set is checked."""
+    ``instance``, only that set is checked. Before any solve, a bound beyond
+    an oracle cap raises ``CapExceeded`` and one below its least value
+    (``trials >= 0``, ``max_symbols >= 2``, ``max_members >= 1``,
+    ``max_length >= 1``) ``ValidationError``; the oracle, which runs before
+    the solvers, raises ``CapExceeded`` for an instance beyond its caps."""
+    _require_sweep_bounds(trials, max_symbols, max_members, max_length)
     stats: dict[str, PropertyStat] = {}
     if instance is not None:
         with _certified(stats, "input instance"):

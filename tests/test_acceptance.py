@@ -29,8 +29,13 @@ from histrel import (
 )
 from histrel.cli import main as cli_main
 from histrel.io import dumps_score_report
-from histrel.oracle import oracle_solve
-from histrel.verify import MIXED, ZERO_DOMINANT, classify_binary, random_histogram_set
+from histrel.verify import (
+    MIXED,
+    ZERO_DOMINANT,
+    classify_binary,
+    oracle_solve,
+    random_histogram_set,
+)
 
 from conftest import make_set, pairing
 

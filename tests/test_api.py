@@ -35,7 +35,7 @@ MODULE_ONLY = {
     "ZERO_DOMINANT": "verify",
     "classify_binary": "verify",
     "distinct_rows": "core",
-    "oracle_solve": "oracle",
+    "oracle_solve": "verify",
     "SimplexResult": "simplex",
     "StandardFormLP": "simplex",
     "simplex_optimize": "simplex",
@@ -58,11 +58,12 @@ def test_helpers_stay_importable_from_their_modules_only():
         getattr(importlib.import_module(f"histrel.{module}"), name)
 
 
-# removed names, each with the module or class that had it; the tests keep
-# reference versions of the first three
+# removed names, each with the module or class that had it (the oracle's
+# module folded into ``histrel.verify``); the tests keep reference versions of
+# the first three
 REMOVED = {
     "pairing": "histrel.core",
-    "oracle_grid": "histrel.oracle",
+    "oracle_grid": "histrel.verify",
     "reducible_symbols": "histrel.reduce",
     "count": histrel.Histogram,
     "value": histrel.Weight,
@@ -74,8 +75,9 @@ def test_removed_helpers_stay_removed():
     for name, owner in REMOVED.items():
         owner = importlib.import_module(owner) if isinstance(owner, str) else owner
         assert not hasattr(owner, name), (owner, name)
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("histrel.binary")
+    for module in ("binary", "oracle"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"histrel.{module}")
 
 
 def test_solve_binary_is_the_two_solvers_on_a_two_symbol_set_only(e1, e4):

@@ -23,10 +23,9 @@ from histrel import (
 )
 from histrel.core import Field, HistogramSet, distinct_rows
 from histrel.game import covering_lp, supporting_lp
-from histrel.oracle import oracle_solve
 from histrel.reduce import ReductionStep, ReductionTrace, empty_trace, reduce_fixpoint
 from histrel.simplex import simplex_optimize
-from histrel.verify import random_histogram_set
+from histrel.verify import oracle_solve, random_histogram_set
 from conftest import histogram_sets, make_set, pairing
 
 

@@ -39,7 +39,7 @@ from histrel import (
     score_profile,
     solve_profile,
 )
-from histrel.cli import EXIT_CODES, main
+from histrel.cli import EXIT_CODES, _exit_code_for, main
 from histrel.core import FLOAT_EPS, Field
 from histrel.io import (
     _ingest_csv,
@@ -58,6 +58,14 @@ E1_CSV = "a,a,a,a,a,a,a,b,b,b\na,a,a,a,a,a,b,b,b,b\n"
 E4_CSV = "a,a,a,a,b,c\na,a,a,b,b,c\n"
 STRADDLING_CSV = "a,b,a\nb,b,a\n"  # (2, 1) and (1, 2): both games weigh a and b 1/2 each
 BIG = 10**400  # beyond the float range
+# a standard output whose buffer keeps the bytes of a failed write
+KEEPS_FAILED_BYTES = (
+    "import io, sys\n"
+    "class Raw(io.FileIO):\n"
+    "    def write(self, data):\n"
+    "        return super().write(data)\n"
+    "sys.stdout = io.TextIOWrapper(io.BufferedWriter(Raw(1, 'w', closefd=False)))\n"
+)
 
 # supporting reduction traces of the E4 profile (c then b eliminated, a
 # surviving) that do not list each alphabet symbol once, or that number a
@@ -798,16 +806,7 @@ class TestCli:
         samples = tmp_path / "samples.csv"
         # a small output fails when flushed, a large one already in write
         samples.write_text(E1_CSV * (1 if size == "small" else 200))
-        prelude = {
-            "standard": "",
-            "keeps-failed-bytes": (
-                "import io, sys\n"
-                "class Raw(io.FileIO):\n"
-                "    def write(self, data):\n"
-                "        return super().write(data)\n"
-                "sys.stdout = io.TextIOWrapper(io.BufferedWriter(Raw(1, 'w', closefd=False)))\n"
-            ),
-        }[stdout]
+        prelude = {"standard": "", "keeps-failed-bytes": KEEPS_FAILED_BYTES}[stdout]
         code = prelude + "from histrel.cli import console_main\nconsole_main()\n"
         src = os.path.dirname(os.path.dirname(histrel.verify.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -822,6 +821,56 @@ class TestCli:
             )
         assert done.stderr == "error: No space left on device: '<stdout>'\n"
         assert done.returncode == EXIT_CODES["usage"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    @pytest.mark.parametrize("stdout", ["standard", "keeps-failed-bytes"])
+    def test_the_module_entry_point_on_a_full_device_exits_2(self, tmp_path, stdout):
+        """``python -m histrel.cli ingest samples.csv > /dev/full``: after the
+        failed write, stdout's descriptor points at the null device, so the
+        interpreter's exit flush neither fails again nor reports it. The
+        second stdout, installed by a ``sitecustomize`` module, keeps the
+        bytes of a failed write, so that exit flush retries them."""
+        samples = tmp_path / "samples.csv"
+        samples.write_text(E1_CSV)
+        src = os.path.dirname(os.path.dirname(histrel.verify.__file__))
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        if stdout == "keeps-failed-bytes":
+            (tmp_path / "sitecustomize.py").write_text(KEEPS_FAILED_BYTES)
+            paths.insert(0, str(tmp_path))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "histrel.cli", "ingest", str(samples)],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+        assert done.returncode == EXIT_CODES["usage"]
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "'<stdout>'" in lines[0]
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+    def test_a_bare_histrel_error_exits_unexpected(self, tmp_path, monkeypatch, capsys):
+        assert _exit_code_for(HistrelError("no subclass")) == EXIT_CODES["unexpected"]
+
+        def fail(*args):
+            raise HistrelError("no subclass")
+
+        monkeypatch.setattr("histrel.cli.ingest_samples", fail)
+        assert self.run("ingest", str(tmp_path / "e1.csv")) == EXIT_CODES["unexpected"]
+        assert self.one_error_line(capsys) == "error: no subclass\n"
+
+    def test_an_os_error_naming_no_file_is_raised(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr("histrel.cli.ingest_samples", fail)
+        with pytest.raises(OSError) as raised:
+            self.run("ingest", str(tmp_path / "e1.csv"))
+        assert raised.value.errno == errno.EIO and raised.value.filename is None
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["solve", "score-profile", "score-samples"])
     def test_an_input_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys, e1, command):
@@ -873,9 +922,16 @@ class TestCli:
             ("--trials", "-3", "validation"),
         ],
     )
-    def test_verify_bounds_are_checked(self, flag, value, code):
+    def test_verify_bounds_are_checked(self, capsys, flag, value, code):
         status = self.run("verify", "--trials", "1", flag, value)
         assert status == EXIT_CODES[code]
+        assert f"({flag}) " in self.one_error_line(capsys)
+
+    def test_verify_on_a_set_beyond_the_oracle_caps(self, tmp_path, capsys):
+        path = tmp_path / "seven.csv"
+        path.write_text("a,b,c,d,e,f,g\n")
+        assert self.run("verify", str(path)) == EXIT_CODES["cap-exceeded"]
+        assert "oracle handles at most 6 symbols, got 7" in self.one_error_line(capsys)
 
     def test_tolerance_flag_is_gone(self, tmp_path, e1):
         hs_path = tmp_path / "hs.json"

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterator
 
 import pytest
 from hypothesis import given
 
+import histrel.verify
 from histrel import (
     COVERING,
     SUPPORTING,
     CapExceeded,
+    ValidationError,
     certify,
     make_solution,
 )
-from histrel.oracle import oracle_solve
+from histrel.verify import ORACLE_MAX_MEMBERS, ORACLE_MAX_SYMBOLS, oracle_solve, run_verification
 from conftest import histogram_sets, make_set
 
 GRID_MAX_SYMBOLS = 4
@@ -88,6 +91,55 @@ class TestOracleSolve:
             alpha, weight, dual = oracle_solve(hs, problem)
             solution = make_solution(alpha, weight, dual, hs, problem)
             assert certify(solution, hs).passed
+
+
+class TestSweepBounds:
+    """``run_verification`` checks its arguments before it solves anything."""
+
+    @staticmethod
+    def refuse(monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            pytest.fail("a solver ran before the arguments were checked")
+
+        for name in names:
+            monkeypatch.setattr(histrel.verify, name, refuse)
+
+    @pytest.mark.parametrize(
+        "arguments, error, message",
+        [
+            ({"trials": -1}, ValidationError, "trials (--trials) >= 0, got -1"),
+            ({"max_symbols": 1}, ValidationError, "max_symbols (--max-v) >= 2, got 1"),
+            ({"max_members": 0}, ValidationError, "max_members (--max-m) >= 1, got 0"),
+            ({"max_length": 0}, ValidationError, "max_length (--max-t) >= 1, got 0"),
+            ({"max_symbols": 7}, CapExceeded, "caps max_symbols (--max-v) at 6, got 7"),
+            ({"max_members": 9}, CapExceeded, "caps max_members (--max-m) at 8, got 9"),
+            ({"max_members": 9, "max_symbols": 1}, CapExceeded, "caps max_members (--max-m) at 8"),
+        ],
+        ids=["trials", "min-symbols", "min-members", "min-length", "symbol-cap", "member-cap", "cap-first"],
+    )
+    def test_a_bound_outside_its_range_raises_before_any_solve(
+        self, monkeypatch, arguments, error, message
+    ):
+        self.refuse(monkeypatch, "solve_supporting", "solve_covering", "oracle_solve")
+        with pytest.raises(error, match=re.escape(message)):
+            run_verification(**arguments)
+
+    def test_an_instance_beyond_the_caps_raises_before_the_solvers_run(self, monkeypatch):
+        self.refuse(monkeypatch, "solve_supporting", "solve_covering")
+        with pytest.raises(CapExceeded, match="oracle handles at most 6 symbols, got 7"):
+            run_verification(instance=make_set("abcdefg", [(1, 1, 1, 1, 1, 1, 1)]))
+        with pytest.raises(CapExceeded, match="oracle handles at most 8 members, got 9"):
+            run_verification(instance=make_set("ab", [(i, 9 - i) for i in range(9)]))
+
+    def test_the_bounds_themselves_are_accepted(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(histrel.verify, "check_instance", lambda hs, stats, label: checked.append(hs))
+        monkeypatch.setattr(histrel.verify, "binary_sweep", lambda stats: None)
+        report = run_verification(
+            1, max_symbols=ORACLE_MAX_SYMBOLS, max_members=ORACLE_MAX_MEMBERS, max_length=1
+        )
+        assert report.trials == 1 and len(checked) == 5
+        assert run_verification(0, max_symbols=2, max_members=1).trials == 0
 
 
 class TestOracleGrid:

@@ -13,9 +13,8 @@ from histrel import (
     SUPPORTING,
     reduce_fixpoint,
 )
-from histrel.oracle import oracle_solve
 from histrel.reduce import ReductionStep, ReductionTrace
-from histrel.verify import random_histogram_set
+from histrel.verify import oracle_solve, random_histogram_set
 from conftest import histogram_sets, make_set
 
 

@@ -21,13 +21,12 @@ from histrel import (
 )
 from histrel.core import FLOAT_EPS, Field, _solve_integer, distinct_rows
 from histrel.game import covering_lp, supporting_lp
-from histrel.oracle import oracle_solve
 from histrel.simplex import (
     StandardFormLP,
     _optimal_dictionary,
     simplex_optimize,
 )
-from histrel.verify import MIXED, classify_binary, random_histogram_set
+from histrel.verify import MIXED, classify_binary, oracle_solve, random_histogram_set
 
 E1_ROWS = ((7, 3), (6, 4))
 
