@@ -465,15 +465,13 @@ def profile_from_json(obj: dict) -> WeightProfile:
     histograms = histogram_set_from_json(obj)
     field.require_counts_fit(histograms.sample_length)
     provenance = _require_type(obj.get("provenance", {}), dict, "'provenance'")
-    return WeightProfile(
-        histograms=histograms,
-        supporting=_solution_from_json(obj["supporting"], SUPPORTING, histograms, field),
-        covering=_solution_from_json(obj["covering"], COVERING, histograms, field),
-        mode=field.mode,
-        input_digest=_require_type(
-            provenance.get("input_sha256", ""), str, "'provenance.input_sha256'"
-        ),
-    )
+    supporting = _solution_from_json(obj["supporting"], SUPPORTING, histograms, field)
+    covering = _solution_from_json(obj["covering"], COVERING, histograms, field)
+    digest = _require_type(provenance.get("input_sha256", ""), str, "'provenance.input_sha256'")
+    # checked last, so a damaged solution is reported as such first
+    if digest and digest != digest_histogram_set(histograms):
+        raise CertificationFailure("stored input_sha256 does not match the profile's histograms")
+    return WeightProfile(histograms, supporting, covering, field.mode, digest)
 
 
 def dumps_profile(profile: WeightProfile) -> str:

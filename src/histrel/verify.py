@@ -5,7 +5,9 @@ random instances plus a handful of pinned cases, so one command answers "is
 this build trustworthy": values match the oracle exactly, bounds hold,
 certificates pass, reduction is sound, the straddling binary closed form
 agrees with the program on the full alphabet and dominant binary sets show
-the closed form's facts, and float mode tracks rational mode.
+the closed form's facts, and float mode tracks rational mode. Each fixture,
+random or given set is solved once per game on the default path, on the full
+alphabet and in float, and every check of that set reads those solutions.
 
 The oracle, ``oracle_solve``, is exhaustive support enumeration (L. S.
 Shapley and R. N. Snow, "Basic solutions of discrete games", 1950), exact
@@ -25,7 +27,7 @@ import string
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from .core import (
@@ -42,7 +44,6 @@ from .core import (
 )
 from .errors import CapExceeded, CertificationFailure, NumericalFailure, ValidationError
 from .game import DualWeight, certify, make_solution, solve_covering, solve_supporting
-from .reduce import reduce_fixpoint
 
 ORACLE_MAX_SYMBOLS = 6
 ORACLE_MAX_MEMBERS = 8
@@ -244,9 +245,7 @@ def classify_binary(histograms: HistogramSet) -> str:
 
 
 def _stat(stats: dict[str, PropertyStat], name: str) -> PropertyStat:
-    if name not in stats:
-        stats[name] = PropertyStat(name)
-    return stats[name]
+    return stats.setdefault(name, PropertyStat(name))
 
 
 @contextmanager
@@ -259,11 +258,15 @@ def _certified(stats: dict[str, PropertyStat], label: str):
         _stat(stats, "certified-solutions").record(False, note=f"{label}: {exc}")
 
 
-def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], label: str) -> None:
+def check_instance(
+    histograms: HistogramSet, stats: dict[str, PropertyStat], label: str, expected: tuple | None = None
+) -> None:
     """Run the full property battery on one instance (rational oracles plus a
-    float-agreement check)."""
+    float-agreement check, and ``expected`` (supporting, covering) values
+    when given), each check reading the set's three solves per game."""
     t, n = histograms.sample_length, len(histograms.alphabet)
     baseline = Fraction(t, n)
+    fast, full = [], []
 
     for problem, solve in ((SUPPORTING, solve_supporting), (COVERING, solve_covering)):
         oracle_alpha, oracle_weight, oracle_dual = oracle_solve(histograms, problem)
@@ -274,10 +277,7 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
             note=f"{label}: solver {solution.alpha} vs oracle {oracle_alpha}",
         )
 
-        if problem == SUPPORTING:
-            ok = solution.alpha >= baseline
-        else:
-            ok = solution.alpha <= baseline
+        ok = solution.alpha >= baseline if problem == SUPPORTING else solution.alpha <= baseline
         _stat(stats, f"uniform-bound-{problem}").record(
             ok, note=f"{label}: alpha {solution.alpha} vs baseline {baseline}"
         )
@@ -289,9 +289,7 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
             note=f"{label}: {[c.clause for c in report.failures()]}",
         )
 
-        oracle_solution = make_solution(
-            oracle_alpha, oracle_weight, oracle_dual, histograms, problem
-        )
+        oracle_solution = make_solution(oracle_alpha, oracle_weight, oracle_dual, histograms, problem)
         oracle_report = certify(oracle_solution, histograms)
         _stat(stats, f"oracle-self-certifies-{problem}").record(
             oracle_report.passed, violation=oracle_report.max_violation, note=label
@@ -303,8 +301,7 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
             note=f"{label}: reduced {solution.alpha} vs unreduced {unreduced.alpha}",
         )
 
-        _, trace = reduce_fixpoint(histograms, problem)
-        eliminated = {histograms.alphabet.index(s) for s in trace.eliminated}
+        eliminated = {histograms.alphabet.index(s) for s in solution.reduction_trace.eliminated}
         oracle_zero = all(oracle_weight.values[j] == 0 for j in eliminated)
         solver_zero = all(solution.weight.values[j] == 0 for j in eliminated)
         _stat(stats, f"eliminated-weightless-{problem}").record(
@@ -324,12 +321,20 @@ def check_instance(histograms: HistogramSet, stats: dict[str, PropertyStat], lab
             _stat(stats, f"member-score-contract-{problem}").record(
                 ok, note=f"{label}: member {member.counts}"
             )
+        fast.append(solution)
+        full.append(unreduced)
 
     if n == 2:
-        _check_binary_agreement(histograms, stats, label)
+        _check_binary_agreement(histograms, stats, label, fast, full)
+    if expected is not None:
+        (sup, cov), (expect_sup, expect_cov) = fast, expected
+        _stat(stats, "targeted-values").record(
+            sup.alpha == expect_sup and cov.alpha == expect_cov,
+            note=f"{label}: got ({sup.alpha},{cov.alpha}) expected ({expect_sup},{expect_cov})",
+        )
 
 
-def _check_binary_agreement(histograms, stats, label) -> None:
+def _check_binary_agreement(histograms, stats, label, fast=None, full=None) -> None:
     """Both solvers on a two-symbol set. A straddling set's closed form
     must agree with the program on the full alphabet (``use_reduction=False``),
     and its member distribution must balance both columns at half the sample
@@ -337,17 +342,21 @@ def _check_binary_agreement(histograms, stats, label) -> None:
     column ``d``, the supporting weight is the point mass on ``d`` at the
     minimum of that column, the covering weight the point mass on the other
     symbol at the maximum of its column, neither flags an alternate optimum,
-    and each member distribution's weighted column reproduces that extreme."""
+    and each member distribution's weighted column reproduces that extreme.
+    The (supporting, covering) pairs ``fast`` and ``full`` (on the full alphabet)
+    are solved here when not given, ``full`` only for a straddling set."""
     tag = classify_binary(histograms)
-    sup_fast, cov_fast = solve_supporting(histograms), solve_covering(histograms)
+    sup_fast, cov_fast = fast or (solve_supporting(histograms), solve_covering(histograms))
     rows = histograms.count_rows()
 
     def weighted(solution, column):
         return sum(d * row[column] for d, row in zip(solution.dual.values, rows))
 
     if tag == MIXED:
-        sup_lp = solve_supporting(histograms, use_reduction=False)
-        cov_lp = solve_covering(histograms, use_reduction=False)
+        sup_lp, cov_lp = full or (
+            solve_supporting(histograms, use_reduction=False),
+            solve_covering(histograms, use_reduction=False),
+        )
         _stat(stats, "binary-alpha-agreement").record(
             sup_fast.alpha == sup_lp.alpha and cov_fast.alpha == cov_lp.alpha,
             note=f"{label}: fast ({sup_fast.alpha},{cov_fast.alpha}) lp ({sup_lp.alpha},{cov_lp.alpha})",
@@ -377,9 +386,7 @@ def _check_binary_agreement(histograms, stats, label) -> None:
             )
     for solution in (sup_fast, cov_fast):
         report = certify(solution, histograms)
-        _stat(stats, "binary-certificates").record(
-            report.passed, violation=report.max_violation, note=label
-        )
+        _stat(stats, "binary-certificates").record(report.passed, violation=report.max_violation, note=label)
 
 
 def binary_sweep(stats: dict[str, PropertyStat], sample_length: int = 10) -> None:
@@ -426,28 +433,19 @@ def run_verification(
     ``max_length >= 1``) ``ValidationError``; the oracle, which runs before
     the solvers, raises ``CapExceeded`` for an instance beyond its caps."""
     _require_sweep_bounds(trials, max_symbols, max_members, max_length)
-    stats: dict[str, PropertyStat] = {}
     if instance is not None:
-        with _certified(stats, "input instance"):
-            check_instance(instance, stats, "input instance")
-        return VerificationReport(seed=seed, trials=0, properties=stats)
-
-    for name, spec, expect_sup, expect_cov in TARGETED:
-        histograms = fixture_set(spec)
-        with _certified(stats, name):
-            check_instance(histograms, stats, name)
-            sup = solve_supporting(histograms)
-            cov = solve_covering(histograms)
-            _stat(stats, "targeted-values").record(
-                sup.alpha == expect_sup and cov.alpha == expect_cov,
-                note=f"{name}: got ({sup.alpha},{cov.alpha}) expected ({expect_sup},{expect_cov})",
-            )
-
-    rng = random.Random(seed)
-    for trial in range(trials):
-        histograms = random_histogram_set(rng, max_symbols, max_members, max_length)
-        with _certified(stats, f"trial {trial}"):
-            check_instance(histograms, stats, f"trial {trial}")
-
-    binary_sweep(stats)
+        trials, labelled = 0, [("input instance", instance, None)]
+    else:
+        rng = random.Random(seed)
+        drawn = (random_histogram_set(rng, max_symbols, max_members, max_length) for _ in range(trials))
+        labelled = chain(
+            ((name, fixture_set(spec), (sup, cov)) for name, spec, sup, cov in TARGETED),
+            ((f"trial {trial}", histograms, None) for trial, histograms in enumerate(drawn)),
+        )
+    stats: dict[str, PropertyStat] = {}
+    for label, histograms, expected in labelled:
+        with _certified(stats, label):
+            check_instance(histograms, stats, label, expected)
+    if instance is None:
+        binary_sweep(stats)
     return VerificationReport(seed=seed, trials=trials, properties=stats)

@@ -252,48 +252,63 @@ class TestClosedFormFactsHold:
 
 
 class TestVerifyBinaryCheck:
-    """``histrel verify``'s binary check: a dominant set is solved once and
-    checked against the closed-form facts, a straddling one against the LP."""
+    """``histrel verify``'s binary check: a dominant set is checked against the
+    closed-form facts, a straddling one against the LP. ``check_instance``
+    hands it the solutions it made (``given``), and it solves nothing; in
+    ``binary_sweep`` it solves both games once, and on the full alphabet only
+    a straddling set. Each test runs both ways."""
 
-    def check(self, monkeypatch, hs, swap=False):
-        lp_solves = []
+    def check(self, monkeypatch, hs, given, supporting=solve_supporting, covering=solve_covering):
+        solves = []
 
-        def counted(*args, **kwargs):
-            if kwargs.get("use_reduction") is False:
-                lp_solves.append(args)
-            return solve_supporting(*args, **kwargs)
+        def counted(solve):
+            def run(*args, **kwargs):
+                solves.append(kwargs.get("use_reduction", True))
+                return solve(*args, **kwargs)
 
-        monkeypatch.setattr(histrel.verify, "solve_supporting", counted)
-        if swap:  # solvers that return the two games' solutions crossed
-            monkeypatch.setattr(histrel.verify, "solve_supporting", solve_covering)
-            monkeypatch.setattr(histrel.verify, "solve_covering", solve_supporting)
+            return run
+
+        solutions = {}
+        if given:
+            solutions["fast"] = supporting(hs), covering(hs)
+            solutions["full"] = (
+                supporting(hs, use_reduction=False),
+                covering(hs, use_reduction=False),
+            )
+        monkeypatch.setattr(histrel.verify, "solve_supporting", counted(supporting))
+        monkeypatch.setattr(histrel.verify, "solve_covering", counted(covering))
         stats = {}
-        histrel.verify._check_binary_agreement(hs, stats, "set")
-        return stats, len(lp_solves)
+        histrel.verify._check_binary_agreement(hs, stats, "set", **solutions)
+        return stats, solves
 
     def test_a_dominant_set_is_checked_against_the_closed_form_facts(self, monkeypatch, e1):
-        stats, lp_solves = self.check(monkeypatch, e1)
-        assert lp_solves == 0
-        assert set(stats) == {"binary-dominant-facts", "binary-certificates", "binary-dual-identity"}
-        assert stats["binary-dominant-facts"].trials == 2
-        assert all(stat.passed for stat in stats.values())
+        for given in (False, True):
+            stats, solves = self.check(monkeypatch, e1, given)
+            assert solves == ([] if given else [True, True])
+            assert set(stats) == {"binary-dominant-facts", "binary-certificates", "binary-dual-identity"}
+            assert stats["binary-dominant-facts"].trials == 2
+            assert all(stat.passed for stat in stats.values())
 
     def test_the_facts_catch_crossed_solutions(self, monkeypatch, e1):
-        stats = self.check(monkeypatch, e1, swap=True)[0]
-        assert stats["binary-dominant-facts"].failures == 2
+        for given in (False, True):
+            # solvers that return the two games' solutions crossed
+            stats = self.check(monkeypatch, e1, given, solve_covering, solve_supporting)[0]
+            assert stats["binary-dominant-facts"].failures == 2
 
     def test_a_straddling_set_is_compared_with_the_lp(self, monkeypatch, e2):
-        stats, lp_solves = self.check(monkeypatch, e2)
-        assert lp_solves == 1
-        assert {"binary-alpha-agreement", "binary-forced-weights"} <= set(stats)
-        assert "binary-dominant-facts" not in stats
-        assert all(stat.passed for stat in stats.values())
+        for given in (False, True):
+            stats, solves = self.check(monkeypatch, e2, given)
+            assert solves == ([] if given else [True, True, False, False])
+            assert {"binary-alpha-agreement", "binary-forced-weights"} <= set(stats)
+            assert "binary-dominant-facts" not in stats
+            assert all(stat.passed for stat in stats.values())
 
     @pytest.mark.parametrize("rows", [[(7, 3), (6, 4)], [(3, 7), (2, 8)]], ids=["zero", "one"])
     def test_both_games_duals_are_checked_on_either_dominant_tag(self, monkeypatch, rows):
-        stats = self.check(monkeypatch, make_set("ab", rows))[0]
-        assert stats["binary-dual-identity"].trials == 2
-        assert stats["binary-dual-identity"].passed
+        for given in (False, True):
+            stats = self.check(monkeypatch, make_set("ab", rows), given)[0]
+            assert stats["binary-dual-identity"].trials == 2
+            assert stats["binary-dual-identity"].passed
 
     def test_the_dual_identity_catches_a_covering_dual_off_the_maximum(self, monkeypatch):
         hs = make_set("ab", [(3, 7), (2, 8)])  # covering: column 0, maximum 3 in member 0
@@ -301,7 +316,6 @@ class TestVerifyBinaryCheck:
         def moved(h, *args, **kwargs):
             return dataclasses.replace(solve_covering(h, *args, **kwargs), dual=DualWeight((0, 1)))
 
-        monkeypatch.setattr(histrel.verify, "solve_covering", moved)
-        stats = {}
-        histrel.verify._check_binary_agreement(hs, stats, "set")
-        assert stats["binary-dual-identity"].failures == 1
+        for given in (False, True):
+            stats = self.check(monkeypatch, hs, given, covering=moved)[0]
+            assert stats["binary-dual-identity"].failures == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from histrel import (
     EmptySet,
     Histogram,
     HistogramSet,
+    ReductionStep,
+    ReductionTrace,
     Sample,
     UnknownSymbol,
     ValidationError,
@@ -27,7 +30,8 @@ from histrel import (
     score_profile,
     solve_profile,
 )
-from histrel.core import FLOAT_EPS, Field, distinct_rows
+from histrel.core import FLOAT_EPS, Field, distinct_rows, require_arithmetic, require_problem_mode
+from histrel.simplex import StandardFormLP
 from histrel.verify import random_histogram_set
 from conftest import pairing
 
@@ -129,6 +133,75 @@ class TestWeight:
     def test_single_symbol_alphabet(self):
         w = Weight.uniform(Alphabet(("only",)))
         assert w.values == (Fraction(1),)
+
+
+class TestValidationBranches:
+    """Each check of a public type's constructor raises with its message."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: require_problem_mode("banana"), ValidationError, "unknown problem mode 'banana'"),
+            (lambda: require_arithmetic("decimal"), ValidationError, "unknown arithmetic mode 'decimal'"),
+            (lambda: Histogram(AB, (1, 1, 1)), ValidationError, "histogram has 3 counts for 2 symbols"),
+            (lambda: Histogram(AB, (0, 0)), ValidationError, "histogram total must be at least 1"),
+            (lambda: HistogramSet(AB, 2, ()), EmptySet, "histogram set has no members"),
+            (
+                lambda: HistogramSet(AB, 0, (Histogram(AB, (1, 1)),)),
+                ValidationError,
+                "sample length must be an integer of at least 1, got 0",
+            ),
+            (
+                lambda: HistogramSet(AB, "2", (Histogram(AB, (1, 1)),)),
+                ValidationError,
+                "sample length must be an integer of at least 1, got '2'",
+            ),
+            (lambda: Weight(AB, (Fraction(1),)), ValidationError, "weight has 1 components for 2 symbols"),
+            (lambda: DualWeight(()), ValidationError, "dual weight needs at least one component"),
+            (lambda: ReductionTrace((), ()), ValidationError, "reduction must leave at least one symbol"),
+            (
+                lambda: ReductionTrace(
+                    (ReductionStep("a", SUPPORTING, 1), ReductionStep("a", SUPPORTING, 2)), ("b",)
+                ),
+                ValidationError,
+                "eliminated symbols must be distinct",
+            ),
+            (
+                lambda: StandardFormLP((1,), (), ()),
+                ValidationError,
+                "program needs at least one constraint row",
+            ),
+            (
+                lambda: StandardFormLP((1, 1), ((1, 1), (1,)), (1, 1)),
+                ValidationError,
+                "constraint rows must match the objective length",
+            ),
+            (
+                lambda: StandardFormLP((1,), ((1,),), (1, 1)),
+                ValidationError,
+                "right-hand side must match the number of rows",
+            ),
+        ],
+        ids=[
+            "problem-mode",
+            "arithmetic",
+            "histogram-length",
+            "histogram-total",
+            "set-members",
+            "set-length",
+            "set-length-type",
+            "weight-length",
+            "dual-empty",
+            "trace-survivor",
+            "trace-repeat",
+            "lp-rows",
+            "lp-ragged",
+            "lp-rhs",
+        ],
+    )
+    def test_each_check_raises_with_its_message(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
 
 
 class TestPairing:

@@ -58,6 +58,8 @@ E1_CSV = "a,a,a,a,a,a,a,b,b,b\na,a,a,a,a,a,b,b,b,b\n"
 E4_CSV = "a,a,a,a,b,c\na,a,a,b,b,c\n"
 STRADDLING_CSV = "a,b,a\nb,b,a\n"  # (2, 1) and (1, 2): both games weigh a and b 1/2 each
 BIG = 10**400  # beyond the float range
+# a set whose first member can become (5, 0, 1) with both solutions still certified
+STALE_DIGEST_ROWS = [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
 # a standard output whose buffer keeps the bytes of a failed write
 KEEPS_FAILED_BYTES = (
     "import io, sys\n"
@@ -524,6 +526,20 @@ class TestProfiles:
         with pytest.raises(CertificationFailure):
             load_profile(str(path))
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_histograms_that_no_longer_match_the_digest_fail_the_load(self, tmp_path, mode):
+        # the edited member still meets both certificates: only the digest tells
+        data = profile_to_json(solve_profile(make_set("abc", STALE_DIGEST_ROWS), mode))
+        data["histograms"][0] = [5, 0, 1]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CertificationFailure, match="stored input_sha256 does not match"):
+            load_profile(str(path))
+        del data["provenance"]  # no stored digest, nothing to compare
+        path.write_text(json.dumps(data))
+        loaded = load_profile(str(path))
+        assert loaded.input_digest == "" and loaded.histograms.count_rows()[0] == (5, 0, 1)
+
     def test_alpha_nudged_below_the_pairing_denominator_fails_the_load(self, tmp_path):
         # the load compares integer pairing numerators over D, the lcm of the
         # weight's denominators, with alpha by cross-multiplying; a stored
@@ -939,6 +955,16 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             self.run("solve", str(hs_path), "--mode", "float", "--tol", "0.1")
         assert exc.value.code == EXIT_CODES["usage"]
+
+    def test_score_of_a_profile_with_a_stale_digest_is_a_certification_failure(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        data = profile_to_json(solve_profile(make_set("abc", STALE_DIGEST_ROWS)))
+        data["histograms"][0] = [5, 0, 1]
+        path.write_text(json.dumps(data))
+        samples = tmp_path / "s.csv"
+        samples.write_text("a,a,b,c,a,a\n")
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["certification-failure"]
+        assert "stored input_sha256 does not match" in self.one_error_line(capsys)
 
     def test_verify_on_a_one_symbol_set(self, tmp_path, capsys):
         path = tmp_path / "hs.json"

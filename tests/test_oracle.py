@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -10,13 +12,24 @@ from hypothesis import given
 import histrel.verify
 from histrel import (
     COVERING,
+    FLOAT,
+    RATIONAL,
     SUPPORTING,
     CapExceeded,
     ValidationError,
     certify,
     make_solution,
+    solve_covering,
+    solve_supporting,
 )
-from histrel.verify import ORACLE_MAX_MEMBERS, ORACLE_MAX_SYMBOLS, oracle_solve, run_verification
+from histrel.cli import build_parser
+from histrel.verify import (
+    ORACLE_MAX_MEMBERS,
+    ORACLE_MAX_SYMBOLS,
+    TARGETED,
+    oracle_solve,
+    run_verification,
+)
 from conftest import histogram_sets, make_set
 
 GRID_MAX_SYMBOLS = 4
@@ -133,13 +146,62 @@ class TestSweepBounds:
 
     def test_the_bounds_themselves_are_accepted(self, monkeypatch):
         checked = []
-        monkeypatch.setattr(histrel.verify, "check_instance", lambda hs, stats, label: checked.append(hs))
+
+        def check(hs, stats, label, expected=None):
+            checked.append((label, expected))
+
+        monkeypatch.setattr(histrel.verify, "check_instance", check)
         monkeypatch.setattr(histrel.verify, "binary_sweep", lambda stats: None)
         report = run_verification(
             1, max_symbols=ORACLE_MAX_SYMBOLS, max_members=ORACLE_MAX_MEMBERS, max_length=1
         )
-        assert report.trials == 1 and len(checked) == 5
+        assert report.trials == 1
+        # the fixtures carry their expected values, a drawn trial none
+        assert checked == [(name, (sup, cov)) for name, _, sup, cov in TARGETED] + [("trial 0", None)]
         assert run_verification(0, max_symbols=2, max_members=1).trials == 0
+
+    def test_the_command_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["verify"])
+        flags = {
+            "trials": "trials",
+            "seed": "seed",
+            "max_symbols": "max_v",
+            "max_members": "max_m",
+            "max_length": "max_t",
+            "instance": "input",
+        }
+        parameters = inspect.signature(run_verification).parameters
+        assert {name: getattr(args, flag) for name, flag in flags.items()} == {
+            name: parameter.default for name, parameter in parameters.items()
+        }
+
+
+class TestEachSetSolvedOnce:
+    """Every check of a set reads that set's own solves: one per game on the
+    default path, one on the full alphabet and one in float."""
+
+    def test_the_default_sweep_solves_no_set_twice(self, monkeypatch):
+        calls = Counter()
+
+        def counted(solve):
+            def run(histograms, arithmetic=RATIONAL, *, use_reduction=True):
+                calls[solve.__name__, histograms, arithmetic, use_reduction] += 1
+                return solve(histograms, arithmetic, use_reduction=use_reduction)
+
+            return run
+
+        for solve in (solve_supporting, solve_covering):
+            monkeypatch.setattr(histrel.verify, solve.__name__, counted(solve))
+        assert run_verification(100, 1).passed
+        assert max(calls.values()) == 1
+        per_game = Counter((game, arithmetic, reduced) for game, _, arithmetic, reduced in calls)
+        # 4 fixtures and 100 trials, then the 121-set binary sweep, which
+        # solves its 71 straddling sets on the full alphabet too
+        assert per_game == {
+            (game, arithmetic, reduced): count
+            for game in ("solve_supporting", "solve_covering")
+            for arithmetic, reduced, count in ((RATIONAL, True, 225), (RATIONAL, False, 175), (FLOAT, True, 104))
+        }
 
 
 class TestOracleGrid:
