@@ -16,6 +16,7 @@ reads the system's solution.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from collections import Counter
@@ -45,6 +46,10 @@ COVERING: ProblemMode = "covering"
 
 #: Absolute tolerance for all float-mode normalization and comparison checks.
 FLOAT_EPS = 1e-9
+
+
+def _float_text(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)  # NaN, Infinity
 
 
 def _as_tuple(values) -> tuple:
@@ -157,13 +162,14 @@ class Field:
         bound = self.tol * scale
         return [i for i, g in enumerate(numerators) if abs(g) <= bound]
 
-    def ratios(self, scaled, value) -> list:
-        """The values ``scaled`` holds divided by ``value``; all None when it is zero."""
+    def ratios(self, scaled, value) -> tuple[list, Number] | None:
+        """The values ``scaled`` holds divided by a positive ``value``, as
+        numerators over one denominator; None when the value is zero."""
         numerators, denominator = scaled
         if self.close(value, self.zero):
-            return [None] * len(numerators)
+            return None
         p, q = self._ratio(value)
-        return [self.quotient(n * q, denominator * p) for n in numerators]
+        return [n * q for n in numerators], denominator * p
 
     def cleared(self, values):
         """Float round-off at or below zero, within the tolerance, as ``+0.0``."""
@@ -176,6 +182,18 @@ class Field:
     def quotient(self, numerator, denominator) -> Number:
         """The number ``numerator / denominator`` of this field."""
         return Fraction(numerator, denominator) if self.exact else numerator / denominator
+
+    def text(self, numerator, denominator) -> str:
+        """The JSON text ``encode`` gives ``numerator / denominator``, with
+        ``denominator > 0``, without building the number: ``str`` of the
+        ``Fraction`` in rational mode, reduced by the gcd, and the float's
+        shortest round-trip form in float mode."""
+        if not self.exact:
+            return _float_text(numerator / denominator)
+        g = math.gcd(numerator, denominator)
+        if g == denominator:
+            return '"%d"' % (numerator // g)
+        return '"%d/%d"' % (numerator // g, denominator // g)
 
     def encode(self, value):
         """JSON form: exact ``p/q`` strings, or shortest round-trip floats.

@@ -13,12 +13,12 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
-import math
 import os
 import re
 import secrets
 import stat
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     COVERING,
@@ -32,6 +32,7 @@ from .core import (
     Number,
     Sample,
     Weight,
+    _float_text,
     build_histogram,
     require_arithmetic,
 )
@@ -109,10 +110,6 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 _escape = json.encoder.encode_basestring_ascii  # json.dumps' string writer (ensure_ascii)
-
-
-def _float_text(value: float) -> str:
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)  # NaN, Infinity
 
 
 # each scalar type's JSON text as json.dumps writes it; for these exact
@@ -505,12 +502,44 @@ class ScoreRow:
 
 @dataclass(frozen=True)
 class ScoreReport:
+    """A batch's scores as columns: each sample's counts (``histograms``),
+    the ``Field.pairings`` of the supporting and the covering weight with
+    them (``relevances``, ``irrelevances``: numerators over one denominator)
+    and the flags. ``rows``, a ``ScoreRow`` per sample, is built on first access."""
+
     alphabet: Alphabet
     sample_length: int
     mode: ArithmeticMode
     alpha_supporting: Number
     alpha_covering: Number
-    rows: tuple[ScoreRow, ...]
+    histograms: tuple[tuple[int, ...], ...]
+    relevances: tuple[list, Number]
+    irrelevances: tuple[list, Number]
+    meets_support: tuple[bool, ...]
+    within_cover: tuple[bool, ...]
+
+    def _columns(self, value, missing):
+        """Each sample's histogram, scores, ratios and flags; a score or ratio is
+        ``value(numerator, denominator)``, and a ratio to a zero value ``missing``."""
+        field = Field.for_mode(self.mode)
+
+        def column(scaled):
+            if scaled is None:
+                return [missing] * len(self.histograms)
+            numerators, denominator = scaled
+            return [value(n, denominator) for n in numerators]
+
+        return zip(
+            self.histograms, column(self.relevances), column(self.irrelevances),
+            column(field.ratios(self.relevances, self.alpha_supporting)),
+            column(field.ratios(self.irrelevances, self.alpha_covering)),
+            self.meets_support, self.within_cover,
+        )
+
+    @cached_property
+    def rows(self) -> tuple[ScoreRow, ...]:
+        columns = self._columns(Field.for_mode(self.mode).quotient, None)
+        return tuple(ScoreRow(i, *row) for i, row in enumerate(columns, start=1))
 
 
 def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
@@ -523,6 +552,7 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     rational mode), so every member of the solved set meets both. Every
     comparison with a value is ``Field``'s, the one the certificates make,
     and is made on the integer numerators of the pairings in rational mode.
+    The report keeps the pairings' numerators; ``ScoreReport.rows`` divides them out.
     """
     solved = profile.histograms
     if samples.alphabet != solved.alphabet:
@@ -537,43 +567,26 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     (sup_gaps, sup_scale), (cov_gaps, cov_scale) = (
         field.gaps(relevances, sup.alpha), field.gaps(irrelevances, cov.alpha)
     )
-    quotient, within = field.quotient, field.within
-    rel_scale, irr_scale = relevances[1], irrelevances[1]
-    columns = zip(
-        counts, relevances[0], irrelevances[0], sup_gaps, cov_gaps,
-        field.ratios(relevances, sup.alpha), field.ratios(irrelevances, cov.alpha),
-    )
-    rows = [
-        ScoreRow(
-            index=i,
-            histogram=histogram,
-            relevance=quotient(relevance, rel_scale),
-            irrelevance=quotient(irrelevance, irr_scale),
-            relevance_ratio=relevance_ratio,
-            irrelevance_ratio=irrelevance_ratio,
-            meets_support=within(-sup_gap, sup_scale),
-            within_cover=within(cov_gap, cov_scale),
-        )
-        for i, (histogram, relevance, irrelevance, sup_gap, cov_gap, relevance_ratio, irrelevance_ratio)
-        in enumerate(columns, start=1)
-    ]
+    within = field.within
     return ScoreReport(
         alphabet=solved.alphabet,
         sample_length=solved.sample_length,
         mode=profile.mode,
         alpha_supporting=sup.alpha,
         alpha_covering=cov.alpha,
-        rows=tuple(rows),
+        histograms=counts,
+        relevances=relevances,
+        irrelevances=irrelevances,
+        meets_support=tuple(within(-gap, sup_scale) for gap in sup_gaps),
+        within_cover=tuple(within(gap, cov_scale) for gap in cov_gaps),
     )
 
 
-def score_report_to_json(report: ScoreReport) -> dict:
+def dumps_score_report(report: ScoreReport) -> str:
+    """``json.dumps(tree, indent=2)`` of the report's tree: the header by
+    ``_json_text``, each sample by one row template from the columns."""
     field = Field.for_mode(report.mode)
-
-    def opt(value):
-        return None if value is None else field.encode(value)
-
-    return {
+    header = _json_text({
         "format": SCORES_FORMAT,
         "mode": report.mode,
         "alphabet": list(report.alphabet.symbols),
@@ -581,24 +594,24 @@ def score_report_to_json(report: ScoreReport) -> dict:
         "alpha_supporting": field.encode(report.alpha_supporting),
         "alpha_covering": field.encode(report.alpha_covering),
         "flags_note": FLAGS_NOTE,
-        "samples": [
-            {
-                "index": row.index,
-                "histogram": list(row.histogram),
-                "relevance": field.encode(row.relevance),
-                "irrelevance": field.encode(row.irrelevance),
-                "relevance_ratio": opt(row.relevance_ratio),
-                "irrelevance_ratio": opt(row.irrelevance_ratio),
-                "meets_support": row.meets_support,
-                "within_cover": row.within_cover,
-            }
-            for row in report.rows
-        ],
-    }
-
-
-def dumps_score_report(report: ScoreReport) -> str:
-    return _json_text(score_report_to_json(report)) + "\n"
+    })
+    row = (
+        '{\n      "index": %d,\n      "histogram": [\n        '
+        + ",\n        ".join(["%d"] * len(report.alphabet))
+        + '\n      ],\n      "relevance": %s,\n      "irrelevance": %s,'
+        '\n      "relevance_ratio": %s,\n      "irrelevance_ratio": %s,'
+        '\n      "meets_support": %s,\n      "within_cover": %s\n    }'
+    )
+    flag = _SCALAR_TEXT[bool]
+    columns = report._columns(field.text, "null")
+    rows = [
+        row % (i, *histogram, *texts, flag(meets), flag(within))
+        for i, (histogram, *texts, meets, within) in enumerate(columns, start=1)
+    ]
+    # the header's closing "\n}" reopens for the samples; one join copies the rows once
+    rows[0] = header[:-2] + ',\n  "samples": [\n    ' + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(rows)
 
 
 def save_score_report(report: ScoreReport, path: str) -> None:

@@ -32,8 +32,10 @@ from histrel import (
     Weight,
     build_histogram,
     ingest_samples,
+    irrelevance_score,
     load_histogram_set,
     load_profile,
+    relevance_score,
     save_histogram_set,
     save_profile,
     score_profile,
@@ -42,6 +44,8 @@ from histrel import (
 from histrel.cli import EXIT_CODES, _exit_code_for, main
 from histrel.core import FLOAT_EPS, Field
 from histrel.io import (
+    FLAGS_NOTE,
+    SCORES_FORMAT,
     _ingest_csv,
     _json_text,
     dumps_histogram_set,
@@ -49,7 +53,6 @@ from histrel.io import (
     dumps_score_report,
     histogram_set_to_json,
     profile_to_json,
-    score_report_to_json,
 )
 from histrel.verify import random_histogram_set
 from conftest import make_set
@@ -443,36 +446,112 @@ class TestIngest:
         assert err.value.filename == path
 
 
-def artifact_trees(histograms, mode) -> list:
-    """The JSON trees of a set, its profile, and the report scoring its own members."""
+def score_report_to_json(report) -> dict:
+    """Reference: the score report's JSON tree, built from ``report.rows``."""
+    field = Field.for_mode(report.mode)
+
+    def opt(value):
+        return None if value is None else field.encode(value)
+
+    return {
+        "format": SCORES_FORMAT,
+        "mode": report.mode,
+        "alphabet": list(report.alphabet.symbols),
+        "sample_length": report.sample_length,
+        "alpha_supporting": field.encode(report.alpha_supporting),
+        "alpha_covering": field.encode(report.alpha_covering),
+        "flags_note": FLAGS_NOTE,
+        "samples": [
+            {
+                "index": row.index,
+                "histogram": list(row.histogram),
+                "relevance": field.encode(row.relevance),
+                "irrelevance": field.encode(row.irrelevance),
+                "relevance_ratio": opt(row.relevance_ratio),
+                "irrelevance_ratio": opt(row.irrelevance_ratio),
+                "meets_support": row.meets_support,
+                "within_cover": row.within_cover,
+            }
+            for row in report.rows
+        ],
+    }
+
+
+def assert_written_as_json_dumps(histograms, mode) -> dict:
+    """A set, its profile and the report scoring its own members are each
+    written as ``json.dumps(tree, indent=2)``; returns the report's reference tree."""
     profile = solve_profile(histograms, mode)
+    for tree in (histogram_set_to_json(histograms), profile_to_json(profile)):
+        assert _json_text(tree) == json.dumps(tree, indent=2)
     report = score_profile(profile, histograms)
-    return [histogram_set_to_json(histograms), profile_to_json(profile), score_report_to_json(report)]
+    reference = score_report_to_json(report)
+    assert dumps_score_report(report) == json.dumps(reference, indent=2) + "\n"
+    return reference
+
+
+# sets at |T| = 10**12, whose scores, ratios and ratio operands are large
+# integers: weights with 13-digit denominators, which float mode does not
+# certify at this size, and point masses, which it does
+HUGE_T_SETS = {
+    "mixed": [
+        (6 * 10**11 + 7, 10**11 - 3, 3 * 10**11 - 4),
+        (10**11 + 5, 6 * 10**11 - 2, 3 * 10**11 - 3),
+        (4 * 10**11 + 3, 4 * 10**11 - 1, 2 * 10**11 - 2),
+    ],
+    "dominant": [
+        (715680001258, 259353632337, 24966366405),
+        (749007359810, 201227384192, 49765255998),
+        (988686302384, 5568204335, 5745493281),
+        (836788579369, 81888079603, 81323341028),
+    ],
+}
 
 
 class TestWriter:
-    """The artifact writer is ``json.dumps(tree, indent=2)``, byte for byte."""
+    """The artifact writers are ``json.dumps(tree, indent=2)``, byte for byte."""
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_fixture_and_random_sets(self, mode, e1, e2, e3, e4):
         sets = [e1, e2, e3, e4] + [random_histogram_set(random.Random(seed)) for seed in range(300)]
         for histograms in sets:
-            for tree in artifact_trees(histograms, mode):
-                assert _json_text(tree) == json.dumps(tree, indent=2)
+            assert_written_as_json_dumps(histograms, mode)
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_escaped_labels(self, mode):
         alphabet = Alphabet(('q"uote', "back\\slash", "in\tner", "é", "字"))
         histograms = HistogramSet.from_counts(alphabet, [(3, 1, 0, 2, 1), (0, 2, 2, 1, 2)])
-        for tree in artifact_trees(histograms, mode):
-            assert _json_text(tree) == json.dumps(tree, indent=2)
+        assert_written_as_json_dumps(histograms, mode)
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_null_ratios_at_a_zero_covering_value(self, mode):
-        trees = artifact_trees(make_set("ab", [(6, 0)]), mode)
-        assert trees[2]["samples"][0]["irrelevance_ratio"] is None
-        for tree in trees:
-            assert _json_text(tree) == json.dumps(tree, indent=2)
+        tree = assert_written_as_json_dumps(make_set("ab", [(6, 0)]), mode)
+        assert tree["samples"][0]["irrelevance_ratio"] is None
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_null_ratios_at_a_round_off_zero_covering_value(self, mode):
+        histograms = make_set(
+            "abcdef", [(0, 2, 1, 0, 1, 0), (1, 1, 0, 1, 1, 0), (3, 0, 1, 0, 0, 0), (0, 2, 1, 1, 0, 0)]
+        )
+        tree = assert_written_as_json_dumps(histograms, mode)
+        assert all(row["irrelevance_ratio"] is None for row in tree["samples"])
+        assert all(row["relevance_ratio"] is not None for row in tree["samples"])
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_integer_and_zero_scores(self, mode, e1, e2):
+        five = score_profile(solve_profile(e2, mode), make_set("ab", [(i, 10 - i) for i in range(11)]))
+        zero = score_profile(solve_profile(e1, mode), make_set("ab", [(0, 10), (10, 0)]))
+        for report, score in ((five, '"5"'), (zero, '"0"')):
+            text = dumps_score_report(report)
+            assert text == json.dumps(score_report_to_json(report), indent=2) + "\n"
+            assert mode == "float" or f'"relevance": {score},' in text
+
+    @pytest.mark.parametrize(
+        "name, mode", [("mixed", "rational"), ("dominant", "rational"), ("dominant", "float")]
+    )
+    def test_a_set_at_a_huge_sample_length(self, name, mode):
+        tree = assert_written_as_json_dumps(make_set("abc", HUGE_T_SETS[name]), mode)
+        if mode == "rational":
+            assert max(len(row["relevance_ratio"]) for row in tree["samples"]) > 24
 
     def test_scalars_and_empty_containers(self):
         tree = {
@@ -659,6 +738,33 @@ class TestScoring:
             sup, cov = profile.supporting, profile.covering
             assert sup.tight_members == tuple(i for i, r in enumerate(rows) if r.relevance == sup.alpha)
             assert cov.tight_members == tuple(i for i, r in enumerate(rows) if r.irrelevance == cov.alpha)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_rows_hold_the_scores_ratios_and_flags(self, mode):
+        tol = 0 if mode == "rational" else FLOAT_EPS
+
+        def ratio(score, alpha):
+            if abs(alpha) <= tol:
+                return None
+            return Fraction(score, alpha) if mode == "rational" else score / alpha
+
+        for seed in range(300):
+            hs = random_histogram_set(random.Random(seed))
+            profile = solve_profile(hs, mode)
+            sup, cov = profile.supporting, profile.covering
+            report = score_profile(profile, hs)
+            assert report.rows is report.rows
+            assert [row.index for row in report.rows] == list(range(1, len(hs.members) + 1))
+            for row, sample in zip(report.rows, hs.members, strict=True):
+                relevance = relevance_score(sample, sup.weight)
+                irrelevance = irrelevance_score(sample, cov.weight)
+                assert row.histogram == sample.counts
+                assert repr(row.relevance) == repr(relevance)
+                assert repr(row.irrelevance) == repr(irrelevance)
+                assert repr(row.relevance_ratio) == repr(ratio(relevance, sup.alpha))
+                assert repr(row.irrelevance_ratio) == repr(ratio(irrelevance, cov.alpha))
+                assert row.meets_support == (sup.alpha - relevance <= tol)
+                assert row.within_cover == (irrelevance - cov.alpha <= tol)
 
     def test_float_profiles_flag_every_own_member(self):
         # float values carry rounding error; the flags accept what certify accepts
