@@ -22,6 +22,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import Iterable, Literal, Sequence, Union
@@ -424,6 +425,13 @@ class HistogramSet:
 
     def count_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(m.counts for m in self.members)
+
+    @cached_property
+    def _row_texts(self) -> tuple[str, ...]:
+        """Each member's counts as compact decimal text, ``"7,3"``: the one
+        conversion of the counts that the digest and the writers share."""
+        template = ",".join(["%d"] * len(self.alphabet))
+        return tuple(template % m.counts for m in self.members)
 
 
 def distinct_rows(rows: Sequence[Sequence]) -> tuple[tuple[tuple, ...], tuple[int, ...]]:

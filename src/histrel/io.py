@@ -6,6 +6,10 @@ artifacts are JSON. Rational values serialize as exact ``p/q`` strings,
 floats as shortest round-trip decimals, so rational-mode files round-trip
 bit-exactly. All file writes are whole-file atomic and otherwise write as
 ``open(path, "w")`` does.
+
+A histogram set's counts become decimal text once, one compact row text per
+member (``HistogramSet._row_texts``): the ``input_sha256`` digest and the
+histogram-set and profile writers are all built from those texts.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 import re
 import secrets
 import stat
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,9 +117,14 @@ def atomic_write_text(path: str, text: str) -> None:
 _escape = json.encoder.encode_basestring_ascii  # json.dumps' string writer (ensure_ascii)
 
 
-# each scalar type's JSON text as json.dumps writes it; for these exact
-# types repr is int.__repr__ and float.__repr__
+class _JsonText(str):
+    """JSON text that ``_json_text`` writes as it stands, already indented for its place."""
+
+
+# each scalar type's JSON text as json.dumps writes it, and a _JsonText's
+# own text; for these exact types repr is int.__repr__ and float.__repr__
 _SCALAR_TEXT = {
+    _JsonText: str,
     str: _escape,
     int: repr,
     float: _float_text,
@@ -238,13 +248,28 @@ def histogram_set_from_json(obj: dict) -> HistogramSet:
         raise
 
 
+def _dumps_with_rows(tree: dict, histograms: HistogramSet) -> str:
+    """``json.dumps(tree, indent=2) + "\n"`` of a tree whose top-level
+    ``"histograms"`` are ``histograms``' counts, written from its row texts."""
+    rows = [row.replace(",", ",\n      ") for row in histograms._row_texts]
+    block = "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+    tree["histograms"] = _JsonText(block)
+    return _json_text(tree) + "\n"
+
+
 def dumps_histogram_set(histograms: HistogramSet) -> str:
-    return _json_text(histogram_set_to_json(histograms)) + "\n"
+    return _dumps_with_rows(histogram_set_to_json(histograms), histograms)
 
 
 def digest_histogram_set(histograms: HistogramSet) -> str:
-    canonical = json.dumps(histogram_set_to_json(histograms), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 of the set's canonical JSON text, ``json.dumps(histogram_set_to_json(h),
+    sort_keys=True, separators=(",", ":"))``, written from the row texts."""
+    canonical = (
+        '{"alphabet":' + json.dumps(histograms.alphabet.symbols, separators=(",", ":"))
+        + ',"histograms":[[' + "],[".join(histograms._row_texts)
+        + ']],"sample_length":%d}' % histograms.sample_length
+    )
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 def save_histogram_set(histograms: HistogramSet, path: str) -> None:
@@ -256,6 +281,9 @@ def _parse_json_text(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except ValueError:  # int() refuses a literal longer than its digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(None, f"invalid JSON: an integer has more than {limit} digits") from None
 
 
 def load_histogram_set(path: str) -> HistogramSet:
@@ -472,7 +500,7 @@ def profile_from_json(obj: dict) -> WeightProfile:
 
 
 def dumps_profile(profile: WeightProfile) -> str:
-    return _json_text(profile_to_json(profile)) + "\n"
+    return _dumps_with_rows(profile_to_json(profile), profile.histograms)
 
 
 def save_profile(profile: WeightProfile, path: str) -> None:

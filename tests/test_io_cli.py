@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
 
@@ -44,10 +45,12 @@ from histrel import (
 from histrel.cli import EXIT_CODES, _exit_code_for, main
 from histrel.core import FLOAT_EPS, Field
 from histrel.io import (
+    _SCALAR_TEXT,
     FLAGS_NOTE,
     SCORES_FORMAT,
     _ingest_csv,
     _json_text,
+    digest_histogram_set,
     dumps_histogram_set,
     dumps_profile,
     dumps_score_report,
@@ -477,12 +480,23 @@ def score_report_to_json(report) -> dict:
     }
 
 
+def canonical_digest(histograms) -> str:
+    """Reference: the SHA-256 of the set's tree by ``json.dumps``, keys sorted, compact."""
+    canonical = json.dumps(histogram_set_to_json(histograms), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def assert_written_as_json_dumps(histograms, mode) -> dict:
     """A set, its profile and the report scoring its own members are each
-    written as ``json.dumps(tree, indent=2)``; returns the report's reference tree."""
+    written as ``json.dumps(tree, indent=2)``, and the set's digest is the
+    reference's; returns the report's reference tree."""
     profile = solve_profile(histograms, mode)
-    for tree in (histogram_set_to_json(histograms), profile_to_json(profile)):
-        assert _json_text(tree) == json.dumps(tree, indent=2)
+    assert digest_histogram_set(histograms) == profile.input_digest == canonical_digest(histograms)
+    for text, tree in (
+        (dumps_histogram_set(histograms), histogram_set_to_json(histograms)),
+        (dumps_profile(profile), profile_to_json(profile)),
+    ):
+        assert text == json.dumps(tree, indent=2) + "\n"
     report = score_profile(profile, histograms)
     reference = score_report_to_json(report)
     assert dumps_score_report(report) == json.dumps(reference, indent=2) + "\n"
@@ -491,8 +505,10 @@ def assert_written_as_json_dumps(histograms, mode) -> dict:
 
 # sets at |T| = 10**12, whose scores, ratios and ratio operands are large
 # integers: weights with 13-digit denominators, which float mode does not
-# certify at this size, and point masses, which it does
+# certify at this size, and point masses, which it does; and a rational set
+# whose 401-digit counts no double holds
 HUGE_T_SETS = {
+    "beyond-float": [(BIG, BIG, 1), (BIG + 1, BIG - 1, 1)],
     "mixed": [
         (6 * 10**11 + 7, 10**11 - 3, 3 * 10**11 - 4),
         (10**11 + 5, 6 * 10**11 - 2, 3 * 10**11 - 3),
@@ -523,6 +539,15 @@ class TestWriter:
         assert_written_as_json_dumps(histograms, mode)
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize(
+        "labels, rows",
+        [("a", [(5,)]), ("a", [(5,), (5,)]), ("abc", [(3, 1, 2)])],
+        ids=["one-symbol-one-member", "one-symbol", "one-member"],
+    )
+    def test_one_symbol_and_one_member_sets(self, mode, labels, rows):
+        assert_written_as_json_dumps(make_set(labels, rows), mode)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_null_ratios_at_a_zero_covering_value(self, mode):
         tree = assert_written_as_json_dumps(make_set("ab", [(6, 0)]), mode)
         assert tree["samples"][0]["irrelevance_ratio"] is None
@@ -546,7 +571,13 @@ class TestWriter:
             assert mode == "float" or f'"relevance": {score},' in text
 
     @pytest.mark.parametrize(
-        "name, mode", [("mixed", "rational"), ("dominant", "rational"), ("dominant", "float")]
+        "name, mode",
+        [
+            ("mixed", "rational"),
+            ("dominant", "rational"),
+            ("dominant", "float"),
+            ("beyond-float", "rational"),
+        ],
     )
     def test_a_set_at_a_huge_sample_length(self, name, mode):
         tree = assert_written_as_json_dumps(make_set("abc", HUGE_T_SETS[name]), mode)
@@ -671,6 +702,34 @@ class TestProfiles:
         calls.clear()
         load_profile(str(path))
         assert calls == [symbols, members] * 2
+
+    @pytest.mark.parametrize("name", ["e3", "e4"])
+    def test_solve_and_write_format_each_count_once(self, monkeypatch, request, name):
+        histograms = request.getfixturevalue(name)
+        formatted = []
+        row_texts = HistogramSet._row_texts.func
+
+        def counted(histogram_set):
+            formatted.append(len(histogram_set.members))
+            return row_texts(histogram_set)
+
+        texts = cached_property(counted)
+        texts.__set_name__(HistogramSet, "_row_texts")
+        monkeypatch.setattr(HistogramSet, "_row_texts", texts)
+        written = []
+        monkeypatch.setitem(_SCALAR_TEXT, int, lambda n: written.append(n) or repr(n))
+        profile = solve_profile(histograms)
+        text = dumps_profile(profile)
+        # the digest formats each member once, and the writer reuses those texts
+        assert formatted == [len(histograms.members)]
+        # the generic writer writes the sample length, the tight sets and the
+        # pass indices as integers, and no count
+        solutions = (profile.supporting, profile.covering)
+        assert len(written) == 1 + sum(
+            len(s.tight_members) + len(s.tight_symbols) + len(s.reduction_trace.steps)
+            for s in solutions
+        )
+        assert text == json.dumps(profile_to_json(profile), indent=2) + "\n"
 
     def test_float_profile_round_trips(self, tmp_path, e4):
         profile = solve_profile(e4, "float")
@@ -1306,6 +1365,30 @@ class TestCli:
         # a profile file is also a histogram file of its own members
         assert self.run("score", str(path), str(path)) == EXIT_CODES["numerical-failure"]
         assert "rational" in capsys.readouterr().err
+
+    def test_an_integer_beyond_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        huge = "1" + "0" * 5000  # longer than int() reads from text by default
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"alphabet": ["a", "b"], "sample_length": 2%s, "histograms": [[%s, %s]]}'
+            % (huge[1:], huge, huge)
+        )
+        for command in ("solve", "ingest"):
+            assert self.run(command, str(path)) == EXIT_CODES["parse"]
+            err = capsys.readouterr().err
+            assert "invalid JSON: an integer has more than" in err
+            assert "read as histogram JSON" in err
+
+    def test_a_profile_holding_an_integer_beyond_the_digit_limit_is_a_parse_error(
+        self, tmp_path, capsys, e4
+    ):
+        text = dumps_profile(solve_profile(e4))
+        path = tmp_path / "p.json"
+        path.write_text(text.replace('"sample_length": 6', '"sample_length": 6' + "0" * 5000, 1))
+        samples = tmp_path / "e4.csv"
+        samples.write_text(E4_CSV)
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
+        assert "invalid JSON: an integer has more than" in capsys.readouterr().err
 
     def test_invalid_environment_mode_is_a_usage_error(self, tmp_path, monkeypatch, capsys, e1):
         hs_path = tmp_path / "hs.json"

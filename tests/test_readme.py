@@ -1,7 +1,9 @@
-"""README claims that code can check: the library example and the exit codes."""
+"""README claims that code can check: the library example, the canonical
+input of ``input_sha256`` and the exit codes."""
 
 from __future__ import annotations
 
+import hashlib
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import histrel.errors
 from histrel.cli import EXIT_CODES, _exit_code_for
 from histrel.errors import HistrelError
+from histrel.io import digest_histogram_set, load_histogram_set
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -36,6 +39,16 @@ def test_the_library_example_computes_what_its_comments_state():
             assert eval(expression, namespace) == eval(value, {"Fraction": Fraction}), line
         checked += bool(solved or scored)
     assert checked == 4
+
+
+def test_the_stated_canonical_input_is_what_input_sha256_hashes(tmp_path):
+    formats = section("### File formats")
+    example = re.search(r"```json\n(.*?)\n```", formats, re.S).group(1)
+    canonical = re.search(r"`(\{\"alphabet\":[^`]*)`", formats).group(1)
+    path = tmp_path / "set.json"
+    path.write_text(example)
+    expected = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+    assert digest_histogram_set(load_histogram_set(str(path))) == expected
 
 
 def table_codes() -> list[int]:
