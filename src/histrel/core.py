@@ -433,6 +433,13 @@ class HistogramSet:
         template = ",".join(["%d"] * len(self.alphabet))
         return tuple(template % m.counts for m in self.members)
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Each symbol's counts over the members: the one transposition of
+        the counts that the reduction, the certificate and the one-survivor
+        dual share."""
+        return tuple(zip(*self.count_rows()))
+
 
 def distinct_rows(rows: Sequence[Sequence]) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """Collapse duplicate rows, keeping first-occurrence order.

@@ -12,9 +12,11 @@ over the rows and the columns of ``P``. The count matrix is shifted by one
 or subtracted from one more than its largest count to make ``P`` positive.
 The returned weight is zero-padded back to the full alphabet, and the member
 distribution certifies the value by complementary slackness. Two shortcuts
-skip the program: a reduction that leaves one symbol, and one that leaves
-both symbols of a two-symbol set, whose members then straddle the middle
-and which the even weight solves at half the sample length.
+skip the program: a reduction that leaves one symbol, whose smallest
+(covering: largest) count is the value and whose dual is the point mass on
+the first member with that count, and one that leaves both symbols of a
+two-symbol set, whose members then straddle the middle and which the even
+weight solves at half the sample length.
 ``make_solution`` is where every solution is certified: it and ``certify``
 share one computation, in which one pairing of the weight with every member
 gives the tight sets and the certificate, each a comparison of a pairing
@@ -229,28 +231,31 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
     else:
         restricted, trace = histograms.count_rows(), empty_trace(alphabet.symbols)
     surviving = [alphabet.index(s) for s in trace.surviving]
-    unique_rows, origins = distinct_rows(restricted)
 
     if len(surviving) == 1:
-        extreme = min if problem == SUPPORTING else max
-        best, dual_unique = _extreme_mass(unique_rows, extreme, field)
+        column = histograms._columns[surviving[0]]
+        best = (min if problem == SUPPORTING else max)(column)
         # The simplex is a point: the value is the extreme count there, and
         # every optimal weight of the original problem is the point mass.
+        # The dual is the point mass on the first member with that count.
         alpha, weight_values, alternate = field.of(best), (field.one,), False
-    elif use_reduction and len(alphabet) == 2:
-        # Both symbols survive exactly when the members straddle the middle:
-        # the even weight pairs to half the sample length with every member,
-        # and it is the only optimum exactly when both strict straddle
-        # directions occur.
-        alpha, weight_values = field.of(histograms.sample_length) / 2, (field.share(2),) * 2
-        dual_unique = _balance_dual(unique_rows, alpha, field)
-        alternate = not (
-            any(a > b for a, b in unique_rows) and any(b > a for a, b in unique_rows)
-        )
+        dual_values = [field.zero] * len(column)
+        dual_values[column.index(best)] = field.one
     else:
-        alpha, weight_values, dual_unique, alternate = _solve_lp(unique_rows, problem, field)
-
-    dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), field)
+        unique_rows, origins = distinct_rows(restricted)
+        if use_reduction and len(alphabet) == 2:
+            # Both symbols survive exactly when the members straddle the
+            # middle: the even weight pairs to half the sample length with
+            # every member, and it is the only optimum exactly when both
+            # strict straddle directions occur.
+            alpha, weight_values = field.of(histograms.sample_length) / 2, (field.share(2),) * 2
+            dual_unique = _balance_dual(unique_rows, alpha, field)
+            alternate = not (
+                any(a > b for a, b in unique_rows) and any(b > a for a, b in unique_rows)
+            )
+        else:
+            alpha, weight_values, dual_unique, alternate = _solve_lp(unique_rows, problem, field)
+        dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), field)
     weight = _built(problem, "weight-simplex", _padded_weight, weight_values, surviving, alphabet, field)
     dual = _built(problem, "dual-simplex", DualWeight, dual_values, arithmetic)
     return make_solution(
@@ -335,16 +340,6 @@ def _balance_dual(rows, half, field: Field) -> tuple:
     return tuple(values)
 
 
-def _extreme_mass(unique_rows, extreme, field: Field):
-    """Uniform mass on the distinct one-symbol rows attaining the ``extreme``
-    (``min`` or ``max``) count; returns that count and the mass per distinct
-    row."""
-    counts = [row[0] for row in unique_rows]
-    best = extreme(counts)
-    share = field.share(counts.count(best))
-    return best, tuple(share if v == best else field.zero for v in counts)
-
-
 def _padded_weight(values, surviving, alphabet, field):
     full = [field.zero] * len(alphabet)
     for pos, j in enumerate(surviving):
@@ -407,7 +402,7 @@ def _certified(alpha, weight, dual, histograms, problem):
     # the supporting claims flip for covering: min/max swap and so do the signs
     sign = 1 if problem == SUPPORTING else -1
     first, last = (min, max) if sign == 1 else (max, min)
-    column_gaps, column_scale = field.gaps(field.pairings(dual_scaled, zip(*rows)), alpha)
+    column_gaps, column_scale = field.gaps(field.pairings(dual_scaled, histograms._columns), alpha)
     primal_gap, dual_gap = first(member_gaps), last(column_gaps)
     add("primal-feasibility", max(-sign * primal_gap, 0), member_scale)
     add("value-equality-primal", abs(primal_gap), member_scale)

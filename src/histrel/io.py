@@ -284,6 +284,8 @@ def _parse_json_text(text: str):
     except ValueError:  # int() refuses a literal longer than its digit limit
         limit = sys.get_int_max_str_digits()
         raise ParseError(None, f"invalid JSON: an integer has more than {limit} digits") from None
+    except RecursionError:
+        raise ParseError(None, "invalid JSON: nested too deeply") from None
 
 
 def load_histogram_set(path: str) -> HistogramSet:

@@ -6,7 +6,11 @@ covering problem drops symbols strictly above that average. Elimination is
 re-applied to the restricted functions until nothing qualifies or a single
 symbol remains, and the restricted problem has the same value and the same
 optimal weights (zero-extended) as the original. ``_removable`` is the one
-threshold test; ``reduce_fixpoint`` runs it.
+threshold test; ``reduce_fixpoint`` runs it on the set's columns. A column
+whose largest count (covering: smallest) passes against the smallest member
+total (covering: largest) passes in every member, so only the columns that
+pass in the first member and that this extreme-count bound does not decide
+are scanned member by member.
 """
 
 from __future__ import annotations
@@ -63,12 +67,19 @@ def _removable(columns, totals, problem: ProblemMode) -> list[int]:
     A count ``c`` lies strictly below the average of the other ``n - 1``
     components of its row, ``c * (n - 1) < total - c``, exactly when
     ``c * n < total``, with ``n = len(columns)`` and ``total`` the row's sum
-    over all ``columns``; covering mode tests ``c * n > total``.
+    over all ``columns``; covering mode tests ``c * n > total``. A column
+    that passes in the first row and whose largest count ``c`` has
+    ``c * n < min(totals)`` (covering: whose smallest has
+    ``c * n > max(totals)``) passes in every row; only the other columns
+    that pass in the first row are tested row by row.
     """
-    passes = lt if problem == SUPPORTING else gt
+    passes, extreme, bound = (lt, max, min(totals)) if problem == SUPPORTING else (gt, min, max(totals))
     n = len(columns)
     return [
-        w for w, column in enumerate(columns) if all(map(passes, map(mul, column, repeat(n)), totals))
+        w
+        for w, column in enumerate(columns)
+        if passes(column[0] * n, totals[0])
+        and (passes(extreme(column) * n, bound) or all(map(passes, map(mul, column, repeat(n)), totals)))
     ]
 
 
@@ -87,7 +98,7 @@ def reduce_fixpoint(
     """
     require_problem_mode(problem)
     symbols = histograms.alphabet.symbols
-    columns = list(zip(*histograms.count_rows()))
+    columns = histograms._columns
     totals = [histograms.sample_length] * len(histograms.members)
     current = list(range(len(symbols)))
     steps: list[ReductionStep] = []
@@ -98,9 +109,8 @@ def reduce_fixpoint(
             break
         pass_index += 1
         removed = [current[pos] for pos in removable]
-        for j in removed:
-            steps.append(ReductionStep(symbols[j], problem, pass_index))
-            totals = list(map(sub, totals, columns[j]))
+        steps += [ReductionStep(symbols[j], problem, pass_index) for j in removed]
+        totals = list(map(sub, totals, map(sum, zip(*(columns[j] for j in removed)))))
         current = [j for j in current if j not in removed]
         if not current:  # cannot happen: summing the strict tests contradicts itself
             raise ValidationError("reduction emptied the alphabet")

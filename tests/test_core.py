@@ -108,6 +108,15 @@ class TestHistogramSet:
         with pytest.raises(AlphabetMismatch):
             HistogramSet(AB, 3, (member,))
 
+    @pytest.mark.parametrize(
+        "labels, rows",
+        [("ab", [(7, 3)]), ("a", [(5,), (5,), (5,)]), ("a", [(2,)]), ("abc", [(4, 1, 1), (3, 2, 1)])],
+    )
+    def test_columns_are_the_transposed_count_rows(self, labels, rows):
+        histograms = HistogramSet.from_counts(Alphabet(tuple(labels)), rows)
+        assert histograms._columns == tuple(zip(*histograms.count_rows()))
+        assert histograms._columns is histograms._columns
+
     def test_distinct_rows_keeps_first_occurrences(self):
         unique, origins = distinct_rows([(7, 3), (6, 4), (7, 3)])
         assert unique == ((7, 3), (6, 4))

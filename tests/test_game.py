@@ -98,6 +98,44 @@ class TestDuals:
         assert solution.tight_members == (1, 2)
         assert certify(solution, hs).passed
 
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_one_survivor_dual_is_the_point_mass_on_the_first_extreme_member(self, arithmetic):
+        # supporting keeps a, whose smallest count 6 first sits in member 1;
+        # member 3 repeats member 1 and member 4 ties it
+        hs = make_set("abc", [(8, 1, 1), (6, 3, 1), (7, 2, 1), (6, 3, 1), (6, 2, 2)])
+        solution = solve_supporting(hs, arithmetic)
+        assert solution.reduction_trace.surviving == ("a",)
+        assert (solution.alpha, solution.dual.values) == (6, (0, 1, 0, 0, 0))
+        assert solution.tight_members == (1, 3, 4)
+        # covering keeps a, whose largest count 2 first sits in member 1
+        hs = make_set("abc", [(0, 9, 1), (2, 5, 3), (1, 6, 3), (2, 5, 3), (2, 4, 4)])
+        solution = solve_covering(hs, arithmetic)
+        assert solution.reduction_trace.surviving == ("a",)
+        assert (solution.alpha, solution.dual.values) == (2, (0, 1, 0, 0, 0))
+        assert solution.tight_members == (1, 3, 4)
+        # without the reduction a one-symbol alphabet is the same shortcut
+        hs = make_set("a", [(5,), (5,), (5,)])
+        for solve in (solve_supporting, solve_covering):
+            for use_reduction in (True, False):
+                solution = solve(hs, arithmetic, use_reduction=use_reduction)
+                assert solution.dual.values == (1, 0, 0)
+                assert type(solution.dual.values[0]) is Field.for_mode(arithmetic).of
+
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_every_one_survivor_dual_sits_on_the_first_extreme_member(self, arithmetic):
+        ties = 0
+        for seed in range(300):
+            hs = _with_duplicates(seed)
+            for solve, extreme in ((solve_supporting, min), (solve_covering, max)):
+                solution = solve(hs, arithmetic)
+                if len(solution.reduction_trace.surviving) != 1:
+                    continue
+                column = hs._columns[hs.alphabet.index(solution.reduction_trace.surviving[0])]
+                first = column.index(extreme(column))
+                assert solution.dual.values == tuple(int(i == first) for i in range(len(column)))
+                ties += column.count(column[first]) > 1
+        assert ties >= 50  # duplicates and ties put the extreme count in several members
+
     def test_extract_dual_from_a_raw_simplex_result(self):
         from histrel.game import extract_dual, simplex_optimize, supporting_lp
 

@@ -64,6 +64,7 @@ E1_CSV = "a,a,a,a,a,a,a,b,b,b\na,a,a,a,a,a,b,b,b,b\n"
 E4_CSV = "a,a,a,a,b,c\na,a,a,b,b,c\n"
 STRADDLING_CSV = "a,b,a\nb,b,a\n"  # (2, 1) and (1, 2): both games weigh a and b 1/2 each
 BIG = 10**400  # beyond the float range
+NESTED = "[" * 100_000 + "]" * 100_000  # deeper than json.loads recurses
 # a set whose first member can become (5, 0, 1) with both solutions still certified
 STALE_DIGEST_ROWS = [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
 # a standard output whose buffer keeps the bytes of a failed write
@@ -1389,6 +1390,24 @@ class TestCli:
         samples.write_text(E4_CSV)
         assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
         assert "invalid JSON: an integer has more than" in capsys.readouterr().err
+
+    def test_json_nested_too_deeply_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text('{"alphabet": %s, "sample_length": 1, "histograms": [[1]]}' % NESTED)
+        for command in ("solve", "ingest"):
+            assert self.run(command, str(path)) == EXIT_CODES["parse"]
+            err = capsys.readouterr().err
+            assert "invalid JSON: nested too deeply" in err
+            assert "read as histogram JSON" in err
+
+    def test_a_profile_nested_too_deeply_is_a_parse_error(self, tmp_path, capsys, e4):
+        text = dumps_profile(solve_profile(e4))
+        path = tmp_path / "p.json"
+        path.write_text(text.replace('"sample_length": 6', '"sample_length": ' + NESTED, 1))
+        samples = tmp_path / "e4.csv"
+        samples.write_text(E4_CSV)
+        assert self.run("score", str(path), str(samples)) == EXIT_CODES["parse"]
+        assert "invalid JSON: nested too deeply" in capsys.readouterr().err
 
     def test_invalid_environment_mode_is_a_usage_error(self, tmp_path, monkeypatch, capsys, e1):
         hs_path = tmp_path / "hs.json"

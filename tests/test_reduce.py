@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import operator
 import random
 import string
@@ -172,3 +173,84 @@ class TestFixpointMatchesOnePassAtATime:
         assert trace.surviving == ("d",)
         assert rows == ((5,), (6,))
         assert (rows, trace) == _reference_fixpoint(histograms, SUPPORTING)
+
+
+def _tall_staircase_set(seed: int):
+    """300 members over 26 symbols at ``|T| = 10**6``, with probabilities
+    proportional to ``1.2 ** rank``. Each member is a chain of conditional
+    binomials, each from its normal approximation, clamped to what is left:
+    drawing 10**6 symbols one by one is too slow."""
+    rng = random.Random(seed)
+    weights = [1.2**rank for rank in rng.sample(range(26), 26)]
+    rows = []
+    for _ in range(300):
+        left, mass, counts = 10**6, math.fsum(weights), []
+        for p in weights[:-1]:
+            q = min(1.0, p / mass)
+            draw = round(rng.gauss(left * q, math.sqrt(left * q * (1.0 - q))))
+            counts.append(min(max(draw, 0), left))
+            left, mass = left - counts[-1], mass - p
+        rows.append((*counts, left))
+    return make_set(string.ascii_lowercase, rows)
+
+
+class TestExtremeCountBound:
+    """A column whose largest count ``c`` has ``c * n`` below the smallest
+    member total (covering: whose smallest count has it above the largest
+    total) is removed outright; every other column is tested row by row."""
+
+    def test_supporting_bound_at_the_smallest_total_falls_through_to_the_scan(self):
+        # pass 1 removes b and c, leaving totals (5, 4) over (a, d); a's
+        # largest count gives 2 * 2 == 4, the smallest total, and the scan
+        # finds row 2 at 4 == 4, so a stays
+        histograms = make_set("abcd", [(1, 0, 1, 4), (2, 1, 1, 2)])
+        rows, trace = reduce_fixpoint(histograms, SUPPORTING)
+        assert [(s.symbol, s.pass_index) for s in trace.steps] == [("b", 1), ("c", 1)]
+        assert trace.surviving == ("a", "d")
+        assert (rows, trace) == _reference_fixpoint(histograms, SUPPORTING)
+        # here a's 2 * 2 == 4 sits in the row whose total is 5: the scan removes a
+        histograms = make_set("abcd", [(2, 0, 1, 3), (1, 1, 1, 3)])
+        rows, trace = reduce_fixpoint(histograms, SUPPORTING)
+        assert [(s.symbol, s.pass_index) for s in trace.steps] == [("b", 1), ("c", 1), ("a", 2)]
+        assert (rows, trace) == _reference_fixpoint(histograms, SUPPORTING)
+
+    def test_covering_bound_at_the_largest_total_falls_through_to_the_scan(self):
+        # pass 1 removes b, leaving totals (2, 3) over (a, c, d); a and c have
+        # smallest count 1 and 1 * 3 == 3, the largest total; the scan keeps
+        # a (3 > 3 fails in row 2) and removes c (3 > 2 and 6 > 3); pass 3
+        # removes a by its bound, 1 * 2 > 1
+        histograms = make_set("abcd", [(1, 3, 1, 0), (1, 2, 2, 0)])
+        rows, trace = reduce_fixpoint(histograms, COVERING)
+        assert [(s.symbol, s.pass_index) for s in trace.steps] == [("b", 1), ("c", 2), ("a", 3)]
+        assert trace.surviving == ("d",)
+        assert (rows, trace) == _reference_fixpoint(histograms, COVERING)
+
+    def test_the_scan_removes_a_column_the_bound_leaves_open(self):
+        # supporting: pass 1 removes b and c, leaving totals (8, 12) over
+        # (a, d); a's 5 * 2 == 10 exceeds 8, yet 6 < 8 and 10 < 12
+        histograms = make_set("abcd", [(3, 2, 2, 5), (5, 0, 0, 7)])
+        rows, trace = reduce_fixpoint(histograms, SUPPORTING)
+        assert [(s.symbol, s.pass_index) for s in trace.steps] == [("b", 1), ("c", 1), ("a", 2)]
+        assert (rows, trace) == _reference_fixpoint(histograms, SUPPORTING)
+        # covering: pass 1 removes b, leaving totals (2, 4) over (a, c, d);
+        # c's 1 * 3 == 3 falls short of 4, yet 3 > 2 and 6 > 4
+        histograms = make_set("abcd", [(1, 6, 1, 0), (1, 4, 2, 1)])
+        rows, trace = reduce_fixpoint(histograms, COVERING)
+        assert [(s.symbol, s.pass_index) for s in trace.steps] == [("b", 1), ("c", 2)]
+        assert trace.surviving == ("a", "d")
+        assert (rows, trace) == _reference_fixpoint(histograms, COVERING)
+
+    def test_covering_bound_reads_the_smallest_count(self):
+        # b's largest count passes (3 * 3 > 6) but its smallest does not
+        histograms = make_set("abc", [(1, 3, 2), (2, 1, 3)])
+        for problem in (SUPPORTING, COVERING):
+            assert reduce_fixpoint(histograms, problem)[1].steps == ()
+            assert reduce_fixpoint(histograms, problem) == _reference_fixpoint(histograms, problem)
+
+    @pytest.mark.parametrize("problem", [SUPPORTING, COVERING])
+    def test_tall_staircase_sets(self, problem):
+        for seed in range(3):
+            histograms = _tall_staircase_set(seed)
+            rows, trace = reduce_fixpoint(histograms, problem)
+            assert (rows, trace) == _reference_fixpoint(histograms, problem)
+            assert max(step.pass_index for step in trace.steps) >= 2
