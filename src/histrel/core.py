@@ -181,20 +181,37 @@ class Field:
         return value.as_integer_ratio() if self.exact else (value, 1)
 
     def quotient(self, numerator, denominator) -> Number:
-        """The number ``numerator / denominator`` of this field."""
-        return Fraction(numerator, denominator) if self.exact else numerator / denominator
-
-    def text(self, numerator, denominator) -> str:
-        """The JSON text ``encode`` gives ``numerator / denominator``, with
-        ``denominator > 0``, without building the number: ``str`` of the
-        ``Fraction`` in rational mode, reduced by the gcd, and the float's
-        shortest round-trip form in float mode."""
+        """The number ``numerator / denominator`` of this field; an exact
+        zero is the field's own ``zero``, so no ``Fraction`` is built for it."""
         if not self.exact:
-            return _float_text(numerator / denominator)
-        g = math.gcd(numerator, denominator)
-        if g == denominator:
-            return '"%d"' % (numerator // g)
-        return '"%d/%d"' % (numerator // g, denominator // g)
+            return numerator / denominator
+        return Fraction(numerator, denominator) if numerator else self.zero
+
+    def divided(self, numerators, total) -> list:
+        """Each of ``numerators`` over a positive ``total``: the ``quotient``
+        in rational mode, and in float mode the product with the one float
+        ``1 / total``, so each carries that reciprocal's rounding."""
+        if self.exact:
+            return [self.quotient(v, total) for v in numerators]
+        reciprocal = 1 / total
+        return [v * reciprocal for v in numerators]
+
+    def texts(self, scaled) -> list[str]:
+        """The JSON text ``encode`` gives each value ``scaled`` holds, with a
+        positive denominator, without building the values: ``str`` of the
+        ``Fraction`` in rational mode, reduced by the gcd, and the float's
+        shortest round-trip form in float mode. With a denominator of 1, as
+        a rational point mass has, each numerator is written as it stands."""
+        numerators, denominator = scaled
+        if not self.exact:
+            return [_float_text(v / denominator) for v in numerators]
+        if denominator == 1:
+            return list(map('"%d"'.__mod__, numerators))
+        gcds = map(math.gcd, numerators, repeat(denominator))
+        return [
+            '"%d"' % (v // g) if g == denominator else '"%d/%d"' % (v // g, denominator // g)
+            for v, g in zip(numerators, gcds)
+        ]
 
     def encode(self, value):
         """JSON form: exact ``p/q`` strings, or shortest round-trip floats.
@@ -226,8 +243,12 @@ _RATIONAL_FIELD = Field(RATIONAL, Fraction, Fraction(0), Fraction(1))
 _FLOAT_FIELD = Field(FLOAT, float, 0.0, 1.0)
 
 
-def _on_simplex(values, field: Field, what: str) -> tuple:
-    """Convert to the field and check nonnegativity and unit total."""
+def _on_simplex(holder, values, field: Field, what: str) -> None:
+    """Convert ``values`` to the field, check nonnegativity and unit total,
+    and set them as ``holder.values``. Their ``Field.scaled`` numerators,
+    which the check computes, are kept as ``holder._scaled``: the
+    certificates, the scores and the profile writer read them, and no one
+    scales the values again."""
     of = field.of
     values = tuple(v if type(v) is of else of(v) for v in values)
     numerators, denominator = field.scaled(values)
@@ -236,7 +257,8 @@ def _on_simplex(values, field: Field, what: str) -> tuple:
         raise ValidationError(f"{what} components must be nonnegative")
     if not abs(sum(numerators) - denominator) <= slack:
         raise ValidationError(f"{what} components sum to {sum(values)}, expected 1")
-    return values
+    object.__setattr__(holder, "values", values)
+    object.__setattr__(holder, "_scaled", (tuple(numerators), denominator))
 
 
 def _solve_integer(matrix, rhs, costs=None):
@@ -465,7 +487,8 @@ class Weight:
 
     Rational mode stores exact fractions summing to one; float mode stores
     doubles with components above ``-FLOAT_EPS`` and total within
-    ``FLOAT_EPS`` of one.
+    ``FLOAT_EPS`` of one. The private ``_scaled`` keeps the values'
+    ``Field.scaled`` numerators over their denominator.
     """
 
     alphabet: Alphabet
@@ -479,7 +502,7 @@ class Weight:
             raise ValidationError(
                 f"weight has {len(values)} components for {len(self.alphabet)} symbols"
             )
-        object.__setattr__(self, "values", _on_simplex(values, field, "weight"))
+        _on_simplex(self, values, field, "weight")
 
     @classmethod
     def uniform(cls, alphabet: Alphabet, mode: ArithmeticMode = RATIONAL) -> "Weight":
@@ -500,7 +523,7 @@ def _score(histogram: Histogram, weight: Weight) -> Number:
     if histogram.alphabet != weight.alphabet:
         raise AlphabetMismatch("histogram and weight use different alphabets")
     field = Field.for_mode(weight.mode)
-    (paired,), scale = field.pairings(field.scaled(weight.values), [histogram.counts])
+    (paired,), scale = field.pairings(weight._scaled, [histogram.counts])
     return field.quotient(paired, scale)
 
 

@@ -58,7 +58,9 @@ from .simplex import SimplexResult, StandardFormLP, simplex_optimize
 
 @dataclass(frozen=True)
 class DualWeight:
-    """A probability vector over the members of a histogram set."""
+    """A probability vector over the members of a histogram set; the
+    private ``_scaled`` keeps its ``Field.scaled`` numerators, as a
+    ``Weight`` does."""
 
     values: tuple[Number, ...]
     mode: ArithmeticMode = RATIONAL
@@ -68,7 +70,7 @@ class DualWeight:
         values = tuple(self.values)
         if not values:
             raise ValidationError("dual weight needs at least one component")
-        object.__setattr__(self, "values", _on_simplex(values, field, "dual"))
+        _on_simplex(self, values, field, "dual")
 
 
 @dataclass(frozen=True)
@@ -138,11 +140,11 @@ def _normalized_lp(P) -> StandardFormLP:
 def extract_dual(result: SimplexResult, rows: Sequence[Sequence[int]], field: Field) -> tuple:
     """Distribution over the rows of ``rows`` from an optimal normalized
     program: ``w`` scaled by ``1 / sum(w)``, where ``sum(w)`` is the
-    reciprocal of the program's positive value. ``w`` is read as
-    ``field.scaled`` numerators, whose sum is the total over the same
-    denominator: integers in rational mode, and in float mode the
-    left-to-right sum of ``w`` and the same divisions."""
-    numerators, _ = field.scaled(result.solution[: len(rows)])
+    reciprocal of the program's positive value. Each entry is one
+    ``field.quotient`` of the result's numerators of ``w`` by their sum:
+    integers in rational mode, where that sum is the objective's numerator,
+    and in float mode the left-to-right sum of ``w`` and the same divisions."""
+    numerators = result.solution_numerators[: len(rows)]
     total = sum(numerators)
     return tuple(field.quotient(v, total) for v in numerators)
 
@@ -283,7 +285,8 @@ def _solve_lp(unique_rows, problem, field: Field):
     covering on ``M^T`` and vice versa), with ``k`` rows. With the value
     ``v`` of the normalized program, ``v * w`` is the distribution over the
     rows of the solved matrix, and ``v * y``, with ``y`` minus the slack
-    reduced costs, the distribution over its columns. Returns ``(alpha,
+    reduced costs, the distribution over its columns; both are read off the
+    result's numerators, one quotient per entry. Returns ``(alpha,
     weight, member distribution, alternate_optima)``; ``alternate_optima``
     flags a symbol that could enter the weight at no cost: a symbol slack
     basic at zero, or, transposed, a nonbasic symbol column with zero
@@ -299,23 +302,21 @@ def _solve_lp(unique_rows, problem, field: Field):
     build = supporting_lp if lp_problem == SUPPORTING else covering_lp
     lp, offset = build(rows)
     result = simplex_optimize(lp, field.mode)
-    value = field.one / result.objective_value
+    # the objective is V / denominator, so the program's value is denominator / V
+    objective, denominator = result.objective_numerator, result.denominator
+    value = field.quotient(denominator, objective)
     alpha = value - offset if lp_problem == SUPPORTING else offset - value
     height = len(rows)
     row_side = field.cleared(extract_dual(result, rows, field))
-    numerators, denominator = field.scaled(result.reduced_costs[height:])
-    (scale,), over = field.scaled([-value])
-    column_side = field.cleared([field.quotient(scale * c, over * denominator) for c in numerators])
+    # the value times y, where y = -c / denominator: -c / V
+    slack_duals = [-c for c in result.cost_numerators[height:]]
+    column_side = field.cleared(field.divided(slack_duals, objective))
     basic = set(result.basis)
     if flipped:
-        alternate = any(
-            i not in basic and field.close(result.reduced_costs[i], field.zero)
-            for i in range(height)
-        )
-        return alpha, row_side, column_side, alternate
-    slacks = range(height, height + n)
-    alternate = any(s in basic and field.close(result.solution[s], field.zero) for s in slacks)
-    return alpha, column_side, row_side, alternate
+        zero_costs = field.near((result.cost_numerators[:height], denominator))
+        return alpha, row_side, column_side, any(i not in basic for i in zero_costs)
+    zero_slacks = field.near((result.solution_numerators[height:], denominator))
+    return alpha, column_side, row_side, any(height + s in basic for s in zero_slacks)
 
 
 def _balance_dual(rows, half, field: Field) -> tuple:
@@ -383,7 +384,7 @@ def _certified(alpha, weight, dual, histograms, problem):
     """
     field = Field.for_mode(weight.mode)
     rows = histograms.count_rows()
-    weight_scaled = field.scaled(weight.values)
+    weight_scaled = weight._scaled
     member_gaps, member_scale = field.gaps(field.pairings(weight_scaled, rows), alpha)
     tight_members = tuple(field.near((member_gaps, member_scale)))
     tight_symbols = tuple(field.support(weight_scaled))
@@ -395,7 +396,7 @@ def _certified(alpha, weight, dual, histograms, problem):
         """A clause whose violation is ``excess / scale``, with ``scale > 0``."""
         checks.append(CertificateCheck(clause, field.within(excess, scale), max(0.0, excess / scale), detail))
 
-    dual_scaled = field.scaled(dual.values)
+    dual_scaled = dual._scaled
     for clause, (numerators, denominator) in (("weight-simplex", weight_scaled), ("dual-simplex", dual_scaled)):
         add(clause, max(abs(sum(numerators) - denominator), -min(numerators), 0), denominator)
 

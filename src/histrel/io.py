@@ -402,11 +402,13 @@ def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONA
     )
 
 
-def _solution_to_json(solution: GameSolution, field: Field) -> dict:
+def _solution_to_json(solution: GameSolution, field: Field, vector) -> dict:
+    """The solution's tree, with ``vector(held)`` the JSON list of a weight's
+    or a dual's values."""
     return {
         "alpha": field.encode(solution.alpha),
-        "weight": [field.encode(v) for v in solution.weight.values],
-        "dual": [field.encode(v) for v in solution.dual.values],
+        "weight": vector(solution.weight),
+        "dual": vector(solution.dual),
         "tight_members": list(solution.tight_members),
         "tight_symbols": list(solution.tight_symbols),
         "alternate_optima": solution.alternate_optima,
@@ -471,13 +473,18 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
 
 def profile_to_json(profile: WeightProfile) -> dict:
     field = Field.for_mode(profile.mode)
+    return _profile_tree(profile, lambda held: [field.encode(v) for v in held.values])
+
+
+def _profile_tree(profile: WeightProfile, vector) -> dict:
+    field = Field.for_mode(profile.mode)
     return {
         "format": PROFILE_FORMAT,
         "mode": profile.mode,
         **histogram_set_to_json(profile.histograms),
         "provenance": {"input_sha256": profile.input_digest},
-        "supporting": _solution_to_json(profile.supporting, field),
-        "covering": _solution_to_json(profile.covering, field),
+        "supporting": _solution_to_json(profile.supporting, field, vector),
+        "covering": _solution_to_json(profile.covering, field, vector),
     }
 
 
@@ -502,7 +509,15 @@ def profile_from_json(obj: dict) -> WeightProfile:
 
 
 def dumps_profile(profile: WeightProfile) -> str:
-    return _dumps_with_rows(profile_to_json(profile), profile.histograms)
+    """``json.dumps(profile_to_json(profile), indent=2) + "\n"``, with each
+    weight and dual written by ``Field.texts`` from the numerators it keeps,
+    as one list indented for its place in a solution."""
+    texts = Field.for_mode(profile.mode).texts
+
+    def vector(held):
+        return _JsonText("[\n      " + ",\n      ".join(texts(held._scaled)) + "\n    ]")
+
+    return _dumps_with_rows(_profile_tree(profile, vector), profile.histograms)
 
 
 def save_profile(profile: WeightProfile, path: str) -> None:
@@ -548,16 +563,14 @@ class ScoreReport:
     meets_support: tuple[bool, ...]
     within_cover: tuple[bool, ...]
 
-    def _columns(self, value, missing):
-        """Each sample's histogram, scores, ratios and flags; a score or ratio is
-        ``value(numerator, denominator)``, and a ratio to a zero value ``missing``."""
+    def _columns(self, values, missing):
+        """Each sample's histogram, scores, ratios and flags; a column of scores
+        or ratios, as ``(numerators, denominator)``, is ``values(column)``,
+        and a ratio to a zero value ``missing``."""
         field = Field.for_mode(self.mode)
 
         def column(scaled):
-            if scaled is None:
-                return [missing] * len(self.histograms)
-            numerators, denominator = scaled
-            return [value(n, denominator) for n in numerators]
+            return [missing] * len(self.histograms) if scaled is None else values(scaled)
 
         return zip(
             self.histograms, column(self.relevances), column(self.irrelevances),
@@ -568,7 +581,13 @@ class ScoreReport:
 
     @cached_property
     def rows(self) -> tuple[ScoreRow, ...]:
-        columns = self._columns(Field.for_mode(self.mode).quotient, None)
+        quotient = Field.for_mode(self.mode).quotient
+
+        def numbers(scaled):
+            numerators, denominator = scaled
+            return [quotient(n, denominator) for n in numerators]
+
+        columns = self._columns(numbers, None)
         return tuple(ScoreRow(i, *row) for i, row in enumerate(columns, start=1))
 
 
@@ -592,8 +611,8 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
     field = Field.for_mode(profile.mode)
     sup, cov = profile.supporting, profile.covering
     counts = samples.count_rows()
-    relevances = field.pairings(field.scaled(sup.weight.values), counts)
-    irrelevances = field.pairings(field.scaled(cov.weight.values), counts)
+    relevances = field.pairings(sup.weight._scaled, counts)
+    irrelevances = field.pairings(cov.weight._scaled, counts)
     (sup_gaps, sup_scale), (cov_gaps, cov_scale) = (
         field.gaps(relevances, sup.alpha), field.gaps(irrelevances, cov.alpha)
     )
@@ -633,7 +652,7 @@ def dumps_score_report(report: ScoreReport) -> str:
         '\n      "meets_support": %s,\n      "within_cover": %s\n    }'
     )
     flag = _SCALAR_TEXT[bool]
-    columns = report._columns(field.text, "null")
+    columns = report._columns(field.texts, "null")
     rows = [
         row % (i, *histogram, *texts, flag(meets), flag(within))
         for i, (histogram, *texts, meets, within) in enumerate(columns, start=1)

@@ -36,16 +36,21 @@ in exact arithmetic) exact ``Fraction`` pivoting runs from the slack basis,
 so every error a rational solve raises is the exact one. Every mode reads
 its result off one final dictionary: float pivoting's, exact pivoting's,
 or the accepted guide's basis written in the same shape with entries over
-``|det B|``. The result is bit-for-bit deterministic.
+``|det B|``. The result keeps that dictionary's answer as numerators over one
+positive denominator: the integers over ``|det B|`` of an accepted guide, the
+exact dictionary's fractions scaled once to integers over the lcm of their
+denominators, or float mode's own values over 1. A rational solve whose
+guide is accepted builds no ``Fraction``. The result is bit-for-bit
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
-from .core import FLOAT, RATIONAL, ArithmeticMode, Field, _solve_integer
+from .core import FLOAT, RATIONAL, ArithmeticMode, Field, Number, _solve_integer
 from .errors import IterationCapExceeded, ValidationError
 
 DEFAULT_FLOAT_ITERATION_CAP = 10_000
@@ -82,21 +87,45 @@ class SimplexResult:
     ``solution``, ``reduced_costs`` and the ``basis`` indices run over the
     program's columns, then one slack per row. ``reduced_costs == c - y . A``
     column by column, where ``y`` solves ``B^T y = c_B``, so a slack has
-    minus its row's multiplier as reduced cost. Every field is read off the
-    final dictionary: the basic values and ``objective_value`` from its
-    right-hand side, the nonbasic ``reduced_costs`` from its objective row,
-    and zero for every other entry. In rational mode that dictionary is
-    exact: exact pivoting's own, or the accepted float guide's basis solved
-    in integers. ``iterations`` counts the pivots of the largest-coefficient
+    minus its row's multiplier as reduced cost. Every value is read off the
+    final dictionary: the basic values and the objective value from its
+    right-hand side, the nonbasic reduced costs from its objective row, and
+    zero for every other entry. In rational mode that dictionary is exact:
+    exact pivoting's own, or the accepted float guide's basis solved in
+    integers. ``iterations`` counts the pivots of the largest-coefficient
     rule with its Bland fallback that reached that basis: in rational mode,
     the float guide's when its basis is accepted, otherwise exact pivoting's.
+
+    The values are kept as numerators over one positive ``denominator``:
+    integers over ``|det B|`` for an accepted guide, integers over the lcm of
+    the exact dictionary's denominators after exact pivoting, and in float
+    mode the floats themselves over 1. ``solution``, ``reduced_costs`` and
+    ``objective_value`` divide them out in the ``mode``'s numbers on first
+    access.
     """
 
-    objective_value: object
-    solution: tuple
+    objective_numerator: Number
+    solution_numerators: tuple
     basis: tuple[int, ...]
-    reduced_costs: tuple
+    cost_numerators: tuple
+    denominator: int
     iterations: int
+    mode: ArithmeticMode
+
+    def _quotient(self, numerator) -> Number:
+        return Field.for_mode(self.mode).quotient(numerator, self.denominator)
+
+    @cached_property
+    def objective_value(self) -> Number:
+        return self._quotient(self.objective_numerator)
+
+    @cached_property
+    def solution(self) -> tuple:
+        return tuple(map(self._quotient, self.solution_numerators))
+
+    @cached_property
+    def reduced_costs(self) -> tuple:
+        return tuple(map(self._quotient, self.cost_numerators))
 
 
 def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) -> SimplexResult:
@@ -119,33 +148,41 @@ def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) 
             pass
         else:
             dictionary = _solve_basis(lp, guide)
-    basis, nonbasic, b, costs, iterations = dictionary or _optimal_dictionary(lp, field)
-    solution = [field.zero] * (len(basis) + len(nonbasic))
+    if dictionary is None:
+        basis, nonbasic, b, costs, iterations = _optimal_dictionary(lp, field)
+        numerators, denominator = field.scaled([*b, *costs])
+        b, costs = numerators[: len(b)], numerators[len(b) :]
+    else:
+        basis, nonbasic, b, costs, iterations, denominator = dictionary
+    zero = 0 if field.exact else field.zero  # an integer numerator in rational mode
+    solution = [zero] * (len(basis) + len(nonbasic))
     reduced_costs = solution[:]  # a basic variable's reduced cost is zero
     for var, v in zip(basis, b):
         solution[var] = v
     for var, c in zip(nonbasic, costs):
         reduced_costs[var] = c
     return SimplexResult(
-        objective_value=0 - b[-1],  # not -b[-1]: a zero value stays +0.0
-        solution=tuple(solution),
+        objective_numerator=0 - b[-1],  # not -b[-1]: a zero value stays +0.0
+        solution_numerators=tuple(solution),
         basis=tuple(basis),
-        reduced_costs=tuple(reduced_costs),
+        cost_numerators=tuple(reduced_costs),
+        denominator=denominator,
         iterations=iterations,
+        mode=field.mode,
     )
 
 
 def _solve_basis(lp, guide):
-    """The exact dictionary of the float ``guide``'s final basis, or None
-    when ``B`` is singular, ``x_B`` has a negative entry or a reduced cost
-    is positive.
+    """The exact dictionary of the float ``guide``'s final basis as
+    ``(basis, nonbasic, b, costs, pivots, det)``, or None when ``B`` is
+    singular, ``x_B`` has a negative entry or a reduced cost is positive.
 
     One fraction-free LU of ``B`` solves both ``B x_B = b`` and ``B^T y =
     c_B`` over the denominator ``det = |det B|``. ``b`` holds ``x_B`` and
     then minus the objective value, and ``costs`` the nonbasic reduced
-    costs, each as ``Fraction(numerator, det)``: ``c_j det - y . A_j`` for a
-    program column, and ``-y_r`` for row ``r``'s slack, whose column is the
-    unit vector.
+    costs, each as its integer numerator over ``det``: ``c_j det - y . A_j``
+    for a program column, and ``-y_r`` for row ``r``'s slack, whose column
+    is the unit vector.
     """
     basis, nonbasic, *_, pivots = guide
     n, objective = len(lp.objective), lp.objective
@@ -165,8 +202,7 @@ def _solve_basis(lp, guide):
     if any(v > 0 for v in reduced):
         return None
     value = sum(objective[var] * v for var, v in zip(basis, x) if var < n)
-    b = [Fraction(v, det) for v in (*x, -value)]
-    return basis, nonbasic, b, [Fraction(v, det) for v in reduced], pivots
+    return basis, nonbasic, [*x, -value], reduced, pivots, det
 
 
 def _optimal_dictionary(lp, field):

@@ -149,6 +149,33 @@ class TestDuals:
         total = w[0] + w[1]
         assert extract_dual(result, rows, Field.for_mode("float")) == (w[0] / total, w[1] / total)
 
+    def test_each_program_weight_and_dual_entry_is_built_once(self, monkeypatch):
+        # an entry is one quotient of the simplex's integer numerators, and
+        # the returned weight and dual keep that very Fraction
+        built = []
+        real_quotient = Field.quotient
+
+        def quotient(field, numerator, denominator):
+            built.append(real_quotient(field, numerator, denominator))
+            return built[-1]
+
+        monkeypatch.setattr(Field, "quotient", quotient)
+        programs = 0
+        for hs in (random_histogram_set(random.Random(s), 6, 8, 30) for s in range(40)):
+            for problem, solve in ((SUPPORTING, solve_supporting), (COVERING, solve_covering)):
+                built.clear()
+                solution = solve(hs)
+                if not built:
+                    continue  # a shortcut: no program was solved
+                programs += 1
+                entries = [v for v in (*solution.weight.values, *solution.dual.values) if v]
+                ids = [id(v) for v in built]
+                assert all(type(v) is Fraction and ids.count(id(v)) == 1 for v in entries)
+                # the program's value, then one quotient per row and per column
+                restricted, trace = reduce_fixpoint(hs, problem)
+                assert len(built) == 1 + len(trace.surviving) + len(distinct_rows(restricted)[0])
+        assert programs > 40
+
     def test_float_round_off_below_zero_is_written_as_zero(self):
         # float pivoting leaves components such as -2.36e-16 in seed 9's
         # supporting dual; every weight and dual component is +0.0 or positive

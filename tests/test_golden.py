@@ -1,6 +1,7 @@
 """Byte-level pins of the serialized profile and score report.
 
-Each set is solved in both modes and scores its own members. A digest that
+Each set is solved in both modes, the two sets that pin the exact-pivoting
+fallback in rational mode only, and scores its own members. A digest that
 stops matching means the written output changed; update it only for an
 intended change of format or of the returned vertex. The values themselves
 are pinned separately and never change: a returned vertex may move between
@@ -16,8 +17,11 @@ import pytest
 
 from fractions import Fraction
 
+import histrel.game
+import histrel.simplex
 from histrel import score_profile, solve_profile
 from histrel.io import dumps_profile, dumps_score_report
+from histrel.simplex import simplex_optimize
 from histrel.verify import TARGETED, fixture_set, random_histogram_set
 
 SETS = {name: fixture_set(spec) for name, spec, _, _ in TARGETED}
@@ -25,6 +29,13 @@ for _seed in (9, 10):
     SETS[f"random-{_seed}"] = random_histogram_set(
         random.Random(_seed), max_symbols=6, max_members=8, max_length=30
     )
+# at |T| = 1e12 the float guide's basis is rejected on draws 1 and 3 of this
+# stream, so their rational answers come from exact pivoting
+_rng = random.Random(14)
+_draws = [random_histogram_set(_rng, 6, 8, 10**12) for _ in range(4)]
+SETS["fallback-1"], SETS["fallback-3"] = _draws[1], _draws[3]
+# a set whose programs have at least 20 rows, where float rounding has room to move
+SETS["dense-5"] = random_histogram_set(random.Random(5), 26, 80, 400)
 
 # (set, mode) -> (sha256 of dumps_profile, sha256 of dumps_score_report)
 GOLDEN = {
@@ -104,6 +115,22 @@ GOLDEN = {
         "024da59085e720e6baac7c29855e522a88dc3fe7b909b6606919ca4bf4b1e40a",
         "aefa9511ce28da39958369043b9852fd92938c729ba77cdfcf8611c144712dda",
     ),
+    ("fallback-1", "rational"): (
+        "6b45dd51837c0920322fa8711de9600bdaf845c4bff331987ec10a01f0598baf",
+        "c0d735d270f6c0f058b53e5a3dee11359f57659ef56d5dabe9249b9fa87b3446",
+    ),
+    ("fallback-3", "rational"): (
+        "7af855b5c405a9432b4532a556f371dc7b243866a3cd766029624dd400c27486",
+        "071dc3a378cc50557afe41077fde587343906392e22005bcb6ebf677e8b8e926",
+    ),
+    ("dense-5", "rational"): (
+        "7ce02bf6caa17b0bd799e51682e67956bcd0d199b828120e8be44690521a2b52",
+        "76d73b01326b699cadfdbb2799c04354ffa05d9ee25165897d607414e74a8d13",
+    ),
+    ("dense-5", "float"): (
+        "511ab3d714b7977cd5422326aa3aa81b0a98fe8f4dc30203cc425fa4dd9d1d16",
+        "83f5a90242056df4e3e0cfd5036bd6ab34ec3e3173640399b0051c76d75d5c1d",
+    ),
 }
 
 # set -> exact (supporting, covering) values
@@ -114,6 +141,15 @@ VALUES = {
     "E4": (Fraction(3), Fraction(1)),
     "random-9": (Fraction(14, 3), Fraction(71, 23)),
     "random-10": (Fraction(1, 3), Fraction(1, 3)),
+    "fallback-1": (Fraction(115380220250238044262923, 499034835587), Fraction(40992603929)),
+    "fallback-3": (
+        Fraction(24135002731585740215584447543271240, 90789654504860153464073),
+        Fraction(151330651567),
+    ),
+    "dense-5": (
+        Fraction(60971617056842774955643945, 9740824703829640543485056),
+        Fraction(21084493756220300889821625, 3398130137130018434228908),
+    ),
 }
 
 
@@ -123,6 +159,33 @@ def _sha256(text: str) -> str:
 
 def test_random_sets_leave_the_binary_path():
     assert all(len(SETS[f"random-{seed}"].alphabet) >= 3 for seed in (9, 10))
+
+
+@pytest.mark.parametrize("name", ["fallback-1", "fallback-3"])
+def test_fallback_sets_reject_a_guide(monkeypatch, name):
+    checked = []
+
+    def solve_basis(lp, guide):
+        checked.append(real(lp, guide))
+        return checked[-1]
+
+    real = histrel.simplex._solve_basis
+    monkeypatch.setattr(histrel.simplex, "_solve_basis", solve_basis)
+    solve_profile(SETS[name])
+    assert None in checked
+
+
+def test_dense_set_builds_programs_of_at_least_20_rows(monkeypatch):
+    rows = []
+
+    def optimize(lp, arithmetic):
+        rows.append(len(lp.rows))
+        return simplex_optimize(lp, arithmetic)
+
+    monkeypatch.setattr(histrel.game, "simplex_optimize", optimize)
+    for mode in ("rational", "float"):
+        solve_profile(SETS["dense-5"], mode)
+    assert len(rows) == 4 and min(rows) >= 20
 
 
 @pytest.mark.parametrize("name, mode", list(GOLDEN))

@@ -15,6 +15,7 @@ from functools import cached_property, partial
 
 import pytest
 
+import histrel.simplex
 import histrel.verify
 from histrel import (
     Alphabet,
@@ -731,6 +732,41 @@ class TestProfiles:
             for s in solutions
         )
         assert text == json.dumps(profile_to_json(profile), indent=2) + "\n"
+
+    def test_each_weight_and_dual_is_scaled_once(self, monkeypatch, tmp_path, e1, e2, e3, e4):
+        # the weight and the dual keep the numerators their check computed:
+        # certifying, writing, loading and scoring scale neither again, and
+        # the certificate's uniform bound is the one other call
+        scaled, exact_runs = [], []
+        real_scaled, real_pivoting = Field.scaled, histrel.simplex._optimal_dictionary
+
+        def counted(field, values):
+            scaled.append(len(values))
+            return real_scaled(field, values)
+
+        def pivoting(lp, field):
+            exact_runs.append(field.exact)
+            return real_pivoting(lp, field)
+
+        monkeypatch.setattr(Field, "scaled", counted)
+        monkeypatch.setattr(histrel.simplex, "_optimal_dictionary", pivoting)
+        rng = random.Random(14)
+        sets = [e1, e2, e3, e4, *(random_histogram_set(random.Random(s), 6, 8, 30) for s in range(20))]
+        sets += [random_histogram_set(rng, 6, 8, 10**12) for _ in range(8)]
+        path, fallbacks = str(tmp_path / "p.json"), 0
+        for histograms in sets:
+            scaled.clear()
+            exact_runs.clear()
+            profile = solve_profile(histograms)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(dumps_profile(profile))
+            # exact pivoting scales its final dictionary once
+            assert len(scaled) == 6 + sum(exact_runs)
+            fallbacks += sum(exact_runs)
+            scaled.clear()
+            score_profile(load_profile(path), histograms)
+            assert len(scaled) == 6
+        assert fallbacks > 0
 
     def test_float_profile_round_trips(self, tmp_path, e4):
         profile = solve_profile(e4, "float")

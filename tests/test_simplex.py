@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import string
 from fractions import Fraction
@@ -306,18 +307,43 @@ def test_objective_row_agrees_with_the_basis_solve():
                 assert abs(sum(a * v for a, v in zip(row, x)) + s - b) <= tol
 
 
+def _basis_determinant(lp, basis):
+    """``|det B|`` of the basis columns of ``[A | I]``, by the reference solve."""
+    n = len(lp.objective)
+    matrix = [
+        [row[var] if var < n else int(var - n == r) for var in basis]
+        for r, row in enumerate(lp.rows)
+    ]
+    return _gauss_jordan_solve(matrix, [0] * len(matrix))[0]
+
+
+def _numerators(result):
+    return (result.objective_numerator, *result.solution_numerators, *result.cost_numerators)
+
+
 def test_guided_rational_solve_equals_exact_bland(monkeypatch):
     # on these small programs the guide's basis is exactly optimal, so the
     # integer check accepts every guide and exact pivoting never runs
-    modes, real_pivoting = [], histrel.simplex._optimal_dictionary
+    modes, built, real_pivoting = [], [], histrel.simplex._optimal_dictionary
+    real_new = Fraction.__new__
 
     def pivoting(lp, field):
         modes.append(field.mode)
         return real_pivoting(lp, field)
 
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
     monkeypatch.setattr(histrel.simplex, "_optimal_dictionary", pivoting)
     for lp in _game_programs(6, 60):
-        result = simplex_optimize(lp)
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            result = simplex_optimize(lp)
+        assert built == []  # the accepted guide's answer stays in integers
+        assert all(type(v) is int for v in _numerators(result))
+        assert result.denominator == _basis_determinant(lp, result.basis)
+        # the views divide the numerators out, into exact pivoting's values
         assert _compared(result) == _exact_pivoting(lp)
         exact = (result.objective_value, *result.solution, *result.reduced_costs)
         assert all(type(v) is Fraction for v in exact)
@@ -329,8 +355,14 @@ def test_rational_falls_back_to_exact_pivoting_when_the_guide_stalls(monkeypatch
     programs = list(_game_programs(7, 20))
     expected = [_exact_pivoting(lp) for lp in programs]
     assert sum(e[-1] > 0 for e in expected) > len(programs) // 2  # most need a pivot
+    rational = Field.for_mode("rational")
     for lp, reference in zip(programs, expected):
-        assert _compared(simplex_optimize(lp)) == reference
+        result = simplex_optimize(lp)
+        assert _compared(result) == reference
+        # the final dictionary is kept as integers over the lcm of its denominators
+        _basis, _nonbasic, b, costs, _pivots = _optimal_dictionary(lp, rational)
+        assert result.denominator == math.lcm(*(v.denominator for v in (*b, *costs)))
+        assert all(type(v) is int for v in _numerators(result))
 
 
 @pytest.mark.parametrize("guide_pivots", [0, 1])
@@ -448,6 +480,9 @@ def test_dictionary_pivots_like_the_full_tableau(monkeypatch):
         assert repr(result.solution) == repr(tuple(solution))
         assert repr(result.reduced_costs) == repr(tuple(A[-1]))
         assert repr(result.objective_value) == repr(0 - b[-1])
+        # float mode keeps the floats themselves as the numerators, over 1
+        views = (result.objective_value, *result.solution, *result.reduced_costs)
+        assert result.denominator == 1 and repr(_numerators(result)) == repr(views)
 
 
 def test_exact_answers_where_the_float_guide_misjudges_the_basis():
