@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -540,14 +540,44 @@ def irrelevance_score(histogram: Histogram, covering_weight: Weight) -> Number:
 
 
 def build_histogram(sample: Sample, alphabet: Alphabet) -> Histogram:
-    """Count the sample's entries per alphabet symbol.
+    """Count the sample's entries per alphabet symbol, in alphabet order.
 
     Raises ``UnknownSymbol`` with the 1-based position of the first entry
-    outside the alphabet.
+    outside the alphabet. Otherwise the counts, one nonnegative ``int`` per
+    symbol, sum to the sample's length, so the histogram is valid by
+    construction and is not checked again.
     """
-    tally = Counter(sample.entries)
-    counts = tuple(map(tally.pop, alphabet.symbols, repeat(0)))
-    if tally:  # labels outside the alphabet are left, in order of first occurrence
-        label = next(iter(tally))
-        raise UnknownSymbol(label, position=sample.entries.index(label) + 1)
-    return Histogram(alphabet, counts)
+    return _counter(alphabet)(sample.entries)
+
+
+def _counter(alphabet: Alphabet):
+    """The one histogram counter: a function from a nonempty sequence of
+    labels to its ``Histogram`` over ``alphabet``.
+
+    Each call copies a tally prefilled with a zero per symbol, in alphabet
+    order, and counts the labels into it with ``collections._count_elements``,
+    the C loop of ``Counter.update``, so its values are the counts in
+    alphabet order. A label outside the alphabet lengthens the tally: the
+    first extra key is the first unknown label, raised as ``UnknownSymbol``
+    with its 1-based position.
+
+    Otherwise the counts are, by construction, one nonnegative ``int`` per
+    symbol that sum to the number of labels, at least 1. They pass every
+    check of ``Histogram.__post_init__``, so it is not run again; that holds
+    for this tally only.
+    """
+    zeros = dict.fromkeys(alphabet.symbols, 0)
+    size = len(zeros)
+
+    def count(labels) -> Histogram:
+        tally = zeros.copy()
+        _count_elements(tally, labels)
+        if len(tally) != size:
+            label = [*tally][size]
+            raise UnknownSymbol(label, position=labels.index(label) + 1)
+        histogram = object.__new__(Histogram)
+        object.__setattr__(histogram, "alphabet", alphabet)
+        object.__setattr__(histogram, "counts", tuple(tally.values()))
+        return histogram
+
+    return count

@@ -35,10 +35,9 @@ from .core import (
     Field,
     HistogramSet,
     Number,
-    Sample,
     Weight,
+    _counter,
     _float_text,
-    build_histogram,
     require_arithmetic,
 )
 from .errors import (
@@ -176,10 +175,15 @@ def _item_texts(values, newline: str):
 
 
 def histogram_set_to_json(histograms: HistogramSet) -> dict:
+    return _histogram_tree(histograms, [list(m.counts) for m in histograms.members])
+
+
+def _histogram_tree(histograms: HistogramSet, rows) -> dict:
+    """The histogram-set keys of a tree, with ``rows`` as its ``"histograms"``."""
     return {
         "alphabet": list(histograms.alphabet.symbols),
         "sample_length": histograms.sample_length,
-        "histograms": [list(m.counts) for m in histograms.members],
+        "histograms": rows,
     }
 
 
@@ -248,17 +252,17 @@ def histogram_set_from_json(obj: dict) -> HistogramSet:
         raise
 
 
-def _dumps_with_rows(tree: dict, histograms: HistogramSet) -> str:
-    """``json.dumps(tree, indent=2) + "\n"`` of a tree whose top-level
-    ``"histograms"`` are ``histograms``' counts, written from its row texts."""
+def _written_histogram_tree(histograms: HistogramSet) -> dict:
+    """``histogram_set_to_json(histograms)`` with its ``"histograms"`` already
+    written from the row texts, as ``json.dumps(..., indent=2)`` writes them
+    at the top level of a tree; no count list is built."""
     rows = [row.replace(",", ",\n      ") for row in histograms._row_texts]
     block = "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
-    tree["histograms"] = _JsonText(block)
-    return _json_text(tree) + "\n"
+    return _histogram_tree(histograms, _JsonText(block))
 
 
 def dumps_histogram_set(histograms: HistogramSet) -> str:
-    return _dumps_with_rows(histogram_set_to_json(histograms), histograms)
+    return _json_text(_written_histogram_tree(histograms)) + "\n"
 
 
 def digest_histogram_set(histograms: HistogramSet) -> str:
@@ -331,19 +335,19 @@ def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
     it or its tokens removes nothing and it holds no line break. Its empty
     tokens are the ones ``",,"`` or a comma at either end makes.
     """
-    rows: list[tuple[int, tuple[str, ...]]] = []
+    rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.isprintable() and " " not in line:
             if not line:
                 continue
             if ",," in line or line[0] == "," or line[-1] == ",":
                 raise ParseError(lineno, "empty symbol token")
-            rows.append((lineno, tuple(line.split(","))))
+            rows.append((lineno, line.split(",")))
             continue
         line = line.strip()
         if not line:
             continue
-        tokens = tuple(map(str.strip, line.split(",")))
+        tokens = [*map(str.strip, line.split(","))]
         if "" in tokens:
             raise ParseError(lineno, "empty symbol token")
         if not line.isprintable():  # every line break is unprintable
@@ -359,10 +363,11 @@ def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
             raise LengthMismatch(line=lineno, expected=expected, actual=len(tokens))
     if alphabet is None:
         alphabet = Alphabet(tuple(sorted(set().union(*(tokens for _, tokens in rows)))))
+    count = _counter(alphabet)
     members = []
     for lineno, tokens in rows:
         try:
-            members.append(build_histogram(Sample(tokens), alphabet))
+            members.append(count(tokens))
         except UnknownSymbol as exc:
             raise UnknownSymbol(exc.label, position=exc.position, line=lineno) from None
     return HistogramSet(alphabet, expected, tuple(members))
@@ -473,15 +478,19 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
 
 def profile_to_json(profile: WeightProfile) -> dict:
     field = Field.for_mode(profile.mode)
-    return _profile_tree(profile, lambda held: [field.encode(v) for v in held.values])
+    return _profile_tree(
+        profile, lambda held: [field.encode(v) for v in held.values], histogram_set_to_json
+    )
 
 
-def _profile_tree(profile: WeightProfile, vector) -> dict:
+def _profile_tree(profile: WeightProfile, vector, histogram_tree) -> dict:
+    """The profile's tree, with ``histogram_tree(histograms)`` its
+    histogram-set keys and ``vector`` as in ``_solution_to_json``."""
     field = Field.for_mode(profile.mode)
     return {
         "format": PROFILE_FORMAT,
         "mode": profile.mode,
-        **histogram_set_to_json(profile.histograms),
+        **histogram_tree(profile.histograms),
         "provenance": {"input_sha256": profile.input_digest},
         "supporting": _solution_to_json(profile.supporting, field, vector),
         "covering": _solution_to_json(profile.covering, field, vector),
@@ -517,7 +526,7 @@ def dumps_profile(profile: WeightProfile) -> str:
     def vector(held):
         return _JsonText("[\n      " + ",\n      ".join(texts(held._scaled)) + "\n    ]")
 
-    return _dumps_with_rows(_profile_tree(profile, vector), profile.histograms)
+    return _json_text(_profile_tree(profile, vector, _written_histogram_tree)) + "\n"
 
 
 def save_profile(profile: WeightProfile, path: str) -> None:

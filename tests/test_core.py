@@ -78,20 +78,26 @@ class TestBuildHistogram:
 
     def test_matches_a_per_entry_count(self):
         rng = random.Random(5)
-        for _ in range(200):
-            entries = rng.choices("abcxy", weights=(30, 20, 10, 1, 1), k=rng.randint(1, 60))
-            counts, stray = [0, 0, 0], None
-            for pos, label in enumerate(entries, start=1):
-                if label not in ABC:
-                    stray = (label, pos)
-                    break
-                counts[ABC.index(label)] += 1
-            if stray is None:
-                assert build_histogram(Sample(entries), ABC).counts == tuple(counts)
-            else:
-                with pytest.raises(UnknownSymbol) as err:
-                    build_histogram(Sample(entries), ABC)
-                assert (err.value.label, err.value.position) == stray
+        for labels in [("a", "b", "c"), ("ab", "a", "b c", "\xe9")]:
+            alphabet, strays = Alphabet(labels), ("x", "yz")
+            weights = (30,) * len(labels) + (1, 1)
+            samples = [rng.choices(labels + strays, weights, k=rng.randint(1, 60)) for _ in range(200)]
+            # two unknown labels, the first to appear sorting after the other
+            samples.append([labels[0], "yz", labels[-1], "x", "yz"])
+            for entries in samples:
+                counts, stray = [0] * len(labels), None
+                for pos, label in enumerate(entries, start=1):
+                    if label not in labels:
+                        stray = (label, pos)
+                        break
+                    counts[labels.index(label)] += 1
+                if stray is None:
+                    hist, want = build_histogram(Sample(entries), alphabet), Histogram(alphabet, counts)
+                    assert hist == want and hash(hist) == hash(want)
+                else:
+                    with pytest.raises(UnknownSymbol) as err:
+                        build_histogram(Sample(entries), alphabet)
+                    assert (err.value.label, err.value.position) == stray
 
 
 class TestHistogramSet:

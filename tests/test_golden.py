@@ -1,7 +1,8 @@
 """Byte-level pins of the serialized profile and score report.
 
 Each set is solved in both modes, the two sets that pin the exact-pivoting
-fallback in rational mode only, and scores its own members. A digest that
+fallback in rational mode only, and scores its own members. One seeded CSV
+batch, read by ``ingest_samples``, is scored against both profiles of one set. A digest that
 stops matching means the written output changed; update it only for an
 intended change of format or of the returned vertex. The values themselves
 are pinned separately and never change: a returned vertex may move between
@@ -20,7 +21,7 @@ from fractions import Fraction
 import histrel.game
 import histrel.simplex
 from histrel import score_profile, solve_profile
-from histrel.io import dumps_profile, dumps_score_report
+from histrel.io import dumps_profile, dumps_score_report, ingest_samples
 from histrel.simplex import simplex_optimize
 from histrel.verify import TARGETED, fixture_set, random_histogram_set
 
@@ -205,3 +206,45 @@ def test_values_are_pinned(name, mode):
         assert values == VALUES[name]
     else:
         assert values == pytest.approx(VALUES[name], rel=0, abs=1e-9)
+
+
+def _csv_batch(histograms, rng: random.Random, size: int = 40) -> str:
+    """``size`` samples of the set's length as CSV text. Every fourth sample
+    is a shuffled copy of a member, so both flags hold on some rows, and
+    every odd one is padded with spaces and tabs around its tokens, so half
+    the lines take the per-token path of the CSV reader."""
+    symbols = histograms.alphabet.symbols
+    lines = []
+    for i in range(size):
+        if i % 4 == 0:
+            row = rng.choice(histograms.count_rows())
+            tokens = [s for s, c in zip(symbols, row) for _ in range(c)]
+            rng.shuffle(tokens)
+        else:
+            tokens = rng.choices(symbols, k=histograms.sample_length)
+        if i % 2:
+            pads = ("", " ", "\t", " \t")
+            tokens = [rng.choice(pads) + t + rng.choice(pads) for t in tokens]
+            tokens[0] = " " + tokens[0]
+        lines.append(",".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+# mode -> sha256 of dumps_score_report for the random-9 batch
+CSV_BATCH_GOLDEN = {
+    "rational": "b293bb86bc948ea5ca5b81b37f3d9890761f79e5e612b2e1a36412eaef3f0ebb",
+    "float": "d3da77abe72d9ac5a71751d6c96f0d5d7851cc4f7d946b84fbb32cabb79db7d1",
+}
+
+
+@pytest.mark.parametrize("mode", list(CSV_BATCH_GOLDEN))
+def test_a_csv_batch_scores_to_pinned_bytes(tmp_path, mode):
+    histograms = SETS["random-9"]
+    text = _csv_batch(histograms, random.Random(30))
+    # half the lines are clean: printable, with no space to strip
+    assert sum(line.isprintable() and " " not in line for line in text.splitlines()) == 20
+    path = tmp_path / "batch.csv"
+    path.write_text(text, encoding="utf-8")
+    samples = ingest_samples(str(path), histograms.alphabet)
+    report = score_profile(solve_profile(histograms, mode), samples)
+    assert _sha256(dumps_score_report(report)) == CSV_BATCH_GOLDEN[mode]

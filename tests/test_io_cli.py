@@ -22,17 +22,16 @@ from histrel import (
     AlphabetMismatch,
     CertificationFailure,
     EmptySet,
+    Histogram,
     HistogramSet,
     HistrelError,
     LengthMismatch,
     ParseError,
     ReductionStep,
     ReductionTrace,
-    Sample,
     UnknownSymbol,
     ValidationError,
     Weight,
-    build_histogram,
     ingest_samples,
     irrelevance_score,
     load_histogram_set,
@@ -151,8 +150,11 @@ CSV_LABELS = ("a", "b", "ab", "\xe9", "{", "a b", "a\tb", "a\x00b", "a\x1cb", "a
 
 def _per_token_ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
     """The reference reading of a sample CSV text: strip every line and every
-    token, then search every token for a line break. ``io._ingest_csv`` must
-    give the same result, or raise the same error, on every text."""
+    token, search every token for a line break, then count each row symbol by
+    symbol with ``tuple.count`` into the checked ``Histogram`` and
+    ``HistogramSet`` constructors, independently of the library's counter.
+    ``io._ingest_csv`` must give the same result, or raise the same error, on
+    every text."""
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -176,10 +178,10 @@ def _per_token_ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
         alphabet = Alphabet(tuple(sorted(set().union(*(tokens for _, tokens in rows)))))
     members = []
     for lineno, tokens in rows:
-        try:
-            members.append(build_histogram(Sample(tokens), alphabet))
-        except UnknownSymbol as exc:
-            raise UnknownSymbol(exc.label, position=exc.position, line=lineno) from None
+        for position, token in enumerate(tokens, start=1):
+            if token not in alphabet.symbols:
+                raise UnknownSymbol(token, position=position, line=lineno)
+        members.append(Histogram(alphabet, tuple(map(tokens.count, alphabet.symbols))))
     return HistogramSet(alphabet, expected, tuple(members))
 
 
