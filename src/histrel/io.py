@@ -133,8 +133,8 @@ _SCALAR_TEXT = {
 
 
 def _json_text(value, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(value, indent=2)`` for the trees the ``*_to_json``
-    functions build: dicts with string keys, lists, and JSON scalars.
+    """Exactly ``json.dumps(value, indent=2)`` for the trees the writers
+    build: dicts with string keys, lists, and JSON scalars.
 
     ``indent`` turns off json's C encoder, so this writer dispatches on type
     instead, and a list holding one scalar type is written by one ``join``
@@ -172,19 +172,6 @@ def _item_texts(values, newline: str):
 # ---------------------------------------------------------------------------
 # histogram sets
 # ---------------------------------------------------------------------------
-
-
-def histogram_set_to_json(histograms: HistogramSet) -> dict:
-    return _histogram_tree(histograms, [list(m.counts) for m in histograms.members])
-
-
-def _histogram_tree(histograms: HistogramSet, rows) -> dict:
-    """The histogram-set keys of a tree, with ``rows`` as its ``"histograms"``."""
-    return {
-        "alphabet": list(histograms.alphabet.symbols),
-        "sample_length": histograms.sample_length,
-        "histograms": rows,
-    }
 
 
 _HISTOGRAM_KEYS = ("alphabet", "sample_length", "histograms")
@@ -252,22 +239,27 @@ def histogram_set_from_json(obj: dict) -> HistogramSet:
         raise
 
 
-def _written_histogram_tree(histograms: HistogramSet) -> dict:
-    """``histogram_set_to_json(histograms)`` with its ``"histograms"`` already
-    written from the row texts, as ``json.dumps(..., indent=2)`` writes them
-    at the top level of a tree; no count list is built."""
+def _histogram_tree(histograms: HistogramSet) -> dict:
+    """The histogram-set keys of a tree: the labels, the sample length, and
+    ``"histograms"``, one count list per member, already written from the row
+    texts as ``json.dumps(..., indent=2)`` writes them at a tree's top level."""
     rows = [row.replace(",", ",\n      ") for row in histograms._row_texts]
     block = "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
-    return _histogram_tree(histograms, _JsonText(block))
+    return {
+        "alphabet": list(histograms.alphabet.symbols),
+        "sample_length": histograms.sample_length,
+        "histograms": _JsonText(block),
+    }
 
 
 def dumps_histogram_set(histograms: HistogramSet) -> str:
-    return _json_text(_written_histogram_tree(histograms)) + "\n"
+    return _json_text(_histogram_tree(histograms)) + "\n"
 
 
 def digest_histogram_set(histograms: HistogramSet) -> str:
-    """SHA-256 of the set's canonical JSON text, ``json.dumps(histogram_set_to_json(h),
-    sort_keys=True, separators=(",", ":"))``, written from the row texts."""
+    """SHA-256 of the set's canonical JSON text, written from the row texts:
+    ``{"alphabet":[labels],"histograms":[[counts],...],"sample_length":T}``,
+    keys sorted and no spaces, as ``json.dumps(tree, sort_keys=True, separators=(",", ":"))``."""
     canonical = (
         '{"alphabet":' + json.dumps(histograms.alphabet.symbols, separators=(",", ":"))
         + ',"histograms":[[' + "],[".join(histograms._row_texts)
@@ -350,7 +342,7 @@ def _ingest_csv(text: str, alphabet: Alphabet | None) -> HistogramSet:
         tokens = [*map(str.strip, line.split(","))]
         if "" in tokens:
             raise ParseError(lineno, "empty symbol token")
-        if not line.isprintable():  # every line break is unprintable
+        if not line.isprintable() and _LINE_BREAK.search(line):  # line breaks are unprintable
             broken = next(filter(_LINE_BREAK.search, tokens), None)
             if broken is not None:
                 raise ParseError(lineno, f"symbol token {broken!r} holds a line break")
@@ -407,9 +399,13 @@ def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONA
     )
 
 
-def _solution_to_json(solution: GameSolution, field: Field, vector) -> dict:
-    """The solution's tree, with ``vector(held)`` the JSON list of a weight's
-    or a dual's values."""
+def _solution_to_json(solution: GameSolution, field: Field) -> dict:
+    """The solution's tree, each weight and dual written by ``Field.texts``
+    from the numerators it keeps, as one list indented for its place in a profile."""
+
+    def vector(held):
+        return _JsonText("[\n      " + ",\n      ".join(field.texts(held._scaled)) + "\n    ]")
+
     return {
         "alpha": field.encode(solution.alpha),
         "weight": vector(solution.weight),
@@ -476,27 +472,6 @@ def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) ->
     return solution
 
 
-def profile_to_json(profile: WeightProfile) -> dict:
-    field = Field.for_mode(profile.mode)
-    return _profile_tree(
-        profile, lambda held: [field.encode(v) for v in held.values], histogram_set_to_json
-    )
-
-
-def _profile_tree(profile: WeightProfile, vector, histogram_tree) -> dict:
-    """The profile's tree, with ``histogram_tree(histograms)`` its
-    histogram-set keys and ``vector`` as in ``_solution_to_json``."""
-    field = Field.for_mode(profile.mode)
-    return {
-        "format": PROFILE_FORMAT,
-        "mode": profile.mode,
-        **histogram_tree(profile.histograms),
-        "provenance": {"input_sha256": profile.input_digest},
-        "supporting": _solution_to_json(profile.supporting, field, vector),
-        "covering": _solution_to_json(profile.covering, field, vector),
-    }
-
-
 def profile_from_json(obj: dict) -> WeightProfile:
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != PROFILE_FORMAT:
@@ -518,15 +493,20 @@ def profile_from_json(obj: dict) -> WeightProfile:
 
 
 def dumps_profile(profile: WeightProfile) -> str:
-    """``json.dumps(profile_to_json(profile), indent=2) + "\n"``, with each
-    weight and dual written by ``Field.texts`` from the numerators it keeps,
-    as one list indented for its place in a solution."""
-    texts = Field.for_mode(profile.mode).texts
-
-    def vector(held):
-        return _JsonText("[\n      " + ",\n      ".join(texts(held._scaled)) + "\n    ]")
-
-    return _json_text(_profile_tree(profile, vector, _written_histogram_tree)) + "\n"
+    """The profile as ``json.dumps(tree, indent=2) + "\n"`` writes its tree:
+    ``format``, ``mode``, the histogram-set keys, ``provenance``
+    (``input_sha256``), then ``supporting`` and ``covering``, each with
+    ``alpha``, ``weight``, ``dual``, the tight sets, ``alternate_optima`` and
+    ``reduction``; numbers are exact ``p/q`` strings or floats, by the mode."""
+    field = Field.for_mode(profile.mode)
+    return _json_text({
+        "format": PROFILE_FORMAT,
+        "mode": profile.mode,
+        **_histogram_tree(profile.histograms),
+        "provenance": {"input_sha256": profile.input_digest},
+        "supporting": _solution_to_json(profile.supporting, field),
+        "covering": _solution_to_json(profile.covering, field),
+    }) + "\n"
 
 
 def save_profile(profile: WeightProfile, path: str) -> None:

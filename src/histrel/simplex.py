@@ -47,7 +47,6 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from .core import FLOAT, RATIONAL, ArithmeticMode, Field, Number, _solve_integer
@@ -82,26 +81,20 @@ class StandardFormLP:
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """An optimal basic solution together with its basis certificates.
+    """An optimal basic solution together with its basis certificates, read
+    off the final dictionary as numerators over one positive ``denominator``.
 
-    ``solution``, ``reduced_costs`` and the ``basis`` indices run over the
-    program's columns, then one slack per row. ``reduced_costs == c - y . A``
-    column by column, where ``y`` solves ``B^T y = c_B``, so a slack has
-    minus its row's multiplier as reduced cost. Every value is read off the
-    final dictionary: the basic values and the objective value from its
-    right-hand side, the nonbasic reduced costs from its objective row, and
-    zero for every other entry. In rational mode that dictionary is exact:
-    exact pivoting's own, or the accepted float guide's basis solved in
-    integers. ``iterations`` counts the pivots of the largest-coefficient
-    rule with its Bland fallback that reached that basis: in rational mode,
-    the float guide's when its basis is accepted, otherwise exact pivoting's.
-
-    The values are kept as numerators over one positive ``denominator``:
-    integers over ``|det B|`` for an accepted guide, integers over the lcm of
-    the exact dictionary's denominators after exact pivoting, and in float
-    mode the floats themselves over 1. ``solution``, ``reduced_costs`` and
-    ``objective_value`` divide them out in the ``mode``'s numbers on first
-    access.
+    ``solution_numerators``, ``cost_numerators`` and the ``basis`` indices
+    run over the program's columns, then one slack per row. The reduced
+    costs are ``c - y . A``, where ``y`` solves ``B^T y = c_B``, so a slack's
+    is minus its row's multiplier. The basic values and the objective value
+    come from the dictionary's right-hand side, the nonbasic reduced costs
+    from its objective row, and every other entry is zero. ``denominator``
+    is ``|det B|`` for an accepted float guide, whose basis is solved
+    exactly in integers, the lcm of the exact dictionary's denominators
+    after exact pivoting, and 1 in float mode, whose numerators are the
+    floats. ``iterations`` counts the pivots that reached the basis: the
+    float guide's when it is accepted, otherwise exact pivoting's.
     """
 
     objective_numerator: Number
@@ -110,22 +103,6 @@ class SimplexResult:
     cost_numerators: tuple
     denominator: int
     iterations: int
-    mode: ArithmeticMode
-
-    def _quotient(self, numerator) -> Number:
-        return Field.for_mode(self.mode).quotient(numerator, self.denominator)
-
-    @cached_property
-    def objective_value(self) -> Number:
-        return self._quotient(self.objective_numerator)
-
-    @cached_property
-    def solution(self) -> tuple:
-        return tuple(map(self._quotient, self.solution_numerators))
-
-    @cached_property
-    def reduced_costs(self) -> tuple:
-        return tuple(map(self._quotient, self.cost_numerators))
 
 
 def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) -> SimplexResult:
@@ -168,7 +145,6 @@ def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) 
         cost_numerators=tuple(reduced_costs),
         denominator=denominator,
         iterations=iterations,
-        mode=field.mode,
     )
 
 

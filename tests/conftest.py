@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from histrel import Alphabet, Histogram, HistogramSet, Weight
+from histrel.core import Field
 
 
 def make_set(labels: str, rows) -> HistogramSet:
@@ -22,6 +23,21 @@ def pairing(x, m):
         return obj.counts if isinstance(obj, Histogram) else tuple(obj)
 
     return sum(a * b for a, b in zip(vector(x), vector(m), strict=True))
+
+
+def simplex_values(result, mode: str = "rational") -> tuple:
+    """A ``SimplexResult``'s ``(objective_value, solution, reduced_costs)``:
+    its numerators divided by its denominator in ``mode``'s numbers."""
+    field, denominator = Field.for_mode(mode), result.denominator
+
+    def values(numerators):
+        return tuple(field.quotient(v, denominator) for v in numerators)
+
+    return (
+        field.quotient(result.objective_numerator, denominator),
+        values(result.solution_numerators),
+        values(result.cost_numerators),
+    )
 
 
 @pytest.fixture

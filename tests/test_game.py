@@ -26,7 +26,7 @@ from histrel.game import covering_lp, supporting_lp
 from histrel.reduce import ReductionStep, ReductionTrace, empty_trace, reduce_fixpoint
 from histrel.simplex import simplex_optimize
 from histrel.verify import oracle_solve, random_histogram_set
-from conftest import histogram_sets, make_set, pairing
+from conftest import histogram_sets, make_set, pairing, simplex_values
 
 
 class TestSupportingExamples:
@@ -145,7 +145,7 @@ class TestDuals:
         assert extract_dual(result, rows, Field.for_mode("rational")) == (Fraction(2, 3), Fraction(1, 3))
         # float mode divides each entry of w by its left-to-right sum
         result = simplex_optimize(lp, "float")
-        w = result.solution[:2]
+        w = simplex_values(result, "float")[1][:2]
         total = w[0] + w[1]
         assert extract_dual(result, rows, Field.for_mode("float")) == (w[0] / total, w[1] / total)
 
@@ -459,7 +459,7 @@ def _member_row_value(histograms, problem, mode):
     rows = distinct_rows(histograms.count_rows())[0]
     build = supporting_lp if problem == SUPPORTING else covering_lp
     lp, _ = build(rows)
-    value = 1 / simplex_optimize(lp, mode).objective_value
+    value = 1 / simplex_values(simplex_optimize(lp, mode), mode)[0]
     return value - 1 if problem == SUPPORTING else 1 + max(map(max, rows)) - value
 
 
@@ -514,7 +514,7 @@ class TestShortSide:
                 assert lp.objective == (1,) * max(k, n)
                 assert lp.rhs == (1,) * min(k, n)
                 # the simplex appends one slack per row after the program's columns
-                assert len(result.solution) == len(result.reduced_costs) == k + n
+                assert len(result.solution_numerators) == len(result.cost_numerators) == k + n
         assert straddling > 0
 
     def test_transposed_solve_flags_alternate_optima(self):

@@ -12,9 +12,11 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
+from types import SimpleNamespace
 
 import pytest
 
+import histrel.io
 import histrel.simplex
 import histrel.verify
 from histrel import (
@@ -47,6 +49,7 @@ from histrel.core import FLOAT_EPS, Field
 from histrel.io import (
     _SCALAR_TEXT,
     FLAGS_NOTE,
+    PROFILE_FORMAT,
     SCORES_FORMAT,
     _ingest_csv,
     _json_text,
@@ -54,8 +57,6 @@ from histrel.io import (
     dumps_histogram_set,
     dumps_profile,
     dumps_score_report,
-    histogram_set_to_json,
-    profile_to_json,
 )
 from histrel.verify import random_histogram_set
 from conftest import make_set
@@ -420,6 +421,32 @@ class TestIngest:
         with pytest.raises(ParseError, match="^line 1: "):
             ingest_samples(str(path))
 
+    @pytest.mark.parametrize("brk", ["\v", "\x85", "\u2028"])
+    def test_a_line_break_inside_a_token_of_a_padded_line_is_a_parse_error(self, tmp_path, brk):
+        path = tmp_path / "s.csv"
+        path.write_text(f"a,b,a\n\ta, b{brk}b ,a \n", encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as err:
+            ingest_samples(str(path))
+        assert str(err.value) == f"line 2: symbol token {'b' + brk + 'b'!r} holds a line break"
+
+    def test_a_line_break_at_a_tokens_edge_is_stripped_with_it(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b,a\n\ta ,\vb,a\n b\x85,b,\u2028a\n", encoding="utf-8", newline="")
+        assert ingest_samples(str(path)).count_rows() == ((2, 1), (2, 1), (1, 2))
+
+    def test_only_a_line_holding_a_break_has_its_tokens_searched(self, monkeypatch):
+        searched, pattern = [], histrel.io._LINE_BREAK
+
+        def search(text):
+            searched.append(text)
+            return pattern.search(text)
+
+        monkeypatch.setattr(histrel.io, "_LINE_BREAK", SimpleNamespace(search=search))
+        _ingest_csv("a,b,a\n\ta,\tb,a\n b,\vb ,a\n", None)
+        # the clean line is never searched, the padded lines once each, and
+        # the tokens of the line whose break sits at a token's edge
+        assert searched == ["a,\tb,a", "b,\vb ,a", "b", "b", "a"]
+
     @pytest.mark.parametrize(
         "text",
         ['{"alphabet": ["a", "b"], "sample_length": 3, "histograms": [[2, 1], [1, 2]]}', "a,b,a\nb,b,a\n"],
@@ -451,6 +478,44 @@ class TestIngest:
         with pytest.raises(FileNotFoundError) as err:
             ingest_samples(path)
         assert err.value.filename == path
+
+
+def histogram_set_to_json(histograms) -> dict:
+    """Reference: the histogram set's JSON tree, one count list per member."""
+    return {
+        "alphabet": list(histograms.alphabet.symbols),
+        "sample_length": histograms.sample_length,
+        "histograms": [list(m.counts) for m in histograms.members],
+    }
+
+
+def profile_to_json(profile) -> dict:
+    """Reference: the profile's JSON tree, each number by ``Field.encode``
+    from the values the solutions hold."""
+    field = Field.for_mode(profile.mode)
+
+    def solution_to_json(solution):
+        return {
+            "alpha": field.encode(solution.alpha),
+            "weight": [field.encode(v) for v in solution.weight.values],
+            "dual": [field.encode(v) for v in solution.dual.values],
+            "tight_members": list(solution.tight_members),
+            "tight_symbols": list(solution.tight_symbols),
+            "alternate_optima": solution.alternate_optima,
+            "reduction": {
+                "steps": [[s.symbol, s.pass_index] for s in solution.reduction_trace.steps],
+                "surviving": list(solution.reduction_trace.surviving),
+            },
+        }
+
+    return {
+        "format": PROFILE_FORMAT,
+        "mode": profile.mode,
+        **histogram_set_to_json(profile.histograms),
+        "provenance": {"input_sha256": profile.input_digest},
+        "supporting": solution_to_json(profile.supporting),
+        "covering": solution_to_json(profile.covering),
+    }
 
 
 def score_report_to_json(report) -> dict:

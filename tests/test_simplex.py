@@ -28,6 +28,7 @@ from histrel.simplex import (
     simplex_optimize,
 )
 from histrel.verify import MIXED, classify_binary, oracle_solve, random_histogram_set
+from conftest import simplex_values
 
 E1_ROWS = ((7, 3), (6, 4))
 
@@ -231,43 +232,37 @@ def _recorded_programs(monkeypatch, sets, mode):
     return programs
 
 
-def _slack_multipliers(lp, result):
+def _slack_multipliers(lp, reduced_costs):
     """Row multipliers: minus the reduced costs of the slacks, which come
     after the program's columns."""
-    return [0 - c for c in result.reduced_costs[len(lp.objective) :]]
+    return [0 - c for c in reduced_costs[len(lp.objective) :]]
 
 
 def _compared(result):
-    return (
-        result.solution,
-        result.reduced_costs,
-        result.objective_value,
-        set(result.basis),
-        result.iterations,
-    )
+    value, solution, reduced_costs = simplex_values(result)
+    return (solution, reduced_costs, value, set(result.basis), result.iterations)
 
 
 def test_supporting_program_for_e1():
     lp, _ = supporting_lp(E1_ROWS)
-    result = simplex_optimize(lp)
+    value, solution, reduced_costs = simplex_values(simplex_optimize(lp))
     # the program of E1 + 1 has value 6 + 1; its slack duals scale to the weight
-    assert result.objective_value == Fraction(1, 7)
-    assert [7 * y for y in _slack_multipliers(lp, result)] == [1, 0]
-    assert [7 * w for w in result.solution[:2]] == [0, 1]  # the minimum member
+    assert value == Fraction(1, 7)
+    assert [7 * y for y in _slack_multipliers(lp, reduced_costs)] == [1, 0]
+    assert [7 * w for w in solution[:2]] == [0, 1]  # the minimum member
 
 
 def test_covering_program_for_e1():
     lp, _ = covering_lp(E1_ROWS)
-    result = simplex_optimize(lp)
+    value, _solution, reduced_costs = simplex_values(simplex_optimize(lp))
     # the program of 8 - E1 has value 8 - 4
-    assert result.objective_value == Fraction(1, 4)
-    assert [4 * y for y in _slack_multipliers(lp, result)] == [0, 1]
+    assert value == Fraction(1, 4)
+    assert [4 * y for y in _slack_multipliers(lp, reduced_costs)] == [0, 1]
 
 
 def test_supporting_program_constant_rows():
     lp, _ = supporting_lp(((2, 2, 2),))
-    result = simplex_optimize(lp)
-    assert result.objective_value == Fraction(1, 3)
+    assert simplex_values(simplex_optimize(lp))[0] == Fraction(1, 3)
 
 
 def test_deterministic_bit_for_bit():
@@ -282,7 +277,7 @@ def test_row_duals_solve_the_transposed_system():
     result = simplex_optimize(lp)
     n = len(lp.objective)
     # y^T B == c_B on the basic columns, componentwise; a basic slack prices y_r at 0
-    y = _slack_multipliers(lp, result)
+    y = _slack_multipliers(lp, simplex_values(result)[2])
     for var in result.basis:
         if var < n:
             assert sum(a * row[var] for a, row in zip(y, lp.rows)) == lp.objective[var]
@@ -296,13 +291,13 @@ def test_objective_row_agrees_with_the_basis_solve():
         assert all(type(v) is int for v in entries)
         n = len(lp.objective)
         for mode, tol in (("rational", 0), ("float", FLOAT_EPS)):
-            result = simplex_optimize(lp, mode)
-            x, slacks = result.solution[:n], result.solution[n:]
-            y = _slack_multipliers(lp, result)
+            value, solution, reduced_costs = simplex_values(simplex_optimize(lp, mode), mode)
+            x, slacks = solution[:n], solution[n:]
+            y = _slack_multipliers(lp, reduced_costs)
             for j, cost in enumerate(lp.objective):
                 priced = sum(a * row[j] for a, row in zip(y, lp.rows))
-                assert abs(result.reduced_costs[j] - (cost - priced)) <= tol
-            assert abs(result.objective_value - sum(c * v for c, v in zip(lp.objective, x))) <= tol
+                assert abs(reduced_costs[j] - (cost - priced)) <= tol
+            assert abs(value - sum(c * v for c, v in zip(lp.objective, x))) <= tol
             for row, b, s in zip(lp.rows, lp.rhs, slacks):
                 assert abs(sum(a * v for a, v in zip(row, x)) + s - b) <= tol
 
@@ -319,6 +314,10 @@ def _basis_determinant(lp, basis):
 
 def _numerators(result):
     return (result.objective_numerator, *result.solution_numerators, *result.cost_numerators)
+
+
+def _float_values(lp):
+    return simplex_values(simplex_optimize(lp, "float"), "float")
 
 
 def test_guided_rational_solve_equals_exact_bland(monkeypatch):
@@ -343,10 +342,10 @@ def test_guided_rational_solve_equals_exact_bland(monkeypatch):
         assert built == []  # the accepted guide's answer stays in integers
         assert all(type(v) is int for v in _numerators(result))
         assert result.denominator == _basis_determinant(lp, result.basis)
-        # the views divide the numerators out, into exact pivoting's values
+        # the numerators divide out into exact pivoting's values
         assert _compared(result) == _exact_pivoting(lp)
-        exact = (result.objective_value, *result.solution, *result.reduced_costs)
-        assert all(type(v) is Fraction for v in exact)
+        value, solution, reduced_costs = simplex_values(result)
+        assert all(type(v) is Fraction for v in (value, *solution, *reduced_costs))
     assert modes and set(modes) == {"float"}
 
 
@@ -420,7 +419,7 @@ def test_exact_pivoting_ends_on_chvatals_example():
     reference = _exact_pivoting(lp)
     assert reference[2] == 1
     assert _compared(simplex_optimize(lp)) == reference
-    assert simplex_optimize(lp, "float").objective_value == 1
+    assert _float_values(lp)[0] == 1
 
 
 def _multinomial_set(seed, symbols=26, members=80, length=400):
@@ -477,11 +476,12 @@ def test_dictionary_pivots_like_the_full_tableau(monkeypatch):
         solution = [0.0] * len(A[-1])
         for r, var in enumerate(basis_list):
             solution[var] = b[r]
-        assert repr(result.solution) == repr(tuple(solution))
-        assert repr(result.reduced_costs) == repr(tuple(A[-1]))
-        assert repr(result.objective_value) == repr(0 - b[-1])
+        value, x, costs = simplex_values(result, "float")
+        assert repr(x) == repr(tuple(solution))
+        assert repr(costs) == repr(tuple(A[-1]))
+        assert repr(value) == repr(0 - b[-1])
         # float mode keeps the floats themselves as the numerators, over 1
-        views = (result.objective_value, *result.solution, *result.reduced_costs)
+        views = (value, *x, *costs)
         assert result.denominator == 1 and repr(_numerators(result)) == repr(views)
 
 
@@ -489,15 +489,15 @@ def test_exact_answers_where_the_float_guide_misjudges_the_basis():
     # ratios 1 and 1 - 1e-10 tie in float, and the smaller basis index leaves:
     # the float basis leaves the second slack at -1
     lp = StandardFormLP(objective=(1,), rows=((1,), (10**10 + 1,)), rhs=(1, 10**10))
-    assert simplex_optimize(lp, "float").solution == (1.0, 0.0, -1.0)
-    assert simplex_optimize(lp).objective_value == Fraction(10**10, 10**10 + 1)
+    assert _float_values(lp)[1] == (1.0, 0.0, -1.0)
+    assert simplex_values(simplex_optimize(lp))[0] == Fraction(10**10, 10**10 + 1)
     # a reduced cost of 1e-10 counts as zero in float: the float basis stops short
     lp = StandardFormLP(objective=(1, 1), rows=((10**10, 10**10 - 1),), rhs=(10**10,))
-    assert simplex_optimize(lp, "float").objective_value == 1.0
-    assert simplex_optimize(lp).objective_value == Fraction(10**10, 10**10 - 1)
+    assert _float_values(lp)[0] == 1.0
+    assert simplex_values(simplex_optimize(lp))[0] == Fraction(10**10, 10**10 - 1)
     # an entry beyond the float range stops the guide before its first pivot
     lp = StandardFormLP(objective=(1,), rows=((10**400,),), rhs=(10**400,))
-    assert simplex_optimize(lp).objective_value == 1
+    assert simplex_values(simplex_optimize(lp))[0] == 1
 
 
 def test_integer_solver_matches_fraction_elimination():
@@ -601,15 +601,15 @@ def test_rational_programs_take_integer_entries(where, entry):
     with pytest.raises(ValidationError, match="integer entries"):
         simplex_optimize(lp)
     # float mode converts any real entry
-    assert simplex_optimize(lp, "float").objective_value == 1.0
+    assert _float_values(lp)[0] == 1.0
 
 
 def test_float_mode_matches_rational_mode():
     for rows in (E1_ROWS, ((4, 6), (7, 3)), ((3, 2, 1), (1, 2, 3))):
         lp, _ = supporting_lp(rows)
-        exact = simplex_optimize(lp)
-        approx = simplex_optimize(lp, arithmetic="float")
-        assert abs(float(exact.objective_value) - approx.objective_value) <= 1e-9
+        exact = simplex_values(simplex_optimize(lp))[0]
+        approx = _float_values(lp)[0]
+        assert abs(float(exact) - approx) <= 1e-9
 
 
 def test_float_iteration_cap_raises(monkeypatch):
