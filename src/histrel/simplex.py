@@ -17,6 +17,18 @@ reduced costs and its right-hand side is minus the objective value. No row
 multipliers are returned: a row's multiplier is minus its slack's reduced
 cost.
 
+On a program with at least three times as many columns as rows, a pivot
+rewrites only the pivot row, the objective row and the right-hand side.
+Each other constraint row keeps its update pending until it next becomes
+the pivot row, and the ratio test replays a row's pending updates on the
+entering column alone. The answer is read off the objective row and the
+right-hand side, so the updates still pending at the optimum are never
+applied. A pending update is replayed at every later pivot, which pays
+while a program takes few pivots per column: wide programs do, and taller
+ones, which take more pivots per row, rewrite every row at every pivot.
+Every entry undergoes the same operations in the same order in both loops,
+so the pivots and the result do not depend on which one ran.
+
 Float mode pivots in doubles with the fixed absolute tolerance
 ``FLOAT_EPS``: entries within it count as zero, and reduced costs within
 it of the largest, like ratios within it in the ratio test, count as tied,
@@ -195,6 +207,19 @@ def _optimal_dictionary(lp, field):
     ``pivot * (1 / pivot)``, not always 1.0 in float, and becomes the
     leaving variable's column. So every entry, rounding included, equals the
     tableau's, and so does every pivot.
+
+    When ``n >= 3 * m``, the constraint rows other than the pivot row are not
+    rewritten: each whose entering-column entry is nonzero gets the pending
+    update ``(factor, pivot row, entering column)``, where ``factor`` is that
+    entry, which the ratio test has just computed. The ratio test reads a
+    row's entry in the entering column by replaying its pending updates in
+    order, and a pending update on the same column first resets the entry
+    to zero, as the leaving variable's entry is reset in a rewritten row.
+    The pivot row applies its pending updates, two per pass, to a copy of
+    itself, which the other rows' pending updates do not hold. So every
+    entry that is read has seen the operations a rewritten row's would, and
+    the entries never read, those of rows still pending at the optimum, do
+    not enter the result.
     """
     n, m = len(lp.objective), len(lp.rows)
     of, zero, one, eps = field.of, field.zero, field.one, field.tol
@@ -206,6 +231,8 @@ def _optimal_dictionary(lp, field):
     b = [*map(of, lp.rhs), zero]
     unit = [one] * m
     basis, nonbasic = list(range(n, n + m)), list(range(n))
+    # pending[r]: the updates row r has not applied, on programs wide enough
+    pending = [[] for _ in range(m)] if n >= 3 * m else None
     iterations = degenerate = 0
     while True:
         costs = D[m]
@@ -218,9 +245,20 @@ def _optimal_dictionary(lp, field):
             candidates = (k for k, v in enumerate(costs) if v > eps)
         # the columns are permuted: a tie goes to the smallest variable index
         enter = min(candidates, key=nonbasic.__getitem__)
+        if pending is None:
+            column = [row[enter] for row in D]
+        else:
+            column = []
+            for row, updates in zip(D, pending):
+                coeff = row[enter]
+                for factor, pivot_row, k in updates:
+                    if k == enter:  # a column that entered before starts again from zero
+                        coeff = zero
+                    coeff = coeff - factor * pivot_row[enter]
+                column.append(coeff)
         leave_row, best_ratio = None, None
         for r in range(m):
-            coeff = D[r][enter]
+            coeff = column[r]
             if coeff > eps:
                 ratio = b[r] / coeff
                 if (
@@ -236,6 +274,20 @@ def _optimal_dictionary(lp, field):
         if cap is not None and iterations > cap:
             raise IterationCapExceeded(f"no optimum after {cap} pivots")
         row = D[leave_row]
+        if pending is not None:
+            # a copy: other rows' pending updates may hold this list
+            row = row[:]
+            updates = pending[leave_row]
+            for (f1, p1, k1), (f2, p2, k2) in zip(updates[::2], updates[1::2]):
+                row[k1] = zero
+                row = [(v - f1 * w1) - f2 * w2 for v, w1, w2 in zip(row, p1, p2)]
+                row[k2] = zero - f2 * p2[k2]  # reset before the second update
+            if len(updates) % 2:
+                factor, pivot_row, k = updates[-1]
+                row[k] = zero
+                row = [v - factor * w for v, w in zip(row, pivot_row)]
+            pending[leave_row] = []
+            D[leave_row] = row
         pivot = row[enter]
         row[enter] = unit[leave_row]  # the leaving variable takes the column
         if pivot != 1:
@@ -244,7 +296,16 @@ def _optimal_dictionary(lp, field):
             b[leave_row] = b[leave_row] * inv
             pivot = pivot * inv
         unit[leave_row] = pivot
-        for r, old in enumerate(D):
+        if pending is None:
+            eager = range(m + 1)
+        else:
+            eager = (m,)  # the objective row stays up to date
+            for r, factor in enumerate(column):
+                if r != leave_row and factor != 0:
+                    pending[r].append((factor, row, enter))
+                    b[r] = b[r] - factor * b[leave_row]
+        for r in eager:
+            old = D[r]
             factor = old[enter]
             if r == leave_row or factor == 0:
                 continue

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import string
+import sys
 from fractions import Fraction
 
 import pytest
@@ -460,16 +461,38 @@ def _bases_before_the_cap(monkeypatch, lp, pivots):
     return bases
 
 
+def _defers_rows(lp):
+    """Whether the pivot loop defers the program's row updates: it does on
+    programs at least three times as wide as tall."""
+    return len(lp.objective) >= 3 * len(lp.rows)
+
+
+# maximize 3 x1 + 3 x8 subject to 3 x4 + x8 <= 2, 2 x4 <= 1, x1 - x4 <= 1:
+# x4 enters at the second pivot and pushes out the second row's slack x10,
+# which takes x4's column; x1's row keeps that pivot's update pending, and
+# x10 enters again at the fourth pivot, before x1's row pivots again, so
+# the ratio test resets x1's entry in that column
+REENTRY = StandardFormLP(
+    objective=(0, 3, 0, 0, 0, 0, 0, 0, 3),
+    rows=((0, 0, 0, 0, 3, 0, 0, 0, 1), (0, 0, 0, 0, 2, 0, 0, 0, 0), (0, 1, 0, 0, -1, 0, 0, 0, 0)),
+    rhs=(2, 1, 1),
+)
+
+
 def test_dictionary_pivots_like_the_full_tableau(monkeypatch):
     # the dictionary drops the basic unit columns of the tableau but keeps
     # its pivots and its float rounding: the same bases in the same rows,
-    # and the same bits in every value and reduced cost
+    # and the same bits in every value and reduced cost, whether the loop
+    # rewrites every row at each pivot or defers the row updates
     sets = [_multinomial_set(seed) for seed in range(2)]
     sets += [_multinomial_set(seed, 10, 20, 80) for seed in range(4)]
-    programs = [*_game_programs(6, 60), *_recorded_programs(monkeypatch, sets, "float")]
+    programs = [REENTRY, *_game_programs(6, 60), *_recorded_programs(monkeypatch, sets, "float")]
+    assert {_defers_rows(lp) for lp in programs} == {True, False}
     for lp in programs:
         A, b, basis_list = _slack_tableau(lp, float)
         visited = _pivot_with(A, b, basis_list, _library_rule, FLOAT_EPS, 10_000)[0]
+        if lp is REENTRY:
+            assert visited == [(9, 10, 11), (9, 10, 1), (9, 4, 1), (8, 4, 1), (8, 10, 1)]
         result = simplex_optimize(lp, "float")
         assert result.iterations == len(visited) - 1
         assert [*_bases_before_the_cap(monkeypatch, lp, result.iterations), result.basis] == visited
@@ -483,6 +506,50 @@ def test_dictionary_pivots_like_the_full_tableau(monkeypatch):
         # float mode keeps the floats themselves as the numerators, over 1
         views = (value, *x, *costs)
         assert result.denominator == 1 and repr(_numerators(result)) == repr(views)
+
+
+def _pivoted_bases(lp, field):
+    """``_optimal_dictionary(lp, field)`` and the basis, in row order, after
+    each of its pivots, copied by a line tracer on the pivot loop's frame
+    whenever the basis changes; every pivot changes it."""
+    bases = []
+
+    def lines(frame, event, arg):
+        basis = frame.f_locals.get("basis")
+        if basis is not None and (not bases or tuple(basis) != bases[-1]):
+            bases.append(tuple(basis))
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code is _optimal_dictionary.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        return _optimal_dictionary(lp, field), bases
+    finally:
+        sys.settrace(previous)
+
+
+def test_exact_pivoting_defers_row_updates_like_the_full_tableau():
+    # game programs of at least 10 rows and three times as many columns
+    # take the deferred-update loop; over fractions it reaches every basis
+    # of the full tableau's pivots, and the same values and reduced costs.
+    # In the 12-symbol sets' programs columns enter again while rows still
+    # hold their first update.
+    sizes = ((10, 0), (12, 0), (12, 3))
+    counts = [_multinomial_set(seed, symbols, 40, 60).count_rows() for symbols, seed in sizes]
+    programs = [build(rows)[0] for rows in counts for build in (supporting_lp, covering_lp)]
+    assert all(len(lp.rows) >= 10 and _defers_rows(lp) for lp in programs)
+    for lp in programs:
+        A, b, basis_list = _slack_tableau(lp, Fraction)
+        visited = _pivot_with(A, b, basis_list, _library_rule, 0, 10**6)[0]
+        dictionary, bases = _pivoted_bases(lp, Field.for_mode("rational"))
+        _basis, nonbasic, values, costs, pivots = dictionary
+        assert pivots == len(visited) - 1
+        assert bases == visited
+        assert values == b
+        assert costs == [A[-1][var] for var in nonbasic]
 
 
 def test_exact_answers_where_the_float_guide_misjudges_the_basis():
