@@ -197,11 +197,12 @@ class Field:
         return [v * reciprocal for v in numerators]
 
     def texts(self, scaled) -> list[str]:
-        """The JSON text ``encode`` gives each value ``scaled`` holds, with a
-        positive denominator, without building the values: ``str`` of the
-        ``Fraction`` in rational mode, reduced by the gcd, and the float's
-        shortest round-trip form in float mode. With a denominator of 1, as
-        a rational point mass has, each numerator is written as it stands."""
+        """The JSON text of each value ``scaled`` holds, with a positive
+        denominator, without building the values: the exact ``p/q`` string
+        (``str`` of the ``Fraction``, reduced by the gcd) in rational mode,
+        and the float's shortest round-trip form in float mode. With a
+        denominator of 1, as a rational point mass has, each numerator is
+        written as it stands."""
         numerators, denominator = scaled
         if not self.exact:
             return [_float_text(v / denominator) for v in numerators]
@@ -213,18 +214,8 @@ class Field:
             for v, g in zip(numerators, gcds)
         ]
 
-    def encode(self, value):
-        """JSON form: exact ``p/q`` strings, or shortest round-trip floats.
-
-        Only values not already of the field's exact type are converted, so
-        ints become floats in float mode and a bool never prints as ``True``.
-        """
-        if type(value) is not self.of:
-            value = self.of(value)
-        return str(value) if self.exact else value
-
     def decode(self, value, what: str) -> Number:
-        """A number read from JSON: an integer or a string that ``encode``
+        """A number read from JSON: an integer or a string that ``texts``
         writes (``str`` of the ``Fraction``) in rational mode, a JSON number
         in float mode. A ``ParseError`` names the field ``what``."""
         # exact types: a bool is no number, and neither mode reads the other's
@@ -511,6 +502,8 @@ class Weight:
 
     @classmethod
     def point_mass(cls, alphabet: Alphabet, position: int, mode: ArithmeticMode = RATIONAL) -> "Weight":
+        if not 0 <= position < len(alphabet):
+            raise ValidationError(f"point mass position {position} is not in 0..{len(alphabet) - 1}")
         field = Field.for_mode(mode)
         values = [field.zero] * len(alphabet)
         values[position] = field.one

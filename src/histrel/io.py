@@ -10,6 +10,11 @@ bit-exactly. All file writes are whole-file atomic and otherwise write as
 A histogram set's counts become decimal text once, one compact row text per
 member (``HistogramSet._row_texts``): the ``input_sha256`` digest and the
 histogram-set and profile writers are all built from those texts.
+
+Each artifact is one ``%`` template over texts written once, laid out as
+``json.dumps(tree, indent=2)`` lays out the artifact's tree: every label and
+string by json's own escaper, every number by ``Field.texts``, each list by
+``_list_text`` and each count list from its row text.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .core import (
     Number,
     Weight,
     _counter,
-    _float_text,
     require_arithmetic,
 )
 from .errors import (
@@ -116,57 +120,22 @@ def atomic_write_text(path: str, text: str) -> None:
 _escape = json.encoder.encode_basestring_ascii  # json.dumps' string writer (ensure_ascii)
 
 
-class _JsonText(str):
-    """JSON text that ``_json_text`` writes as it stands, already indented for its place."""
+def _list_text(texts: list[str], indent: str) -> str:
+    """A JSON list of item texts already written, laid out as ``json.dumps(...,
+    indent=2)`` lays it out on a line indented by ``indent``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + "\n" + indent + "]"
 
 
-# each scalar type's JSON text as json.dumps writes it, and a _JsonText's
-# own text; for these exact types repr is int.__repr__ and float.__repr__
-_SCALAR_TEXT = {
-    _JsonText: str,
-    str: _escape,
-    int: repr,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
+def _number_text(field: Field, value) -> str:
+    """``value``'s JSON text by ``Field.texts``, from ``Field._ratio(value)``."""
+    numerator, denominator = field._ratio(value)
+    return field.texts(([numerator], denominator))[0]
 
 
-def _json_text(value, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(value, indent=2)`` for the trees the writers
-    build: dicts with string keys, lists, and JSON scalars.
-
-    ``indent`` turns off json's C encoder, so this writer dispatches on type
-    instead, and a list holding one scalar type is written by one ``join``
-    over ``map``, without Python work per element.
-    """
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        texts = _item_texts(value.values(), inner)
-        items = [_escape(key) + ": " + text for key, text in zip(value, texts)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(_item_texts(value, inner)) + newline + "]"
-    scalar = _SCALAR_TEXT.get(kind)
-    if scalar is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return scalar(value)
-
-
-def _item_texts(values, newline: str):
-    """The JSON texts of a container's items, each written at ``newline``."""
-    kinds = set(map(type, values))
-    scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    if scalar is not None:
-        return map(scalar, values)
-    text_of = _SCALAR_TEXT.get
-    return [text(v) if (text := text_of(type(v))) else _json_text(v, newline) for v in values]
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +208,18 @@ def histogram_set_from_json(obj: dict) -> HistogramSet:
         raise
 
 
-def _histogram_tree(histograms: HistogramSet) -> dict:
-    """The histogram-set keys of a tree: the labels, the sample length, and
-    ``"histograms"``, one count list per member, already written from the row
-    texts as ``json.dumps(..., indent=2)`` writes them at a tree's top level."""
+def _histogram_keys_text(histograms: HistogramSet) -> str:
+    """The histogram-set keys as ``json.dumps(tree, indent=2)`` writes them
+    at a tree's top level, each member's count list from its row text."""
+    labels = _list_text([*map(_escape, histograms.alphabet.symbols)], "  ")
     rows = [row.replace(",", ",\n      ") for row in histograms._row_texts]
-    block = "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
-    return {
-        "alphabet": list(histograms.alphabet.symbols),
-        "sample_length": histograms.sample_length,
-        "histograms": _JsonText(block),
-    }
+    return '"alphabet": %s,\n  "sample_length": %d,\n  "histograms": [\n    [\n      %s\n    ]\n  ]' % (
+        labels, histograms.sample_length, "\n    ],\n    [\n      ".join(rows)
+    )
 
 
 def dumps_histogram_set(histograms: HistogramSet) -> str:
-    return _json_text(_histogram_tree(histograms)) + "\n"
+    return "{\n  " + _histogram_keys_text(histograms) + "\n}\n"
 
 
 def digest_histogram_set(histograms: HistogramSet) -> str:
@@ -399,25 +365,25 @@ def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONA
     )
 
 
-def _solution_to_json(solution: GameSolution, field: Field) -> dict:
-    """The solution's tree, each weight and dual written by ``Field.texts``
-    from the numerators it keeps, as one list indented for its place in a profile."""
-
-    def vector(held):
-        return _JsonText("[\n      " + ",\n      ".join(field.texts(held._scaled)) + "\n    ]")
-
-    return {
-        "alpha": field.encode(solution.alpha),
-        "weight": vector(solution.weight),
-        "dual": vector(solution.dual),
-        "tight_members": list(solution.tight_members),
-        "tight_symbols": list(solution.tight_symbols),
-        "alternate_optima": solution.alternate_optima,
-        "reduction": {
-            "steps": [[s.symbol, s.pass_index] for s in solution.reduction_trace.steps],
-            "surviving": list(solution.reduction_trace.surviving),
-        },
-    }
+def _solution_text(solution: GameSolution, field: Field) -> str:
+    """The solution as ``json.dumps(tree, indent=2)`` writes it in a profile,
+    each weight and dual written by ``Field.texts`` from the numerators it keeps."""
+    trace = solution.reduction_trace
+    steps = [_list_text([_escape(s.symbol), "%d" % s.pass_index], "        ") for s in trace.steps]
+    return (
+        '{\n    "alpha": %s,\n    "weight": %s,\n    "dual": %s,\n    "tight_members": %s,'
+        '\n    "tight_symbols": %s,\n    "alternate_optima": %s,'
+        '\n    "reduction": {\n      "steps": %s,\n      "surviving": %s\n    }\n  }'
+    ) % (
+        _number_text(field, solution.alpha),
+        _list_text(field.texts(solution.weight._scaled), "    "),
+        _list_text(field.texts(solution.dual._scaled), "    "),
+        _list_text([*map(str, solution.tight_members)], "    "),
+        _list_text([*map(str, solution.tight_symbols)], "    "),
+        _BOOL_TEXT[solution.alternate_optima],
+        _list_text(steps, "      "),
+        _list_text([*map(_escape, trace.surviving)], "      "),
+    )
 
 
 def _solution_from_json(obj, problem, histograms: HistogramSet, field: Field) -> GameSolution:
@@ -499,14 +465,17 @@ def dumps_profile(profile: WeightProfile) -> str:
     ``alpha``, ``weight``, ``dual``, the tight sets, ``alternate_optima`` and
     ``reduction``; numbers are exact ``p/q`` strings or floats, by the mode."""
     field = Field.for_mode(profile.mode)
-    return _json_text({
-        "format": PROFILE_FORMAT,
-        "mode": profile.mode,
-        **_histogram_tree(profile.histograms),
-        "provenance": {"input_sha256": profile.input_digest},
-        "supporting": _solution_to_json(profile.supporting, field),
-        "covering": _solution_to_json(profile.covering, field),
-    }) + "\n"
+    return (
+        '{\n  "format": %s,\n  "mode": %s,\n  %s,\n  "provenance": {\n    "input_sha256": %s\n  },'
+        '\n  "supporting": %s,\n  "covering": %s\n}\n'
+    ) % (
+        _escape(PROFILE_FORMAT),
+        _escape(profile.mode),
+        _histogram_keys_text(profile.histograms),
+        _escape(profile.input_digest),
+        _solution_text(profile.supporting, field),
+        _solution_text(profile.covering, field),
+    )
 
 
 def save_profile(profile: WeightProfile, path: str) -> None:
@@ -621,18 +590,23 @@ def score_profile(profile: WeightProfile, samples: HistogramSet) -> ScoreReport:
 
 
 def dumps_score_report(report: ScoreReport) -> str:
-    """``json.dumps(tree, indent=2)`` of the report's tree: the header by
-    ``_json_text``, each sample by one row template from the columns."""
+    """``json.dumps(tree, indent=2)`` of the report's tree: a header template
+    that ends by opening ``"samples"``, then each sample by one row template
+    from the columns."""
     field = Field.for_mode(report.mode)
-    header = _json_text({
-        "format": SCORES_FORMAT,
-        "mode": report.mode,
-        "alphabet": list(report.alphabet.symbols),
-        "sample_length": report.sample_length,
-        "alpha_supporting": field.encode(report.alpha_supporting),
-        "alpha_covering": field.encode(report.alpha_covering),
-        "flags_note": FLAGS_NOTE,
-    })
+    head = (
+        '{\n  "format": %s,\n  "mode": %s,\n  "alphabet": %s,\n  "sample_length": %d,'
+        '\n  "alpha_supporting": %s,\n  "alpha_covering": %s,\n  "flags_note": %s,'
+        '\n  "samples": [\n    '
+    ) % (
+        _escape(SCORES_FORMAT),
+        _escape(report.mode),
+        _list_text([*map(_escape, report.alphabet.symbols)], "  "),
+        report.sample_length,
+        _number_text(field, report.alpha_supporting),
+        _number_text(field, report.alpha_covering),
+        _escape(FLAGS_NOTE),
+    )
     row = (
         '{\n      "index": %d,\n      "histogram": [\n        '
         + ",\n        ".join(["%d"] * len(report.alphabet))
@@ -640,14 +614,13 @@ def dumps_score_report(report: ScoreReport) -> str:
         '\n      "relevance_ratio": %s,\n      "irrelevance_ratio": %s,'
         '\n      "meets_support": %s,\n      "within_cover": %s\n    }'
     )
-    flag = _SCALAR_TEXT[bool]
     columns = report._columns(field.texts, "null")
     rows = [
-        row % (i, *histogram, *texts, flag(meets), flag(within))
+        row % (i, *histogram, *texts, _BOOL_TEXT[meets], _BOOL_TEXT[within])
         for i, (histogram, *texts, meets, within) in enumerate(columns, start=1)
     ]
-    # the header's closing "\n}" reopens for the samples; one join copies the rows once
-    rows[0] = header[:-2] + ',\n  "samples": [\n    ' + rows[0]
+    # one join copies the rows once, the header with the first
+    rows[0] = head + rows[0]
     rows[-1] += "\n  ]\n}\n"
     return ",\n    ".join(rows)
 

@@ -149,6 +149,13 @@ class TestWeight:
         w = Weight.uniform(Alphabet(("only",)))
         assert w.values == (Fraction(1),)
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("position", [-1, -3, 3, 10])
+    def test_point_mass_outside_the_alphabet_is_rejected(self, mode, position):
+        # a negative position would otherwise index from the end
+        with pytest.raises(ValidationError, match=rf"point mass position {position} is not in 0\.\.2"):
+            Weight.point_mass(ABC, position, mode)
+
 
 class TestValidationBranches:
     """Each check of a public type's constructor raises with its message."""
@@ -308,22 +315,6 @@ class TestFieldPairings:
     def test_no_rows_give_no_pairings(self, mode):
         field = Field.for_mode(mode)
         assert field.pairings(field.scaled(Weight.uniform(ABC, mode).values), [])[0] == []
-
-    @pytest.mark.parametrize(
-        "value, rational, floating",
-        [
-            (Fraction(3, 4), "3/4", 0.75),
-            (Fraction(-2), "-2", -2.0),
-            (5, "5", 5.0),
-            (True, "1", 1.0),
-            (False, "0", 0.0),
-            (0.5, "1/2", 0.5),
-        ],
-    )
-    def test_encode_converts_only_foreign_types(self, value, rational, floating):
-        assert self.RATIONAL.encode(value) == rational
-        encoded = self.FLOAT.encode(value)
-        assert type(encoded) is float and encoded == floating
 
     def test_make_solution_rejects_a_weight_on_another_alphabet(self):
         histograms = HistogramSet.from_counts(ABC, [(3, 2, 1), (1, 2, 3)])
