@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import _count_elements
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ COVERING: ProblemMode = "covering"
 
 #: Absolute tolerance for all float-mode normalization and comparison checks.
 FLOAT_EPS = 1e-9
+
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a code point that no UTF-8 text can hold
 
 
 def _float_text(value: float) -> str:
@@ -287,11 +290,9 @@ def _solve_integer(matrix, rhs, costs=None):
         pivot, *pivot_tail = rows[k][k:]
         for row in rows[k + 1 :]:
             factor = row[k]  # L[i][k]: kept, columns left of k+1 are never rewritten
-            if factor:
+            if factor or pivot != previous:
                 tail = zip(row[k + 1 :], pivot_tail)
                 row[k + 1 :] = [(pivot * v - factor * w) // previous for v, w in tail]
-            elif pivot != previous:
-                row[k + 1 :] = [pivot * v // previous for v in row[k + 1 :]]
         previous = pivot
     det = abs(previous)
     x = _back_substitute(rows, det, [row[size] for row in rows])
@@ -305,10 +306,18 @@ def _solve_integer(matrix, rhs, costs=None):
         tail = zip(c[k + 1 :], row[k + 1 : size])
         c[k + 1 :] = [(pivot * v - u * ck) // previous for v, u in tail]
         previous = pivot
-    y = [0] * size
-    for i, v in zip(order, _back_substitute([*zip(*rows)], det, c)):  # over L^T: P y
-        y[i] = v
+    y = _spread(_back_substitute([*zip(*rows)], det, c), order, size, 0)  # over L^T: P y
     return det, x, y
+
+
+def _spread(values, positions, size, zero) -> list:
+    """``size`` entries, ``values[i]`` at ``positions[i]`` and ``zero``
+    elsewhere; values past the last position are dropped. The one scatter of
+    a solved vector onto the positions it was solved for."""
+    spread = [zero] * size
+    for i, v in zip(positions, values):
+        spread[i] = v
+    return spread
 
 
 def _back_substitute(upper, scale, rhs) -> list[int]:
@@ -342,6 +351,8 @@ class Alphabet:
             raise ValidationError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("alphabet labels must be distinct")
+        if any(map(_SURROGATE.search, self.symbols)):  # a written file would read back other labels
+            raise ValidationError("alphabet labels must hold no surrogate code point")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -460,16 +471,10 @@ def distinct_rows(rows: Sequence[Sequence]) -> tuple[tuple[tuple, ...], tuple[in
     Returns ``(unique, origins)`` where ``origins[u]`` is the index of the
     first original row equal to ``unique[u]``.
     """
-    seen: dict[tuple, int] = {}
-    unique: list[tuple] = []
-    origins: list[int] = []
+    first: dict[tuple, int] = {}
     for i, row in enumerate(rows):
-        key = tuple(row)
-        if key not in seen:
-            seen[key] = len(unique)
-            unique.append(key)
-            origins.append(i)
-    return tuple(unique), tuple(origins)
+        first.setdefault(tuple(row), i)
+    return tuple(first), tuple(first.values())
 
 
 @dataclass(frozen=True)
@@ -505,9 +510,7 @@ class Weight:
         if not 0 <= position < len(alphabet):
             raise ValidationError(f"point mass position {position} is not in 0..{len(alphabet) - 1}")
         field = Field.for_mode(mode)
-        values = [field.zero] * len(alphabet)
-        values[position] = field.one
-        return cls(alphabet, tuple(values), mode)
+        return cls(alphabet, _spread((field.one,), (position,), len(alphabet), field.zero), mode)
 
 
 def _score(histogram: Histogram, weight: Weight) -> Number:

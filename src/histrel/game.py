@@ -48,6 +48,7 @@ from .core import (
     ProblemMode,
     Weight,
     _on_simplex,
+    _spread,
     distinct_rows,
     require_problem_mode,
 )
@@ -241,8 +242,7 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
         # every optimal weight of the original problem is the point mass.
         # The dual is the point mass on the first member with that count.
         alpha, weight_values, alternate = field.of(best), (field.one,), False
-        dual_values = [field.zero] * len(column)
-        dual_values[column.index(best)] = field.one
+        dual_values = _spread((field.one,), (column.index(best),), len(column), field.zero)
     else:
         unique_rows, origins = distinct_rows(restricted)
         if use_reduction and len(alphabet) == 2:
@@ -257,8 +257,10 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
             )
         else:
             alpha, weight_values, dual_unique, alternate = _solve_lp(unique_rows, problem, field)
-        dual_values = _spread_over_members(dual_unique, origins, len(histograms.members), field)
-    weight = _built(problem, "weight-simplex", _padded_weight, weight_values, surviving, alphabet, field)
+        # duplicates were collapsed before solving: the first occurrence holds their mass
+        dual_values = _spread(dual_unique, origins, len(histograms.members), field.zero)
+    weight_values = _spread(weight_values, surviving, len(alphabet), field.zero)
+    weight = _built(problem, "weight-simplex", Weight, alphabet, weight_values, arithmetic)
     dual = _built(problem, "dual-simplex", DualWeight, dual_values, arithmetic)
     return make_solution(
         alpha, weight, dual, histograms, problem, trace, alternate_optima=alternate
@@ -319,7 +321,7 @@ def _solve_lp(unique_rows, problem, field: Field):
     return alpha, column_side, row_side, any(height + s in basic for s in zero_slacks)
 
 
-def _balance_dual(rows, half, field: Field) -> tuple:
+def _balance_dual(rows, half, field: Field) -> list:
     """A member distribution of a straddling two-symbol set whose weighted
     column sums both equal ``half``, half the sample length.
 
@@ -328,33 +330,14 @@ def _balance_dual(rows, half, field: Field) -> tuple:
     first with the largest first count; these straddle the middle, so their
     first counts differ.
     """
-    values = [field.zero] * len(rows)
     balanced = next((i for i, row in enumerate(rows) if row[0] == row[1]), None)
     if balanced is not None:
-        values[balanced] = field.one
-        return tuple(values)
+        return _spread((field.one,), (balanced,), len(rows), field.zero)
     heavy_one = max(range(len(rows)), key=lambda i: rows[i][1])
     heavy_zero = max(range(len(rows)), key=lambda i: rows[i][0])
     low, high = rows[heavy_one][0], rows[heavy_zero][0]
-    values[heavy_one] = (high - half) / (high - low)
-    values[heavy_zero] = (half - low) / (high - low)
-    return tuple(values)
-
-
-def _padded_weight(values, surviving, alphabet, field):
-    full = [field.zero] * len(alphabet)
-    for pos, j in enumerate(surviving):
-        full[j] = values[pos]
-    return Weight(alphabet, tuple(full), field.mode)
-
-
-def _spread_over_members(dual_unique, origins, member_count, field):
-    """Duplicates were collapsed before solving; their mass sits on the first
-    occurrence and the copies keep zero."""
-    values = [field.zero] * member_count
-    for u, origin in enumerate(origins):
-        values[origin] = dual_unique[u]
-    return tuple(values)
+    shares = ((high - half) / (high - low), (half - low) / (high - low))
+    return _spread(shares, (heavy_one, heavy_zero), len(rows), field.zero)
 
 
 def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateReport:

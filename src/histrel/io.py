@@ -41,6 +41,7 @@ from .core import (
     HistogramSet,
     Number,
     Weight,
+    _SURROGATE,
     _counter,
     require_arithmetic,
 )
@@ -179,10 +180,12 @@ def _require_keys(obj, keys, what: str) -> None:
 
 
 def _require_csv_labels(value, what: str = "'alphabet'") -> tuple[str, ...]:
-    """Alphabet labels, each one a token that ``_ingest_csv`` can read back."""
+    """Alphabet labels, each one a token that ``_ingest_csv`` can read back
+    from a UTF-8 file."""
     labels = _require_strings(value, what)
     for label in labels:
-        if "," in label or label.strip() != label or label.splitlines() != [label]:
+        clean = label.strip() == label and label.splitlines() == [label]
+        if "," in label or not clean or _SURROGATE.search(label):
             raise ParseError(None, f"{what} entry {label!r} is not a CSV symbol token")
     return labels
 
@@ -619,6 +622,8 @@ def dumps_score_report(report: ScoreReport) -> str:
         row % (i, *histogram, *texts, _BOOL_TEXT[meets], _BOOL_TEXT[within])
         for i, (histogram, *texts, meets, within) in enumerate(columns, start=1)
     ]
+    if not rows:
+        return head.rstrip() + "]\n}\n"
     # one join copies the rows once, the header with the first
     rows[0] = head + rows[0]
     rows[-1] += "\n  ]\n}\n"

@@ -20,14 +20,15 @@ cost.
 On a program with at least three times as many columns as rows, a pivot
 rewrites only the pivot row, the objective row and the right-hand side.
 Each other constraint row keeps its update pending until it next becomes
-the pivot row, and the ratio test replays a row's pending updates on the
-entering column alone. The answer is read off the objective row and the
-right-hand side, so the updates still pending at the optimum are never
-applied. A pending update is replayed at every later pivot, which pays
-while a program takes few pivots per column: wide programs do, and taller
-ones, which take more pivots per row, rewrite every row at every pivot.
-Every entry undergoes the same operations in the same order in both loops,
-so the pivots and the result do not depend on which one ran.
+the pivot row. The answer is read off the objective row and the right-hand
+side, so the updates still pending at the optimum are never applied. A
+pending update is replayed at every later pivot, which pays while a program
+takes few pivots per column: wide programs do, and taller ones, which take
+more pivots per row, rewrite every row at every pivot. Both row policies
+share one loop: a pivot reads the entering column once and replays the
+pending updates onto it, and one pass over that column rewrites or defers
+each row. Every entry undergoes the same operations in the same order
+either way, so the pivots and the result do not depend on the policy.
 
 Float mode pivots in doubles with the fixed absolute tolerance
 ``FLOAT_EPS``: entries within it count as zero, and reduced costs within
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .core import FLOAT, RATIONAL, ArithmeticMode, Field, Number, _solve_integer
+from .core import FLOAT, RATIONAL, ArithmeticMode, Field, Number, _solve_integer, _spread
 from .errors import IterationCapExceeded, ValidationError
 
 DEFAULT_FLOAT_ITERATION_CAP = 10_000
@@ -144,17 +145,12 @@ def simplex_optimize(lp: StandardFormLP, arithmetic: ArithmeticMode = RATIONAL) 
     else:
         basis, nonbasic, b, costs, iterations, denominator = dictionary
     zero = 0 if field.exact else field.zero  # an integer numerator in rational mode
-    solution = [zero] * (len(basis) + len(nonbasic))
-    reduced_costs = solution[:]  # a basic variable's reduced cost is zero
-    for var, v in zip(basis, b):
-        solution[var] = v
-    for var, c in zip(nonbasic, costs):
-        reduced_costs[var] = c
+    size = len(basis) + len(nonbasic)
     return SimplexResult(
         objective_numerator=0 - b[-1],  # not -b[-1]: a zero value stays +0.0
-        solution_numerators=tuple(solution),
+        solution_numerators=tuple(_spread(b, basis, size, zero)),  # b's last entry has no variable
         basis=tuple(basis),
-        cost_numerators=tuple(reduced_costs),
+        cost_numerators=tuple(_spread(costs, nonbasic, size, zero)),  # a basic variable's is zero
         denominator=denominator,
         iterations=iterations,
     )
@@ -208,13 +204,15 @@ def _optimal_dictionary(lp, field):
     leaving variable's column. So every entry, rounding included, equals the
     tableau's, and so does every pivot.
 
-    When ``n >= 3 * m``, the constraint rows other than the pivot row are not
-    rewritten: each whose entering-column entry is nonzero gets the pending
-    update ``(factor, pivot row, entering column)``, where ``factor`` is that
-    entry, which the ratio test has just computed. The ratio test reads a
-    row's entry in the entering column by replaying its pending updates in
-    order, and a pending update on the same column first resets the entry
-    to zero, as the leaving variable's entry is reset in a rewritten row.
+    Each pivot reads the entering column once, ``[row[enter] for row in
+    D]``, and replays each row's pending updates onto its entry, in order; a
+    pending update on the same column first resets the entry to zero, as the
+    leaving variable's entry is reset in a rewritten row. One pass over the
+    column then updates each row but the pivot row whose entry is nonzero,
+    and its ``b``: the objective row is rewritten, and so is each constraint
+    row unless ``n >= 3 * m``, the pass's one branch. There the row gets the
+    pending update ``(factor, pivot row, entering column)`` instead,
+    ``factor`` being its entry in the column.
     The pivot row applies its pending updates, two per pass, to a copy of
     itself, which the other rows' pending updates do not hold. So every
     entry that is read has seen the operations a rewritten row's would, and
@@ -245,17 +243,15 @@ def _optimal_dictionary(lp, field):
             candidates = (k for k, v in enumerate(costs) if v > eps)
         # the columns are permuted: a tie goes to the smallest variable index
         enter = min(candidates, key=nonbasic.__getitem__)
-        if pending is None:
-            column = [row[enter] for row in D]
-        else:
-            column = []
-            for row, updates in zip(D, pending):
-                coeff = row[enter]
+        column = [row[enter] for row in D]
+        if pending is not None:
+            for r, updates in enumerate(pending):
+                coeff = column[r]
                 for factor, pivot_row, k in updates:
                     if k == enter:  # a column that entered before starts again from zero
                         coeff = zero
                     coeff = coeff - factor * pivot_row[enter]
-                column.append(coeff)
+                column[r] = coeff
         leave_row, best_ratio = None, None
         for r in range(m):
             coeff = column[r]
@@ -296,20 +292,14 @@ def _optimal_dictionary(lp, field):
             b[leave_row] = b[leave_row] * inv
             pivot = pivot * inv
         unit[leave_row] = pivot
-        if pending is None:
-            eager = range(m + 1)
-        else:
-            eager = (m,)  # the objective row stays up to date
-            for r, factor in enumerate(column):
-                if r != leave_row and factor != 0:
-                    pending[r].append((factor, row, enter))
-                    b[r] = b[r] - factor * b[leave_row]
-        for r in eager:
-            old = D[r]
-            factor = old[enter]
+        for r, factor in enumerate(column):
             if r == leave_row or factor == 0:
                 continue
-            old[enter] = zero  # the leaving variable's entry off its row
-            D[r] = [v - factor * w for v, w in zip(old, row)]
+            if pending is None or r == m:  # the objective row stays up to date
+                old = D[r]
+                old[enter] = zero  # the leaving variable's entry off its row
+                D[r] = [v - factor * w for v, w in zip(old, row)]
+            else:
+                pending[r].append((factor, row, enter))
             b[r] = b[r] - factor * b[leave_row]
         basis[leave_row], nonbasic[enter] = nonbasic[enter], basis[leave_row]

@@ -40,6 +40,7 @@ from .core import (
     ProblemMode,
     Weight,
     _solve_integer,
+    _spread,
     require_problem_mode,
 )
 from .errors import CapExceeded, CertificationFailure, NumericalFailure, ValidationError
@@ -171,16 +172,10 @@ def oracle_solve(
                     continue
                 if not _off_support_optimal(rows, symbols, members, xs, qs, value, supporting):
                     continue
-                weight_values = [Fraction(0)] * n
-                for pos, j in enumerate(symbols):
-                    weight_values[j] = xs[pos]
-                dual_values = [Fraction(0)] * k
-                for pos, i in enumerate(members):
-                    dual_values[i] = qs[pos]
                 return (
                     value,
-                    Weight(histograms.alphabet, tuple(weight_values), RATIONAL),
-                    DualWeight(tuple(dual_values), RATIONAL),
+                    Weight(histograms.alphabet, _spread(xs, symbols, n, Fraction(0)), RATIONAL),
+                    DualWeight(_spread(qs, members, k, Fraction(0)), RATIONAL),
                 )
     raise NumericalFailure("support enumeration found no equilibrium")
 

@@ -48,18 +48,28 @@ class TestAlphabet:
         with pytest.raises(ValidationError):
             Alphabet(("a", "a"))
 
+    @pytest.mark.parametrize(
+        "label", ["\ud800", "\udcff", "a\ud800\udc00"], ids=["lone", "escaped-byte", "pair"]
+    )
+    def test_rejects_surrogate_labels(self, label):
+        # no UTF-8 file holds one, and json reads the written pair back as U+10000
+        with pytest.raises(ValidationError, match="surrogate"):
+            Alphabet(("a", label))
+
     def test_order_is_preserved(self):
         assert Alphabet(("b", "a")).symbols == ("b", "a")
 
     def test_index_of_unknown_label(self):
+        assert "a" in AB and "z" not in AB
         with pytest.raises(UnknownSymbol):
             AB.index("z")
 
 
 class TestBuildHistogram:
     def test_direct_count(self):
-        hist = build_histogram(Sample(("a", "a", "b", "b", "a")), AB)
-        assert hist.counts == (3, 2)
+        sample = Sample(("a", "a", "b", "b", "a"))
+        assert len(sample) == 5
+        assert build_histogram(sample, AB).counts == (3, 2)
 
     def test_absent_symbol_counts_zero(self):
         hist = build_histogram(Sample(("a", "a", "a")), AB)
@@ -165,6 +175,7 @@ class TestValidationBranches:
         [
             (lambda: require_problem_mode("banana"), ValidationError, "unknown problem mode 'banana'"),
             (lambda: require_arithmetic("decimal"), ValidationError, "unknown arithmetic mode 'decimal'"),
+            (lambda: Sample(()), ValidationError, "sample must contain at least one entry"),
             (lambda: Histogram(AB, (1, 1, 1)), ValidationError, "histogram has 3 counts for 2 symbols"),
             (lambda: Histogram(AB, (0, 0)), ValidationError, "histogram total must be at least 1"),
             (lambda: HistogramSet(AB, 2, ()), EmptySet, "histogram set has no members"),
@@ -207,6 +218,7 @@ class TestValidationBranches:
         ids=[
             "problem-mode",
             "arithmetic",
+            "sample-empty",
             "histogram-length",
             "histogram-total",
             "set-members",

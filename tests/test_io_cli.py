@@ -33,6 +33,7 @@ from histrel import (
     ParseError,
     ReductionStep,
     ReductionTrace,
+    ScoreReport,
     UnknownSymbol,
     ValidationError,
     Weight,
@@ -609,8 +610,9 @@ def is_csv_label(label: str) -> bool:
 
 
 # characters that JSON escapes or that need care: a quote, a backslash,
-# controls (the line breaks among them are filtered out with the labels
-# that ingest would not read back), non-ASCII, non-BMP and lone surrogates
+# controls, non-ASCII and non-BMP characters; the labels that ingest would
+# not read back, with a line break or a surrogate, are filtered out by the
+# library's own rule
 LABEL_CHARACTERS = st.one_of(
     st.sampled_from('"\\\t\x00\x01\x1b\x7f\x85/ '),
     st.characters(max_codepoint=0x7F),
@@ -683,6 +685,14 @@ class TestWriter:
         tree = assert_written_as_json_dumps(histograms, mode)
         assert all(row["irrelevance_ratio"] is None for row in tree["samples"])
         assert all(row["relevance_ratio"] is not None for row in tree["samples"])
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_an_empty_report_lists_no_samples(self, mode):
+        one = Field.for_mode(mode).one
+        report = ScoreReport(Alphabet(("a", "b")), 2, mode, one, one, (), ([], 1), ([], 1), (), ())
+        text = dumps_score_report(report)
+        assert text == json.dumps(score_report_to_json(report), indent=2) + "\n"
+        assert '"samples": []' in text
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_integer_and_zero_scores(self, mode, e1, e2):
@@ -1317,8 +1327,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "label",
-        ["", " a", "a ", "a\n", "a\rb", "a\u2028b", "a,b"],
-        ids=["empty", "leading", "trailing", "newline", "return", "line-separator", "comma"],
+        ["", " a", "a ", "a\n", "a\rb", "a\u2028b", "a,b", "\ud800"],
+        ids=[
+            "empty", "leading", "trailing", "newline", "return", "line-separator", "comma",
+            "surrogate",
+        ],
     )
     def test_labels_no_sample_csv_can_carry_are_a_parse_error(self, tmp_path, capsys, label):
         path = tmp_path / "hs.json"
@@ -1328,7 +1341,8 @@ class TestCli:
         assert f"'alphabet' entry {label!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["ingest", "solve"])
-    @pytest.mark.parametrize("label", ["c\x1cd", "c\nd", "c\u2028d"])
+    # "c\udcff" is how Python decodes the byte 0xff of a non-UTF-8 argument
+    @pytest.mark.parametrize("label", ["c\x1cd", "c\nd", "c\u2028d", "c\udcff"])
     def test_an_alphabet_option_no_file_can_carry_is_a_parse_error(
         self, tmp_path, capsys, command, label
     ):
