@@ -233,7 +233,8 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
         restricted, trace = reduce_fixpoint(histograms, problem)
     else:
         restricted, trace = histograms.count_rows(), empty_trace(alphabet.symbols)
-    surviving = [alphabet.index(s) for s in trace.surviving]
+    kept = set(trace.surviving)  # alphabet order: the column order of the restricted rows
+    surviving = [j for j, s in enumerate(alphabet.symbols) if s in kept]
 
     if len(surviving) == 1:
         column = histograms._columns[surviving[0]]

@@ -5,9 +5,12 @@ random instances plus a handful of pinned cases, so one command answers "is
 this build trustworthy": values match the oracle exactly, bounds hold,
 certificates pass, reduction is sound, the straddling binary closed form
 agrees with the program on the full alphabet and dominant binary sets show
-the closed form's facts, and float mode tracks rational mode. Each fixture,
-random or given set is solved once per game on the default path, on the full
-alphabet and in float, and every check of that set reads those solutions.
+the closed form's facts, and float mode tracks rational mode. Every set, be
+it a fixture, a random draw, a set of the two-symbol sweep or a given one,
+goes through ``check_instance``: it is solved once per game on the default
+path, on the full alphabet and in float, and every check of that set reads
+those solutions. The solvers certify what they return, so a passing set is
+one ``certified-solutions`` trial and a refused solution a failed one.
 
 The oracle, ``oracle_solve``, is exhaustive support enumeration (L. S.
 Shapley and R. N. Snow, "Basic solutions of discrete games", 1950), exact
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import random
 import string
-from contextlib import contextmanager
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
@@ -44,7 +47,7 @@ from .core import (
     require_problem_mode,
 )
 from .errors import CapExceeded, CertificationFailure, NumericalFailure, ValidationError
-from .game import DualWeight, certify, make_solution, solve_covering, solve_supporting
+from .game import DualWeight, make_solution, solve_covering, solve_supporting
 
 ORACLE_MAX_SYMBOLS = 6
 ORACLE_MAX_MEMBERS = 8
@@ -243,16 +246,6 @@ def _stat(stats: dict[str, PropertyStat], name: str) -> PropertyStat:
     return stats.setdefault(name, PropertyStat(name))
 
 
-@contextmanager
-def _certified(stats: dict[str, PropertyStat], label: str):
-    """The solvers raise on a solution that fails its certificate; count that
-    as a failed trial and go on with the next instance."""
-    try:
-        yield
-    except CertificationFailure as exc:
-        _stat(stats, "certified-solutions").record(False, note=f"{label}: {exc}")
-
-
 def check_instance(
     histograms: HistogramSet, stats: dict[str, PropertyStat], label: str, expected: tuple | None = None
 ) -> None:
@@ -277,18 +270,8 @@ def check_instance(
             ok, note=f"{label}: alpha {solution.alpha} vs baseline {baseline}"
         )
 
-        report = certify(solution, histograms)
-        _stat(stats, f"certificate-{problem}").record(
-            report.passed,
-            violation=report.max_violation,
-            note=f"{label}: {[c.clause for c in report.failures()]}",
-        )
-
-        oracle_solution = make_solution(oracle_alpha, oracle_weight, oracle_dual, histograms, problem)
-        oracle_report = certify(oracle_solution, histograms)
-        _stat(stats, f"oracle-self-certifies-{problem}").record(
-            oracle_report.passed, violation=oracle_report.max_violation, note=label
-        )
+        # make_solution raises unless the oracle's answer passes its certificate
+        make_solution(oracle_alpha, oracle_weight, oracle_dual, histograms, problem)
 
         unreduced = solve(histograms, use_reduction=False)
         _stat(stats, f"reduction-alpha-{problem}").record(
@@ -303,11 +286,12 @@ def check_instance(
             oracle_zero and solver_zero, note=label
         )
 
-        float_solution = solve(histograms, FLOAT)
-        gap = abs(float(solution.alpha) - float_solution.alpha)
-        _stat(stats, f"float-agreement-{problem}").record(
-            gap <= FLOAT_AGREEMENT, violation=gap, note=f"{label}: gap {gap}"
-        )
+        try:
+            gap = abs(solve(histograms, FLOAT).alpha - float(solution.alpha))
+            ok, note = gap <= FLOAT_AGREEMENT, f"{label}: gap {gap}"
+        except (CertificationFailure, NumericalFailure) as exc:
+            gap, ok, note = 0.0, False, f"{label}: {exc}"
+        _stat(stats, f"float-agreement-{problem}").record(ok, violation=gap, note=note)
 
         # an exact dot product of its own, independent of Field.pairings
         for member in histograms.members:
@@ -329,8 +313,8 @@ def check_instance(
         )
 
 
-def _check_binary_agreement(histograms, stats, label, fast=None, full=None) -> None:
-    """Both solvers on a two-symbol set. A straddling set's closed form
+def _check_binary_agreement(histograms, stats, label, fast, full) -> None:
+    """Both games' solutions of a two-symbol set. A straddling set's closed form
     must agree with the program on the full alphabet (``use_reduction=False``),
     and its member distribution must balance both columns at half the sample
     length. A dominant set must show the closed form's facts: with dominant
@@ -338,20 +322,16 @@ def _check_binary_agreement(histograms, stats, label, fast=None, full=None) -> N
     minimum of that column, the covering weight the point mass on the other
     symbol at the maximum of its column, neither flags an alternate optimum,
     and each member distribution's weighted column reproduces that extreme.
-    The (supporting, covering) pairs ``fast`` and ``full`` (on the full alphabet)
-    are solved here when not given, ``full`` only for a straddling set."""
+    ``fast`` and ``full`` are the (supporting, covering) solutions on the
+    default path and on the full alphabet; nothing is solved here."""
     tag = classify_binary(histograms)
-    sup_fast, cov_fast = fast or (solve_supporting(histograms), solve_covering(histograms))
+    (sup_fast, cov_fast), (sup_lp, cov_lp) = fast, full
     rows = histograms.count_rows()
 
     def weighted(solution, column):
         return sum(d * row[column] for d, row in zip(solution.dual.values, rows))
 
     if tag == MIXED:
-        sup_lp, cov_lp = full or (
-            solve_supporting(histograms, use_reduction=False),
-            solve_covering(histograms, use_reduction=False),
-        )
         _stat(stats, "binary-alpha-agreement").record(
             sup_fast.alpha == sup_lp.alpha and cov_fast.alpha == cov_lp.alpha,
             note=f"{label}: fast ({sup_fast.alpha},{cov_fast.alpha}) lp ({sup_lp.alpha},{cov_lp.alpha})",
@@ -379,21 +359,15 @@ def _check_binary_agreement(histograms, stats, label, fast=None, full=None) -> N
             _stat(stats, "binary-dual-identity").record(
                 weighted(solution, column) == best, note=f"{label}: {solution.mode}"
             )
-    for solution in (sup_fast, cov_fast):
-        report = certify(solution, histograms)
-        _stat(stats, "binary-certificates").record(report.passed, violation=report.max_violation, note=label)
 
 
-def binary_sweep(stats: dict[str, PropertyStat], sample_length: int = 10) -> None:
-    """All two-member sets at one sample length, closed form against the LP."""
-    alphabet = Alphabet(("0", "1"))
-    for a in range(sample_length + 1):
-        for b in range(sample_length + 1):
-            rows = ((a, sample_length - a), (b, sample_length - b))
-            histograms = HistogramSet.from_counts(alphabet, rows, sample_length)
-            label = f"sweep ({a},{b})"
-            with _certified(stats, label):
-                _check_binary_agreement(histograms, stats, label)
+def binary_sweep():
+    """Every two-member set over two symbols at sample length 10, labelled for
+    ``check_instance``: the closed form against the LP on each split."""
+    alphabet, t = Alphabet(("0", "1")), 10
+    for a in range(t + 1):
+        for b in range(t + 1):
+            yield f"sweep ({a},{b})", HistogramSet.from_counts(alphabet, ((a, t - a), (b, t - b)), t), None
 
 
 def _require_sweep_bounds(trials, max_symbols, max_members, max_length) -> None:
@@ -410,6 +384,9 @@ def _require_sweep_bounds(trials, max_symbols, max_members, max_length) -> None:
     for name, flag, value, least, _ in bounds:
         if value < least:
             raise ValidationError(f"verification needs {name} ({flag}) >= {least}, got {value}")
+    most = sys.maxsize - max_symbols + 1  # each draw samples cuts from range(t + n - 1)
+    if max_length > most:
+        raise ValidationError(f"verification draws max_length (--max-t) <= {most}, got {max_length}")
 
 
 def run_verification(
@@ -425,8 +402,9 @@ def run_verification(
     ``instance``, only that set is checked. Before any solve, a bound beyond
     an oracle cap raises ``CapExceeded`` and one below its least value
     (``trials >= 0``, ``max_symbols >= 2``, ``max_members >= 1``,
-    ``max_length >= 1``) ``ValidationError``; the oracle, which runs before
-    the solvers, raises ``CapExceeded`` for an instance beyond its caps."""
+    ``max_length >= 1``) ``ValidationError``, as does a ``max_length`` whose
+    draws would pass ``sys.maxsize``; the oracle, which runs before the
+    solvers, raises ``CapExceeded`` for an instance beyond its caps."""
     _require_sweep_bounds(trials, max_symbols, max_members, max_length)
     if instance is not None:
         trials, labelled = 0, [("input instance", instance, None)]
@@ -436,11 +414,16 @@ def run_verification(
         labelled = chain(
             ((name, fixture_set(spec), (sup, cov)) for name, spec, sup, cov in TARGETED),
             ((f"trial {trial}", histograms, None) for trial, histograms in enumerate(drawn)),
+            binary_sweep(),
         )
     stats: dict[str, PropertyStat] = {}
     for label, histograms, expected in labelled:
-        with _certified(stats, label):
+        # the solvers raise on a solution that fails its certificate: that set
+        # counts as a failed trial, and the sweep goes on with the next one
+        try:
             check_instance(histograms, stats, label, expected)
-    if instance is None:
-        binary_sweep(stats)
+        except CertificationFailure as exc:
+            _stat(stats, "certified-solutions").record(False, note=f"{label}: {exc}")
+        else:
+            _stat(stats, "certified-solutions").record(True)
     return VerificationReport(seed=seed, trials=trials, properties=stats)

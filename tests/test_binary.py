@@ -254,11 +254,9 @@ class TestClosedFormFactsHold:
 class TestVerifyBinaryCheck:
     """``histrel verify``'s binary check: a dominant set is checked against the
     closed-form facts, a straddling one against the LP. ``check_instance``
-    hands it the solutions it made (``given``), and it solves nothing; in
-    ``binary_sweep`` it solves both games once, and on the full alphabet only
-    a straddling set. Each test runs both ways."""
+    hands it the solutions it made, and it solves nothing."""
 
-    def check(self, monkeypatch, hs, given, supporting=solve_supporting, covering=solve_covering):
+    def check(self, monkeypatch, hs, supporting=solve_supporting, covering=solve_covering):
         solves = []
 
         def counted(solve):
@@ -268,47 +266,38 @@ class TestVerifyBinaryCheck:
 
             return run
 
-        solutions = {}
-        if given:
-            solutions["fast"] = supporting(hs), covering(hs)
-            solutions["full"] = (
-                supporting(hs, use_reduction=False),
-                covering(hs, use_reduction=False),
-            )
+        fast = supporting(hs), covering(hs)
+        full = supporting(hs, use_reduction=False), covering(hs, use_reduction=False)
         monkeypatch.setattr(histrel.verify, "solve_supporting", counted(supporting))
         monkeypatch.setattr(histrel.verify, "solve_covering", counted(covering))
         stats = {}
-        histrel.verify._check_binary_agreement(hs, stats, "set", **solutions)
+        histrel.verify._check_binary_agreement(hs, stats, "set", fast, full)
         return stats, solves
 
     def test_a_dominant_set_is_checked_against_the_closed_form_facts(self, monkeypatch, e1):
-        for given in (False, True):
-            stats, solves = self.check(monkeypatch, e1, given)
-            assert solves == ([] if given else [True, True])
-            assert set(stats) == {"binary-dominant-facts", "binary-certificates", "binary-dual-identity"}
-            assert stats["binary-dominant-facts"].trials == 2
-            assert all(stat.passed for stat in stats.values())
+        stats, solves = self.check(monkeypatch, e1)
+        assert solves == []
+        assert set(stats) == {"binary-dominant-facts", "binary-dual-identity"}
+        assert stats["binary-dominant-facts"].trials == 2
+        assert all(stat.passed for stat in stats.values())
 
     def test_the_facts_catch_crossed_solutions(self, monkeypatch, e1):
-        for given in (False, True):
-            # solvers that return the two games' solutions crossed
-            stats = self.check(monkeypatch, e1, given, solve_covering, solve_supporting)[0]
-            assert stats["binary-dominant-facts"].failures == 2
+        # solvers that return the two games' solutions crossed
+        stats = self.check(monkeypatch, e1, solve_covering, solve_supporting)[0]
+        assert stats["binary-dominant-facts"].failures == 2
 
     def test_a_straddling_set_is_compared_with_the_lp(self, monkeypatch, e2):
-        for given in (False, True):
-            stats, solves = self.check(monkeypatch, e2, given)
-            assert solves == ([] if given else [True, True, False, False])
-            assert {"binary-alpha-agreement", "binary-forced-weights"} <= set(stats)
-            assert "binary-dominant-facts" not in stats
-            assert all(stat.passed for stat in stats.values())
+        stats, solves = self.check(monkeypatch, e2)
+        assert solves == []
+        assert {"binary-alpha-agreement", "binary-forced-weights"} <= set(stats)
+        assert "binary-dominant-facts" not in stats
+        assert all(stat.passed for stat in stats.values())
 
     @pytest.mark.parametrize("rows", [[(7, 3), (6, 4)], [(3, 7), (2, 8)]], ids=["zero", "one"])
     def test_both_games_duals_are_checked_on_either_dominant_tag(self, monkeypatch, rows):
-        for given in (False, True):
-            stats = self.check(monkeypatch, make_set("ab", rows), given)[0]
-            assert stats["binary-dual-identity"].trials == 2
-            assert stats["binary-dual-identity"].passed
+        stats = self.check(monkeypatch, make_set("ab", rows))[0]
+        assert stats["binary-dual-identity"].trials == 2
+        assert stats["binary-dual-identity"].passed
 
     def test_the_dual_identity_catches_a_covering_dual_off_the_maximum(self, monkeypatch):
         hs = make_set("ab", [(3, 7), (2, 8)])  # covering: column 0, maximum 3 in member 0
@@ -316,6 +305,5 @@ class TestVerifyBinaryCheck:
         def moved(h, *args, **kwargs):
             return dataclasses.replace(solve_covering(h, *args, **kwargs), dual=DualWeight((0, 1)))
 
-        for given in (False, True):
-            stats = self.check(monkeypatch, hs, given, covering=moved)[0]
-            assert stats["binary-dual-identity"].failures == 1
+        stats = self.check(monkeypatch, hs, covering=moved)[0]
+        assert stats["binary-dual-identity"].failures == 1

@@ -1325,6 +1325,18 @@ class TestCli:
         assert "input instance: supporting solution fails: dual-simplex" in captured.out
         assert captured.err == ""
 
+    def test_verify_checks_a_set_beyond_the_float_range_in_rational_mode(self, tmp_path, capsys):
+        t = 10**400
+        path = tmp_path / "big.json"
+        save_histogram_set(make_set("abc", [(t - 5, 3, 2), (1, t - 2, 1)]), str(path))
+        assert self.run("verify", str(path)) == EXIT_CODES["verification-failed"]
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed == ["FAIL float-agreement-supporting: 0/1", "FAIL float-agreement-covering: 0/1"]
+        assert "     - input instance: counts exceed the float range; use rational mode" in lines
+        assert "PASS alpha-match-covering: 1/1" in lines
+        assert "PASS certified-solutions: 1/1" in lines
+
     @pytest.mark.parametrize(
         "label",
         ["", " a", "a ", "a\n", "a\rb", "a\u2028b", "a,b", "\ud800"],

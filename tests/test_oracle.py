@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator
@@ -16,6 +17,8 @@ from histrel import (
     RATIONAL,
     SUPPORTING,
     CapExceeded,
+    CertificationFailure,
+    NumericalFailure,
     ValidationError,
     certify,
     make_solution,
@@ -124,11 +127,21 @@ class TestSweepBounds:
             ({"max_symbols": 1}, ValidationError, "max_symbols (--max-v) >= 2, got 1"),
             ({"max_members": 0}, ValidationError, "max_members (--max-m) >= 1, got 0"),
             ({"max_length": 0}, ValidationError, "max_length (--max-t) >= 1, got 0"),
+            ({"max_length": 10**30}, ValidationError, f"max_length (--max-t) <= {sys.maxsize - 3}, got"),
             ({"max_symbols": 7}, CapExceeded, "caps max_symbols (--max-v) at 6, got 7"),
             ({"max_members": 9}, CapExceeded, "caps max_members (--max-m) at 8, got 9"),
             ({"max_members": 9, "max_symbols": 1}, CapExceeded, "caps max_members (--max-m) at 8"),
         ],
-        ids=["trials", "min-symbols", "min-members", "min-length", "symbol-cap", "member-cap", "cap-first"],
+        ids=[
+            "trials",
+            "min-symbols",
+            "min-members",
+            "min-length",
+            "max-length",
+            "symbol-cap",
+            "member-cap",
+            "cap-first",
+        ],
     )
     def test_a_bound_outside_its_range_raises_before_any_solve(
         self, monkeypatch, arguments, error, message
@@ -151,7 +164,7 @@ class TestSweepBounds:
             checked.append((label, expected))
 
         monkeypatch.setattr(histrel.verify, "check_instance", check)
-        monkeypatch.setattr(histrel.verify, "binary_sweep", lambda stats: None)
+        monkeypatch.setattr(histrel.verify, "binary_sweep", lambda: ())
         report = run_verification(
             1, max_symbols=ORACLE_MAX_SYMBOLS, max_members=ORACLE_MAX_MEMBERS, max_length=1
         )
@@ -195,13 +208,47 @@ class TestEachSetSolvedOnce:
         assert run_verification(100, 1).passed
         assert max(calls.values()) == 1
         per_game = Counter((game, arithmetic, reduced) for game, _, arithmetic, reduced in calls)
-        # 4 fixtures and 100 trials, then the 121-set binary sweep, which
-        # solves its 71 straddling sets on the full alphabet too
+        # 4 fixtures, 100 trials and the 121 sets of the two-symbol sweep
         assert per_game == {
-            (game, arithmetic, reduced): count
+            (game, arithmetic, reduced): 225
             for game in ("solve_supporting", "solve_covering")
-            for arithmetic, reduced, count in ((RATIONAL, True, 225), (RATIONAL, False, 175), (FLOAT, True, 104))
+            for arithmetic, reduced in ((RATIONAL, True), (RATIONAL, False), (FLOAT, True))
         }
+
+    def test_a_passing_sweep_counts_each_set_as_certified(self):
+        # 4 fixtures and the 121 sets of the two-symbol sweep
+        stat = run_verification(0).properties["certified-solutions"]
+        assert (stat.trials, stat.failures) == (125, 0)
+
+
+class TestFloatFailure:
+    """A float solve that raises is a failed ``float-agreement`` trial; the
+    set's other checks still run."""
+
+    def test_the_rest_of_the_set_is_still_checked(self, monkeypatch, e3):
+        failures = {
+            "solve_supporting": CertificationFailure("supporting solution fails in float"),
+            "solve_covering": NumericalFailure("counts exceed the float range"),
+        }
+
+        def float_raises(solve):
+            def run(histograms, arithmetic=RATIONAL, *, use_reduction=True):
+                if arithmetic == FLOAT:
+                    raise failures[solve.__name__]
+                return solve(histograms, arithmetic, use_reduction=use_reduction)
+
+            return run
+
+        for solve in (solve_supporting, solve_covering):
+            monkeypatch.setattr(histrel.verify, solve.__name__, float_raises(solve))
+        properties = run_verification(instance=e3).properties
+        for problem, solve in ((SUPPORTING, "solve_supporting"), (COVERING, "solve_covering")):
+            stat = properties.pop(f"float-agreement-{problem}")
+            assert (stat.trials, stat.failures) == (1, 1)
+            assert stat.notes == [f"input instance: {failures[solve]}"]
+            assert properties[f"alpha-match-{problem}"].trials == 1
+        assert all(stat.passed for stat in properties.values())
+        assert properties["certified-solutions"].trials == 1
 
 
 class TestOracleGrid:
