@@ -17,18 +17,17 @@ reduced costs and its right-hand side is minus the objective value. No row
 multipliers are returned: a row's multiplier is minus its slack's reduced
 cost.
 
-On a program with at least three times as many columns as rows, a pivot
-rewrites only the pivot row, the objective row and the right-hand side.
-Each other constraint row keeps its update pending until it next becomes
-the pivot row. The answer is read off the objective row and the right-hand
-side, so the updates still pending at the optimum are never applied. A
-pending update is replayed at every later pivot, which pays while a program
-takes few pivots per column: wide programs do, and taller ones, which take
-more pivots per row, rewrite every row at every pivot. Both row policies
-share one loop: a pivot reads the entering column once and replays the
-pending updates onto it, and one pass over that column rewrites or defers
-each row. Every entry undergoes the same operations in the same order
-either way, so the pivots and the result do not depend on the policy.
+A pivot rewrites only the pivot row, the objective row and the
+right-hand side. Every other constraint row keeps its update pending, a
+row-wise product form of the basis inverse (G. B. Dantzig and W.
+Orchard-Hays, 1954), and folds its pending updates into itself before it
+next pivots, or at once when it holds ``_FOLD_BOUND`` of them. A pivot
+replays the pending updates, fewer than ``_FOLD_BOUND`` per row, onto the
+entering column. The answer is read off the objective row and the
+right-hand side, so the updates still pending at the optimum are never
+applied. A fold or a replay puts every entry through a rewrite's
+operations in the same order, so the pivots and the result do not depend
+on when a row folds.
 
 Float mode pivots in doubles with the fixed absolute tolerance
 ``FLOAT_EPS``: entries within it count as zero, and reduced costs within
@@ -66,6 +65,7 @@ from .core import FLOAT, RATIONAL, ArithmeticMode, Field, Number, _solve_integer
 from .errors import IterationCapExceeded, ValidationError
 
 DEFAULT_FLOAT_ITERATION_CAP = 10_000
+_FOLD_BOUND = 48  # a constraint row folds its pending updates once it holds this many
 
 
 @dataclass(frozen=True)
@@ -204,20 +204,17 @@ def _optimal_dictionary(lp, field):
     leaving variable's column. So every entry, rounding included, equals the
     tableau's, and so does every pivot.
 
-    Each pivot reads the entering column once, ``[row[enter] for row in
-    D]``, and replays each row's pending updates onto its entry, in order; a
-    pending update on the same column first resets the entry to zero, as the
-    leaving variable's entry is reset in a rewritten row. One pass over the
-    column then updates each row but the pivot row whose entry is nonzero,
-    and its ``b``: the objective row is rewritten, and so is each constraint
-    row unless ``n >= 3 * m``, the pass's one branch. There the row gets the
-    pending update ``(factor, pivot row, entering column)`` instead,
-    ``factor`` being its entry in the column.
-    The pivot row applies its pending updates, two per pass, to a copy of
-    itself, which the other rows' pending updates do not hold. So every
-    entry that is read has seen the operations a rewritten row's would, and
-    the entries never read, those of rows still pending at the optimum, do
-    not enter the result.
+    Each pivot reads the entering column once and replays each row's
+    pending updates onto its entry, in order; an update on the same column
+    first resets the entry to zero, as a rewrite resets the leaving
+    variable's entry. ``_fold`` brings the pivot row up to date before it
+    pivots. One pass over the column then updates ``b`` and every other row
+    whose entry is nonzero: the objective row is rewritten, for pricing
+    reads it, and each constraint row gets the pending update ``(factor,
+    pivot row, entering column)``, ``factor`` being its entry, and is folded
+    when it holds ``_FOLD_BOUND`` of them. So every entry that is read has
+    seen a rewrite's operations, and rows still pending at the optimum are
+    never read.
     """
     n, m = len(lp.objective), len(lp.rows)
     of, zero, one, eps = field.of, field.zero, field.one, field.tol
@@ -229,8 +226,7 @@ def _optimal_dictionary(lp, field):
     b = [*map(of, lp.rhs), zero]
     unit = [one] * m
     basis, nonbasic = list(range(n, n + m)), list(range(n))
-    # pending[r]: the updates row r has not applied, on programs wide enough
-    pending = [[] for _ in range(m)] if n >= 3 * m else None
+    pending = [[] for _ in range(m)]  # pending[r]: the updates row r has not applied
     iterations = degenerate = 0
     while True:
         costs = D[m]
@@ -244,14 +240,13 @@ def _optimal_dictionary(lp, field):
         # the columns are permuted: a tie goes to the smallest variable index
         enter = min(candidates, key=nonbasic.__getitem__)
         column = [row[enter] for row in D]
-        if pending is not None:
-            for r, updates in enumerate(pending):
-                coeff = column[r]
-                for factor, pivot_row, k in updates:
-                    if k == enter:  # a column that entered before starts again from zero
-                        coeff = zero
-                    coeff = coeff - factor * pivot_row[enter]
-                column[r] = coeff
+        for r, updates in enumerate(pending):
+            coeff = column[r]
+            for factor, pivot_row, k in updates:
+                if k == enter:  # a column that entered before starts again from zero
+                    coeff = zero
+                coeff = coeff - factor * pivot_row[enter]
+            column[r] = coeff
         leave_row, best_ratio = None, None
         for r in range(m):
             coeff = column[r]
@@ -269,21 +264,8 @@ def _optimal_dictionary(lp, field):
         iterations += 1
         if cap is not None and iterations > cap:
             raise IterationCapExceeded(f"no optimum after {cap} pivots")
-        row = D[leave_row]
-        if pending is not None:
-            # a copy: other rows' pending updates may hold this list
-            row = row[:]
-            updates = pending[leave_row]
-            for (f1, p1, k1), (f2, p2, k2) in zip(updates[::2], updates[1::2]):
-                row[k1] = zero
-                row = [(v - f1 * w1) - f2 * w2 for v, w1, w2 in zip(row, p1, p2)]
-                row[k2] = zero - f2 * p2[k2]  # reset before the second update
-            if len(updates) % 2:
-                factor, pivot_row, k = updates[-1]
-                row[k] = zero
-                row = [v - factor * w for v, w in zip(row, pivot_row)]
-            pending[leave_row] = []
-            D[leave_row] = row
+        row = D[leave_row] = _fold(D[leave_row], pending[leave_row], zero)
+        pending[leave_row] = []
         pivot = row[enter]
         row[enter] = unit[leave_row]  # the leaving variable takes the column
         if pivot != 1:
@@ -295,11 +277,29 @@ def _optimal_dictionary(lp, field):
         for r, factor in enumerate(column):
             if r == leave_row or factor == 0:
                 continue
-            if pending is None or r == m:  # the objective row stays up to date
-                old = D[r]
-                old[enter] = zero  # the leaving variable's entry off its row
-                D[r] = [v - factor * w for v, w in zip(old, row)]
+            if r == m:  # pricing reads the objective row: it stays up to date
+                D[m][enter] = zero  # the leaving variable's entry off its row
+                D[m] = [v - factor * w for v, w in zip(D[m], row)]
             else:
                 pending[r].append((factor, row, enter))
+                if len(pending[r]) == _FOLD_BOUND:
+                    D[r], pending[r] = _fold(D[r], pending[r], zero), []
             b[r] = b[r] - factor * b[leave_row]
         basis[leave_row], nonbasic[enter] = nonbasic[enter], basis[leave_row]
+
+
+def _fold(row, updates, zero):
+    """A copy of ``row``, which other rows' pending updates may hold, with
+    its pending ``updates`` applied in order, four per pass."""
+    row = row[:]
+    for (f1, p1, k1), (f2, p2, k2), (f3, p3, k3), (f4, p4, k4) in zip(*[iter(updates)] * 4):
+        row[k1] = zero
+        row = [(((v - f1 * w1) - f2 * w2) - f3 * w3) - f4 * w4 for v, w1, w2, w3, w4 in zip(row, p1, p2, p3, p4)]
+        # a later update reset its column's entry first: compute those entries again
+        row[k2] = ((zero - f2 * p2[k2]) - f3 * p3[k2]) - f4 * p4[k2]
+        row[k3] = (zero - f3 * p3[k3]) - f4 * p4[k3]
+        row[k4] = zero - f4 * p4[k4]
+    for factor, pivot_row, k in updates[len(updates) // 4 * 4 :]:
+        row[k] = zero
+        row = [v - factor * w for v, w in zip(row, pivot_row)]
+    return row

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import histrel.game
 import histrel.simplex
@@ -461,10 +463,20 @@ def _bases_before_the_cap(monkeypatch, lp, pivots):
     return bases
 
 
-def _defers_rows(lp):
-    """Whether the pivot loop defers the program's row updates: it does on
-    programs at least three times as wide as tall."""
-    return len(lp.objective) >= 3 * len(lp.rows)
+def _bound_folds(monkeypatch, bound):
+    """Set the pivot loop's fold bound to ``bound``; the list returned gains
+    an entry each time a row folds at the bound, not because it pivots: a
+    row holds ``bound`` pending updates only then."""
+    folds, fold = [], histrel.simplex._fold
+
+    def counted(row, updates, zero):
+        if len(updates) == bound:
+            folds.append(bound)
+        return fold(row, updates, zero)
+
+    monkeypatch.setattr(histrel.simplex, "_FOLD_BOUND", bound)
+    monkeypatch.setattr(histrel.simplex, "_fold", counted)
+    return folds
 
 
 # maximize 3 x1 + 3 x8 subject to 3 x4 + x8 <= 2, 2 x4 <= 1, x1 - x4 <= 1:
@@ -482,30 +494,38 @@ REENTRY = StandardFormLP(
 def test_dictionary_pivots_like_the_full_tableau(monkeypatch):
     # the dictionary drops the basic unit columns of the tableau but keeps
     # its pivots and its float rounding: the same bases in the same rows,
-    # and the same bits in every value and reduced cost, whether the loop
-    # rewrites every row at each pivot or defers the row updates
+    # and the same bits in every value and reduced cost, whether the rows
+    # fold their pending updates at the real bound or after 1, 2, 3 or 6:
+    # a fold takes four updates per pass, and six take a pass and two more
     sets = [_multinomial_set(seed) for seed in range(2)]
     sets += [_multinomial_set(seed, 10, 20, 80) for seed in range(4)]
     programs = [REENTRY, *_game_programs(6, 60), *_recorded_programs(monkeypatch, sets, "float")]
-    assert {_defers_rows(lp) for lp in programs} == {True, False}
+    tableaus = []
     for lp in programs:
         A, b, basis_list = _slack_tableau(lp, float)
         visited = _pivot_with(A, b, basis_list, _library_rule, FLOAT_EPS, 10_000)[0]
         if lp is REENTRY:
             assert visited == [(9, 10, 11), (9, 10, 1), (9, 4, 1), (8, 4, 1), (8, 10, 1)]
-        result = simplex_optimize(lp, "float")
-        assert result.iterations == len(visited) - 1
-        assert [*_bases_before_the_cap(monkeypatch, lp, result.iterations), result.basis] == visited
-        solution = [0.0] * len(A[-1])
-        for r, var in enumerate(basis_list):
-            solution[var] = b[r]
-        value, x, costs = simplex_values(result, "float")
-        assert repr(x) == repr(tuple(solution))
-        assert repr(costs) == repr(tuple(A[-1]))
-        assert repr(value) == repr(0 - b[-1])
-        # float mode keeps the floats themselves as the numerators, over 1
-        views = (value, *x, *costs)
-        assert result.denominator == 1 and repr(_numerators(result)) == repr(views)
+        tableaus.append((A, b, basis_list, visited))
+    real_bound = histrel.simplex._FOLD_BOUND
+    for bound in (real_bound, 1, 2, 3, 6):
+        folds = _bound_folds(monkeypatch, bound)
+        for lp, (A, b, basis_list, visited) in zip(programs, tableaus):
+            result = simplex_optimize(lp, "float")
+            assert result.iterations == len(visited) - 1
+            bases = _bases_before_the_cap(monkeypatch, lp, result.iterations)
+            assert [*bases, result.basis] == visited
+            solution = [0.0] * len(A[-1])
+            for r, var in enumerate(basis_list):
+                solution[var] = b[r]
+            value, x, costs = simplex_values(result, "float")
+            assert repr(x) == repr(tuple(solution))
+            assert repr(costs) == repr(tuple(A[-1]))
+            assert repr(value) == repr(0 - b[-1])
+            # float mode keeps the floats themselves as the numerators, over 1
+            views = (value, *x, *costs)
+            assert result.denominator == 1 and repr(_numerators(result)) == repr(views)
+        assert folds or bound == real_bound  # a small bound folds some row before it pivots
 
 
 def _pivoted_bases(lp, field):
@@ -531,25 +551,79 @@ def _pivoted_bases(lp, field):
         sys.settrace(previous)
 
 
-def test_exact_pivoting_defers_row_updates_like_the_full_tableau():
-    # game programs of at least 10 rows and three times as many columns
-    # take the deferred-update loop; over fractions it reaches every basis
-    # of the full tableau's pivots, and the same values and reduced costs.
-    # In the 12-symbol sets' programs columns enter again while rows still
-    # hold their first update.
+def test_exact_pivoting_defers_row_updates_like_the_full_tableau(monkeypatch):
+    # over fractions the deferred-update loop reaches every basis of the
+    # full tableau's pivots, and the same values and reduced costs, at the
+    # real fold bound and when rows fold after 1, 2 or 5 pending updates. In
+    # the 12-symbol sets' programs columns enter again while rows still hold
+    # their first update.
     sizes = ((10, 0), (12, 0), (12, 3))
     counts = [_multinomial_set(seed, symbols, 40, 60).count_rows() for symbols, seed in sizes]
     programs = [build(rows)[0] for rows in counts for build in (supporting_lp, covering_lp)]
-    assert all(len(lp.rows) >= 10 and _defers_rows(lp) for lp in programs)
+    assert all(len(lp.rows) >= 10 for lp in programs)
+    tableaus = []
     for lp in programs:
         A, b, basis_list = _slack_tableau(lp, Fraction)
-        visited = _pivot_with(A, b, basis_list, _library_rule, 0, 10**6)[0]
-        dictionary, bases = _pivoted_bases(lp, Field.for_mode("rational"))
-        _basis, nonbasic, values, costs, pivots = dictionary
-        assert pivots == len(visited) - 1
-        assert bases == visited
-        assert values == b
-        assert costs == [A[-1][var] for var in nonbasic]
+        tableaus.append((A, b, _pivot_with(A, b, basis_list, _library_rule, 0, 10**6)[0]))
+    real_bound = histrel.simplex._FOLD_BOUND
+    for bound in (real_bound, 1, 2, 5):
+        folds = _bound_folds(monkeypatch, bound)
+        for lp, (A, b, visited) in zip(programs, tableaus):
+            dictionary, bases = _pivoted_bases(lp, Field.for_mode("rational"))
+            _basis, nonbasic, values, costs, pivots = dictionary
+            assert pivots == len(visited) - 1
+            assert bases == visited
+            assert values == b
+            assert costs == [A[-1][var] for var in nonbasic]
+        assert folds or bound == real_bound
+
+
+@st.composite
+def _game_like_programs(draw):
+    """Programs shaped like the games': integer entries, a positive
+    constraint matrix, ones for the objective and one right-hand side
+    ``>= 0`` for every row. At small bounds their rows fold before they
+    pivot."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 14))
+    row = st.lists(st.integers(1, 40), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    return StandardFormLP([1] * n, rows, [draw(st.integers(0, 9))] * m)
+
+
+@settings(max_examples=80)
+@given(_game_like_programs())
+def test_results_do_not_depend_on_the_fold_bound(lp):
+    # a fold that skipped, repeated or reordered an update would move a bit
+    # of some result, or the basis the float guide hands rational mode
+    results = []
+    for bound in (histrel.simplex._FOLD_BOUND, 1, 2, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(histrel.simplex, "_FOLD_BOUND", bound)
+            exact = _optimal_dictionary(lp, Field.for_mode("rational"))
+            results.append((repr(simplex_optimize(lp, "float")), repr(simplex_optimize(lp)), exact))
+    assert results[1:] == results[:1] * 3
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_fold_rewrites_the_row_once_per_update_in_order(data):
+    # each update resets its column's entry, then subtracts factor times its
+    # pivot row, as a rewrite at that pivot would. Few columns make an update
+    # often hit a column an earlier one in the same pass of four also hit, as
+    # when a variable leaves and enters again; sevenths round, so a change in
+    # the order of the operations moves some bit
+    n = data.draw(st.integers(1, 4))
+    entries = st.integers(-999, 999).map(lambda i: i / 7)
+    vector = st.lists(entries, min_size=n, max_size=n)
+    row = data.draw(vector)
+    updates = data.draw(st.lists(st.tuples(entries, vector, st.integers(0, n - 1)), max_size=11))
+    original, want = row[:], row
+    for factor, pivot_row, k in updates:
+        want = want[:]
+        want[k] = 0.0
+        want = [v - factor * w for v, w in zip(want, pivot_row)]
+    assert repr(histrel.simplex._fold(row, updates, 0.0)) == repr(want)
+    assert row == original  # other rows' pending updates may hold it
 
 
 def test_exact_answers_where_the_float_guide_misjudges_the_basis():
