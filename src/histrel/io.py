@@ -4,12 +4,16 @@ Formats are deliberately small: sample files are plain CSV (one sample per
 line, comma-separated single-token symbols), histogram sets and all derived
 artifacts are JSON. Rational values serialize as exact ``p/q`` strings,
 floats as shortest round-trip decimals, so rational-mode files round-trip
-bit-exactly. All file writes are whole-file atomic and otherwise write as
-``open(path, "w")`` does.
+bit-exactly. Every file write writes as ``open(path, "w")`` does; one to a
+regular file or a new one is whole-file atomic, and one to an existing
+target that is not a regular file (a named pipe, a terminal, ``/dev/stdout``)
+goes to that target in place.
 
 A histogram set's counts become decimal text once, one compact row text per
 member (``HistogramSet._row_texts``): the ``input_sha256`` digest and the
-histogram-set and profile writers are all built from those texts.
+histogram-set and profile writers are all built from those texts. The digest
+is CPython's builtin SHA-256, which gives ``hashlib.sha256``'s bytes without
+loading OpenSSL, as ``random`` takes its SHA-512.
 
 Each artifact is one ``%`` template over texts written once, laid out as
 ``json.dumps(tree, indent=2)`` lays out the artifact's tree: every label and
@@ -20,15 +24,21 @@ string by json's own escaper, every number by ``Field.texts``, each list by
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import re
-import secrets
 import stat
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+
+try:  # hashlib loads OpenSSL's libcrypto, about 3.7 MB resident, for one short digest
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .core import (
     COVERING,
@@ -90,25 +100,34 @@ def read_text(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a temporary file beside ``path`` and rename it over ``path``,
-    as ``open(path, "w")`` would write: through a symbolic link to its
-    target, not into a file the caller may not write, and leaving an
-    existing file its own mode and a new one ``0o666`` less the umask. A
-    failed write leaves no temporary file, and its ``OSError`` names ``path``."""
-    target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".histrel-{secrets.token_hex(8)}.tmp")
+    """Write ``text`` to ``path`` as ``open(path, "w")`` would: through a
+    symbolic link to its target, not into a file the caller may not write,
+    and leaving an existing file its own mode and a new one ``0o666`` less
+    the umask. An existing target that is not a regular file (a named pipe,
+    a terminal, ``/dev/stdout``) is opened and written in place. A regular
+    file or a new one is written whole or not at all: a temporary file
+    beside the target is renamed over it, and a failed write leaves none.
+    Any ``OSError`` names ``path``."""
     try:
-        if os.path.exists(target) and not os.access(target, os.W_OK):
+        try:
+            existing = os.stat(path)
+        except FileNotFoundError:
+            existing = None
+        if existing is not None and not stat.S_ISREG(existing.st_mode):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return
+        target = os.path.realpath(path)
+        if existing is not None and not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        tmp = os.path.join(os.path.dirname(target), f".histrel-{os.urandom(8).hex()}.tmp")
         # the kernel applies the umask to the requested 0o666
         fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            try:
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
-            except FileNotFoundError:
-                pass  # a new file
+            if existing is not None:
+                os.chmod(tmp, stat.S_IMODE(existing.st_mode))
             os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
@@ -234,7 +253,7 @@ def digest_histogram_set(histograms: HistogramSet) -> str:
         + ',"histograms":[[' + "],[".join(histograms._row_texts)
         + ']],"sample_length":%d}' % histograms.sample_length
     )
-    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+    return sha256(canonical.encode("ascii")).hexdigest()
 
 
 def save_histogram_set(histograms: HistogramSet, path: str) -> None:

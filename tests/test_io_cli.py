@@ -558,6 +558,14 @@ def score_report_to_json(report) -> dict:
     }
 
 
+def histrel_env(*paths: str) -> dict[str, str]:
+    """The environment of a histrel process: ``paths``, then the directory
+    that holds the ``histrel`` package, before any inherited ``PYTHONPATH``."""
+    src = os.path.dirname(os.path.dirname(histrel.verify.__file__))
+    python_path = os.pathsep.join([*paths, src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": python_path}
+
+
 def canonical_digest(histograms) -> str:
     """Reference: the SHA-256 of the set's tree by ``json.dumps``, keys sorted, compact."""
     canonical = json.dumps(histogram_set_to_json(histograms), sort_keys=True, separators=(",", ":"))
@@ -624,11 +632,11 @@ DRAWN_LABELS = st.text(LABEL_CHARACTERS, min_size=1, max_size=5).filter(is_csv_l
 
 
 @st.composite
-def escaped_sets(draw) -> HistogramSet:
+def escaped_sets(draw, counts=st.integers(0, 4)) -> HistogramSet:
     """A small set over drawn labels; its members permute one count row."""
     labels = draw(st.lists(DRAWN_LABELS, min_size=1, max_size=4, unique=True))
     size = len(labels)
-    first = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
+    first = draw(st.lists(counts, min_size=size, max_size=size).filter(any))
     rows = [first, *draw(st.lists(st.permutations(first), max_size=2))]
     return HistogramSet.from_counts(Alphabet(tuple(labels)), rows)
 
@@ -662,6 +670,13 @@ class TestWriter:
                 tree = json.loads(text)
                 assert text == json.dumps(tree, indent=2) + "\n"
                 assert read(tree) == written
+
+    @settings(max_examples=60, deadline=None)
+    @given(escaped_sets(st.one_of(st.integers(0, 4), st.integers(2**64, 2**200))))
+    def test_the_digest_is_hashlib_sha256_of_the_canonical_text(self, histograms):
+        # the digest comes from CPython's builtin SHA-256, not from hashlib:
+        # both give the same bytes on escaped labels and on counts past 2**64
+        assert digest_histogram_set(histograms) == canonical_digest(histograms)
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     @pytest.mark.parametrize(
@@ -1139,15 +1154,13 @@ class TestCli:
         samples.write_text(E1_CSV * (1 if size == "small" else 200))
         prelude = {"standard": "", "keeps-failed-bytes": KEEPS_FAILED_BYTES}[stdout]
         code = prelude + "from histrel.cli import console_main\nconsole_main()\n"
-        src = os.path.dirname(os.path.dirname(histrel.verify.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         with open("/dev/full", "wb") as full:
             done = subprocess.run(
                 [sys.executable, "-W", "error", "-c", code, "ingest", str(samples)],
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,
-                env=env,
+                env=histrel_env(),
                 timeout=60,
             )
         assert done.stderr == "error: No space left on device: '<stdout>'\n"
@@ -1163,12 +1176,11 @@ class TestCli:
         bytes of a failed write, so that exit flush retries them."""
         samples = tmp_path / "samples.csv"
         samples.write_text(E1_CSV)
-        src = os.path.dirname(os.path.dirname(histrel.verify.__file__))
-        paths = [src, os.environ.get("PYTHONPATH", "")]
+        sites = []
         if stdout == "keeps-failed-bytes":
             (tmp_path / "sitecustomize.py").write_text(KEEPS_FAILED_BYTES)
-            paths.insert(0, str(tmp_path))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+            sites.append(str(tmp_path))
+        env = histrel_env(*sites)
         with open("/dev/full", "wb") as full:
             done = subprocess.run(
                 [sys.executable, "-W", "error", "-m", "histrel.cli", "ingest", str(samples)],
@@ -1440,6 +1452,66 @@ class TestCli:
             os.umask(previous)
         assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == created
         assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_an_output_fifo_is_written_in_place(self, tmp_path):
+        # like open(path, "w"): a named pipe stays one, and its reader gets the
+        # bytes; the reader opens first and without blocking, so the writer's
+        # open returns at once and neither side waits
+        samples = tmp_path / "e1.csv"
+        samples.write_text(E1_CSV)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert self.run("ingest", str(samples), "-o", str(pipe)) == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert received.decode() == dumps_histogram_set(ingest_samples(str(samples)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e1.csv", "pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs a /dev/stdout link")
+    def test_output_to_dev_stdout_reaches_a_piped_stdout(self, tmp_path):
+        """``histrel ingest samples.csv -o /dev/stdout | cat`` as a process:
+        the link leads to the pipe, which is written as ``open`` writes it."""
+        samples = tmp_path / "samples.csv"
+        samples.write_text(E1_CSV)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "histrel.cli", "ingest", str(samples), "-o", "/dev/stdout"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=histrel_env(),
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == dumps_histogram_set(ingest_samples(str(samples)))
+
+    def test_solve_and_score_processes_load_no_openssl(self, tmp_path):
+        """A ``solve -o`` and a ``score`` to stdout in one process import no
+        module that loads OpenSSL's libcrypto: the input digest is CPython's
+        builtin SHA-256, and a temporary file's name comes from ``os.urandom``."""
+        samples, profile = tmp_path / "e1.csv", tmp_path / "p.json"
+        samples.write_text(E1_CSV)
+        code = (
+            "import sys\n"
+            "from histrel.cli import main\n"
+            "assert main(['solve', sys.argv[1], '-o', sys.argv[2]]) == 0\n"
+            "assert main(['score', sys.argv[2], sys.argv[1]]) == 0\n"
+            "print(sorted({'_hashlib', 'hashlib', 'hmac', 'secrets'} & set(sys.modules)), file=sys.stderr)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code, str(samples), str(profile)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=histrel_env(),
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "[]\n")
+        assert json.loads(done.stdout)["format"] == SCORES_FORMAT
 
     def test_profile_with_an_empty_label_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "p.json"
