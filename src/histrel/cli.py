@@ -80,10 +80,6 @@ def _exit_code_for(exc: HistrelError) -> int:
     return EXIT_CODES["unexpected"]
 
 
-def _default_mode() -> str:
-    return os.environ.get("HISTREL_MODE", RATIONAL)
-
-
 def _parse_alphabet(spec: str | None) -> Alphabet | None:
     if spec is None:
         return None
@@ -211,7 +207,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "mode", RATIONAL) is None:
-        args.mode = _default_mode()
+        args.mode = os.environ.get("HISTREL_MODE", RATIONAL)
         # argparse checks choices only on given flags
         if args.mode not in (RATIONAL, FLOAT):
             choices = f"choose from {RATIONAL!r}, {FLOAT!r}"

@@ -56,10 +56,6 @@ def _float_text(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else json.dumps(value)  # NaN, Infinity
 
 
-def _as_tuple(values) -> tuple:
-    return values if isinstance(values, tuple) else tuple(values)
-
-
 def require_problem_mode(problem: str) -> None:
     if problem not in (SUPPORTING, COVERING):
         raise ValidationError(f"unknown problem mode {problem!r}")
@@ -75,8 +71,8 @@ class Field:
     """The numbers of one arithmetic mode and the comparisons made on them.
 
     ``tol`` is the fixed ``FLOAT_EPS`` in float mode and exactly zero in
-    rational mode, so ``close``, ``support``, ``within`` and ``near`` are the
-    exact tests there and the tolerant ones in float mode.
+    rational mode, so ``support``, ``within``, ``near`` and ``ratios``' zero
+    test are the exact tests there and the tolerant ones in float mode.
     """
 
     mode: ArithmeticMode
@@ -96,12 +92,6 @@ class Field:
     @property
     def tol(self) -> Number:
         return 0 if self.exact else FLOAT_EPS
-
-    def share(self, k: int) -> Number:
-        return self.one / k
-
-    def close(self, a, b) -> bool:
-        return abs(a - b) <= self.tol
 
     def require_counts_fit(self, sample_length: int) -> None:
         """Float mode converts counts to doubles; every count of a set is at
@@ -170,7 +160,7 @@ class Field:
         """The values ``scaled`` holds divided by a positive ``value``, as
         numerators over one denominator; None when the value is zero."""
         numerators, denominator = scaled
-        if self.close(value, self.zero):
+        if abs(value) <= self.tol:
             return None
         p, q = self._ratio(value)
         return [n * q for n in numerators], denominator * p
@@ -346,7 +336,7 @@ class Alphabet:
     symbols: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", _as_tuple(self.symbols))
+        object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValidationError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
@@ -374,7 +364,7 @@ class Sample:
     entries: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_tuple(self.entries))
+        object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValidationError("sample must contain at least one entry")
 
@@ -393,7 +383,7 @@ class Histogram:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _as_tuple(self.counts))
+        object.__setattr__(self, "counts", tuple(self.counts))
         if len(self.counts) != len(self.alphabet):
             raise ValidationError(
                 f"histogram has {len(self.counts)} counts for {len(self.alphabet)} symbols"
@@ -418,7 +408,7 @@ class HistogramSet:
     members: tuple[Histogram, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", _as_tuple(self.members))
+        object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise EmptySet("histogram set has no members")
         if type(self.sample_length) is not int or self.sample_length < 1:
@@ -503,7 +493,7 @@ class Weight:
     @classmethod
     def uniform(cls, alphabet: Alphabet, mode: ArithmeticMode = RATIONAL) -> "Weight":
         n = len(alphabet)
-        return cls(alphabet, (Field.for_mode(mode).share(n),) * n, mode)
+        return cls(alphabet, (Field.for_mode(mode).one / n,) * n, mode)
 
     @classmethod
     def point_mass(cls, alphabet: Alphabet, position: int, mode: ArithmeticMode = RATIONAL) -> "Weight":
@@ -519,6 +509,7 @@ def _score(histogram: Histogram, weight: Weight) -> Number:
     if histogram.alphabet != weight.alphabet:
         raise AlphabetMismatch("histogram and weight use different alphabets")
     field = Field.for_mode(weight.mode)
+    field.require_counts_fit(histogram.total)
     (paired,), scale = field.pairings(weight._scaled, [histogram.counts])
     return field.quotient(paired, scale)
 

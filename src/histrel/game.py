@@ -52,7 +52,7 @@ from .core import (
     distinct_rows,
     require_problem_mode,
 )
-from .errors import AlphabetMismatch, CertificationFailure, ValidationError
+from .errors import AlphabetMismatch, CertificationFailure, NumericalFailure, ValidationError
 from .reduce import ReductionTrace, empty_trace, reduce_fixpoint
 from .simplex import SimplexResult, StandardFormLP, simplex_optimize
 
@@ -165,7 +165,8 @@ def make_solution(
     One pairing of the weight with every member gives both the tight sets
     and the certificate. Raises ``CertificationFailure`` naming the failed
     clauses, or a symbol that ``trace`` eliminated but the weight carries,
-    so every solution this returns is certified.
+    so every solution this returns is certified, and ``NumericalFailure``
+    for float-mode counts beyond the float range.
     """
     require_problem_mode(problem)
     if trace is None:
@@ -229,7 +230,7 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
     field = Field.for_mode(arithmetic)
     field.require_counts_fit(histograms.sample_length)
     alphabet = histograms.alphabet
-    if use_reduction and len(alphabet) >= 2:
+    if use_reduction:
         restricted, trace = reduce_fixpoint(histograms, problem)
     else:
         restricted, trace = histograms.count_rows(), empty_trace(alphabet.symbols)
@@ -251,7 +252,7 @@ def _solve_game(histograms, problem, arithmetic, use_reduction) -> GameSolution:
             # middle: the even weight pairs to half the sample length with
             # every member, and it is the only optimum exactly when both
             # strict straddle directions occur.
-            alpha, weight_values = field.of(histograms.sample_length) / 2, (field.share(2),) * 2
+            alpha, weight_values = field.of(histograms.sample_length) / 2, (field.one / 2,) * 2
             dual_unique = _balance_dual(unique_rows, alpha, field)
             alternate = not (
                 any(a > b for a, b in unique_rows) and any(b > a for a, b in unique_rows)
@@ -352,7 +353,10 @@ def certify(solution: GameSolution, histograms: HistogramSet) -> CertificateRepo
     """
     if solution.weight.alphabet != histograms.alphabet:
         return _structure_failure(solution.mode, "alphabet differs")
-    return _certified(solution.alpha, solution.weight, solution.dual, histograms, solution.mode)[2]
+    try:
+        return _certified(solution.alpha, solution.weight, solution.dual, histograms, solution.mode)[2]
+    except NumericalFailure as exc:  # float mode, counts beyond the float range
+        return _structure_failure(solution.mode, str(exc))
 
 
 def _structure_failure(problem: ProblemMode, detail: str) -> CertificateReport:
@@ -364,9 +368,12 @@ def _certified(alpha, weight, dual, histograms, problem):
     """``(tight_members, tight_symbols, report)`` of a claimed solution, from
     one pairing of the weight with every member and one of the dual with
     every symbol. The tight sets and every clause compare those pairings with
-    ``alpha`` through ``Field.gaps``; each violation is one quotient's float.
+    ``alpha`` through ``Field.gaps``; each violation is one quotient's float,
+    ``inf`` beyond the float range. Raises ``NumericalFailure`` for float-mode
+    counts beyond the float range.
     """
     field = Field.for_mode(weight.mode)
+    field.require_counts_fit(histograms.sample_length)
     rows = histograms.count_rows()
     weight_scaled = weight._scaled
     member_gaps, member_scale = field.gaps(field.pairings(weight_scaled, rows), alpha)
@@ -378,7 +385,11 @@ def _certified(alpha, weight, dual, histograms, problem):
 
     def add(clause: str, excess, scale, detail: str = "") -> None:
         """A clause whose violation is ``excess / scale``, with ``scale > 0``."""
-        checks.append(CertificateCheck(clause, field.within(excess, scale), max(0.0, excess / scale), detail))
+        try:
+            violation = max(0.0, excess / scale)
+        except OverflowError:  # an integer quotient beyond the float range; within() is exact
+            violation = float("inf")
+        checks.append(CertificateCheck(clause, field.within(excess, scale), violation, detail))
 
     dual_scaled = dual._scaled
     for clause, (numerators, denominator) in (("weight-simplex", weight_scaled), ("dual-simplex", dual_scaled)):

@@ -53,7 +53,6 @@ from .core import (
     Weight,
     _SURROGATE,
     _counter,
-    require_arithmetic,
 )
 from .errors import (
     AlphabetMismatch,
@@ -377,7 +376,6 @@ def solve_profile(histograms: HistogramSet, arithmetic: ArithmeticMode = RATIONA
     and bundle the results, which raise ``CertificationFailure`` rather than
     return a solution that fails its certificate.
     """
-    require_arithmetic(arithmetic)
     return WeightProfile(
         histograms=histograms,
         supporting=solve_supporting(histograms, arithmetic),

@@ -111,9 +111,7 @@ def reduce_fixpoint(
         removed = [current[pos] for pos in removable]
         steps += [ReductionStep(symbols[j], problem, pass_index) for j in removed]
         totals = list(map(sub, totals, map(sum, zip(*(columns[j] for j in removed)))))
-        current = [j for j in current if j not in removed]
-        if not current:  # cannot happen: summing the strict tests contradicts itself
-            raise ValidationError("reduction emptied the alphabet")
+        current = [j for j in current if j not in removed]  # never empty: the summed strict tests contradict
     restricted = tuple(zip(*(columns[j] for j in current)))
     trace = ReductionTrace(tuple(steps), tuple(symbols[j] for j in current))
     return restricted, trace

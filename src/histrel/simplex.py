@@ -233,12 +233,9 @@ def _optimal_dictionary(lp, field):
         top = max(costs, default=zero)
         if top <= eps:
             return basis, nonbasic, b, costs, iterations
-        if degenerate < m:
-            candidates = (k for k, v in enumerate(costs) if v >= top - eps and v > eps)
-        else:
-            candidates = (k for k, v in enumerate(costs) if v > eps)
+        floor = top - eps if degenerate < m else eps  # Dantzig ties the top; Bland takes any gain
         # the columns are permuted: a tie goes to the smallest variable index
-        enter = min(candidates, key=nonbasic.__getitem__)
+        enter = min((k for k, v in enumerate(costs) if v >= floor and v > eps), key=nonbasic.__getitem__)
         column = [row[enter] for row in D]
         for r, updates in enumerate(pending):
             coeff = column[r]

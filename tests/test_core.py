@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import histrel.io
 from histrel import (
     SUPPORTING,
     Alphabet,
@@ -17,6 +18,7 @@ from histrel import (
     EmptySet,
     Histogram,
     HistogramSet,
+    NumericalFailure,
     ReductionStep,
     ReductionTrace,
     Sample,
@@ -28,10 +30,12 @@ from histrel import (
     make_solution,
     relevance_score,
     score_profile,
+    solve_covering,
     solve_profile,
+    solve_supporting,
 )
 from histrel.core import FLOAT_EPS, Field, distinct_rows, require_arithmetic, require_problem_mode
-from histrel.simplex import StandardFormLP
+from histrel.simplex import StandardFormLP, simplex_optimize
 from histrel.verify import random_histogram_set
 from conftest import pairing
 
@@ -237,6 +241,28 @@ class TestValidationBranches:
         with pytest.raises(error, match=re.escape(message)):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda big: solve_profile(big, "decimal"),
+            lambda big: solve_supporting(big, "decimal"),
+            lambda big: solve_covering(big, "decimal"),
+            lambda big: simplex_optimize(StandardFormLP((0.5,), ((1,),), (1,)), "decimal"),
+            lambda big: Weight(AB, (1,), "decimal"),
+            lambda big: DualWeight((), "decimal"),
+        ],
+        ids=["solve_profile", "solve_supporting", "solve_covering", "simplex_optimize", "Weight", "DualWeight"],
+    )
+    def test_an_unknown_arithmetic_mode_fails_first_at_every_solver_entry(self, monkeypatch, build):
+        # each input is faulty in another way too; the mode is named first
+        def digest(histograms):
+            raise AssertionError("the digest was computed before the mode was checked")
+
+        monkeypatch.setattr(histrel.io, "digest_histogram_set", digest)
+        big = HistogramSet.from_counts(AB, [(10**400, 0), (0, 10**400)])
+        with pytest.raises(ValidationError, match="^unknown arithmetic mode 'decimal'$"):
+            build(big)
+
 
 class TestPairing:
     """The public scores pair by ``Field.pairings``, the library's one rule."""
@@ -253,6 +279,13 @@ class TestPairing:
     def test_uniform_weight_gives_length_over_size(self):
         hist = Histogram(ABC, (3, 2, 1))
         assert irrelevance_score(hist, Weight.uniform(ABC)) == Fraction(6, 3) == 2
+
+    @pytest.mark.parametrize("score", [relevance_score, irrelevance_score])
+    def test_float_counts_beyond_the_float_range_are_a_numerical_failure(self, score):
+        hist = Histogram(AB, (10**400, 1))
+        with pytest.raises(NumericalFailure, match="^counts exceed the float range; use rational mode$"):
+            score(hist, Weight.uniform(AB, "float"))
+        assert score(hist, Weight.uniform(AB)) == Fraction(10**400 + 1, 2)
 
     def test_alphabet_mismatch(self):
         for score in (relevance_score, irrelevance_score):

@@ -7,14 +7,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import histrel.game
 from histrel import (
     COVERING,
     SUPPORTING,
     CertificationFailure,
+    CertificateReport,
     DualWeight,
     GameSolution,
+    HistrelError,
+    NumericalFailure,
     Weight,
     certify,
     make_solution,
@@ -248,6 +252,29 @@ class TestCertify:
         assert not report.passed
         assert "primal-feasibility" in [c.clause for c in report.failures()]
 
+    def test_a_violation_beyond_the_float_range_reads_inf(self):
+        # the violation T / 2 is an integer quotient no float holds; the exact test fails it
+        big = make_set("ab", [(10**400, 0), (0, 10**400)])
+        report = certify(dataclasses.replace(solve_supporting(big), alpha=Fraction(0)), big)
+        assert not report.passed
+        assert report.max_violation == math.inf
+        assert [c.clause for c in report.failures()] == [
+            "value-equality-primal", "dual-feasibility", "value-equality-dual", "slackness-members",
+            "slackness-symbols", "uniform-bound",
+        ]
+
+    def test_float_counts_beyond_the_float_range_are_reported_and_refused(self):
+        big = make_set("ab", [(10**400, 0), (0, 10**400)])
+        weight, dual = Weight.uniform(big.alphabet, "float"), DualWeight((0.5, 0.5), "float")
+        args = (1.0, weight, dual, big, SUPPORTING)
+        message = "counts exceed the float range; use rational mode"
+        with pytest.raises(NumericalFailure, match=f"^{message}$"):
+            make_solution(*args)
+        claim = GameSolution(*args[:3], (), (), SUPPORTING, empty_trace(big.alphabet.symbols))
+        report = certify(claim, big)
+        assert not report.passed
+        assert [(c.clause, c.detail) for c in report.failures()] == [("structure", message)]
+
     def test_make_solution_raises_on_a_non_optimal_claim(self, e1):
         # (0, 1) pairs to 3 and 4, so 3 is its true floor, but (1, 0) reaches 6
         weight = Weight(e1.alphabet, (0, 1))
@@ -277,6 +304,37 @@ class TestCertify:
         assert "uniform-bound" in [c.clause for c in certify(solution, e3).checks]
         low = dataclasses.replace(solution, alpha=Fraction(3, 2))
         assert "uniform-bound" in [c.clause for c in certify(low, e3).failures()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    histogram_sets(),
+    st.sampled_from([solve_supporting, solve_covering]),
+    st.sampled_from(["rational", "float"]),
+    st.sampled_from([0, 320, 400]),
+)
+def test_certify_never_raises(histograms, solve, mode, k):
+    """A solution certified against the set scaled by ``10**k`` is
+    reported on, also beyond the float range, and ``make_solution`` of it
+    raises only the package's errors."""
+    solution = solve(histograms, mode)
+    scale = 10**k
+    scaled = HistogramSet.from_counts(
+        histograms.alphabet,
+        [[c * scale for c in row] for row in histograms.count_rows()],
+        histograms.sample_length * scale,
+    )
+    report = certify(solution, scaled)
+    assert isinstance(report, CertificateReport)
+    if k == 0:
+        assert report.passed
+    elif mode == "float":
+        assert [c.clause for c in report.failures()] == ["structure"]
+    args = (solution.alpha, solution.weight, solution.dual, scaled, solution.mode)
+    try:
+        make_solution(*args, solution.reduction_trace)
+    except HistrelError:
+        assert not report.passed
 
 
 def _with_duplicates(seed: int) -> HistogramSet:
@@ -313,7 +371,7 @@ def _reference_certificate(solution, histograms):
         max((abs(columns[v] - alpha) for v, w in enumerate(weight) if w > field.tol), default=0),
         max(sign * (baseline - alpha), 0),
     ]
-    tight = tuple(i for i, p in enumerate(pairings) if field.close(p, alpha))
+    tight = tuple(i for i, p in enumerate(pairings) if abs(p - alpha) <= field.tol)
     return tight, max(max(0.0, float(v)) for v in violations)
 
 
@@ -336,9 +394,9 @@ class TestIntegerCertificate:
                 # a claim off the optimum: uniform weight and dual, value moved by 1/7
                 claim = dataclasses.replace(
                     solution,
-                    alpha=solution.alpha + field.share(7),
+                    alpha=solution.alpha + field.one / 7,
                     weight=Weight.uniform(histograms.alphabet, mode),
-                    dual=DualWeight((field.share(k),) * k, mode),
+                    dual=DualWeight((field.one / k,) * k, mode),
                 )
                 report = certify(claim, histograms)
                 assert report.max_violation == _reference_certificate(claim, histograms)[1], seed
@@ -361,7 +419,7 @@ def _perturbed_claims(solution, histograms, mode):
     for nudge in nudges:
         yield alpha + nudge, solution.weight, solution.dual
     yield alpha, Weight.uniform(histograms.alphabet, mode), solution.dual
-    yield alpha, solution.weight, DualWeight((field.share(k),) * k, mode)
+    yield alpha, solution.weight, DualWeight((field.one / k,) * k, mode)
 
 
 class TestOneCertificatePass:

@@ -1604,6 +1604,22 @@ class TestCli:
         assert self.run("score", str(path), str(path)) == EXIT_CODES["numerical-failure"]
         assert "rational" in capsys.readouterr().err
 
+    def test_a_damaged_profile_beyond_the_float_range_is_a_certification_failure(
+        self, tmp_path, capsys
+    ):
+        # the damaged value's violation, BIG / 2, is reported as inf, not raised
+        path = tmp_path / "big.json"
+        hs = {"alphabet": ["a", "b"], "sample_length": BIG, "histograms": [[BIG, 0], [0, BIG]]}
+        path.write_text(json.dumps(hs))
+        profile = tmp_path / "p.json"
+        assert self.run("solve", str(path), "-o", str(profile)) == 0
+        data = json.loads(profile.read_text())
+        data["supporting"]["alpha"] = "0"
+        profile.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self.run("score", str(profile), str(path)) == EXIT_CODES["certification-failure"]
+        assert "supporting solution fails: value-equality-primal" in capsys.readouterr().err
+
     def test_an_integer_beyond_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
         huge = "1" + "0" * 5000  # longer than int() reads from text by default
         path = tmp_path / "huge.json"
